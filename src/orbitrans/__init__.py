@@ -17,7 +17,6 @@ from .census import (
     compute_gdd,
     compute_orbit_frequencies,
     connected_subgraphs,
-    enumerate_connected_subgraphs,
     graphlet_class_frequencies,
 )
 from .graph_core import (
@@ -97,7 +96,6 @@ __all__ = [
     "degree_preserving_randomize",
     "discretize",
     "ensemble_frequencies",
-    "enumerate_connected_subgraphs",
     "enumerate_transitions",
     "final_aggregate_graph",
     "fingerprint_distance",

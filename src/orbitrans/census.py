@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import permutations
-from typing import Callable, Iterator
+from typing import Iterator
 
 import numpy as np
 
@@ -245,20 +245,6 @@ def connected_subgraphs(g: StaticGraph, k: int) -> Iterator[tuple[tuple[int, ...
             yield from extend([root], ext, adj[root] | {root}, root)
 
 
-def enumerate_connected_subgraphs(
-    g: StaticGraph, k: int, visitor: Callable[[tuple[int, ...], int], None]
-) -> int:
-    """Stream every connected induced k-subgraph to ``visitor(nodes, mask)``.
-
-    Returns the number of occurrences visited.
-    """
-    count = 0
-    for nodes, mask in connected_subgraphs(g, k):
-        visitor(nodes, mask)
-        count += 1
-    return count
-
-
 @dataclass(frozen=True)
 class OrbitFrequencyMatrix:
     """Per-node orbit appearance counts: row v, column j-1 = orbit j."""
@@ -285,6 +271,19 @@ def compute_orbit_frequencies(g: StaticGraph, k: int) -> OrbitFrequencyMatrix:
         for node, orbit in zip(nodes, orbits):
             counts[node, orbit - 1] += 1
     return OrbitFrequencyMatrix(k=k, counts=counts)
+
+
+def class_counts(fr: OrbitFrequencyMatrix) -> dict[str, int]:
+    """Occurrence count of each connected k-node class, from an orbit census.
+
+    Every occurrence of a class puts its k nodes into that class's orbits,
+    so the class's orbit columns sum to k times its count.
+    """
+    totals = fr.counts.sum(axis=0)
+    return {
+        cls.name: int(totals[[j - 1 for j in cls.orbits]].sum()) // fr.k
+        for cls in GRAPHLET_CLASSES[fr.k]
+    }
 
 
 def graphlet_class_frequencies(g: StaticGraph, k: int) -> dict[str, int]:

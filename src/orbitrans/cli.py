@@ -17,11 +17,15 @@ network plus an optional ``[settings]`` section for shared knobs::
     policy = active
 
 Per-network keys: ``path`` (required), ``policy``, ``width``, ``count``,
-``origin``, ``sep``. Values in the manifest take precedence over
-command-line flags, so a manifest fully determines a run; flags fill in
-whatever the manifest leaves out. All outputs are written atomically and
-deterministically: rerunning the same manifest reproduces every file
-byte for byte.
+``origin``, ``sep``; all but ``path`` may also be set in ``[settings]``
+for every network. ``[settings]`` further takes ``k`` (subgraph size, 3
+or 4, used by ``census``, ``transitions``, ``motifs`` and ``compare``),
+``seed``, ``replicates``, ``swaps_per_edge``, ``ota_scaling``,
+``relative_rescale``, ``gdd_scaling``, ``linkage`` and ``out``. Values in
+the manifest take precedence over command-line flags, so a manifest
+fully determines a run; flags fill in whatever the manifest leaves out.
+All outputs are written atomically and deterministically: rerunning the
+same manifest reproduces every file byte for byte.
 """
 
 from __future__ import annotations
@@ -33,7 +37,7 @@ import io
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
+import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Sequence
@@ -42,11 +46,10 @@ import numpy as np
 
 from . import __version__
 from .census import (
-    GRAPHLET_CLASSES,
+    class_counts,
     compute_gdd,
     compute_orbit_frequencies,
     graphlet_class_frequencies,
-    orbit_count,
 )
 from .graph_core import (
     EdgeListParseError,
@@ -62,6 +65,7 @@ from .graph_core import (
 from .metrics import (
     AgreementConfig,
     MergeStep,
+    MotifFingerprint,
     SimilarityMatrix,
     gda_matrix,
     hierarchical_cluster,
@@ -70,7 +74,7 @@ from .metrics import (
     ota_matrix,
 )
 from .nullmodel import RandomizationConfig, ensemble_frequencies
-from .transitions import accumulate_series, discretize, row_normalize
+from .transitions import OrbitTransitionMatrix, accumulate_series, discretize, row_normalize
 
 STATS_HEADER = ("snapshot", "nodes", "edges", "avg_degree", "clustering", "cpl")
 
@@ -122,7 +126,6 @@ class RunConfig:
 
     networks: tuple[NetworkSpec, ...]
     out_dir: Path
-    threads: int
     k: int
     agreement: AgreementConfig
     randomization: RandomizationConfig
@@ -213,36 +216,26 @@ def load_run_config(args: argparse.Namespace) -> RunConfig:
             or _get_choice(settings, "sep", ("ws", "comma"), ctx)
             or args.sep
         )
-        width = _get_int(section, "width", nctx)
-        if width is None:
-            width = _get_int(settings, "width", ctx)
-        if width is None:
-            width = args.width
-        count = _get_int(section, "count", nctx)
-        if count is None:
-            count = _get_int(settings, "count", ctx)
-        if count is None:
-            count = args.count
-        origin = _get_int(section, "origin", nctx)
-        if origin is None:
-            origin = _get_int(settings, "origin", ctx)
         networks.append(
             NetworkSpec(
                 name=name,
                 path=path,
                 policy_mode=policy_mode,
-                width=width,
-                count=count,
-                origin=origin,
+                width=_first_not_none(
+                    _get_int(section, "width", nctx), _get_int(settings, "width", ctx), args.width
+                ),
+                count=_first_not_none(
+                    _get_int(section, "count", nctx), _get_int(settings, "count", ctx), args.count
+                ),
+                origin=_first_not_none(
+                    _get_int(section, "origin", nctx), _get_int(settings, "origin", ctx)
+                ),
                 sep=sep,
             )
         )
     if not networks:
         raise CliError(f"manifest {manifest_path} defines no networks")
 
-    seed = _get_int(settings, "seed", ctx)
-    if seed is None:
-        seed = args.seed
     agreement = AgreementConfig(
         ota_scaling=_get_choice(settings, "ota_scaling", ("normalized", "per_orbit"), ctx)
         or getattr(args, "ota_scaling", None)
@@ -265,7 +258,7 @@ def load_run_config(args: argparse.Namespace) -> RunConfig:
             getattr(args, "swaps_per_edge", None),
             10,
         ),
-        seed=seed,
+        seed=_first_not_none(_get_int(settings, "seed", ctx), args.seed),
     )
     k = _first_not_none(_get_int(settings, "k", ctx), getattr(args, "k", None), 4)
     if k not in (3, 4):
@@ -280,7 +273,6 @@ def load_run_config(args: argparse.Namespace) -> RunConfig:
     return RunConfig(
         networks=tuple(networks),
         out_dir=out_dir,
-        threads=max(1, args.threads),
         k=k,
         agreement=agreement,
         randomization=randomization,
@@ -312,9 +304,18 @@ def fmt(value) -> str:
 
 def write_atomic(path: Path, data: str) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(data)
-    os.replace(tmp, path)
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f"{path.name}.", suffix=".tmp")
+    try:
+        # mkstemp creates the file owner-only; give it the usual umask mode
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
+        with os.fdopen(fd, "w") as fh:
+            fh.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def write_csv(path: Path, header: Sequence[str], rows) -> None:
@@ -351,27 +352,32 @@ def _network_series(net: NetworkSpec) -> tuple[TemporalEdgeList, SnapshotSeries]
 
 
 def run_per_network(run: RunConfig, worker: Callable[[NetworkSpec], object]) -> tuple[dict, list[str]]:
-    """Apply ``worker`` to each network, isolating per-network failures.
+    """Apply ``worker`` to each network in turn, isolating per-network failures.
 
-    Returns (results by network name, error messages). Workers only
-    touch files named after their own network, so thread-parallel
-    execution cannot interleave outputs.
+    Returns (results by network name, error messages).
     """
-
-    def safe(net: NetworkSpec):
+    results, errors = {}, []
+    for net in run.networks:
         try:
-            return net.name, worker(net), None
+            results[net.name] = worker(net)
         except (CliError, ValueError, OSError) as e:
-            return net.name, None, f"network {net.name!r}: {e}"
-
-    if run.threads > 1:
-        with ThreadPoolExecutor(max_workers=run.threads) as pool:
-            outcomes = list(pool.map(safe, run.networks))
-    else:
-        outcomes = [safe(net) for net in run.networks]
-    results = {name: value for name, value, err in outcomes if err is None}
-    errors = [err for _name, _value, err in outcomes if err]
+            errors.append(f"network {net.name!r}: {e}")
     return results, errors
+
+
+def _network_transitions(run: RunConfig, net: NetworkSpec) -> OrbitTransitionMatrix:
+    """Orbit-transition counts summed over the network's snapshot series."""
+    _events, series = _network_series(net)
+    return accumulate_series(series, run.k)
+
+
+def _network_motifs(run: RunConfig, net: NetworkSpec) -> tuple[dict, dict, MotifFingerprint]:
+    """Real class counts, ensemble means and motif fingerprint of the final graph."""
+    g = final_aggregate_graph(net.load_events())
+    real = graphlet_class_frequencies(g, run.k)
+    means = ensemble_frequencies(g, run.randomization, run.k)
+    fp = motif_scores_from_counts(list(real.values()), [means[name] for name in real], run.k)
+    return real, means, fp
 
 
 def _report_errors(errors: list[str]) -> int:
@@ -406,7 +412,6 @@ def cmd_stats(args: argparse.Namespace) -> int:
 def _census_bundle(run: RunConfig, stem: str, tag: str, g: StaticGraph, labels) -> None:
     fr = compute_orbit_frequencies(g, run.k)
     gdd = compute_gdd(fr, scaling=run.agreement.gdd_scaling)
-    classes = graphlet_class_frequencies(g, run.k)
     header = ["node"] + [f"orbit_{j + 1}" for j in range(fr.m)]
     write_csv(
         run.out_dir / f"{stem}.{tag}.fr.csv",
@@ -416,7 +421,7 @@ def _census_bundle(run: RunConfig, stem: str, tag: str, g: StaticGraph, labels) 
     write_csv(
         run.out_dir / f"{stem}.{tag}.classes.csv",
         ("class", "count"),
-        classes.items(),
+        class_counts(fr).items(),
     )
     write_json(
         run.out_dir / f"{stem}.{tag}.gdd.json",
@@ -455,8 +460,7 @@ def cmd_transitions(args: argparse.Namespace) -> int:
     run = load_run_config(args)
 
     def worker(net: NetworkSpec):
-        _events, series = _network_series(net)
-        t = accumulate_series(series, run.k)
+        t = _network_transitions(run, net)
         nt = row_normalize(t)
         fp = discretize(nt)
         stem = _file_stem(net.name)
@@ -482,39 +486,27 @@ def cmd_transitions(args: argparse.Namespace) -> int:
 
 def cmd_motifs(args: argparse.Namespace) -> int:
     run = load_run_config(args)
-    order = [c.name for c in GRAPHLET_CLASSES[4]]
 
     def worker(net: NetworkSpec):
-        events = net.load_events()
-        g = final_aggregate_graph(events)
-        real = graphlet_class_frequencies(g, 4)
-        means = ensemble_frequencies(g, run.randomization, 4)
-        fp = motif_scores_from_counts(
-            [real[name] for name in order], [means[name] for name in order], 4
-        )
-        stem = _file_stem(net.name)
+        real, means, fp = _network_motifs(run, net)
         write_csv(
-            run.out_dir / f"{stem}.motifs.csv",
+            run.out_dir / f"{_file_stem(net.name)}.motifs.csv",
             ("class", "real_count", "ensemble_mean", "delta"),
-            (
-                [name, real[name], means[name], fp.scores[i]]
-                for i, name in enumerate(order)
-            ),
+            ([name, real[name], means[name], score] for name, score in zip(fp.class_names, fp.scores)),
         )
-        return fp
 
     _results, errors = run_per_network(run, worker)
-    if not errors:
-        write_json(
-            run.out_dir / "motifs.meta.json",
-            {
-                "tool_version": __version__,
-                "replicates": run.randomization.replicates,
-                "swaps_per_edge": run.randomization.swaps_per_edge,
-                "seed": run.randomization.seed,
-                "networks": run.network_summary(),
-            },
-        )
+    write_json(
+        run.out_dir / "motifs.meta.json",
+        {
+            "tool_version": __version__,
+            "k": run.k,
+            "replicates": run.randomization.replicates,
+            "swaps_per_edge": run.randomization.swaps_per_edge,
+            "seed": run.randomization.seed,
+            "networks": run.network_summary(),
+        },
+    )
     return _report_errors(errors)
 
 
@@ -536,34 +528,21 @@ def cmd_compare(args: argparse.Namespace) -> int:
     names = [net.name for net in run.networks]
     metric = args.metric
 
-    def transition_worker(net: NetworkSpec):
-        _events, series = _network_series(net)
-        return accumulate_series(series, 4)
+    gda_ks = (run.k, 3) if run.gda_include_k3 and run.k == 4 else (run.k,)
 
     def gdd_worker(net: NetworkSpec):
-        events = net.load_events()
-        g = final_aggregate_graph(events)
-        bundles = [compute_gdd(compute_orbit_frequencies(g, 4), run.agreement.gdd_scaling)]
-        if run.gda_include_k3:
-            bundles.append(compute_gdd(compute_orbit_frequencies(g, 3), run.agreement.gdd_scaling))
-        return bundles
+        g = final_aggregate_graph(net.load_events())
+        return [
+            compute_gdd(compute_orbit_frequencies(g, k), run.agreement.gdd_scaling)
+            for k in gda_ks
+        ]
 
-    def motif_worker(net: NetworkSpec):
-        events = net.load_events()
-        g = final_aggregate_graph(events)
-        order = [c.name for c in GRAPHLET_CLASSES[4]]
-        real = graphlet_class_frequencies(g, 4)
-        means = ensemble_frequencies(g, run.randomization, 4)
-        return motif_scores_from_counts(
-            [real[name] for name in order], [means[name] for name in order], 4
-        )
-
-    workers = {"ota": transition_worker, "gda": gdd_worker, "motif": motif_worker}
+    workers = {"ota": lambda net: _network_transitions(run, net), "gda": gdd_worker,
+               "motif": lambda net: _network_motifs(run, net)[2]}
     results, errors = run_per_network(run, workers[metric])
     if errors:
         # a pairwise comparison cannot proceed with missing networks
-        _report_errors(errors)
-        return 1
+        return _report_errors(errors)
 
     ordered = [results[name] for name in names]
     if metric == "ota":
@@ -587,7 +566,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
             "metric": metric,
             "kind": sim.kind,
             "linkage": run.linkage,
-            "k": 4,
+            "k": run.k,
             "ota_scaling": run.agreement.ota_scaling,
             "relative_rescale": run.agreement.use_relative_rescale,
             "gdd_scaling": run.agreement.gdd_scaling,
@@ -646,7 +625,6 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--manifest", required=False, help="run manifest (INI format)")
     common.add_argument("--out", default="out", help="output directory (default: out)")
-    common.add_argument("--threads", type=int, default=1, help="parallel networks (default: 1)")
     common.add_argument("--seed", type=int, default=0, help="base RNG seed (default: 0)")
     common.add_argument(
         "--policy",

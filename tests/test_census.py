@@ -1,14 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from orbitrans.census import (
     GRAPHLET_CLASSES,
     OrbitFrequencyMatrix,
     build_classification_table,
+    class_counts,
     compute_gdd,
     compute_orbit_frequencies,
     connected_subgraphs,
-    enumerate_connected_subgraphs,
     graphlet_class_frequencies,
     induced_mask,
 )
@@ -111,11 +113,6 @@ class TestEnumeration:
         for nodes, mask in connected_subgraphs(g, 4):
             assert mask == induced_mask(g, nodes)
 
-    def test_visitor_wrapper_counts(self):
-        seen = []
-        total = enumerate_connected_subgraphs(cycle_graph(5), 3, lambda n, m: seen.append(n))
-        assert total == len(seen) == 5
-
 
 class TestOrbitFrequencies:
     def test_k7_every_node_in_twenty_cliques(self):
@@ -180,6 +177,24 @@ class TestClassFrequencies:
         assert graphlet_class_frequencies(g, 4) == {
             cls.name: oracle_classes.get(cls.name, 0) for cls in GRAPHLET_CLASSES[4]
         }
+
+
+@st.composite
+def small_graphs(draw):
+    n = draw(st.integers(min_value=0, max_value=9))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    present = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return StaticGraph(n, [pair for pair, keep in zip(pairs, present) if keep])
+
+
+class TestClassCountsFromOrbitCensus:
+    @settings(max_examples=60, deadline=None)
+    @given(g=small_graphs(), k=st.sampled_from((3, 4)))
+    def test_matches_class_tally_and_oracle(self, g, k):
+        got = class_counts(compute_orbit_frequencies(g, k))
+        _, oracle_classes = exhaustive_census(g, k)
+        assert got == graphlet_class_frequencies(g, k)
+        assert got == {cls.name: oracle_classes[cls.name] for cls in GRAPHLET_CLASSES[k]}
 
 
 class TestGdd:

@@ -6,8 +6,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from orbitrans.cli import fmt, main, read_similarity_csv
-from orbitrans.census import compute_orbit_frequencies, graphlet_class_frequencies
+from orbitrans.cli import fmt, main, read_similarity_csv, write_atomic
+from orbitrans.census import compute_gdd, compute_orbit_frequencies, graphlet_class_frequencies
 from orbitrans.graph_core import (
     SnapshotPolicy,
     build_snapshots,
@@ -17,6 +17,7 @@ from orbitrans.graph_core import (
 )
 from orbitrans.metrics import (
     MergeStep,
+    gda_matrix,
     hierarchical_cluster,
     motif_scores_from_counts,
     ota_matrix,
@@ -293,14 +294,6 @@ class TestDeterminismAndFailure:
         mismatch = [n for n in names if not filecmp.cmp(out / n, other / n, shallow=False)]
         assert mismatch == []
 
-    def test_threads_do_not_change_output(self, toy_run):
-        manifest, out = toy_run
-        other = manifest.parent / "out_t"
-        main(["transitions", "--manifest", str(manifest), "--out", str(out)])
-        main(["transitions", "--manifest", str(manifest), "--out", str(other), "--threads", "4"])
-        for p in out.iterdir():
-            assert filecmp.cmp(p, other / p.name, shallow=False)
-
     def test_partial_failure_isolated(self, tmp_path):
         write_network(tmp_path, "good", "a b 0\nb c 5\nc a 12\n")
         (tmp_path / "bad.txt").write_text("x y notatime\n")
@@ -315,11 +308,92 @@ class TestDeterminismAndFailure:
         assert (out / "good.stats.csv").exists()
         assert not (out / "bad.stats.csv").exists()
 
+    def test_motifs_meta_written_on_partial_failure(self, tmp_path):
+        write_network(tmp_path, "good", "a b 0\nb c 5\nc a 12\n")
+        (tmp_path / "bad.txt").write_text("x y notatime\n")
+        manifest = write_manifest(
+            tmp_path,
+            "[settings]\nwidth = 10\ncount = 2\nreplicates = 2\n\n"
+            "[good]\npath = good.txt\n\n[bad]\npath = bad.txt\n",
+        )
+        out = tmp_path / "out"
+        assert main(["motifs", "--manifest", str(manifest), "--out", str(out)]) == 1
+        assert (out / "good.motifs.csv").exists()
+        assert not (out / "bad.motifs.csv").exists()
+        meta = json.loads((out / "motifs.meta.json").read_text())
+        assert set(meta["networks"]) == {"good", "bad"}
+
     def test_network_without_policy_fails_alone(self, tmp_path, capsys):
         write_network(tmp_path, "nop", "a b 0\nb c 5\n")
         manifest = write_manifest(tmp_path, "[nop]\npath = nop.txt\n")
         assert main(["stats", "--manifest", str(manifest), "--out", str(tmp_path / "o")]) == 1
         assert "width" in capsys.readouterr().err
+
+
+class TestManifestK:
+    @pytest.fixture
+    def k3_run(self, toy_run):
+        manifest, out = toy_run
+        manifest.write_text(manifest.read_text().replace("[settings]\n", "[settings]\nk = 3\n"))
+        return manifest, out
+
+    def test_compare_and_motifs_honour_k(self, k3_run):
+        manifest, out = k3_run
+        assert main(["compare", "--manifest", str(manifest), "--out", str(out)]) == 0
+        mats = []
+        for name, mode in (("densify", "aggregate"), ("churn", "active")):
+            tel = parse_edge_list((manifest.parent / f"{name}.txt").read_text())
+            series = build_snapshots(tel, SnapshotPolicy(mode, width=10, count=3))
+            mats.append(accumulate_series(series, 3))
+        sim = ota_matrix(["densify", "churn"], mats)
+        got = read_similarity_csv(out / "compare_ota.csv", "OTA")
+        assert got.values == pytest.approx(sim.values)
+        assert json.loads((out / "compare_ota.meta.json").read_text())["k"] == 3
+
+        assert main(["motifs", "--manifest", str(manifest), "--out", str(out)]) == 0
+        rows = read_rows(out / "churn.motifs.csv")
+        assert [r[0] for r in rows[1:]] == ["chain", "triangle"]
+        assert json.loads((out / "motifs.meta.json").read_text())["k"] == 3
+
+    def test_gda_k3_pools_3_node_orbits_once(self, tmp_path):
+        texts = {"tail": "a b 0\nb c 1\nc d 2\nd e 3\nc e 4\n",
+                 "hub": "a b 0\na c 1\na d 2\na e 3\nb c 4\n"}
+        for name, text in texts.items():
+            write_network(tmp_path, name, text)
+        manifest = write_manifest(
+            tmp_path,
+            "[settings]\nk = 3\nwidth = 10\ncount = 1\n\n"
+            "[tail]\npath = tail.txt\n\n[hub]\npath = hub.txt\n",
+        )
+        out = tmp_path / "out"
+        assert main(["compare", "--manifest", str(manifest), "--out", str(out),
+                     "--metric", "gda", "--gda-include-k3"]) == 0
+        gdds = [
+            [compute_gdd(compute_orbit_frequencies(final_aggregate_graph(parse_edge_list(t)), 3))]
+            for t in texts.values()
+        ]
+        expected = gda_matrix(list(texts), gdds).values
+        assert expected[0, 1] < 1.0
+        got = read_similarity_csv(out / "compare_gda.csv", "GDA")
+        assert got.values == pytest.approx(expected)
+
+
+class TestWriteAtomic:
+    def test_stale_tmp_directory_does_not_block(self, tmp_path):
+        target = tmp_path / "x.csv"
+        (tmp_path / "x.csv.tmp").mkdir()
+        write_atomic(target, "a,b\n")
+        assert target.read_text() == "a,b\n"
+        assert [p for p in tmp_path.glob("*.tmp") if not p.is_dir()] == []
+
+    def test_failed_replace_leaves_no_temp_file(self, tmp_path, monkeypatch):
+        def refuse(src, dst):
+            raise OSError("replace refused")
+
+        monkeypatch.setattr("orbitrans.cli.os.replace", refuse)
+        with pytest.raises(OSError, match="replace refused"):
+            write_atomic(tmp_path / "x.csv", "a,b\n")
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestManifestValidation:
