@@ -7,14 +7,26 @@ structurally distinct node position within a class is an *orbit*,
 numbered 1..3 for k=3 and 1..11 for k=4. A census of a graph counts, for
 each node, how often it occupies each orbit across all connected induced
 k-subgraphs.
+
+The connected k-sets of a graph are enumerated with numpy, in blocks.
+Sets grow from the edges (the connected 2-sets) one neighbour at a time,
+and a grown set T is kept only when it came from its canonical parent:
+T without its largest non-cut vertex. The neighbours a set's members
+propose are sorted so that each new node is examined once per set, its
+adjacency to the set read off the members that proposed it. Every
+connected k-set thus appears exactly once, in no specified order. Each
+block of sets is extended from at most a fixed number of (set,
+neighbour) candidates, or from one set alone if it has more, so memory
+stays bounded whatever the graph's size. Orbit, class and transition
+tallies are ``np.bincount`` sums over the blocks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import permutations
-from typing import Iterator
+from itertools import combinations, permutations
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -215,34 +227,150 @@ def induced_mask(g: StaticGraph, nodes: tuple[int, ...]) -> int:
     return mask
 
 
-def connected_subgraphs(g: StaticGraph, k: int) -> Iterator[tuple[tuple[int, ...], int]]:
-    """Yield every connected induced k-subgraph of ``g`` exactly once.
+# Most (set, neighbour) candidates one block of ``_kset_blocks`` examines.
+# It bounds the block's temporary arrays whatever the graph's size; a set
+# whose own candidates exceed it (a hub's) forms a block by itself.
+_BLOCK_CANDIDATES = 4096
 
-    Each item is ``(nodes, mask)`` with ``nodes`` sorted ascending. Uses
-    set-growth recursion: subgraphs are grown from a root node by adding
-    exclusive neighbors with ids above the root, which makes every k-set
-    reachable along exactly one growth path.
+
+@lru_cache(maxsize=None)
+def _extension_table(j: int) -> np.ndarray:
+    """Mask of T = S + w, or -1 where S is not T's canonical parent.
+
+    S is a connected j-set and w a node. The flat index is
+    ``(S mask << j+1 | bits) * (j+1) + ins``: bit q < j of ``bits`` says w
+    is adjacent to S's member at position q, bit j that w is a member, and
+    ``ins`` is w's position in T. S is T's canonical parent when w is the
+    largest non-cut vertex of T; since T - w = S is connected, that means
+    every member of T above w is a cut vertex. Entries for a member, or
+    for a w adjacent to no member, are -1.
+    """
+    s_pairs = tuple(combinations(range(j), 2))
+    t_pairs = tuple(combinations(range(j + 1), 2))
+    table = np.full((1 << len(s_pairs) + j + 1) * (j + 1), -1, dtype=np.int64)
+    for s_mask in range(1 << len(s_pairs)):
+        if not _mask_is_connected(s_mask, j, s_pairs):
+            continue
+        for bits in range(1, 1 << j):
+            for ins in range(j + 1):
+                at = [q + (q >= ins) for q in range(j)]
+                t_edges = [(at[a], at[b]) for a, b in _mask_edges(s_mask, s_pairs)]
+                t_edges += [tuple(sorted((at[q], ins))) for q in range(j) if bits >> q & 1]
+                t_mask = sum(1 << t_pairs.index(edge) for edge in t_edges)
+                if all(_is_cut_vertex(t_mask, j + 1, t_pairs, i) for i in range(ins + 1, j + 1)):
+                    table[(s_mask << j + 1 | bits) * (j + 1) + ins] = t_mask
+    return table
+
+
+def _is_cut_vertex(mask: int, k: int, pairs, i: int) -> bool:
+    """Whether removing position ``i`` disconnects the k-node ``mask``."""
+    keep = [q for q in range(k) if q != i]
+    rest = tuple(combinations(range(k - 1), 2))
+    sub = 0
+    for bit, (a, b) in enumerate(rest):
+        if mask >> pairs.index((keep[a], keep[b])) & 1:
+            sub |= 1 << bit
+    return not _mask_is_connected(sub, k - 1, rest)
+
+
+def _induced_masks(g: StaticGraph, sets: np.ndarray) -> np.ndarray:
+    """Adjacency masks of the subgraphs ``g`` induces on each row of ``sets``."""
+    first, second = np.array(PAIR_POSITIONS[sets.shape[1]]).T
+    query = (sets[:, first] * g.n + sets[:, second]).ravel()
+    hits = np.zeros(len(query), dtype=np.int64)
+    if len(g.keys):
+        # sorted queries make searchsorted several times faster than random ones
+        order = np.argsort(query)
+        query = query[order]
+        hits[order] = g.keys.take(np.searchsorted(g.keys, query), mode="clip") == query
+    return hits.reshape(len(sets), len(first)) @ (1 << np.arange(len(first)))
+
+
+def _extend(g: StaticGraph, sets: np.ndarray, masks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The connected (j+1)-sets whose canonical parent is a row of ``sets``."""
+    b, j = sets.shape
+    shift = max(g.n - 1, 1).bit_length()
+    members = sets.ravel()
+    starts, degrees = g.indptr[members], g.indptr[members + 1] - g.indptr[members]
+    offsets = np.repeat(starts - (np.cumsum(degrees) - degrees), degrees)
+    w = g.indices[offsets + np.arange(len(offsets))]
+    # Code (row, node, tag) with tag q < j for a neighbour of the member at
+    # position q and tag j for the member itself (2 bits, as j <= 3).
+    # Sorting gathers each (row, node): its tags give the node's adjacency
+    # to the row's members and say whether it is one of them.
+    row_code = np.arange(b).repeat(j) << shift + 2
+    code = np.concatenate((row_code | members << 2 | j,
+                           np.repeat(row_code | np.tile(np.arange(j), b), degrees) | w << 2))
+    code.sort()
+    node = code >> 2
+    first = np.flatnonzero(np.concatenate(([True], node[1:] != node[:-1])))
+    bits = np.bitwise_or.reduceat(1 << (code & 3), first)
+    node = node[first]
+    row = node >> shift
+    # each row has j member groups, so the running count of them, less
+    # j per earlier row, counts the row's members up to this node
+    ins = np.cumsum(bits >> j) - row * j
+    t_masks = _extension_table(j)[(masks[row] << j + 1 | bits) * (j + 1) + ins]
+    keep = np.flatnonzero(t_masks >= 0)
+    grown = np.column_stack((sets[row[keep]], node[keep] & (1 << shift) - 1))
+    grown.sort(axis=1)
+    return grown, t_masks[keep]
+
+
+def _block_bounds(costs: np.ndarray) -> Iterator[tuple[int, int]]:
+    """Consecutive ``[start, stop)`` row ranges costing at most the block bound each."""
+    ends = np.cumsum(costs)
+    start = 0
+    while start < len(ends):
+        base = ends[start - 1] if start else 0
+        stop = int(np.searchsorted(ends, base + _BLOCK_CANDIDATES, side="right"))
+        stop = max(stop, start + 1)
+        yield start, stop
+        start = stop
+
+
+def _grow(
+    g: StaticGraph, sets: np.ndarray, masks: np.ndarray, k: int
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    costs = (g.indptr[sets + 1] - g.indptr[sets]).sum(axis=1)
+    for start, stop in _block_bounds(costs):
+        grown, grown_masks = _extend(g, sets[start:stop], masks[start:stop])
+        if grown.shape[1] < k:
+            yield from _grow(g, grown, grown_masks, k)
+        elif len(grown):
+            yield grown, grown_masks
+
+
+def _kset_blocks(g: StaticGraph, k: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Every connected k-set of ``g`` once, in ``(sets, masks)`` blocks.
+
+    ``sets`` is a ``(b, k)`` array of node ids sorted within each row and
+    ``masks`` the ``(b,)`` induced-adjacency masks. Sets grow from the
+    edges one node at a time, and each connected set T is kept only when
+    grown from its canonical parent T - w, w being T's largest non-cut
+    vertex (see ``_extension_table``). The sets of one level are extended
+    in blocks of at most ``_BLOCK_CANDIDATES`` (set, neighbour) candidates,
+    or one set if it alone has more, and the next level is grown from
+    each block before the following one, so memory stays bounded.
     """
     if k not in PAIR_POSITIONS:
         raise ValueError(f"subgraph size must be 3 or 4, got {k}")
-    adj = g.adj
+    edges = g.edge_array()
+    yield from _grow(g, edges, np.ones(len(edges), dtype=np.int64), k)
 
-    def extend(sub: list[int], ext: list[int], closed: frozenset[int], root: int):
-        if len(sub) == k - 1:
-            for w in ext:
-                nodes = tuple(sorted(sub + [w]))
-                yield nodes, induced_mask(g, nodes)
-            return
-        for pos, w in enumerate(ext):
-            fresh = sorted(u for u in adj[w] if u > root and u not in closed)
-            sub.append(w)
-            yield from extend(sub, ext[pos + 1 :] + fresh, closed | adj[w], root)
-            sub.pop()
 
-    for root in range(g.n):
-        ext = sorted(u for u in adj[root] if u > root)
-        if ext:
-            yield from extend([root], ext, adj[root] | {root}, root)
+def connected_subgraphs(g: StaticGraph, k: int) -> Iterator[tuple[tuple[int, ...], int]]:
+    """Yield every connected induced k-subgraph of ``g`` exactly once.
+
+    Each item is ``(nodes, mask)`` with ``nodes`` sorted ascending and
+    ``mask`` its induced-adjacency mask (see ``induced_mask``). The order
+    of the items is unspecified. Sets are grown from the edges one node at
+    a time, and every connected set is reached from exactly one parent:
+    itself without its largest non-cut vertex. The work runs in numpy
+    blocks of bounded size, so memory stays bounded whatever the graph.
+    """
+    for sets, masks in _kset_blocks(g, k):
+        yield from zip(map(tuple, sets.tolist()), masks.tolist())
 
 
 @dataclass(frozen=True)
@@ -261,15 +389,44 @@ class OrbitFrequencyMatrix:
         return self.counts.shape[1]
 
 
+def _bincount_blocks(blocks: Iterable[np.ndarray], size: int) -> np.ndarray:
+    """Sum of ``np.bincount`` over index arrays with values below ``size``.
+
+    Blocks are concatenated until they hold ``size`` indices, so a large
+    ``size`` (one bin per node and orbit) costs each bin one pass per
+    ``size`` indices rather than one per block.
+    """
+    total = np.zeros(size, dtype=np.int64)
+    pending: list[np.ndarray] = []
+    held = 0
+    for block in blocks:
+        pending.append(block)
+        held += block.size
+        if held >= size:
+            total += np.bincount(np.concatenate(pending), minlength=size)
+            pending, held = [], 0
+    if pending:
+        total += np.bincount(np.concatenate(pending), minlength=size)
+    return total
+
+
+@lru_cache(maxsize=None)
+def _orbit_onehot(k: int) -> np.ndarray:
+    """``[position, mask, orbit id - 1]`` = 1 where the orbit table puts it."""
+    table = build_classification_table(k)
+    onehot = np.zeros((k, len(table.orbits_of), orbit_count(k)), dtype=np.int64)
+    for mask, orbits in enumerate(table.orbits_of):
+        for position, orbit in enumerate(orbits or ()):
+            onehot[position, mask, orbit - 1] = 1
+    return onehot
+
+
 def compute_orbit_frequencies(g: StaticGraph, k: int) -> OrbitFrequencyMatrix:
     """Count, per node, its appearances in every orbit of size ``k``."""
-    table = build_classification_table(k)
-    counts = np.zeros((g.n, orbit_count(k)), dtype=np.int64)
-    orbits_of = table.orbits_of
-    for nodes, mask in connected_subgraphs(g, k):
-        orbits = orbits_of[mask]
-        for node, orbit in zip(nodes, orbits):
-            counts[node, orbit - 1] += 1
+    m = orbit_count(k)
+    columns = _orbit_onehot(k).argmax(axis=2).T  # [mask, position] -> orbit id - 1
+    cells = ((sets * m + columns[masks]).ravel() for sets, masks in _kset_blocks(g, k))
+    counts = _bincount_blocks(cells, g.n * m).reshape(g.n, m)
     return OrbitFrequencyMatrix(k=k, counts=counts)
 
 
@@ -289,10 +446,11 @@ def class_counts(fr: OrbitFrequencyMatrix) -> dict[str, int]:
 def graphlet_class_frequencies(g: StaticGraph, k: int) -> dict[str, int]:
     """Occurrence count of each connected k-node class, canonical order."""
     table = build_classification_table(k)
+    per_mask = _bincount_blocks((masks for _sets, masks in _kset_blocks(g, k)), len(table.class_of))
     tallies = [0] * len(table.classes)
-    class_of = table.class_of
-    for _nodes, mask in connected_subgraphs(g, k):
-        tallies[class_of[mask]] += 1
+    for mask, count in enumerate(per_mask.tolist()):
+        if count:
+            tallies[table.class_of[mask]] += count
     return {cls.name: tallies[i] for i, cls in enumerate(table.classes)}
 
 

@@ -13,7 +13,10 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, Iterator, Literal
+
+import numpy as np
 
 PolicyMode = Literal["active", "aggregate"]
 
@@ -32,11 +35,14 @@ class StaticGraph:
     """Immutable undirected simple graph on dense node ids ``0..n-1``.
 
     Self-loops and duplicate edges are rejected at construction. Adjacency
-    is exposed both as per-node frozensets (``adj``, for O(1) membership)
-    and as sorted tuples (``neighbors``, for deterministic iteration).
+    is exposed as per-node frozensets (``adj``, for O(1) membership) and
+    as CSR arrays built once with numpy: ``indices[indptr[v]:indptr[v+1]]``
+    are the neighbours of v in ascending order, and ``keys`` holds
+    ``u*n + v`` for every ordered adjacent pair in the same order, so it is
+    sorted and an adjacency test is a ``searchsorted`` lookup in it.
     """
 
-    __slots__ = ("n", "adj", "edge_count", "_sorted_adj")
+    __slots__ = ("n", "adj", "edge_count", "indptr", "indices", "keys")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
         if n < 0:
@@ -54,13 +60,20 @@ class StaticGraph:
                 m += 1
         self.n = n
         self.adj: tuple[frozenset[int], ...] = tuple(frozenset(s) for s in neighbor_sets)
-        self._sorted_adj: tuple[tuple[int, ...], ...] = tuple(
-            tuple(sorted(s)) for s in neighbor_sets
-        )
         self.edge_count = m
+        degrees = np.fromiter(map(len, neighbor_sets), dtype=np.int64, count=n)
+        self.indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(degrees, out=self.indptr[1:])
+        row_base = np.repeat(np.arange(n, dtype=np.int64) * n, degrees)
+        targets = np.fromiter(chain.from_iterable(neighbor_sets), dtype=np.int64, count=2 * m)
+        # a row's keys lie in [u*n, u*n + n), so sorting them sorts each row
+        self.keys = np.sort(row_base + targets)
+        self.indices = self.keys - row_base
+        for array in (self.indptr, self.indices, self.keys):
+            array.setflags(write=False)
 
     def neighbors(self, v: int) -> tuple[int, ...]:
-        return self._sorted_adj[v]
+        return tuple(self.indices[self.indptr[v] : self.indptr[v + 1]].tolist())
 
     def degree(self, v: int) -> int:
         return len(self.adj[v])
@@ -70,10 +83,13 @@ class StaticGraph:
 
     def edges(self) -> Iterator[tuple[int, int]]:
         """All edges as (u, v) with u < v, in lexicographic order."""
-        for u in range(self.n):
-            for v in self._sorted_adj[u]:
-                if v > u:
-                    yield (u, v)
+        return map(tuple, self.edge_array().tolist())
+
+    def edge_array(self) -> np.ndarray:
+        """All edges as rows (u, v) of an (m, 2) array, u < v, in lexicographic order."""
+        u = np.repeat(np.arange(self.n, dtype=np.int64), np.diff(self.indptr))
+        upper = u < self.indices
+        return np.column_stack((u[upper], self.indices[upper]))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, StaticGraph):

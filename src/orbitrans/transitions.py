@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .census import build_classification_table, connected_subgraphs, induced_mask, orbit_count
+from .census import _bincount_blocks, _induced_masks, _kset_blocks, _orbit_onehot, orbit_count
 from .graph_core import SnapshotSeries, StaticGraph
 
 FINGERPRINT_LABELS = ("Rare", "Common", "Frequent")
@@ -74,20 +74,14 @@ def enumerate_transitions(s_from: StaticGraph, s_to: StaticGraph, k: int) -> Orb
         raise ValueError(
             f"snapshots disagree on node universe ({s_from.n} vs {s_to.n} nodes)"
         )
-    table = build_classification_table(k)
-    m = orbit_count(k)
-    counts = np.zeros((m, m), dtype=np.int64)
-    dissolved = np.zeros(m, dtype=np.int64)
-    orbits_of = table.orbits_of
-    for nodes, mask in connected_subgraphs(s_from, k):
-        src = orbits_of[mask]
-        dst = orbits_of[induced_mask(s_to, nodes)]
-        if dst is None:
-            for a in src:
-                dissolved[a - 1] += 1
-        else:
-            for a, b in zip(src, dst):
-                counts[a - 1, b - 1] += 1
+    onehot = _orbit_onehot(k)  # [position, mask, orbit - 1], rows of disconnected masks zero
+    n_masks = onehot.shape[1]
+    # one bin per (mask in s_from, mask in s_to) of the same k-set
+    codes = (masks * n_masks + _induced_masks(s_to, sets) for sets, masks in _kset_blocks(s_from, k))
+    per_pair = _bincount_blocks(codes, n_masks * n_masks).reshape(n_masks, n_masks)
+    counts = sum(at.T @ per_pair @ at for at in onehot)
+    dissolved_groups = per_pair[:, ~onehot[0].any(axis=1)].sum(axis=1)
+    dissolved = sum(dissolved_groups @ at for at in onehot)
     return OrbitTransitionMatrix(k=k, counts=counts, dissolved=dissolved, pairs_processed=1)
 
 

@@ -276,6 +276,11 @@ def path_graph(n: int) -> StaticGraph:
     return StaticGraph(n, [(i, i + 1) for i in range(n - 1)])
 
 
+def complete_bipartite_graph(a: int, b: int) -> StaticGraph:
+    """Sides 0..a-1 and a..a+b-1, every cross pair joined."""
+    return StaticGraph(a + b, [(u, a + v) for u in range(a) for v in range(b)])
+
+
 def star_graph(n: int) -> StaticGraph:
     """Hub 0 plus n-1 leaves."""
     return StaticGraph(n, [(0, i) for i in range(1, n)])

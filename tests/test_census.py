@@ -1,8 +1,11 @@
+from math import comb
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from orbitrans import census
 from orbitrans.census import (
     GRAPHLET_CLASSES,
     OrbitFrequencyMatrix,
@@ -15,12 +18,15 @@ from orbitrans.census import (
     induced_mask,
 )
 from orbitrans.graph_core import StaticGraph
+from orbitrans.transitions import enumerate_transitions
 from oracles import (
     classify_mask,
+    complete_bipartite_graph,
     complete_graph,
     cycle_graph,
     exhaustive_census,
     exhaustive_occurrences,
+    exhaustive_transitions,
     gnp_graph,
     path_graph,
     relabeled,
@@ -78,6 +84,14 @@ class TestClassificationTable:
             build_classification_table(5)
 
 
+@st.composite
+def small_graphs(draw):
+    n = draw(st.integers(min_value=0, max_value=9))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    present = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return StaticGraph(n, [pair for pair, keep in zip(pairs, present) if keep])
+
+
 class TestEnumeration:
     def test_complete_graph_counts(self):
         occ = list(connected_subgraphs(complete_graph(5), 4))
@@ -112,6 +126,64 @@ class TestEnumeration:
         g = gnp_graph(rng, 10, 0.4)
         for nodes, mask in connected_subgraphs(g, 4):
             assert mask == induced_mask(g, nodes)
+
+    @settings(max_examples=80, deadline=None)
+    @given(g=small_graphs(), k=st.sampled_from((3, 4)))
+    def test_yields_exactly_the_oracle_occurrences(self, g, k):
+        occ = list(connected_subgraphs(g, k))
+        assert sorted(nodes for nodes, _ in occ) == sorted(exhaustive_occurrences(g, k))
+        assert all(mask == induced_mask(g, nodes) for nodes, mask in occ)
+
+
+class TestBlockBoundaries:
+    """Graphs whose k-sets span many blocks, with closed-form counts."""
+
+    CASES = {
+        # two vertices per side make a 4-cycle, three on one side a star
+        "K20,20": (complete_bipartite_graph(20, 20),
+                   {"cycle": comb(20, 2) ** 2, "star": 2 * comb(20, 3) * 20}),
+        "K30": (complete_graph(30), {"clique": comb(30, 4)}),
+        "star120": (star_graph(121), {"star": comb(120, 3)}),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_closed_form_counts(self, name):
+        g, expected = self.CASES[name]
+        assert graphlet_class_frequencies(g, 4) == {
+            cls.name: expected.get(cls.name, 0) for cls in GRAPHLET_CLASSES[4]
+        }
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_transitions_to_itself_and_to_nothing(self, name):
+        g, expected = self.CASES[name]
+        node_transitions = 4 * sum(expected.values())
+        same = enumerate_transitions(g, g, 4)
+        assert np.count_nonzero(same.counts - np.diag(np.diag(same.counts))) == 0
+        assert same.counts.trace() == node_transitions
+        assert same.dissolved.sum() == 0
+        gone = enumerate_transitions(g, StaticGraph(g.n, []), 4)
+        assert gone.counts.sum() == 0
+        assert gone.dissolved.sum() == node_transitions
+
+    def test_tiny_blocks_match_oracles(self, monkeypatch):
+        # a bound of 8 candidates splits every level into many blocks: in
+        # sparse graphs of several sets each, in dense ones mostly of
+        # single sets over the bound
+        monkeypatch.setattr(census, "_BLOCK_CANDIDATES", 8)
+        rng = np.random.default_rng(31)
+        for _ in range(10):
+            a = gnp_graph(rng, 11, rng.uniform(0.1, 0.6))
+            b = gnp_graph(rng, 11, rng.uniform(0.1, 0.6))
+            for k in (3, 4):
+                occ = list(connected_subgraphs(a, k))
+                assert sorted(nodes for nodes, _ in occ) == sorted(exhaustive_occurrences(a, k))
+                assert all(mask == induced_mask(a, nodes) for nodes, mask in occ)
+                oracle_counts, _ = exhaustive_census(a, k)
+                assert np.array_equal(compute_orbit_frequencies(a, k).counts, oracle_counts)
+                t = enumerate_transitions(a, b, k)
+                counts, dissolved = exhaustive_transitions(a, b, k)
+                assert np.array_equal(t.counts, counts)
+                assert np.array_equal(t.dissolved, dissolved)
 
 
 class TestOrbitFrequencies:
@@ -177,14 +249,6 @@ class TestClassFrequencies:
         assert graphlet_class_frequencies(g, 4) == {
             cls.name: oracle_classes.get(cls.name, 0) for cls in GRAPHLET_CLASSES[4]
         }
-
-
-@st.composite
-def small_graphs(draw):
-    n = draw(st.integers(min_value=0, max_value=9))
-    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-    present = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
-    return StaticGraph(n, [pair for pair, keep in zip(pairs, present) if keep])
 
 
 class TestClassCountsFromOrbitCensus:

@@ -51,6 +51,19 @@ class TestStaticGraph:
         g = StaticGraph(4, [(2, 0), (2, 3), (2, 1)])
         assert g.neighbors(2) == (0, 1, 3)
 
+    def test_csr_arrays_match_adjacency(self):
+        rng = np.random.default_rng(12)
+        for n, p in ((0, 0.0), (1, 0.0), (6, 0.0), (12, 0.3), (15, 0.6)):
+            g = gnp_graph(rng, n, p)
+            assert len(g.indptr) == n + 1 and len(g.indices) == 2 * g.edge_count
+            for v in range(n):
+                row = g.indices[g.indptr[v] : g.indptr[v + 1]]
+                assert row.tolist() == sorted(g.adj[v]) == list(g.neighbors(v))
+                assert np.array_equal(g.keys[g.indptr[v] : g.indptr[v + 1]], v * n + row)
+            assert np.all(np.diff(g.keys) > 0)
+            assert g.edge_array().tolist() == [list(e) for e in g.edges()]
+            assert len(list(g.edges())) == g.edge_count
+
     def test_equality(self):
         a = StaticGraph(3, [(0, 1), (1, 2)])
         b = StaticGraph(3, [(1, 2), (0, 1)])

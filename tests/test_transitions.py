@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from orbitrans.graph_core import SnapshotPolicy, StaticGraph, build_snapshots, parse_edge_list
 from orbitrans.transitions import (
@@ -20,6 +22,24 @@ from oracles import (
     random_event_text,
     relabeled,
 )
+
+
+@st.composite
+def snapshot_pairs(draw):
+    """Two graphs on one node set: independent, identical, or one edgeless."""
+    n = draw(st.integers(min_value=0, max_value=9))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+
+    def edges():
+        keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+        return [pair for pair, present in zip(pairs, keep) if present]
+
+    a = edges()
+    b = {"independent": edges, "identical": lambda: a, "edgeless": lambda: []}[
+        draw(st.sampled_from(("independent", "identical", "edgeless")))
+    ]()
+    a, b = draw(st.permutations((a, b)))
+    return StaticGraph(n, a), StaticGraph(n, b)
 
 
 def triangle():
@@ -70,6 +90,15 @@ class TestPairEnumeration:
                 counts, dissolved = exhaustive_transitions(a, b, k)
                 assert np.array_equal(t.counts, counts)
                 assert np.array_equal(t.dissolved, dissolved)
+
+    @settings(max_examples=80, deadline=None)
+    @given(pair=snapshot_pairs(), k=st.sampled_from((3, 4)))
+    def test_matches_oracle_on_random_pairs(self, pair, k):
+        a, b = pair
+        t = enumerate_transitions(a, b, k)
+        counts, dissolved = exhaustive_transitions(a, b, k)
+        assert np.array_equal(t.counts, counts)
+        assert np.array_equal(t.dissolved, dissolved)
 
     def test_conservation(self):
         rng = np.random.default_rng(22)
