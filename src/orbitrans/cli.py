@@ -25,7 +25,10 @@ or 4, used by ``census``, ``transitions``, ``motifs`` and ``compare``),
 the manifest take precedence over command-line flags, so a manifest
 fully determines a run; flags fill in whatever the manifest leaves out.
 All outputs are written atomically and deterministically: rerunning the
-same manifest reproduces every file byte for byte.
+same manifest reproduces every file byte for byte. After loading each
+network, one line on stderr reports the events read, the self-loops
+dropped and (where snapshots are built) the events outside the snapshot
+window; it never enters an output file.
 """
 
 from __future__ import annotations
@@ -111,11 +114,10 @@ class NetworkSpec:
 
     def load_events(self) -> TemporalEdgeList:
         try:
-            text = self.path.read_text()
+            with self.path.open("rb") as fh:
+                return parse_edge_list(fh, sep=self.sep)
         except OSError as e:
             raise CliError(f"cannot read {self.path}: {e}") from e
-        try:
-            return parse_edge_list(text, sep=self.sep)
         except EdgeListParseError as e:
             raise CliError(f"{self.path}: {e}") from e
 
@@ -345,10 +347,32 @@ def write_orbit_matrix_csv(path: Path, values) -> None:
 # per-network pipelines
 
 
+def _report_load(
+    net: NetworkSpec, events: TemporalEdgeList, series: SnapshotSeries | None = None
+) -> None:
+    """One stderr line: events read, self-loops dropped, events outside the window."""
+    dropped = events.dropped_self_loops
+    line = (
+        f"network {net.name!r}: {len(events.events) + dropped} events read, "
+        f"{dropped} self-loops dropped"
+    )
+    if series is not None:
+        line += f", {series.events_discarded} events outside the snapshot window"
+    print(line, file=sys.stderr)
+
+
 def _network_series(net: NetworkSpec) -> tuple[TemporalEdgeList, SnapshotSeries]:
     events = net.load_events()
     series = build_snapshots(events, net.snapshot_policy())
+    _report_load(net, events, series)
     return events, series
+
+
+def _network_final_graph(net: NetworkSpec) -> StaticGraph:
+    """The network's final aggregate graph, which uses every event."""
+    events = net.load_events()
+    _report_load(net, events)
+    return final_aggregate_graph(events)
 
 
 def run_per_network(run: RunConfig, worker: Callable[[NetworkSpec], object]) -> tuple[dict, list[str]]:
@@ -373,7 +397,7 @@ def _network_transitions(run: RunConfig, net: NetworkSpec) -> OrbitTransitionMat
 
 def _network_motifs(run: RunConfig, net: NetworkSpec) -> tuple[dict, dict, MotifFingerprint]:
     """Real class counts, ensemble means and motif fingerprint of the final graph."""
-    g = final_aggregate_graph(net.load_events())
+    g = _network_final_graph(net)
     real = graphlet_class_frequencies(g, run.k)
     means = ensemble_frequencies(g, run.randomization, run.k)
     fp = motif_scores_from_counts(list(real.values()), [means[name] for name in real], run.k)
@@ -531,7 +555,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
     gda_ks = (run.k, 3) if run.gda_include_k3 and run.k == 4 else (run.k,)
 
     def gdd_worker(net: NetworkSpec):
-        g = final_aggregate_graph(net.load_events())
+        g = _network_final_graph(net)
         return [
             compute_gdd(compute_orbit_frequencies(g, k), run.agreement.gdd_scaling)
             for k in gda_ks

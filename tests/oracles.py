@@ -2,20 +2,23 @@
 
 Everything here deliberately avoids the production code paths: subgraphs
 are classified by isomorphism search against hand-written reference
-shapes (not degree rules), shortest paths use Floyd-Warshall (not BFS),
-and the census walks every C(n, k) node subset (not the set-growth
-enumeration). Agreement formulas are re-implemented directly.
+shapes (not degree rules), shortest paths use Floyd-Warshall or a plain
+per-source BFS (not the bit-parallel search), the census walks every
+C(n, k) node subset (not the set-growth enumeration), and edge lists are
+parsed and binned one line and one event at a time in Python (not by
+numpy tokenizing and binning). Agreement formulas are re-implemented
+directly.
 """
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, deque
 from functools import lru_cache
 from itertools import combinations, permutations
 
 import numpy as np
 
-from orbitrans.graph_core import StaticGraph
+from orbitrans.graph_core import EdgeListParseError, SnapshotPolicy, StaticGraph
 
 # Reference shapes: (name, edge set on nodes 0..k-1, orbit id per node).
 # Orbit ids follow the package's canonical numbering; the per-node
@@ -154,7 +157,100 @@ def exhaustive_transitions(s_from: StaticGraph, s_to: StaticGraph, k: int):
 
 
 # ---------------------------------------------------------------------------
+# edge-list and snapshot oracles
+
+
+def loop_parse_edge_list(text: str, sep: str = "ws"):
+    """(labels, events as (u, v, t) tuples, dropped self-loops), line by line.
+
+    Raises the same located ``EdgeListParseError`` messages as the parser,
+    except that it takes timestamps of any size.
+    """
+    raw_events: list[tuple[str, str, int]] = []
+    dropped = 0
+    saw_data = False
+    line_no = 0
+    for line_no, line in enumerate(text.splitlines(), start=1):
+        stripped = line.strip()
+        if not stripped or stripped.startswith("#"):
+            continue
+        fields = stripped.split() if sep == "ws" else [f.strip() for f in stripped.split(",")]
+        if len(fields) != 3:
+            raise EdgeListParseError(f"expected 3 fields, got {len(fields)}", line_no)
+        try:
+            t = int(fields[2])
+        except ValueError:
+            raise EdgeListParseError(
+                f"timestamp {fields[2]!r} is not an integer", line_no
+            ) from None
+        saw_data = True
+        if fields[0] == fields[1]:
+            dropped += 1
+            continue
+        raw_events.append((fields[0], fields[1], t))
+    if not saw_data:
+        raise EdgeListParseError("no edge events in input", max(line_no, 1))
+
+    raw_events.sort(key=lambda e: e[2])  # stable: ties keep input order
+    ids: dict[str, int] = {}
+    events = []
+    for a, b, t in raw_events:
+        u = ids.setdefault(a, len(ids))
+        v = ids.setdefault(b, len(ids))
+        events.append((u, v, t))
+    labels = tuple(sorted(ids, key=ids.get))
+    return labels, tuple(events), dropped
+
+
+def set_build_snapshots(events, n: int, policy: SnapshotPolicy):
+    """(edge set of each snapshot, events discarded), one event at a time.
+
+    ``events`` are (u, v, t) tuples sorted by t; ``policy.origin`` must be set.
+    """
+    origin, width, count = policy.origin, policy.width, policy.count
+    end = origin + width * count
+    discarded = 0
+    if policy.mode == "active":
+        buckets: list[set[tuple[int, int]]] = [set() for _ in range(count)]
+        for u, v, t in events:
+            if t < origin or t >= end:
+                discarded += 1
+                continue
+            buckets[(t - origin) // width].add((u, v) if u < v else (v, u))
+        return buckets, discarded
+    first_bucket: dict[tuple[int, int], int] = {}
+    for u, v, t in events:
+        if t >= end:
+            discarded += 1
+            continue
+        b = 0 if t < origin else (t - origin) // width
+        key = (u, v) if u < v else (v, u)
+        if b < first_bucket.get(key, count):
+            first_bucket[key] = b
+    snaps = [{key for key, b in first_bucket.items() if b <= i} for i in range(count)]
+    return snaps, discarded
+
+
+# ---------------------------------------------------------------------------
 # small-graph metric oracles
+
+
+def bfs_cpl(g: StaticGraph) -> float:
+    """Characteristic path length by one queue-based BFS per source."""
+    total = 0
+    pairs = 0
+    for src in range(g.n):
+        dist = {src: 0}
+        queue = deque([src])
+        while queue:
+            u = queue.popleft()
+            for w in g.adj[u]:
+                if w not in dist:
+                    dist[w] = dist[u] + 1
+                    total += dist[w]
+                    pairs += 1
+                    queue.append(w)
+    return total / pairs
 
 
 def floyd_warshall_cpl(g: StaticGraph) -> float:

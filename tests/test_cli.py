@@ -438,6 +438,34 @@ class TestManifestValidation:
             main(["stats"])
 
 
+class TestRunReport:
+    def test_load_counts_on_stderr(self, tmp_path, capsys):
+        # 5 data lines: one self-loop, one event past the window [0, 20)
+        write_network(tmp_path, "a", "# comment\nx y 0\ny y 3\ny z 5\n\nz x 12\nx w 40\n")
+        write_network(tmp_path, "b", "p q 1\nq r 2\nr p 3\n")
+        manifest = write_manifest(
+            tmp_path,
+            "[settings]\nwidth = 10\ncount = 2\npolicy = active\n\n"
+            "[a]\npath = a.txt\n\n[b]\npath = b.txt\n",
+        )
+        out = tmp_path / "out"
+        assert main(["stats", "--manifest", str(manifest), "--out", str(out)]) == 0
+        window = "events outside the snapshot window"
+        assert capsys.readouterr().err == (
+            f"network 'a': 5 events read, 1 self-loops dropped, 1 {window}\n"
+            f"network 'b': 3 events read, 0 self-loops dropped, 0 {window}\n"
+        )
+        # the final graph uses every event, so no window is reported
+        args = ["--manifest", str(manifest), "--out", str(out), "--metric", "gda"]
+        assert main(["compare", *args]) == 0
+        assert capsys.readouterr().err == (
+            "network 'a': 5 events read, 1 self-loops dropped\n"
+            "network 'b': 3 events read, 0 self-loops dropped\n"
+        )
+        # the report stays out of the output files
+        assert all("events read" not in f.read_text() for f in out.iterdir())
+
+
 class TestGoldenFiles:
     """Byte-exact fixtures produced by this tool and cross-checked below."""
 

@@ -1,9 +1,16 @@
+import io
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from orbitrans import graph_core
 from orbitrans.graph_core import (
+    POLICY_MODES,
     EdgeListParseError,
     SnapshotPolicy,
     StaticGraph,
@@ -17,11 +24,14 @@ from orbitrans.graph_core import (
     snapshot_stats,
 )
 from oracles import (
+    bfs_cpl,
     complete_graph,
     floyd_warshall_cpl,
     gnp_graph,
+    loop_parse_edge_list,
     path_graph,
     random_event_text,
+    set_build_snapshots,
     star_graph,
     triple_loop_clustering,
 )
@@ -64,6 +74,15 @@ class TestStaticGraph:
             assert g.edge_array().tolist() == [list(e) for e in g.edges()]
             assert len(list(g.edges())) == g.edge_count
 
+    def test_array_edges_match_tuple_edges(self):
+        pairs = [(3, 1), (0, 2), (1, 3), (2, 4)]
+        g = StaticGraph(5, np.array(pairs))
+        assert g == StaticGraph(5, pairs) == StaticGraph(5, iter(pairs))
+        assert g.edge_count == 3 and g.degree(1) == 1 and g.adjacent(4, 2)
+        assert StaticGraph(5, np.zeros((0, 2), dtype=np.int64)).edge_count == 0
+        with pytest.raises(ValueError, match="pairs"):
+            StaticGraph(5, [(0, 1, 2)])
+
     def test_equality(self):
         a = StaticGraph(3, [(0, 1), (1, 2)])
         b = StaticGraph(3, [(1, 2), (0, 1)])
@@ -80,14 +99,14 @@ class TestParse:
 
     def test_self_loop_dropped_and_counted(self):
         tel = parse_edge_list("a a 5")
-        assert tel.events == ()
+        assert tel.events.tolist() == []
         assert tel.dropped_self_loops == 1
 
     def test_out_of_order_events_sorted(self):
         tel = parse_edge_list("x y 9\nx z 2")
         # ids follow first appearance in time order: x=0, z=1, y=2
         assert tel.labels == ("x", "z", "y")
-        assert tel.events == ((0, 1, 2), (0, 2, 9))
+        assert tel.events.tolist() == [[0, 1, 2], [0, 2, 9]]
 
     def test_comments_and_blanks_ignored(self):
         tel = parse_edge_list("# header\n\na b 1\n  # trailing comment line\n")
@@ -123,6 +142,148 @@ class TestParse:
     def test_negative_timestamps_allowed(self):
         tel = parse_edge_list("a b -5\nb c 0")
         assert tel.origin == -5
+
+    def test_events_are_a_read_only_int64_array(self):
+        tel = parse_edge_list("a b 2\nb c 1\n")
+        assert tel.events.dtype == np.int64 and tel.events.shape == (2, 3)
+        with pytest.raises(ValueError):
+            tel.events[0, 0] = 5
+
+    def test_timestamps_must_fit_int64(self):
+        lo, hi = -(2**63), 2**63 - 1
+        tel = parse_edge_list(f"a b {hi}\nb c {lo}\nc d +0009\nd e {'0' * 25}7\n")
+        assert tel.events[:, 2].tolist() == [lo, 7, 9, hi]
+        for bad in (str(hi + 1), str(lo - 1), "1" + "0" * 30):
+            with pytest.raises(EdgeListParseError, match="does not fit") as err:
+                parse_edge_list(f"a b 1\nb c {bad}\nc d 2\n")
+            assert err.value.line_no == 2
+            assert str(err.value) == (
+                f"line 2: timestamp {bad!r} does not fit in a signed 64-bit integer"
+            )
+
+    def test_padded_comma_fields_and_data_shaped_comments(self):
+        tel = parse_edge_list("#a,b,5\n  \t\n x y ,\tz  ,7\n", sep="comma")
+        assert tel.labels == ("x y", "z") and tel.events.tolist() == [[0, 1, 7]]
+        tel = parse_edge_list("# a b 5\n\tp  q\t+08 \r\n")
+        assert tel.labels == ("p", "q") and tel.events.tolist() == [[0, 1, 8]]
+
+    def test_plain_ascii_input_never_falls_back_to_lines(self):
+        # the vectorized path handles every well-formed ASCII line shape
+        texts = {
+            "ws": "# c 1 2\r\n\r\n  a\tb  +05 \r\nb b -3\r\n\t\r\nc a 2",
+            "comma": "#a,b,1\n \t\n a , b c,\t5\n,x,3\nb c,b c,07\n",
+        }
+        with mock.patch.object(graph_core._EventReader, "_add_lines", side_effect=AssertionError):
+            for sep, text in texts.items():
+                assert len(parse_edge_list(text, sep).events) == 2
+
+    def test_invalid_utf8_is_located(self):
+        with pytest.raises(EdgeListParseError, match="line 3: input is not valid UTF-8"):
+            parse_edge_list(io.BytesIO(b"a b 1\n# x\n\xff c 2\n"))
+
+    def test_sources_agree(self, tmp_path):
+        text = "# header\r\na b 3\nb c 1\n"
+        path = tmp_path / "events.txt"
+        path.write_text(text)
+        expected = parse_edge_list(text)
+        with open(path) as text_file, open(path, "rb") as binary_file:
+            assert parse_edge_list(text_file) == expected
+            assert parse_edge_list(binary_file) == expected
+        assert parse_edge_list(text.encode()) == expected
+        assert parse_edge_list(text.splitlines()) == expected
+
+
+WS_LABELS = (
+    "a", "b", "v7", "007", "x-y.z", "longer-than-8", "node_0000000001", "é", "日本", "naïve-node-label",
+)
+BAD_TIMESTAMPS = ("1.5", "x", "1e3", "--1", "+-2", "0x10", "1_000", "")
+# comments, some shaped like data lines in one format or the other
+COMMENTS = ("# note, 1 2 3", "#a b 5", "# a b 5", "#a,b,5", "# x, y, 7")
+
+
+def _timestamp(draw) -> str:
+    t = draw(st.integers(-(10**6), 10**6) | st.integers(-(2**63), 2**63 - 1))
+    sign = "-" if t < 0 else draw(st.sampled_from(("", "+")))
+    return sign + "0" * draw(st.integers(0, 3)) + str(abs(t))
+
+
+@st.composite
+def edge_list_texts(draw):
+    """(text, sep): data, comment, blank and malformed lines in either format."""
+    sep = draw(st.sampled_from(("ws", "comma")))
+    labels = WS_LABELS + (("two words",) if sep == "comma" else ())
+    lines = []
+    for _ in range(draw(st.integers(0, 12))):
+        kind = draw(st.sampled_from(("data",) * 8 + ("comment", "blank", "short", "long", "bad_t")))
+        if kind == "comment":
+            lines.append(draw(st.sampled_from(("", " ", "\t"))) + draw(st.sampled_from(COMMENTS)))
+            continue
+        if kind == "blank":
+            lines.append(draw(st.sampled_from(("", " ", "\t ", "  "))))
+            continue
+        fields = [draw(st.sampled_from(labels)), draw(st.sampled_from(labels)), _timestamp(draw)]
+        if kind == "short":
+            fields = fields[:2]
+        elif kind == "long":
+            fields.append("extra")
+        elif kind == "bad_t":
+            fields[2] = draw(st.sampled_from(BAD_TIMESTAMPS))
+        if sep == "ws":
+            gap = draw(st.sampled_from((" ", "  ", "\t", " \t")))
+            line = gap.join(fields)
+        else:
+            pad = st.sampled_from(("", "", " ", "  ", "\t"))
+            line = ",".join(draw(pad) + f + draw(pad) for f in fields)
+        edge = st.sampled_from(("", "", " ", "\t"))
+        lines.append(draw(edge) + line + draw(edge))
+    newline = draw(st.sampled_from(("\n", "\r\n")))
+    text = newline.join(lines) + (newline if lines and draw(st.booleans()) else "")
+    return text, sep
+
+
+def _outcome(parse):
+    """Parse result as (labels, event tuples, dropped), or the located error."""
+    try:
+        result = parse()
+    except EdgeListParseError as e:
+        return ("error", str(e), e.line_no)
+    if isinstance(result, tuple):
+        return result
+    return result.labels, tuple(map(tuple, result.events.tolist())), result.dropped_self_loops
+
+
+class TestParseMatchesLoopOracle:
+    # a few-byte block makes lines and tokens straddle read boundaries, so
+    # every block is cut at a line break out of several reads
+    @pytest.mark.parametrize("block", [None, 1, 5, 23])
+    @settings(max_examples=120, deadline=None)
+    @given(case=edge_list_texts())
+    def test_same_labels_events_and_errors(self, block, case):
+        text, sep = case
+        expected = _outcome(lambda: loop_parse_edge_list(text, sep))
+        with mock.patch.object(graph_core, "_BLOCK_BYTES", block or graph_core._BLOCK_BYTES):
+            assert _outcome(lambda: parse_edge_list(text, sep)) == expected
+            source = io.BytesIO(text.encode("utf-8"))
+            assert _outcome(lambda: parse_edge_list(source, sep)) == expected
+
+    def test_memory_stays_within_a_multiple_of_the_events(self):
+        # 200k unsorted events with distinct-enough labels; the old
+        # tuple-per-event parser peaked at about 15x the final array here
+        rng = np.random.default_rng(3)
+        count = 200_000
+        u = rng.integers(0, 5000, count)
+        v = (u + 1 + rng.integers(0, 4999, count)) % 5000
+        t = rng.integers(0, 10**9, count)
+        rows = zip(u.tolist(), v.tolist(), t.tolist())
+        source = io.BytesIO("".join(f"n{a} n{b} {c}\n" for a, b, c in rows).encode())
+        tracemalloc.start()
+        try:
+            tel = parse_edge_list(source)
+            _current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(tel.events) == count and tel.n == 5000
+        assert peak < 3 * tel.events.nbytes
 
 
 class TestSnapshots:
@@ -185,6 +346,43 @@ class TestSnapshots:
                 union |= set(snap.edges())
             expected = {(u, v) if u < v else (v, u) for u, v, _ in tel.events}
             assert union == expected
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_matches_set_oracle(self, data):
+        n = data.draw(st.integers(2, 7))
+        node = st.integers(0, n - 1)
+        event = st.tuples(node, node, st.integers(-60, 60))
+        events = data.draw(st.lists(event, min_size=1, max_size=40))
+        tel = parse_edge_list("".join(f"v{u} v{v} {t}\n" for u, v, t in events))
+        policy = SnapshotPolicy(
+            data.draw(st.sampled_from(POLICY_MODES)),
+            width=data.draw(st.integers(1, 25)),
+            count=data.draw(st.integers(2, 6)),
+            # before, inside and after the events, so some fall before the
+            # origin and some at or past the window end
+            origin=data.draw(st.integers(-80, 70)),
+        )
+        series = build_snapshots(tel, policy)
+        snaps, discarded = set_build_snapshots(tel.events.tolist(), tel.n, policy)
+        assert series.events_discarded == discarded
+        assert [set(g.edges()) for g in series.snapshots] == snaps
+        assert all(g.n == tel.n for g in series.snapshots)
+
+    @pytest.mark.parametrize("mode", POLICY_MODES)
+    def test_bucket_arithmetic_at_int64_limits(self, mode):
+        lo, hi = -(2**63), 2**63 - 1
+        tel = parse_edge_list(f"a b {lo}\nb c {lo + 1}\nc d -1\nd e 0\ne a {hi - 1}\na c {hi}\n")
+        windows = [
+            (lo, 2**62, 4), (lo, 2**64, 2), (lo - 10, 7, 3), (hi, 1, 2), (hi - 1, 1, 2),
+            (0, hi, 3), (-5, 2**70, 2), (lo + 1, 2**63, 2), (-(2**80), 2**79, 3),
+        ]
+        for origin, width, count in windows:
+            policy = SnapshotPolicy(mode, width=width, count=count, origin=origin)
+            series = build_snapshots(tel, policy)
+            snaps, discarded = set_build_snapshots(tel.events.tolist(), tel.n, policy)
+            assert series.events_discarded == discarded, (origin, width, count)
+            assert [set(g.edges()) for g in series.snapshots] == snaps, (origin, width, count)
 
     def test_final_aggregate_graph_is_event_union(self):
         tel = parse_edge_list("a b 0\nb c 5\na b 9\nc a 40")
@@ -250,6 +448,28 @@ class TestMetrics:
                 continue
             assert characteristic_path_length(g) == pytest.approx(floyd_warshall_cpl(g))
             checked += 1
+
+    @pytest.mark.parametrize("sources", [None, 1, 5, 64])
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_cpl_matches_bfs_oracle(self, sources, data):
+        # up to 150 nodes: several uint64 words per reach row, isolated
+        # nodes and several components
+        n = data.draw(st.integers(2, 150))
+        node = st.integers(0, n - 1)
+        pairs = data.draw(st.lists(st.tuples(node, node), min_size=1, max_size=2 * n))
+        pairs = [(u, v) for u, v in pairs if u != v] or [(0, 1)]
+        g = StaticGraph(n, pairs)
+        with mock.patch.object(graph_core, "_CPL_SOURCES", sources or graph_core._CPL_SOURCES):
+            assert characteristic_path_length(g) == bfs_cpl(g)
+
+    def test_cpl_long_paths_and_isolated_nodes(self):
+        # two paths of 90 and 70 nodes, 40 isolated nodes between them
+        edges = [(i, i + 1) for i in range(89)] + [(i, i + 1) for i in range(130, 199)]
+        g = StaticGraph(200, edges)
+        assert characteristic_path_length(g) == bfs_cpl(g)
+        total = sum(d * (90 - d) for d in range(1, 90)) + sum(d * (70 - d) for d in range(1, 70))
+        assert characteristic_path_length(g) == 2 * total / (90 * 89 + 70 * 69)
 
     def test_relative_size_series(self):
         tel = parse_edge_list(

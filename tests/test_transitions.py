@@ -231,7 +231,7 @@ class TestDiscretize:
         )
 
     def test_half_way_value(self):
-        assert discretize(np.array([[0.5]])).labels == (("Common",),)
+        assert discretize(np.full((3, 3), 0.5)).labels == (("Common",) * 3,) * 3
 
     def test_accepts_normalized_matrix(self):
         nt = NormalizedTransitionMatrix(k=4, values=np.zeros((11, 11)))
@@ -248,3 +248,9 @@ class TestDiscretize:
     def test_non_square_rejected(self):
         with pytest.raises(ValueError, match="square"):
             discretize(np.zeros((2, 3)))
+
+    @pytest.mark.parametrize("size", [1, 2, 4, 10, 12])
+    def test_square_of_no_orbit_count_rejected(self, size):
+        # only 3x3 (k=3) and 11x11 (k=4) matrices have a subgraph size
+        with pytest.raises(ValueError, match="3x3"):
+            discretize(np.zeros((size, size)))
