@@ -219,9 +219,9 @@ def _byte_chunks(source: Iterable[str] | str | bytes) -> Iterator[bytes]:
     elif hasattr(source, "read"):
         while chunk := source.read(_BLOCK_BYTES):
             yield chunk.encode("utf-8", "surrogatepass") if isinstance(chunk, str) else chunk
-    else:
-        for line in source:
-            yield (line if line.endswith("\n") else line + "\n").encode("utf-8", "surrogatepass")
+    else:  # an iterable of lines, joined first
+        text = "".join(line if line.endswith("\n") else line + "\n" for line in source)
+        yield text.encode("utf-8", "surrogatepass")
 
 
 def _line_blocks(chunks: Iterator[bytes]) -> Iterator[bytes]:
@@ -364,9 +364,10 @@ class _EventReader:
         returns = block.count(b"\r")
         plain = not block.translate(None, _PLAIN)
         plain = plain and (not returns or returns == block.count(b"\r\n"))
-        if not (plain and self._add_plain(np.frombuffer(block, dtype=np.uint8))):
+        if plain and self._add_plain(np.frombuffer(block, dtype=np.uint8)):
+            self.lines += block.count(b"\n") + (not block.endswith(b"\n"))
+        else:
             self._add_lines(block)
-        self.lines += block.count(b"\n") + (not block.endswith(b"\n"))
 
     def _add_plain(self, buf: np.ndarray) -> bool:
         """Tokenize a block with numpy; False (adding nothing) if any line is off."""
@@ -396,13 +397,17 @@ class _EventReader:
     def _add_lines(self, block: bytes) -> None:
         """Parse a block line by line, raising on the first malformed line."""
         try:
-            text = block.decode("utf-8", "surrogatepass")
+            lines = block.decode("utf-8", "surrogatepass").splitlines()
         except UnicodeDecodeError as e:
-            line_no = self.lines + block.count(b"\n", 0, e.start) + 1
-            raise EdgeListParseError("input is not valid UTF-8", line_no) from None
+            # the text before the bad byte, plus a stand-in for it, ends
+            # on the bad byte's line
+            head = block[: e.start].decode("utf-8", "surrogatepass") + "?"
+            raise EdgeListParseError(
+                "input is not valid UTF-8", self.lines + len(head.splitlines())
+            ) from None
         names: list[str] = []
         times: list[int] = []
-        for line_no, line in enumerate(text.splitlines(), start=self.lines + 1):
+        for line_no, line in enumerate(lines, start=self.lines + 1):
             stripped = line.strip()
             if not stripped or stripped.startswith("#"):
                 continue
@@ -426,6 +431,7 @@ class _EventReader:
             times.append(t)
         ids = self._intern(names)
         self._add(ids[0::2], ids[1::2], np.array(times, dtype=np.int64))
+        self.lines += len(lines)
 
     def finish(self) -> TemporalEdgeList:
         if not self.data_lines:
@@ -473,7 +479,8 @@ def parse_edge_list(source: Iterable[str] | str | bytes, sep: str = "ws") -> Tem
     """Parse a timestamped edge list.
 
     ``source`` is the text itself (``str`` or UTF-8 ``bytes``), a file
-    object opened in text or binary mode, or an iterable of lines. Lines
+    object opened in text or binary mode (read in blocks), or an iterable
+    of lines (joined first). Lines
     hold ``u v t`` (whitespace- or comma-separated); ``#`` starts a
     comment line; ``t`` must be an integer that fits in a signed 64-bit
     integer. Lines end where ``str.splitlines`` ends them. Raises

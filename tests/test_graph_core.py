@@ -236,9 +236,16 @@ def edge_list_texts(draw):
             line = ",".join(draw(pad) + f + draw(pad) for f in fields)
         edge = st.sampled_from(("", "", " ", "\t"))
         lines.append(draw(edge) + line + draw(edge))
-    newline = draw(st.sampled_from(("\n", "\r\n")))
-    text = newline.join(lines) + (newline if lines and draw(st.booleans()) else "")
-    return text, sep
+    # one line break for the whole text, or a mix with breaks that only
+    # str.splitlines honours: blocks are cut at LF alone and must still
+    # number the lines the same way
+    if draw(st.booleans()):
+        ends = [draw(st.sampled_from(("\n", "\r\n")))] * len(lines)
+    else:
+        ends = [draw(st.sampled_from(("\n", "\r\n", "\r", "\x0b", "\u2028"))) for _ in lines]
+    if ends and draw(st.booleans()):
+        ends[-1] = ""
+    return "".join(line + end for line, end in zip(lines, ends)), sep
 
 
 def _outcome(parse):
