@@ -14,7 +14,7 @@ The layer works on integer arrays from end to end:
   beyond the final ``(N, 3)`` int64 event array is bounded by the block
   size, not by the size of the text;
 - ``build_snapshots`` and ``final_aggregate_graph`` bin that array by
-  undirected edge keys ``min(u,v)*n + max(u,v)`` with ``np.unique`` and
+  undirected edge keys ``min(u,v)*n + max(u,v)`` with sorting and
   ``searchsorted``, with no loop over events;
 - a ``StaticGraph`` is a set of sorted CSR arrays;
 - ``characteristic_path_length`` is a bit-parallel breadth-first search
@@ -89,7 +89,8 @@ class StaticGraph:
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] | np.ndarray):
         if n < 0:
             raise ValueError("node count must be non-negative")
-        pairs = np.array(edges if isinstance(edges, np.ndarray) else list(edges), dtype=np.int64)
+        pairs = edges if isinstance(edges, np.ndarray) else list(edges)
+        pairs = np.asarray(pairs, dtype=np.int64)
         if pairs.size == 0:
             pairs = pairs.reshape(0, 2)
         elif pairs.ndim != 2 or pairs.shape[1] != 2:
@@ -104,7 +105,7 @@ class StaticGraph:
         self.n = n
         # a row's keys lie in [u*n, u*n + n), so sorting them sorts each row
         self.keys = _distinct(np.concatenate((u * n + v, v * n + u)))
-        rows = self.keys // n if n else self.keys
+        rows = self.keys // max(n, 1)
         self.indices = self.keys - rows * n
         self.indptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(np.bincount(rows, minlength=n), out=self.indptr[1:])

@@ -177,6 +177,25 @@ class TestParse:
             for sep, text in texts.items():
                 assert len(parse_edge_list(text, sep).events) == 2
 
+    def test_memory_stays_within_a_multiple_of_the_events(self):
+        # 200k unsorted events with distinct-enough labels; the old
+        # tuple-per-event parser peaked at about 15x the final array here
+        rng = np.random.default_rng(3)
+        count = 200_000
+        u = rng.integers(0, 5000, count)
+        v = (u + 1 + rng.integers(0, 4999, count)) % 5000
+        t = rng.integers(0, 10**9, count)
+        rows = zip(u.tolist(), v.tolist(), t.tolist())
+        source = io.BytesIO("".join(f"n{a} n{b} {c}\n" for a, b, c in rows).encode())
+        tracemalloc.start()
+        try:
+            tel = parse_edge_list(source)
+            _current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(tel.events) == count and tel.n == 5000
+        assert peak < 3 * tel.events.nbytes
+
     def test_invalid_utf8_is_located(self):
         with pytest.raises(EdgeListParseError, match="line 3: input is not valid UTF-8"):
             parse_edge_list(io.BytesIO(b"a b 1\n# x\n\xff c 2\n"))
@@ -272,25 +291,6 @@ class TestParseMatchesLoopOracle:
             assert _outcome(lambda: parse_edge_list(text, sep)) == expected
             source = io.BytesIO(text.encode("utf-8"))
             assert _outcome(lambda: parse_edge_list(source, sep)) == expected
-
-    def test_memory_stays_within_a_multiple_of_the_events(self):
-        # 200k unsorted events with distinct-enough labels; the old
-        # tuple-per-event parser peaked at about 15x the final array here
-        rng = np.random.default_rng(3)
-        count = 200_000
-        u = rng.integers(0, 5000, count)
-        v = (u + 1 + rng.integers(0, 4999, count)) % 5000
-        t = rng.integers(0, 10**9, count)
-        rows = zip(u.tolist(), v.tolist(), t.tolist())
-        source = io.BytesIO("".join(f"n{a} n{b} {c}\n" for a, b, c in rows).encode())
-        tracemalloc.start()
-        try:
-            tel = parse_edge_list(source)
-            _current, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert len(tel.events) == count and tel.n == 5000
-        assert peak < 3 * tel.events.nbytes
 
 
 class TestSnapshots:
