@@ -157,8 +157,7 @@ def build_classification_table(k: int) -> ClassificationTable:
     induced graph, and must be consistent under every relabeling of the
     node positions.
     """
-    if k not in PAIR_POSITIONS:
-        raise ValueError(f"subgraph size must be 3 or 4, got {k}")
+    orbit_count(k)  # rejects any other k
     pairs = PAIR_POSITIONS[k]
     rules = _DEGREE_RULES[k]
     n_masks = 1 << len(pairs)
@@ -215,16 +214,6 @@ def _verify_table(table: ClassificationTable, pairs) -> None:
                 raise RuntimeError(
                     f"orbit table k={k} mask={mask:#x}: inconsistent under relabeling {perm}"
                 )
-
-
-def induced_mask(g: StaticGraph, nodes: tuple[int, ...]) -> int:
-    """Adjacency bit mask of the subgraph induced on ``nodes`` (sorted)."""
-    adj = g.adj
-    mask = 0
-    for bit, (i, j) in enumerate(PAIR_POSITIONS[len(nodes)]):
-        if nodes[j] in adj[nodes[i]]:
-            mask |= 1 << bit
-    return mask
 
 
 # Most (set, neighbour) candidates one block of ``_kset_blocks`` examines.
@@ -353,8 +342,7 @@ def _kset_blocks(g: StaticGraph, k: int) -> Iterator[tuple[np.ndarray, np.ndarra
     or one set if it alone has more, and the next level is grown from
     each block before the following one, so memory stays bounded.
     """
-    if k not in PAIR_POSITIONS:
-        raise ValueError(f"subgraph size must be 3 or 4, got {k}")
+    orbit_count(k)  # rejects any other k
     edges = g.edge_array()
     yield from _grow(g, edges, np.ones(len(edges), dtype=np.int64), k)
 
@@ -363,7 +351,8 @@ def connected_subgraphs(g: StaticGraph, k: int) -> Iterator[tuple[tuple[int, ...
     """Yield every connected induced k-subgraph of ``g`` exactly once.
 
     Each item is ``(nodes, mask)`` with ``nodes`` sorted ascending and
-    ``mask`` its induced-adjacency mask (see ``induced_mask``). The order
+    ``mask`` its induced-adjacency mask: bit b is set when the pair at
+    ``PAIR_POSITIONS[k][b]`` of ``nodes`` is an edge. The order
     of the items is unspecified. Sets are grown from the edges one node at
     a time, and every connected set is reached from exactly one parent:
     itself without its largest non-cut vertex. The work runs in numpy

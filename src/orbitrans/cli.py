@@ -180,6 +180,16 @@ def _get_choice(section, key: str, choices: tuple[str, ...], context: str) -> st
     return raw
 
 
+def _get_count(section, key: str, context: str, args: argparse.Namespace) -> int | None:
+    """A positive integer from the manifest, else from the flag of the same name."""
+    value, where = _get_int(section, key, context), f"{context}: {key}"
+    if value is None:
+        value, where = getattr(args, key, None), f"--{key.replace('_', '-')}"
+    if value is not None and value < 1:
+        raise CliError(f"{where} = {value} must be at least 1")
+    return value
+
+
 def load_run_config(args: argparse.Namespace) -> RunConfig:
     """Merge the manifest with command-line flags (manifest wins)."""
     manifest_path = Path(args.manifest)
@@ -252,14 +262,8 @@ def load_run_config(args: argparse.Namespace) -> RunConfig:
         or "inverse_k",
     )
     randomization = RandomizationConfig(
-        replicates=_first_not_none(
-            _get_int(settings, "replicates", ctx), getattr(args, "replicates", None), 100
-        ),
-        swaps_per_edge=_first_not_none(
-            _get_int(settings, "swaps_per_edge", ctx),
-            getattr(args, "swaps_per_edge", None),
-            10,
-        ),
+        replicates=_first_not_none(_get_count(settings, "replicates", ctx, args), 100),
+        swaps_per_edge=_first_not_none(_get_count(settings, "swaps_per_edge", ctx, args), 10),
         seed=_first_not_none(_get_int(settings, "seed", ctx), args.seed),
     )
     k = _first_not_none(_get_int(settings, "k", ctx), getattr(args, "k", None), 4)
@@ -605,7 +609,11 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 
 def read_similarity_csv(path: Path, kind: str) -> SimilarityMatrix:
-    """Load a similarity/distance matrix written by ``compare``."""
+    """Load a similarity/distance matrix written by ``compare``.
+
+    Rejects a matrix with a non-finite cell or one that is not exactly
+    symmetric; ``compare`` writes both cells of a pair from one value.
+    """
     try:
         text = path.read_text()
     except OSError as e:
@@ -620,10 +628,27 @@ def read_similarity_csv(path: Path, kind: str) -> SimilarityMatrix:
     for i, row in enumerate(rows[1:]):
         if row[0] != names[i]:
             raise CliError(f"{path}: row {i + 1} is {row[0]!r}, expected {names[i]!r}")
+        if len(row) != len(names) + 1:
+            raise CliError(f"{path}: row {names[i]!r} has {len(row) - 1} of {len(names)} values")
         try:
             values[i] = [float(x) for x in row[1:]]
         except ValueError as e:
             raise CliError(f"{path}: row {names[i]!r}: {e}") from None
+    bad = np.argwhere(~np.isfinite(values))
+    if len(bad):
+        i, j = bad[0].tolist()
+        raise CliError(
+            f"{path}: row {names[i]!r}, column {names[j]!r}: {rows[i + 1][j + 1]!r} is not finite"
+        )
+    # argwhere is in row-major order, so the first unequal pair has i < j
+    unequal = np.argwhere(values != values.T)
+    if len(unequal):
+        i, j = unequal[0].tolist()
+        raise CliError(
+            f"{path}: matrix is not symmetric: row {names[i]!r}, column {names[j]!r} is "
+            f"{rows[i + 1][j + 1]}, but row {names[j]!r}, column {names[i]!r} "
+            f"is {rows[j + 1][i + 1]}"
+        )
     return SimilarityMatrix(names=names, values=values, kind=kind)
 
 

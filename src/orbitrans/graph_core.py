@@ -16,9 +16,9 @@ The layer works on integer arrays from end to end:
 - ``build_snapshots`` and ``final_aggregate_graph`` bin that array by
   undirected edge keys ``min(u,v)*n + max(u,v)`` with sorting and
   ``searchsorted``, with no loop over events;
-- a ``StaticGraph`` is a set of sorted CSR arrays;
+- a ``StaticGraph`` is a set of sorted CSR arrays and nothing else;
 - ``characteristic_path_length`` is a bit-parallel breadth-first search
-  over those arrays.
+  over those arrays; ``clustering_coefficient`` reads the 3-node census.
 """
 
 from __future__ import annotations
@@ -80,11 +80,10 @@ class StaticGraph:
     ``indices[indptr[v]:indptr[v+1]]`` are the neighbours of v in
     ascending order, and ``keys`` holds ``u*n + v`` for every ordered
     adjacent pair in the same order, so it is sorted and an adjacency test
-    is a ``searchsorted`` lookup in it. ``adj``, per-node frozensets for
-    O(1) membership tests, is derived from the CSR arrays on first use.
+    is a ``searchsorted`` lookup in it. These arrays are the whole graph.
     """
 
-    __slots__ = ("n", "edge_count", "indptr", "indices", "keys", "_adj")
+    __slots__ = ("n", "edge_count", "indptr", "indices", "keys")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] | np.ndarray):
         if n < 0:
@@ -112,24 +111,12 @@ class StaticGraph:
         self.edge_count = len(self.keys) // 2
         for array in (self.indptr, self.indices, self.keys):
             array.setflags(write=False)
-        self._adj: tuple[frozenset[int], ...] | None = None
-
-    @property
-    def adj(self) -> tuple[frozenset[int], ...]:
-        """Neighbour set of every node, built from the CSR arrays on first use."""
-        if self._adj is None:
-            bounds, targets = self.indptr.tolist(), self.indices.tolist()
-            self._adj = tuple(frozenset(targets[a:b]) for a, b in zip(bounds, bounds[1:]))
-        return self._adj
 
     def neighbors(self, v: int) -> tuple[int, ...]:
         return tuple(self.indices[self.indptr[v] : self.indptr[v + 1]].tolist())
 
     def degree(self, v: int) -> int:
         return int(self.indptr[v + 1] - self.indptr[v])
-
-    def adjacent(self, u: int, v: int) -> bool:
-        return v in self.adj[u]
 
     def edges(self) -> Iterator[tuple[int, int]]:
         """All edges as (u, v) with u < v, in lexicographic order."""
@@ -175,9 +162,6 @@ class TemporalEdgeList:
         if not len(self.events):
             raise ValueError("edge list has no events")
         return int(self.events[0, 2])
-
-    def label_to_id(self) -> dict[str, int]:
-        return {label: i for i, label in enumerate(self.labels)}
 
     def to_text(self, sep: str = "ws") -> str:
         joiner = " " if sep == "ws" else ","
@@ -627,41 +611,39 @@ def average_degree(g: StaticGraph) -> float:
     return 2.0 * g.edge_count / present
 
 
-def _triangles_at(g: StaticGraph, v: int) -> int:
-    nbrs = g.neighbors(v)
-    count = 0
-    for i, a in enumerate(nbrs):
-        adj_a = g.adj[a]
-        for b in nbrs[i + 1 :]:
-            if b in adj_a:
-                count += 1
-    return count
-
-
 def clustering_coefficient(g: StaticGraph, method: str = "average") -> float:
     """Clustering coefficient of ``g``.
 
     ``average`` (default) is the mean local coefficient over nodes with
     degree >= 2; ``global`` is the transitivity ratio
     3*triangles / wedges. Both return 0.0 when undefined.
+
+    Both are read off the 3-node orbit census: the triangles at v are
+    v's orbit-3 count (triangle), and its C(deg v, 2) neighbour pairs are
+    orbit 2 (chain centre) plus orbit 3, as every pair of v's neighbours
+    either is or is not adjacent.
     """
+    # census imports this module, so it is imported here, at call time
+    from .census import compute_orbit_frequencies
+
     if g.n == 0:
         raise ValueError("graph has no nodes")
-    if method == "average":
-        total = 0.0
-        eligible = 0
-        for v in range(g.n):
-            d = g.degree(v)
-            if d < 2:
-                continue
-            eligible += 1
-            total += _triangles_at(g, v) / (d * (d - 1) / 2)
-        return total / eligible if eligible else 0.0
+    if method not in ("average", "global"):
+        raise ValueError(f"unknown method {method!r}")
+    counts = compute_orbit_frequencies(g, 3).counts
+    triangles = counts[:, 2].tolist()
+    pairs = (counts[:, 1] + counts[:, 2]).tolist()
     if method == "global":
-        triangles3 = sum(_triangles_at(g, v) for v in range(g.n))  # 3 * #triangles
-        wedges = sum(d * (d - 1) // 2 for d in map(g.degree, range(g.n)))
-        return triangles3 / wedges if wedges else 0.0
-    raise ValueError(f"unknown method {method!r}")
+        return sum(triangles) / sum(pairs) if any(pairs) else 0.0
+    # a running float total in node order; builtin sum() of floats is
+    # compensated from Python 3.12 on and would change the last bits
+    total = 0.0
+    eligible = 0
+    for t, p in zip(triangles, pairs):
+        if p:
+            eligible += 1
+            total += t / p
+    return total / eligible if eligible else 0.0
 
 
 # Sources one pass of the bit-parallel search carries, one bit each in the

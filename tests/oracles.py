@@ -4,10 +4,12 @@ Everything here deliberately avoids the production code paths: subgraphs
 are classified by isomorphism search against hand-written reference
 shapes (not degree rules), shortest paths use Floyd-Warshall or a plain
 per-source BFS (not the bit-parallel search), the census walks every
-C(n, k) node subset (not the set-growth enumeration), and edge lists are
-parsed and binned one line and one event at a time in Python (not by
-numpy tokenizing and binning). Agreement formulas are re-implemented
-directly.
+C(n, k) node subset (not the set-growth enumeration), clustering tests
+every pair of a node's neighbours (not the orbit census), adjacency
+comes from neighbour sets built from ``g.edges()`` (not the CSR
+lookups), and edge lists are parsed and binned one line and one event at
+a time in Python (not by numpy tokenizing and binning). Agreement
+formulas are re-implemented directly.
 """
 
 from __future__ import annotations
@@ -105,10 +107,21 @@ def classify_mask(k: int, mask: int):
     return None
 
 
-def _subset_mask(g: StaticGraph, nodes: tuple[int, ...]) -> int:
+def neighbour_sets(g: StaticGraph) -> list[set[int]]:
+    """Neighbour set of every node, built from ``g.edges()`` alone."""
+    nbrs: list[set[int]] = [set() for _ in range(g.n)]
+    for u, v in g.edges():
+        nbrs[u].add(v)
+        nbrs[v].add(u)
+    return nbrs
+
+
+def subset_mask(nbrs: list[set[int]], nodes: tuple[int, ...]) -> int:
+    """Adjacency bit mask of the subgraph induced on ``nodes``, one bit per
+    pair of positions in ``combinations(range(k), 2)`` order."""
     mask = 0
     for bit, (i, j) in enumerate(_oracle_pairs(len(nodes))):
-        if nodes[j] in g.adj[nodes[i]]:
+        if nodes[j] in nbrs[nodes[i]]:
             mask |= 1 << bit
     return mask
 
@@ -117,8 +130,9 @@ def exhaustive_census(g: StaticGraph, k: int):
     """(orbit counts matrix, class Counter) over all C(n, k) subsets."""
     counts = np.zeros((g.n, ORACLE_ORBITS[k]), dtype=np.int64)
     classes: Counter[str] = Counter()
+    nbrs = neighbour_sets(g)
     for nodes in combinations(range(g.n), k):
-        result = classify_mask(k, _subset_mask(g, nodes))
+        result = classify_mask(k, subset_mask(nbrs, nodes))
         if result is None:
             continue
         name, orbits = result
@@ -131,8 +145,9 @@ def exhaustive_census(g: StaticGraph, k: int):
 def exhaustive_occurrences(g: StaticGraph, k: int) -> set[tuple[int, ...]]:
     """Node sets of every connected induced k-subgraph."""
     found = set()
+    nbrs = neighbour_sets(g)
     for nodes in combinations(range(g.n), k):
-        if classify_mask(k, _subset_mask(g, nodes)) is not None:
+        if classify_mask(k, subset_mask(nbrs, nodes)) is not None:
             found.add(nodes)
     return found
 
@@ -142,11 +157,12 @@ def exhaustive_transitions(s_from: StaticGraph, s_to: StaticGraph, k: int):
     m = ORACLE_ORBITS[k]
     counts = np.zeros((m, m), dtype=np.int64)
     dissolved = np.zeros(m, dtype=np.int64)
+    nbrs_from, nbrs_to = neighbour_sets(s_from), neighbour_sets(s_to)
     for nodes in combinations(range(s_from.n), k):
-        src = classify_mask(k, _subset_mask(s_from, nodes))
+        src = classify_mask(k, subset_mask(nbrs_from, nodes))
         if src is None:
             continue
-        dst = classify_mask(k, _subset_mask(s_to, nodes))
+        dst = classify_mask(k, subset_mask(nbrs_to, nodes))
         if dst is None:
             for a in src[1]:
                 dissolved[a - 1] += 1
@@ -239,12 +255,13 @@ def bfs_cpl(g: StaticGraph) -> float:
     """Characteristic path length by one queue-based BFS per source."""
     total = 0
     pairs = 0
+    nbrs = neighbour_sets(g)
     for src in range(g.n):
         dist = {src: 0}
         queue = deque([src])
         while queue:
             u = queue.popleft()
-            for w in g.adj[u]:
+            for w in nbrs[u]:
                 if w not in dist:
                     dist[w] = dist[u] + 1
                     total += dist[w]
@@ -279,22 +296,41 @@ def floyd_warshall_cpl(g: StaticGraph) -> float:
     return total / pairs
 
 
+def _triangles_and_degree(nbrs: list[set[int]], v: int) -> tuple[int, int]:
+    """(adjacent pairs among v's neighbours, v's degree)."""
+    around = sorted(nbrs[v])
+    d = len(around)
+    triangles = 0
+    for i in range(d):
+        for j in range(i + 1, d):
+            if around[j] in nbrs[around[i]]:
+                triangles += 1
+    return triangles, d
+
+
 def triple_loop_clustering(g: StaticGraph) -> float:
+    """Mean local clustering over nodes of degree >= 2, pair by pair."""
+    nbrs = neighbour_sets(g)
     total = 0.0
     eligible = 0
     for v in range(g.n):
-        nbrs = sorted(g.adj[v])
-        d = len(nbrs)
+        triangles, d = _triangles_and_degree(nbrs, v)
         if d < 2:
             continue
         eligible += 1
-        triangles = 0
-        for i in range(d):
-            for j in range(i + 1, d):
-                if nbrs[j] in g.adj[nbrs[i]]:
-                    triangles += 1
         total += triangles / (d * (d - 1) / 2)
     return total / eligible if eligible else 0.0
+
+
+def triple_loop_transitivity(g: StaticGraph) -> float:
+    """Global transitivity 3 * triangles / wedges, pair by pair."""
+    nbrs = neighbour_sets(g)
+    closed = wedges = 0
+    for v in range(g.n):
+        triangles, d = _triangles_and_degree(nbrs, v)
+        closed += triangles
+        wedges += d * (d - 1) // 2
+    return closed / wedges if wedges else 0.0
 
 
 # ---------------------------------------------------------------------------

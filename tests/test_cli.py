@@ -280,6 +280,31 @@ class TestCluster:
         bad.write_text("network,a\nwrong,1\n")
         assert main(["cluster", "--matrix", str(bad), "--out", str(tmp_path)]) == 2
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    def test_non_finite_cell_rejected(self, tmp_path, capsys, cell):
+        bad = tmp_path / "m.csv"
+        bad.write_text(f"network,a,b,c\na,1,0.5,0.2\nb,0.5,1,{cell}\nc,0.2,{cell},1\n")
+        assert main(["cluster", "--matrix", str(bad), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert f"{bad}: row 'b', column 'c': '{cell}' is not finite" in err
+        assert not (tmp_path / "cluster.tree.json").exists()
+
+    def test_short_row_rejected(self, tmp_path, capsys):
+        # numpy would broadcast a single value across the whole row
+        bad = tmp_path / "m.csv"
+        bad.write_text("network,a,b\na,1\nb,1,1\n")
+        assert main(["cluster", "--matrix", str(bad), "--out", str(tmp_path)]) == 2
+        assert f"{bad}: row 'a' has 1 of 2 values" in capsys.readouterr().err
+
+    def test_asymmetric_matrix_rejected(self, tmp_path, capsys):
+        bad = tmp_path / "m.csv"
+        bad.write_text("network,a,b,c\na,1,0.5,0.2\nb,0.5,1,0.3\nc,0.25,0.3,1\n")
+        assert main(["cluster", "--matrix", str(bad), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert f"{bad}: matrix is not symmetric: row 'a', column 'c' is 0.2, " \
+            "but row 'c', column 'a' is 0.25" in err
+        assert not (tmp_path / "cluster.tree.json").exists()
+
 
 class TestDeterminismAndFailure:
     def test_rerun_byte_identical(self, toy_run):
@@ -432,6 +457,29 @@ class TestManifestValidation:
             tmp_path, "[x]\npath = n.txt\npolicy = cumulative\nwidth = 5\ncount = 2\n"
         )
         assert main(["stats", "--manifest", str(manifest), "--out", "o"]) == 2
+
+    @pytest.mark.parametrize("key", ["replicates", "swaps_per_edge"])
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    def test_non_positive_null_model_setting(self, tmp_path, capsys, key, value):
+        # stats never uses the null model, but a bad setting is still an error
+        write_network(tmp_path, "n", "a b 1\n")
+        manifest = write_manifest(
+            tmp_path, f"[settings]\n{key} = {value}\n\n[x]\npath = n.txt\nwidth = 5\ncount = 2\n"
+        )
+        for command in ("stats", "motifs"):
+            assert main([command, "--manifest", str(manifest), "--out", str(tmp_path / "o")]) == 2
+            err = capsys.readouterr().err
+            assert f"manifest {manifest} [settings]: {key} = {int(value)} must be at least 1" in err
+
+    @pytest.mark.parametrize("flag", ["--replicates", "--swaps-per-edge"])
+    def test_non_positive_null_model_flag(self, tmp_path, capsys, flag):
+        write_network(tmp_path, "n", "a b 1\n")
+        manifest = write_manifest(tmp_path, "[x]\npath = n.txt\nwidth = 5\ncount = 2\n")
+        argv = ["--manifest", str(manifest), "--out", str(tmp_path / "o"), flag, "0"]
+        assert main(["motifs", *argv]) == 2
+        assert f"{flag} = 0 must be at least 1" in capsys.readouterr().err
+        assert main(["compare", *argv, "--metric", "motif"]) == 2
+        assert f"{flag} = 0 must be at least 1" in capsys.readouterr().err
 
     def test_manifest_required(self, capsys):
         with pytest.raises(SystemExit):
