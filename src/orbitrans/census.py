@@ -8,7 +8,17 @@ numbered 1..3 for k=3 and 1..11 for k=4. A census of a graph counts, for
 each node, how often it occupies each orbit across all connected induced
 k-subgraphs.
 
-The connected k-sets of a graph are enumerated with numpy, in blocks.
+Class counts are closed-form: ``graphlet_class_frequencies`` counts the
+non-induced 3-stars, 3-paths, tailed triangles, 4-cycles, diamonds and
+4-cliques from degrees, triangles and common-neighbour counts, and
+inverts their overlaps into induced class counts, as in Hočevar and
+Demšar's ORCA ("A combinatorial approach to graphlet counting",
+Bioinformatics 2014) and Ahmed et al. ("Efficient Graphlet Counting for
+Large Networks", ICDM 2015). Their wedges are grouped by the top-ranked
+node, ranking nodes by degree, so a hub costs no more than its edges.
+
+Orbits and transitions need every set, so they enumerate. The connected
+k-sets of a graph are enumerated with numpy, in blocks.
 Sets grow from the edges (the connected 2-sets) one neighbour at a time,
 and a grown set T is kept only when it came from its canonical parent:
 T without its largest non-cut vertex. The neighbours a set's members
@@ -17,8 +27,8 @@ adjacency to the set read off the members that proposed it. Every
 connected k-set thus appears exactly once, in no specified order. Each
 block of sets is extended from at most a fixed number of (set,
 neighbour) candidates, or from one set alone if it has more, so memory
-stays bounded whatever the graph's size. Orbit, class and transition
-tallies are ``np.bincount`` sums over the blocks.
+stays bounded whatever the graph's size. Orbit and transition tallies
+are ``np.bincount`` sums over the blocks.
 """
 
 from __future__ import annotations
@@ -26,11 +36,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, permutations
+from math import comb
 from typing import Iterable, Iterator
 
 import numpy as np
 
-from .graph_core import StaticGraph
+from .graph_core import StaticGraph, _group
 
 # Node-pair positions, one bit each, in this fixed order. For k=3 only
 # the first three pairs exist.
@@ -216,9 +227,11 @@ def _verify_table(table: ClassificationTable, pairs) -> None:
                 )
 
 
-# Most (set, neighbour) candidates one block of ``_kset_blocks`` examines.
-# It bounds the block's temporary arrays whatever the graph's size; a set
-# whose own candidates exceed it (a hub's) forms a block by itself.
+# Most candidates one block examines: (set, neighbour) pairs in
+# ``_kset_blocks``, wedges or clique corners in the class counts. It
+# bounds the block's temporary arrays whatever the graph's size; a set
+# (or node, or triangle) whose own candidates exceed it forms a block by
+# itself.
 _BLOCK_CANDIDATES = 4096
 
 
@@ -262,6 +275,12 @@ def _is_cut_vertex(mask: int, k: int, pairs, i: int) -> bool:
     return not _mask_is_connected(sub, k - 1, rest)
 
 
+def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """``arange(start, start + count)`` for each pair, concatenated."""
+    offsets = np.repeat(starts - (np.cumsum(counts) - counts), counts)
+    return offsets + np.arange(len(offsets))
+
+
 def _induced_masks(g: StaticGraph, sets: np.ndarray) -> np.ndarray:
     """Adjacency masks of the subgraphs ``g`` induces on each row of ``sets``."""
     first, second = np.array(PAIR_POSITIONS[sets.shape[1]]).T
@@ -280,9 +299,8 @@ def _extend(g: StaticGraph, sets: np.ndarray, masks: np.ndarray) -> tuple[np.nda
     b, j = sets.shape
     shift = max(g.n - 1, 1).bit_length()
     members = sets.ravel()
-    starts, degrees = g.indptr[members], g.indptr[members + 1] - g.indptr[members]
-    offsets = np.repeat(starts - (np.cumsum(degrees) - degrees), degrees)
-    w = g.indices[offsets + np.arange(len(offsets))]
+    degrees = g.indptr[members + 1] - g.indptr[members]
+    w = g.indices[_ranges(g.indptr[members], degrees)]
     # Code (row, node, tag) with tag q < j for a neighbour of the member at
     # position q and tag j for the member itself (2 bits, as j <= 3).
     # Sorting gathers each (row, node): its tags give the node's adjacency
@@ -432,15 +450,139 @@ def class_counts(fr: OrbitFrequencyMatrix) -> dict[str, int]:
     }
 
 
+class _Ranked:
+    """``g`` with its nodes ranked by (degree, id) and its edges pointed down.
+
+    ``rows[e]`` is the first node of CSR entry e (its second is
+    ``g.indices[e]``). ``down`` holds, in CSR order, the entries (v, x)
+    whose x ranks below v, and v's run of them is
+    ``down[first[v]:first[v + 1]]``.
+    """
+
+    def __init__(self, g: StaticGraph):
+        self.g = g
+        self.degree = np.diff(g.indptr)
+        self.rank = np.empty(g.n, dtype=np.int64)
+        self.rank[np.argsort(self.degree, kind="stable")] = np.arange(g.n)
+        self.rows = np.repeat(np.arange(g.n), self.degree)
+        self.down = np.flatnonzero(self.rank[g.indices] < self.rank[self.rows])
+        self.first = np.searchsorted(self.rows[self.down], np.arange(g.n + 1))
+
+    def find(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(CSR entry, whether it is an edge) of each ``u*n + v`` of ``keys``."""
+        at = np.searchsorted(self.g.keys, keys)
+        return at, self.g.keys.take(at, mode="clip") == keys
+
+
+def _wedge_blocks(r: _Ranked) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Common-neighbour counts and triangles, from the wedges below each node.
+
+    A wedge a-c-b lies below a when c and b both rank below a. Each block
+    takes the wedges below a run of nodes a, and at most
+    ``_BLOCK_CANDIDATES`` of them, or one node's if it alone has more.
+    It yields:
+
+    - for each pair (a, b) with a wedge below a, the number of centres
+      c of such wedges. A 4-cycle's top node a and the node b opposite it
+      have the cycle's two other nodes as centres, and no other pair
+      does, so the sum of C(count, 2) counts every 4-cycle once (Chiba and
+      Nishizeki, "Arboricity and subgraph listing algorithms", 1985);
+    - every triangle a > c > b (by rank) once, as the CSR entries of
+      (a, c), (a, b) and (c, b) in the rows of a ``(t, 3)`` array: the
+      wedge a-c-b closed by an edge (a, b).
+    """
+    g, rank, rows = r.g, r.rank, r.rows
+    spread = r.degree[g.indices[r.down]]  # wedges each entry (a, c) of down opens
+    ends = np.concatenate(([0], np.cumsum(spread)))
+    for start, stop in _block_bounds(ends[r.first[1:]] - ends[r.first[:-1]]):
+        ac = r.down[r.first[start] : r.first[stop]]
+        c = g.indices[ac]
+        cb = _ranges(g.indptr[c], r.degree[c])
+        ac = np.repeat(ac, r.degree[c])
+        a, c, b = rows[ac], g.indices[ac], g.indices[cb]
+        below = rank[b] < rank[a]
+        ac, cb, pair = ac[below], cb[below], a[below] * g.n + b[below]
+        _, pair_id = _group(pair[:, None])
+        # of a triangle's two wedges below a, take the one whose centre ranks higher
+        higher = rank[c[below]] > rank[b[below]]
+        ac, cb, pair = ac[higher], cb[higher], pair[higher]
+        ab, closed = r.find(pair)
+        yield np.bincount(pair_id), np.column_stack((ac[closed], ab[closed], cb[closed]))
+
+
+def _cliques_below(r: _Ranked, a: np.ndarray, c: np.ndarray, b: np.ndarray) -> int:
+    """4-cliques whose three top-ranked nodes are a triangle a > c > b.
+
+    The fourth node is a neighbour of b that ranks below b and is
+    adjacent to a and c.
+    """
+    g = r.g
+    spread = r.first[b + 1] - r.first[b]
+    found = 0
+    for start, stop in _block_bounds(spread):
+        d = g.indices[r.down[_ranges(r.first[b[start:stop]], spread[start:stop])]]
+        top = np.repeat(a[start:stop], spread[start:stop]) * g.n + d
+        mid = np.repeat(c[start:stop], spread[start:stop]) * g.n + d
+        found += int(np.count_nonzero(r.find(top)[1] & r.find(mid)[1]))
+    return found
+
+
 def graphlet_class_frequencies(g: StaticGraph, k: int) -> dict[str, int]:
-    """Occurrence count of each connected k-node class, canonical order."""
-    table = build_classification_table(k)
-    per_mask = _bincount_blocks((masks for _sets, masks in _kset_blocks(g, k)), len(table.class_of))
-    tallies = [0] * len(table.classes)
-    for mask, count in enumerate(per_mask.tolist()):
-        if count:
-            tallies[table.class_of[mask]] += count
-    return {cls.name: tallies[i] for i, cls in enumerate(table.classes)}
+    """Occurrence count of each connected k-node class, canonical order.
+
+    Counted in closed form, without enumerating a set. For k=3, a
+    triangle is three of the C(deg, 2) neighbour pairs summed over the
+    nodes, and a chain any other. For k=4, the subgraphs (not necessarily
+    induced) of each shape are counted:
+
+    - 3-stars, sum of C(deg v, 3);
+    - 3-paths, sum over edges (u, v) of (deg u - 1)(deg v - 1), less
+      three per triangle;
+    - tailed triangles, sum of t_v (deg v - 2), t_v the triangles at v;
+    - diamonds, sum over edges of C(t_e, 2), t_e the triangles on e;
+    - 4-cycles and 4-cliques, from ``_wedge_blocks``.
+
+    Each induced class holds a fixed number of copies of every sparser
+    shape (a clique 6 diamonds, 12 tailed triangles, 3 cycles, 12 paths
+    and 4 stars), so the induced counts follow from the densest class
+    down.
+    """
+    orbit_count(k)  # rejects any other k
+    r = _Ranked(g)
+    degree = r.degree
+    per_entry = np.zeros(len(g.keys), dtype=np.int64)  # triangles on each edge
+    triangles = tailed = cycles = cliques = 0
+    for shared, tri in _wedge_blocks(r):
+        triangles += len(tri)
+        if k == 3:
+            continue
+        cycles += int((shared * (shared - 1) // 2).sum())
+        nodes = (r.rows[tri[:, 0]], g.indices[tri[:, 0]], g.indices[tri[:, 1]])
+        tailed += sum(int(degree[v].sum()) for v in nodes) - 6 * len(tri)
+        entries, entry_id = _group(tri.reshape(-1, 1))
+        per_entry[entries[:, 0]] += np.bincount(entry_id)
+        cliques += _cliques_below(r, *nodes)
+    if k == 3:
+        chains = int((degree * (degree - 1) // 2).sum()) - 3 * triangles
+        return {"chain": chains, "triangle": triangles}
+    # per distinct degree, in Python integers: d**3 passes 2**63 at d = 2**21
+    per_degree = np.bincount(degree)
+    present = np.flatnonzero(per_degree).tolist()
+    stars = sum(comb(d, 3) * int(per_degree[d]) for d in present)
+    # every edge is two CSR entries, so the sum counts each path twice
+    paths = int(((degree[r.rows] - 1) * (degree[g.indices] - 1)).sum()) // 2 - 3 * triangles
+    diamonds = int((per_entry * (per_entry - 1) // 2).sum())
+    diamond = diamonds - 6 * cliques
+    paw = tailed - 4 * diamond - 12 * cliques
+    cycle = cycles - diamond - 3 * cliques
+    return {
+        "star": stars - paw - 2 * diamond - 4 * cliques,
+        "path": paths - 2 * paw - 4 * cycle - 6 * diamond - 12 * cliques,
+        "cycle": cycle,
+        "paw": paw,
+        "diamond": diamond,
+        "clique": cliques,
+    }
 
 
 @dataclass(frozen=True)

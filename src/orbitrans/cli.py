@@ -611,8 +611,9 @@ def cmd_compare(args: argparse.Namespace) -> int:
 def read_similarity_csv(path: Path, kind: str) -> SimilarityMatrix:
     """Load a similarity/distance matrix written by ``compare``.
 
-    Rejects a matrix with a non-finite cell or one that is not exactly
-    symmetric; ``compare`` writes both cells of a pair from one value.
+    Rejects a header that names a network twice, a non-finite cell and a
+    matrix that is not exactly symmetric; ``compare`` writes both cells of
+    a pair from one value.
     """
     try:
         text = path.read_text()
@@ -622,6 +623,11 @@ def read_similarity_csv(path: Path, kind: str) -> SimilarityMatrix:
     if not rows or len(rows[0]) < 3:
         raise CliError(f"{path}: expected a header row with at least 2 network names")
     names = tuple(rows[0][1:])
+    seen: set[str] = set()
+    for name in names:
+        if name in seen:
+            raise CliError(f"{path}: header names network {name!r} more than once")
+        seen.add(name)
     if len(rows) != len(names) + 1:
         raise CliError(f"{path}: matrix has {len(rows) - 1} rows for {len(names)} names")
     values = np.zeros((len(names), len(names)))

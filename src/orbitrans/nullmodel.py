@@ -5,6 +5,15 @@ A replica is produced by repeated double-edge swaps: pick two edges
 self-loop or a duplicate edge are rejected, so every replica is a simple
 graph with exactly the original degree sequence. Ensemble class
 frequencies are the mean graphlet-class counts over many replicas.
+
+The proposals (two edge positions and an orientation) come from one
+per-``(seed, r)`` stream, drawn ``_PROPOSAL_CHUNK`` attempts at a time
+with one ``rng.integers`` call per chunk. Against an array of bounds,
+numpy draws each element with the bounded-integer routine a scalar call
+uses, one element after another from the bit generator, so the chunked
+draws are the numbers three scalar calls per attempt would give, in the
+same order, and leave the generator in the same state: a seed gives the
+same replica either way.
 """
 
 from __future__ import annotations
@@ -16,6 +25,10 @@ import numpy as np
 
 from .census import GRAPHLET_CLASSES, graphlet_class_frequencies
 from .graph_core import StaticGraph
+
+# Swap attempts drawn per ``rng.integers`` call: amortises the call over
+# many attempts while the (chunk, 3) array of proposals stays small.
+_PROPOSAL_CHUNK = 4096
 
 
 @dataclass(frozen=True)
@@ -38,11 +51,13 @@ def degree_preserving_randomize(
 ) -> StaticGraph:
     """One randomized replica of ``g`` with the same degree sequence.
 
-    Attempts ``swaps_per_edge * |E|`` double-edge swaps; invalid swaps
-    are skipped without retry. ``rng`` may be a seed or a Generator
-    (advanced in place, so a shared Generator yields a different replica
-    per call).
+    Attempts ``swaps_per_edge * |E|`` double-edge swaps, at least one per
+    edge; invalid swaps are skipped without retry. ``rng`` may be a seed
+    or a Generator (advanced in place, so a shared Generator yields a
+    different replica per call).
     """
+    if swaps_per_edge < 1:
+        raise ValueError("swaps_per_edge must be >= 1")
     if g.edge_count < 2:
         raise ValueError("randomization needs at least 2 edges")
     if not isinstance(rng, np.random.Generator):
@@ -50,29 +65,30 @@ def degree_preserving_randomize(
     edges = list(g.edges())
     edge_set = set(edges)
     m = len(edges)
-    for _ in range(swaps_per_edge * m):
-        i = int(rng.integers(m))
-        j = int(rng.integers(m))
-        flip = int(rng.integers(2))
-        if i == j:
-            continue
-        a, b = edges[i]
-        c, d = edges[j]
-        if flip:
-            c, d = d, c
-        # proposed rewiring: (a,b),(c,d) -> (a,d),(c,b)
-        if a == d or c == b:
-            continue
-        new1 = (a, d) if a < d else (d, a)
-        new2 = (c, b) if c < b else (b, c)
-        if new1 in edge_set or new2 in edge_set:
-            continue
-        edge_set.remove(edges[i])
-        edge_set.remove(edges[j])
-        edge_set.add(new1)
-        edge_set.add(new2)
-        edges[i] = new1
-        edges[j] = new2
+    bounds = np.array([m, m, 2])
+    attempts = swaps_per_edge * m
+    for start in range(0, attempts, _PROPOSAL_CHUNK):
+        size = min(_PROPOSAL_CHUNK, attempts - start)
+        for i, j, flip in rng.integers(0, bounds, size=(size, 3)).tolist():
+            if i == j:
+                continue
+            a, b = edges[i]
+            c, d = edges[j]
+            if flip:
+                c, d = d, c
+            # proposed rewiring: (a,b),(c,d) -> (a,d),(c,b)
+            if a == d or c == b:
+                continue
+            new1 = (a, d) if a < d else (d, a)
+            new2 = (c, b) if c < b else (b, c)
+            if new1 in edge_set or new2 in edge_set:
+                continue
+            edge_set.remove(edges[i])
+            edge_set.remove(edges[j])
+            edge_set.add(new1)
+            edge_set.add(new2)
+            edges[i] = new1
+            edges[j] = new2
     return StaticGraph(g.n, edges)
 
 

@@ -7,9 +7,10 @@ per-source BFS (not the bit-parallel search), the census walks every
 C(n, k) node subset (not the set-growth enumeration), clustering tests
 every pair of a node's neighbours (not the orbit census), adjacency
 comes from neighbour sets built from ``g.edges()`` (not the CSR
-lookups), and edge lists are parsed and binned one line and one event at
-a time in Python (not by numpy tokenizing and binning). Agreement
-formulas are re-implemented directly.
+lookups), null-model swaps draw each proposal with three scalar calls
+(not in chunks), and edge lists are parsed and binned one line and one
+event at a time in Python (not by numpy tokenizing and binning).
+Agreement formulas are re-implemented directly.
 """
 
 from __future__ import annotations
@@ -170,6 +171,49 @@ def exhaustive_transitions(s_from: StaticGraph, s_to: StaticGraph, k: int):
             for a, b in zip(src[1], dst[1]):
                 counts[a - 1, b - 1] += 1
     return counts, dissolved
+
+
+def scalar_randomize(
+    g: StaticGraph,
+    rng: np.random.Generator | int,
+    swaps_per_edge: int = 10,
+) -> StaticGraph:
+    """Degree-preserving double-edge swaps, three scalar draws per attempt.
+
+    The reference for ``degree_preserving_randomize``, which draws the
+    same proposals in chunks: same law, same stream, same replica.
+    """
+    if g.edge_count < 2:
+        raise ValueError("randomization needs at least 2 edges")
+    if not isinstance(rng, np.random.Generator):
+        rng = np.random.default_rng(rng)
+    edges = list(g.edges())
+    edge_set = set(edges)
+    m = len(edges)
+    for _ in range(swaps_per_edge * m):
+        i = int(rng.integers(m))
+        j = int(rng.integers(m))
+        flip = int(rng.integers(2))
+        if i == j:
+            continue
+        a, b = edges[i]
+        c, d = edges[j]
+        if flip:
+            c, d = d, c
+        # proposed rewiring: (a,b),(c,d) -> (a,d),(c,b)
+        if a == d or c == b:
+            continue
+        new1 = (a, d) if a < d else (d, a)
+        new2 = (c, b) if c < b else (b, c)
+        if new1 in edge_set or new2 in edge_set:
+            continue
+        edge_set.remove(edges[i])
+        edge_set.remove(edges[j])
+        edge_set.add(new1)
+        edge_set.add(new2)
+        edges[i] = new1
+        edges[j] = new2
+    return StaticGraph(g.n, edges)
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import tracemalloc
 from math import comb
 
 import numpy as np
@@ -253,6 +254,60 @@ class TestClassFrequencies:
         assert graphlet_class_frequencies(g, 4) == {
             cls.name: oracle_classes.get(cls.name, 0) for cls in GRAPHLET_CLASSES[4]
         }
+
+
+def mask_tally(g: StaticGraph, k: int) -> dict[str, int]:
+    """Class counts tallied from the enumerated k-sets' masks."""
+    table = build_classification_table(k)
+    tallies = dict.fromkeys((cls.name for cls in table.classes), 0)
+    for _sets, masks in census._kset_blocks(g, k):
+        for mask in masks.tolist():
+            tallies[table.classes[table.class_of[mask]].name] += 1
+    return tallies
+
+
+class TestClosedFormClassCounts:
+    """``graphlet_class_frequencies`` counts without enumerating."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(g=small_graphs(), k=st.sampled_from((3, 4)))
+    def test_matches_enumeration_and_oracle(self, g, k):
+        _, oracle_classes = exhaustive_census(g, k)
+        got = graphlet_class_frequencies(g, k)
+        assert got == mask_tally(g, k)
+        assert got == {cls.name: oracle_classes[cls.name] for cls in GRAPHLET_CLASSES[k]}
+
+    def test_tiny_blocks_match_enumeration(self, monkeypatch):
+        # splits the wedges and the clique candidates into many blocks,
+        # most of one top node or one triangle over the bound
+        monkeypatch.setattr(census, "_BLOCK_CANDIDATES", 8)
+        rng = np.random.default_rng(32)
+        for _ in range(10):
+            g = gnp_graph(rng, 16, rng.uniform(0.1, 0.8))
+            for k in (3, 4):
+                assert graphlet_class_frequencies(g, k) == mask_tally(g, k)
+
+    def test_hubs_sharing_leaves(self):
+        # K2,N: any two leaves close a 4-cycle through the two hubs
+        leaves = 3000
+        assert graphlet_class_frequencies(complete_bipartite_graph(2, leaves), 4) == {
+            "star": 2 * comb(leaves, 3), "path": 0, "cycle": comb(leaves, 2),
+            "paw": 0, "diamond": 0, "clique": 0,
+        }
+
+    def test_star_memory_bounded(self):
+        # 5e7 leaf pairs share the hub and 1.7e11 stars are counted: held
+        # at once, each int64 array over those wedges would take 400 MB
+        leaves = 10_000
+        g = star_graph(leaves + 1)
+        tracemalloc.start()
+        try:
+            counts = graphlet_class_frequencies(g, 4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert counts == {cls.name: 0 for cls in GRAPHLET_CLASSES[4]} | {"star": comb(leaves, 3)}
+        assert peak < 8 * 2**20
 
 
 class TestClassCountsFromOrbitCensus:

@@ -296,6 +296,14 @@ class TestCluster:
         assert main(["cluster", "--matrix", str(bad), "--out", str(tmp_path)]) == 2
         assert f"{bad}: row 'a' has 1 of 2 values" in capsys.readouterr().err
 
+    def test_repeated_network_name_rejected(self, tmp_path, capsys):
+        # a tree would merge ["a"] with ["a"] and could not tell them apart
+        bad = tmp_path / "m.csv"
+        bad.write_text("network,a,a\na,1,0.5\na,0.5,1\n")
+        assert main(["cluster", "--matrix", str(bad), "--out", str(tmp_path)]) == 2
+        assert f"{bad}: header names network 'a' more than once" in capsys.readouterr().err
+        assert not (tmp_path / "cluster.tree.json").exists()
+
     def test_asymmetric_matrix_rejected(self, tmp_path, capsys):
         bad = tmp_path / "m.csv"
         bad.write_text("network,a,b,c\na,1,0.5,0.2\nb,0.5,1,0.3\nc,0.25,0.3,1\n")

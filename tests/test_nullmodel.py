@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from orbitrans import nullmodel
 from orbitrans.graph_core import StaticGraph
 from orbitrans.nullmodel import (
     RandomizationConfig,
@@ -9,7 +10,7 @@ from orbitrans.nullmodel import (
     randomized_replicates,
 )
 from orbitrans.census import graphlet_class_frequencies
-from oracles import exhaustive_census, gnm_graph, gnp_graph, star_graph
+from oracles import exhaustive_census, gnm_graph, gnp_graph, scalar_randomize, star_graph
 
 
 def degree_multiset(g: StaticGraph):
@@ -66,6 +67,48 @@ class TestRandomize:
     def test_too_few_edges(self):
         with pytest.raises(ValueError):
             degree_preserving_randomize(StaticGraph(2, [(0, 1)]), 0)
+
+    @pytest.mark.parametrize("swaps", [0, -1])
+    def test_fewer_than_one_swap_per_edge_rejected(self, swaps):
+        # the unrandomized copy it would return is no replica
+        g = gnm_graph(np.random.default_rng(58), 10, 15)
+        with pytest.raises(ValueError, match="swaps_per_edge must be >= 1"):
+            degree_preserving_randomize(g, 0, swaps)
+
+
+class TestChunkedProposals:
+    """The chunked draws replay the scalar reference's proposal stream."""
+
+    @pytest.fixture(autouse=True)
+    def tiny_chunks(self, monkeypatch):
+        # 7 attempts per chunk: every run crosses many chunk boundaries,
+        # and the last chunk is a partial one
+        monkeypatch.setattr(nullmodel, "_PROPOSAL_CHUNK", 7)
+
+    def test_same_replica_as_scalar_draws(self):
+        rng = np.random.default_rng(59)
+        for trial in range(12):
+            if trial % 2:
+                g = gnm_graph(rng, int(rng.integers(6, 30)), int(rng.integers(2, 60)))
+            else:
+                g = gnp_graph(rng, int(rng.integers(6, 30)), rng.uniform(0.1, 0.5))
+            if g.edge_count < 2:
+                continue
+            for seed in (0, 1, 17, 2**40 + 3):
+                swaps = int(rng.integers(1, 6))
+                got = degree_preserving_randomize(g, seed, swaps)
+                assert list(got.edges()) == list(scalar_randomize(g, seed, swaps).edges())
+
+    def test_shared_generator_left_in_same_state(self):
+        g = gnm_graph(np.random.default_rng(60), 20, 45)
+        chunked, scalar = np.random.default_rng([4, 2]), np.random.default_rng([4, 2])
+        for _ in range(3):
+            a = degree_preserving_randomize(g, chunked, 3)
+            b = scalar_randomize(g, scalar, 3)
+            assert list(a.edges()) == list(b.edges())
+        # the state holds a half-used 64-bit word, which bounds below 2**32 draw from
+        assert chunked.bit_generator.state == scalar.bit_generator.state
+        assert chunked.integers(1 << 62) == scalar.integers(1 << 62)
 
 
 class TestConfig:
