@@ -530,6 +530,11 @@ class TestGoldenFiles:
         assert main(["stats", "--manifest", str(manifest), "--out", str(out)]) == 0
         assert main(["transitions", "--manifest", str(manifest), "--out", str(out)]) == 0
         assert main(["compare", "--manifest", str(manifest), "--out", str(out)]) == 0
+        assert main(["census", "--manifest", str(manifest), "--out", str(out)]) == 0
+        assert main(["motifs", "--manifest", str(manifest), "--out", str(out)]) == 0
+        for metric in ("gda", "motif"):
+            assert main(["compare", "--metric", metric, "--manifest", str(manifest),
+                         "--out", str(out)]) == 0
 
     def test_outputs_match_golden(self, tmp_path):
         out = tmp_path / "out"
