@@ -18,10 +18,12 @@ network plus an optional ``[settings]`` section for shared knobs::
 
 Per-network keys: ``path`` (required), ``policy``, ``width``, ``count``,
 ``origin``, ``sep``; all but ``path`` may also be set in ``[settings]``
-for every network. ``[settings]`` further takes ``k`` (subgraph size, 3
-or 4, used by ``census``, ``transitions``, ``motifs`` and ``compare``),
-``seed``, ``replicates``, ``swaps_per_edge``, ``ota_scaling``,
-``relative_rescale``, ``gdd_scaling``, ``linkage`` and ``out``. Values in
+for every network. Subcommands that build snapshots need a ``width`` of
+at least 1 and a ``count`` of at least 2. ``[settings]`` further takes
+``k`` (subgraph size, 3 or 4, used by ``census``, ``transitions``,
+``motifs`` and ``compare``), ``seed``, ``replicates``,
+``swaps_per_edge``, ``ota_scaling``, ``relative_rescale``,
+``gdd_scaling``, ``linkage`` and ``out``. Values in
 the manifest take precedence over command-line flags, so a manifest
 fully determines a run; flags fill in whatever the manifest leaves out.
 All outputs are written atomically and deterministically: rerunning the
@@ -180,18 +182,26 @@ def _get_choice(section, key: str, choices: tuple[str, ...], context: str) -> st
     return raw
 
 
-def _get_count(section, key: str, context: str, args: argparse.Namespace) -> int | None:
-    """A positive integer from the manifest, else from the flag of the same name."""
+def _get_count(
+    section, key: str, context: str, args: argparse.Namespace | None, minimum: int | None = 1
+) -> int | None:
+    """An integer of at least ``minimum`` (any, if None) from the manifest,
+    else from the flag of the same name (none when ``args`` is None)."""
     value, where = _get_int(section, key, context), f"{context}: {key}"
     if value is None:
         value, where = getattr(args, key, None), f"--{key.replace('_', '-')}"
-    if value is not None and value < 1:
-        raise CliError(f"{where} = {value} must be at least 1")
+    if value is not None and minimum is not None and value < minimum:
+        raise CliError(f"{where} = {value} must be at least {minimum}")
     return value
 
 
-def load_run_config(args: argparse.Namespace) -> RunConfig:
-    """Merge the manifest with command-line flags (manifest wins)."""
+def load_run_config(args: argparse.Namespace, snapshots: bool = True) -> RunConfig:
+    """Merge the manifest with command-line flags (manifest wins).
+
+    ``snapshots`` says whether the subcommand builds snapshot series; if
+    it does, every network's width must be at least 1 and its count at
+    least 2 (transitions need two snapshots).
+    """
     manifest_path = Path(args.manifest)
     parser = configparser.ConfigParser(interpolation=None)
     try:
@@ -204,6 +214,10 @@ def load_run_config(args: argparse.Namespace) -> RunConfig:
 
     settings = parser["settings"] if parser.has_section("settings") else {}
     ctx = f"manifest {manifest_path} [settings]"
+    # the defaults a network section may override
+    least_width, least_count = (1, 2) if snapshots else (None, None)
+    width = _get_count(settings, "width", ctx, args, least_width)
+    count = _get_count(settings, "count", ctx, args, least_count)
 
     networks = []
     for name in parser.sections():
@@ -233,12 +247,8 @@ def load_run_config(args: argparse.Namespace) -> RunConfig:
                 name=name,
                 path=path,
                 policy_mode=policy_mode,
-                width=_first_not_none(
-                    _get_int(section, "width", nctx), _get_int(settings, "width", ctx), args.width
-                ),
-                count=_first_not_none(
-                    _get_int(section, "count", nctx), _get_int(settings, "count", ctx), args.count
-                ),
+                width=_first_not_none(_get_count(section, "width", nctx, None, least_width), width),
+                count=_first_not_none(_get_count(section, "count", nctx, None, least_count), count),
                 origin=_first_not_none(
                     _get_int(section, "origin", nctx), _get_int(settings, "origin", ctx)
                 ),
@@ -444,7 +454,7 @@ def _census_bundle(run: RunConfig, stem: str, tag: str, g: StaticGraph, labels) 
     write_csv(
         run.out_dir / f"{stem}.{tag}.fr.csv",
         header,
-        ([labels[v], *fr.counts[v]] for v in range(fr.n)),
+        ([labels[v], *row] for v, row in enumerate(fr.counts.tolist())),
     )
     write_csv(
         run.out_dir / f"{stem}.{tag}.classes.csv",
@@ -513,7 +523,7 @@ def cmd_transitions(args: argparse.Namespace) -> int:
 
 
 def cmd_motifs(args: argparse.Namespace) -> int:
-    run = load_run_config(args)
+    run = load_run_config(args, snapshots=False)
 
     def worker(net: NetworkSpec):
         real, means, fp = _network_motifs(run, net)
@@ -550,7 +560,7 @@ def _tree_json(merges: list[MergeStep]) -> list[dict]:
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
-    run = load_run_config(args)
+    run = load_run_config(args, snapshots=args.metric == "ota")
     if len(run.networks) < 2:
         raise CliError("compare needs at least 2 networks in the manifest")
     names = [net.name for net in run.networks]

@@ -4,7 +4,10 @@ Everything here deliberately avoids the production code paths: subgraphs
 are classified by isomorphism search against hand-written reference
 shapes (not degree rules), shortest paths use Floyd-Warshall or a plain
 per-source BFS (not the bit-parallel search), the census walks every
-C(n, k) node subset (not the set-growth enumeration), clustering tests
+C(n, k) node subset (not the set-growth enumeration; ``kset_orbit_tally``,
+the reference for graphs too large for that walk, tallies the connected
+k-sets the package enumerates, but classifies each by isomorphism search
+and not by the orbit table), clustering tests
 every pair of a node's neighbours (not the orbit census), adjacency
 comes from neighbour sets built from ``g.edges()`` (not the CSR
 lookups), null-model swaps draw each proposal with three scalar calls
@@ -21,6 +24,7 @@ from itertools import combinations, permutations
 
 import numpy as np
 
+from orbitrans.census import _kset_blocks
 from orbitrans.graph_core import EdgeListParseError, SnapshotPolicy, StaticGraph
 
 # Reference shapes: (name, edge set on nodes 0..k-1, orbit id per node).
@@ -141,6 +145,26 @@ def exhaustive_census(g: StaticGraph, k: int):
         for v, orbit in zip(nodes, orbits):
             counts[v, orbit - 1] += 1
     return counts, classes
+
+
+def kset_orbit_tally(g: StaticGraph, k: int) -> np.ndarray:
+    """Orbit counts matrix tallied over the connected k-sets of ``_kset_blocks``.
+
+    The mid-size reference: the enumerator it reuses is checked against
+    ``exhaustive_occurrences``, and each set's orbits come from
+    ``classify_mask``, so it runs on a few hundred nodes where the C(n, k)
+    walk cannot.
+    """
+    m = ORACLE_ORBITS[k]
+    columns = np.zeros((1 << len(_oracle_pairs(k)), k), dtype=np.int64)  # [mask, position]
+    for mask in range(len(columns)):
+        found = classify_mask(k, mask)
+        if found is not None:
+            columns[mask] = [orbit - 1 for orbit in found[1]]
+    counts = np.zeros(g.n * m, dtype=np.int64)
+    for sets, masks in _kset_blocks(g, k):
+        counts += np.bincount((sets * m + columns[masks]).ravel(), minlength=g.n * m)
+    return counts.reshape(g.n, m)
 
 
 def exhaustive_occurrences(g: StaticGraph, k: int) -> set[tuple[int, ...]]:
@@ -460,6 +484,15 @@ def complete_bipartite_graph(a: int, b: int) -> StaticGraph:
 def star_graph(n: int) -> StaticGraph:
     """Hub 0 plus n-1 leaves."""
     return StaticGraph(n, [(0, i) for i in range(1, n)])
+
+
+def ring_lattice_with_chords(
+    rng: np.random.Generator, n: int, reach: int, chords: int
+) -> StaticGraph:
+    """Each node joined to the ``reach`` nodes after it on a ring, plus random chords."""
+    ring = [(i, (i + j) % n) for i in range(n) for j in range(1, reach + 1)]
+    ends = rng.integers(0, n, size=(chords, 2)).tolist()
+    return StaticGraph(n, ring + [(u, v) for u, v in ends if u != v])
 
 
 def gnp_graph(rng: np.random.Generator, n: int, p: float) -> StaticGraph:

@@ -1,4 +1,5 @@
 import tracemalloc
+from itertools import combinations
 from math import comb
 
 import numpy as np
@@ -16,6 +17,7 @@ from orbitrans.census import (
     compute_orbit_frequencies,
     connected_subgraphs,
     graphlet_class_frequencies,
+    orbit_count,
 )
 from orbitrans.graph_core import StaticGraph
 from orbitrans.transitions import enumerate_transitions
@@ -28,9 +30,11 @@ from oracles import (
     exhaustive_occurrences,
     exhaustive_transitions,
     gnp_graph,
+    kset_orbit_tally,
     neighbour_sets,
     path_graph,
     relabeled,
+    ring_lattice_with_chords,
     star_graph,
     subset_mask,
 )
@@ -308,6 +312,137 @@ class TestClosedFormClassCounts:
             tracemalloc.stop()
         assert counts == {cls.name: 0 for cls in GRAPHLET_CLASSES[4]} | {"star": comb(leaves, 3)}
         assert peak < 8 * 2**20
+
+
+@st.composite
+def graphs_with_isolated_nodes(draw):
+    """Up to 12 nodes, up to 3 of them on no edge; edgeless graphs included."""
+    n = draw(st.integers(min_value=0, max_value=9))
+    pairs = list(combinations(range(n), 2))
+    present = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    isolated = draw(st.integers(min_value=0, max_value=3))
+    name = draw(st.permutations(range(n + isolated)))
+    return StaticGraph(
+        n + isolated, [(name[u], name[v]) for (u, v), keep in zip(pairs, present) if keep]
+    )
+
+
+def per_node(n: int, *columns: tuple[slice | int, int, int]) -> np.ndarray:
+    """An (n, 11) orbit counts matrix: value at (rows, orbit) for each column."""
+    counts = np.zeros((n, 11), dtype=np.int64)
+    for rows, orbit, value in columns:
+        counts[rows, orbit - 1] = value
+    return counts
+
+
+class TestClosedFormOrbitCounts:
+    """``compute_orbit_frequencies`` counts each node's orbits without enumerating."""
+
+    @pytest.mark.parametrize("block", [None, 8])
+    @settings(max_examples=120, deadline=None)
+    @given(g=graphs_with_isolated_nodes(), k=st.sampled_from((3, 4)))
+    def test_matches_oracles(self, block, g, k):
+        # a bound of 8 splits the wedges, triangles and clique candidates
+        # into many blocks and makes the diamond pass recount the triangles
+        with pytest.MonkeyPatch.context() as patch:
+            if block:
+                patch.setattr(census, "_BLOCK_CANDIDATES", block)
+            got = compute_orbit_frequencies(g, k).counts
+        assert got.shape == (g.n, orbit_count(k))
+        assert np.array_equal(got, exhaustive_census(g, k)[0])
+        assert np.array_equal(got, kset_orbit_tally(g, k))
+
+    @pytest.mark.parametrize("n", [0, 1, 7])
+    def test_edgeless(self, n):
+        for k in (3, 4):
+            assert np.array_equal(
+                compute_orbit_frequencies(StaticGraph(n, []), k).counts,
+                np.zeros((n, orbit_count(k)), dtype=np.int64),
+            )
+            assert set(graphlet_class_frequencies(StaticGraph(n, []), k).values()) == {0}
+
+    @pytest.mark.parametrize("block", [None, 8])
+    @pytest.mark.parametrize("k", [3, 4])
+    def test_ring_lattice_with_chords(self, monkeypatch, block, k):
+        if block:
+            monkeypatch.setattr(census, "_BLOCK_CANDIDATES", block)
+        g = ring_lattice_with_chords(np.random.default_rng(41), 250, reach=4, chords=50)
+        assert np.array_equal(compute_orbit_frequencies(g, k).counts, kset_orbit_tally(g, k))
+
+    def test_tiny_blocks_dense_graphs(self, monkeypatch):
+        monkeypatch.setattr(census, "_BLOCK_CANDIDATES", 8)
+        rng = np.random.default_rng(33)
+        for _ in range(10):
+            g = gnp_graph(rng, 16, rng.uniform(0.1, 0.8))
+            for k in (3, 4):
+                got = compute_orbit_frequencies(g, k).counts
+                assert np.array_equal(got, kset_orbit_tally(g, k))
+
+    def test_never_enumerates(self, monkeypatch):
+        def refuse(g, k):
+            raise AssertionError("the orbit census enumerated k-sets")
+
+        rng = np.random.default_rng(34)
+        g = gnp_graph(rng, 13, 0.4)
+        expected = [exhaustive_census(g, k) for k in (3, 4)]
+        monkeypatch.setattr(census, "_kset_blocks", refuse)
+        for k, (counts, classes) in zip((3, 4), expected):
+            assert np.array_equal(compute_orbit_frequencies(g, k).counts, counts)
+            assert graphlet_class_frequencies(g, k) == {
+                cls.name: classes[cls.name] for cls in GRAPHLET_CLASSES[k]
+            }
+
+    CASES = {
+        # a node of K20,20 is a star leaf under each of the 20 nodes across
+        # with two of its 19 partners, a star centre over three of those 20,
+        # and on a 4-cycle with any partner and any two nodes across
+        "K20,20": (complete_bipartite_graph(20, 20),
+                   per_node(40, (slice(None), 1, 20 * comb(19, 2)),
+                            (slice(None), 2, comb(20, 3)), (slice(None), 5, 19 * comb(20, 2)))),
+        "K30": (complete_graph(30), per_node(30, (slice(None), 11, comb(29, 3)))),
+        "star120": (star_graph(121),
+                    per_node(121, (0, 2, comb(120, 3)), (slice(1, None), 1, comb(119, 2)))),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_closed_form_per_node(self, name):
+        g, expected = self.CASES[name]
+        assert np.array_equal(compute_orbit_frequencies(g, 4).counts, expected)
+
+    def test_star_memory_bounded(self):
+        # the census never holds the star's 1.7e11 connected 4-sets, nor
+        # an array over its 5e7 leaf pairs
+        leaves = 10_000
+        g = star_graph(leaves + 1)
+        tracemalloc.start()
+        try:
+            counts = compute_orbit_frequencies(g, 4).counts
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        expected = per_node(leaves + 1, (0, 2, comb(leaves, 3)),
+                            (slice(1, None), 1, comb(leaves - 1, 2)))
+        assert np.array_equal(counts, expected)
+        assert peak < 8 * 2**20
+
+    def test_degree_guard_raises(self, monkeypatch):
+        # every count, and every product on the way to it, is at most the
+        # largest degree cubed: the guard keeps that in int64
+        assert census._MAX_DEGREE**3 < 2**63 <= (census._MAX_DEGREE + 1) ** 3
+        monkeypatch.setattr(census, "_MAX_DEGREE", 99)
+        assert compute_orbit_frequencies(star_graph(100), 4).counts[0, 1] == comb(99, 3)
+        for k in (3, 4):
+            with pytest.raises(OverflowError, match="degree 100"):
+                compute_orbit_frequencies(star_graph(101), k)
+            with pytest.raises(OverflowError, match="degree 100"):
+                graphlet_class_frequencies(star_graph(101), k)
+
+    def test_class_totals_exact_past_int64(self):
+        # column sums are joined from 32-bit halves, so they never wrap
+        big = np.full((4, 11), 2**62, dtype=np.int64)
+        totals = class_counts(OrbitFrequencyMatrix(k=4, counts=big))
+        assert totals["clique"] == 4 * 2**62 // 4
+        assert totals["paw"] == 3 * 4 * 2**62 // 4
 
 
 class TestClassCountsFromOrbitCensus:

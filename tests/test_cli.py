@@ -489,6 +489,31 @@ class TestManifestValidation:
         assert main(["compare", *argv, "--metric", "motif"]) == 2
         assert f"{flag} = 0 must be at least 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("where", ["section", "settings", "flag"])
+    @pytest.mark.parametrize("key, value, minimum", [("width", 0, 1), ("count", 1, 2)])
+    def test_snapshot_setting_below_minimum(self, tmp_path, capsys, where, key, value, minimum):
+        # a configuration error, located, before any network loads
+        write_network(tmp_path, "n", "a b 1\n")
+        other = "count = 2" if key == "width" else "width = 5"
+        setting = f"{key} = {value}\n"
+        manifest = write_manifest(
+            tmp_path,
+            f"[settings]\n{setting if where == 'settings' else ''}\n"
+            f"[n1]\npath = n.txt\n{other}\n{setting if where == 'section' else ''}",
+        )
+        located = {
+            "section": f"manifest {manifest} [n1]: {key}",
+            "settings": f"manifest {manifest} [settings]: {key}",
+            "flag": f"--{key}",
+        }[where]
+        flags = [f"--{key}", str(value)] if where == "flag" else []
+        # compare --metric ota builds snapshots; motifs and the other metrics do not
+        for command in ("stats", "census", "transitions", "compare"):
+            argv = [command, "--manifest", str(manifest), "--out", str(tmp_path / "o"), *flags]
+            assert main(argv) == 2
+            assert capsys.readouterr().err == f"error: {located} = {value} must be at least {minimum}\n"
+        assert not (tmp_path / "o").exists()
+
     def test_manifest_required(self, capsys):
         with pytest.raises(SystemExit):
             main(["stats"])
