@@ -38,8 +38,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, permutations
-from typing import Iterable, Iterator
+from itertools import combinations
+from typing import Iterator
 
 import numpy as np
 
@@ -74,7 +74,7 @@ class GraphletClass:
 
 # Classes in canonical order. Degree multisets identify them uniquely
 # among connected k-node graphs, and within a class a node's degree
-# determines its orbit (verified against automorphisms at table build).
+# determines its orbit (tests check every mask against an isomorphism oracle).
 GRAPHLET_CLASSES: dict[int, tuple[GraphletClass, ...]] = {
     3: (
         GraphletClass(3, 1, "chain", 2, (1, 2)),
@@ -144,32 +144,9 @@ def _mask_is_connected(mask: int, k: int, pairs) -> bool:
     return len(seen) == k
 
 
-def _automorphism_orbits(mask: int, k: int, pairs) -> list[int]:
-    """Partition positions by graph automorphism; returns a class label per position."""
-    has_edge = [mask >> bit & 1 for bit in range(len(pairs))]
-    bit_of = {pair: bit for bit, pair in enumerate(pairs)}
-
-    def edge(a: int, b: int) -> int:
-        return has_edge[bit_of[(a, b) if a < b else (b, a)]]
-
-    same = [[i == j for j in range(k)] for i in range(k)]
-    for perm in permutations(range(k)):
-        if all(edge(i, j) == edge(perm[i], perm[j]) for i, j in pairs):
-            for i in range(k):
-                same[i][perm[i]] = True
-    labels = [min(j for j in range(k) if same[i][j]) for i in range(k)]
-    return labels
-
-
 @lru_cache(maxsize=None)
 def build_classification_table(k: int) -> ClassificationTable:
-    """Build (and self-verify) the mask -> class/orbit lookup for size ``k``.
-
-    Verification is exhaustive: for every connected mask the degree-based
-    orbit assignment must coincide with the automorphism partition of the
-    induced graph, and must be consistent under every relabeling of the
-    node positions.
-    """
+    """Build the mask -> class/orbit lookup for size ``k`` from the degree rules."""
     orbit_count(k)  # rejects any other k
     pairs = PAIR_POSITIONS[k]
     rules = _DEGREE_RULES[k]
@@ -190,43 +167,12 @@ def build_classification_table(k: int) -> ClassificationTable:
         class_of.append(class_pos)
         orbits_of.append(tuple(orbit_by_degree[d] for d in degrees))
 
-    table = ClassificationTable(
+    return ClassificationTable(
         k=k,
         classes=GRAPHLET_CLASSES[k],
         class_of=tuple(class_of),
         orbits_of=tuple(orbits_of),
     )
-    _verify_table(table, pairs)
-    return table
-
-
-def _verify_table(table: ClassificationTable, pairs) -> None:
-    k = table.k
-    for mask, orbits in enumerate(table.orbits_of):
-        if orbits is None:
-            continue
-        auto = _automorphism_orbits(mask, k, pairs)
-        for i in range(k):
-            for j in range(k):
-                if (orbits[i] == orbits[j]) != (auto[i] == auto[j]):
-                    raise RuntimeError(
-                        f"orbit table k={k} mask={mask:#x}: degree rule "
-                        f"disagrees with automorphism partition at positions {i},{j}"
-                    )
-        # relabeling node positions must relabel orbits the same way
-        bit_of = {pair: bit for bit, pair in enumerate(pairs)}
-        for perm in permutations(range(k)):
-            permuted = 0
-            for bit, (i, j) in enumerate(pairs):
-                if mask >> bit & 1:
-                    a, b = perm[i], perm[j]
-                    permuted |= 1 << bit_of[(a, b) if a < b else (b, a)]
-            p_orbits = table.orbits_of[permuted]
-            assert p_orbits is not None
-            if any(orbits[i] != p_orbits[perm[i]] for i in range(k)):
-                raise RuntimeError(
-                    f"orbit table k={k} mask={mask:#x}: inconsistent under relabeling {perm}"
-                )
 
 
 # Most candidates one block examines: (set, neighbour) pairs in
@@ -396,27 +342,6 @@ class OrbitFrequencyMatrix:
     @property
     def m(self) -> int:
         return self.counts.shape[1]
-
-
-def _bincount_blocks(blocks: Iterable[np.ndarray], size: int) -> np.ndarray:
-    """Sum of ``np.bincount`` over index arrays with values below ``size``.
-
-    Blocks are concatenated until they hold ``size`` indices, so a large
-    ``size`` costs each bin one pass per ``size`` indices rather than one
-    per block.
-    """
-    total = np.zeros(size, dtype=np.int64)
-    pending: list[np.ndarray] = []
-    held = 0
-    for block in blocks:
-        pending.append(block)
-        held += block.size
-        if held >= size:
-            total += np.bincount(np.concatenate(pending), minlength=size)
-            pending, held = [], 0
-    if pending:
-        total += np.bincount(np.concatenate(pending), minlength=size)
-    return total
 
 
 @lru_cache(maxsize=None)

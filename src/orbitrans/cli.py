@@ -16,15 +16,19 @@ network plus an optional ``[settings]`` section for shared knobs::
     path = data/calls.txt
     policy = active
 
-Per-network keys: ``path`` (required), ``policy``, ``width``, ``count``,
-``origin``, ``sep``; all but ``path`` may also be set in ``[settings]``
-for every network. Subcommands that build snapshots need a ``width`` of
-at least 1 and a ``count`` of at least 2. ``[settings]`` further takes
-``k`` (subgraph size, 3 or 4, used by ``census``, ``transitions``,
-``motifs`` and ``compare``), ``seed``, ``replicates``,
-``swaps_per_edge``, ``ota_scaling``, ``relative_rescale``,
-``gdd_scaling``, ``linkage`` and ``out``. Values in
-the manifest take precedence over command-line flags, so a manifest
+A network section takes ``path`` (required), ``policy``, ``width``,
+``count``, ``origin`` and ``sep``; ``[settings]`` takes all of these but
+``path`` as every network's default, plus ``k`` (3 or 4), ``seed``,
+``replicates``, ``swaps_per_edge``, ``ota_scaling``, ``relative_rescale``,
+``gdd_scaling``, ``linkage`` and ``out`` (``SETTINGS`` gives each one's
+type, choices and default). Any other key is a configuration error (exit
+2) naming its section, raised before any network loads. One manifest
+serves every subcommand, so ``[settings]`` keys a subcommand does not read
+are accepted, and checked. Subcommands that build snapshots need a
+``width`` of at least 1 and a ``count`` of at least 2. Each subcommand
+registers only the flags it reads (``COMMANDS``), and ``compare`` rejects
+a flag its ``--metric`` does not read (``METRIC_FLAGS``); both are usage
+errors (exit 2). Manifest values take precedence over flags, so a manifest
 fully determines a run; flags fill in whatever the manifest leaves out.
 All outputs are written atomically and deterministically: rerunning the
 same manifest reproduces every file byte for byte. After loading each
@@ -44,6 +48,7 @@ import os
 import sys
 import tempfile
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -90,6 +95,60 @@ class CliError(Exception):
 
 # ---------------------------------------------------------------------------
 # manifest handling
+
+
+@dataclass(frozen=True)
+class Setting:
+    """One run setting: its type, choices, default and minimum, and where
+    a manifest may set it.
+
+    ``scope`` is ``"network"`` (a network section, or ``[settings]`` for
+    every network), ``"settings"`` (``[settings]`` only) or ``""`` (no
+    manifest key: a flag only).
+    """
+
+    kind: type = str  # str, int or bool
+    default: object = None
+    choices: tuple = ()
+    minimum: int | None = None
+    scope: str = ""
+    help: str | None = None
+    required: bool = False
+
+
+SETTINGS = {
+    "manifest": Setting(help="run manifest (INI format)"),
+    "out": Setting(default="out", scope="settings", help="output directory"),
+    "policy": Setting(default="aggregate", choices=("active", "aggregate"), scope="network",
+                      help="snapshot semantics"),
+    # width and count have their minimum only where snapshots are built
+    "width": Setting(int, minimum=1, scope="network", help="snapshot width (time units)"),
+    "count": Setting(int, minimum=2, scope="network", help="snapshot count"),
+    "origin": Setting(int, scope="network"),
+    "sep": Setting(default="ws", choices=("ws", "comma"), scope="network",
+                   help="edge list field separator"),
+    "k": Setting(int, 4, (3, 4), scope="settings", help="subgraph size"),
+    "seed": Setting(int, 0, scope="settings", help="base RNG seed"),
+    "replicates": Setting(int, 100, minimum=1, scope="settings", help="null-model ensemble size"),
+    "swaps_per_edge": Setting(int, 10, minimum=1, scope="settings", help="attempted swaps per edge"),
+    "ota_scaling": Setting(default="normalized", choices=("normalized", "per_orbit"),
+                           scope="settings"),
+    "relative_rescale": Setting(bool, True, scope="settings",
+                                help="skip per-cell min/max rescaling across the set"),
+    "gdd_scaling": Setting(default="inverse_k", choices=("inverse_k", "plain"), scope="settings"),
+    "gda_include_k3": Setting(bool, False, help="pool 3-node orbits into the GDA average"),
+    "linkage": Setting(default="average", choices=("average", "single", "complete"), scope="settings"),
+    "metric": Setting(default="ota", choices=("ota", "gda", "motif")),
+    "matrix": Setting(required=True, help="similarity/distance CSV from compare"),
+    "matrix_kind": Setting(default="agreement", choices=("agreement", "distance")),
+}
+NETWORK_KEYS = ("path", *(key for key, s in SETTINGS.items() if s.scope == "network"))
+SETTINGS_KEYS = tuple(key for key, s in SETTINGS.items() if s.scope)
+
+
+def _flag(key: str) -> str:
+    """``--key-with-dashes``; a boolean that defaults to true is switched off by ``--no-key``."""
+    return f"--{'no-' if SETTINGS[key].default is True else ''}{key.replace('_', '-')}"
 
 
 @dataclass(frozen=True)
@@ -151,48 +210,52 @@ class RunConfig:
         }
 
 
-def _get_int(section, key: str, context: str) -> int | None:
-    raw = section.get(key)
+def _read(key: str, args, section=None, context: str = "", fallback=None, at_least: bool = True):
+    """Setting ``key`` as manifest ``section`` sets it, else as its flag in
+    ``args`` does, else ``fallback``, else the setting's default.
+
+    A manifest value is converted to the setting's type and, for a string,
+    checked against its choices (argparse has checked a flag's); either is
+    checked against the setting's minimum unless ``at_least`` is false.
+    ``context`` locates the section in error messages.
+    """
+    spec = SETTINGS[key]
+    raw = (section or {}).get(key)
     if raw is None:
-        return None
-    try:
-        return int(raw)
-    except ValueError:
-        raise CliError(f"{context}: {key} = {raw!r} is not an integer") from None
-
-
-def _get_bool(section, key: str, context: str) -> bool | None:
-    raw = section.get(key)
-    if raw is None:
-        return None
-    lowered = raw.strip().lower()
-    if lowered in ("true", "yes", "1", "on"):
-        return True
-    if lowered in ("false", "no", "0", "off"):
-        return False
-    raise CliError(f"{context}: {key} = {raw!r} is not a boolean")
-
-
-def _get_choice(section, key: str, choices: tuple[str, ...], context: str) -> str | None:
-    raw = section.get(key)
-    if raw is None:
-        return None
-    if raw not in choices:
-        raise CliError(f"{context}: {key} must be one of {choices}, got {raw!r}")
-    return raw
-
-
-def _get_count(
-    section, key: str, context: str, args: argparse.Namespace | None, minimum: int | None = 1
-) -> int | None:
-    """An integer of at least ``minimum`` (any, if None) from the manifest,
-    else from the flag of the same name (none when ``args`` is None)."""
-    value, where = _get_int(section, key, context), f"{context}: {key}"
+        value, where = getattr(args, key, None), _flag(key)
+    else:
+        value, where = raw, f"{context}: {key}"
+        if spec.kind is int:
+            try:
+                value = int(raw)
+            except ValueError:
+                raise CliError(f"{where} = {raw!r} is not an integer") from None
+        elif spec.kind is bool:
+            value = configparser.ConfigParser.BOOLEAN_STATES.get(raw.lower())
+            if value is None:
+                raise CliError(f"{where} = {raw!r} is not a boolean")
+        elif spec.choices and raw not in spec.choices:
+            raise CliError(f"{where} must be one of {spec.choices}, got {raw!r}")
     if value is None:
-        value, where = getattr(args, key, None), f"--{key.replace('_', '-')}"
-    if value is not None and minimum is not None and value < minimum:
-        raise CliError(f"{where} = {value} must be at least {minimum}")
+        return spec.default if fallback is None else fallback
+    if at_least and spec.minimum is not None and value < spec.minimum:
+        raise CliError(f"{where} = {value} must be at least {spec.minimum}")
     return value
+
+
+def _check_keys(parser: configparser.ConfigParser, manifest_path: Path) -> None:
+    """Reject a key that its section does not define."""
+    for name in parser.sections():
+        allowed = SETTINGS_KEYS if name == "settings" else NETWORK_KEYS
+        for key in parser[name]:
+            if key in allowed:
+                continue
+            where = f"manifest {manifest_path} [{name}]"
+            if key == "path":
+                raise CliError(f"{where}: 'path' belongs in a network section")
+            if key in SETTINGS_KEYS:
+                raise CliError(f"{where}: {key!r} belongs in [settings]")
+            raise CliError(f"{where}: unknown key {key!r}")
 
 
 def load_run_config(args: argparse.Namespace, snapshots: bool = True) -> RunConfig:
@@ -211,13 +274,13 @@ def load_run_config(args: argparse.Namespace, snapshots: bool = True) -> RunConf
         raise CliError(f"cannot read manifest {manifest_path}: {e}") from e
     except configparser.Error as e:
         raise CliError(f"manifest {manifest_path}: {e}") from e
+    _check_keys(parser, manifest_path)
 
-    settings = parser["settings"] if parser.has_section("settings") else {}
+    settings = parser["settings"] if parser.has_section("settings") else None
     ctx = f"manifest {manifest_path} [settings]"
-    # the defaults a network section may override
-    least_width, least_count = (1, 2) if snapshots else (None, None)
-    width = _get_count(settings, "width", ctx, args, least_width)
-    count = _get_count(settings, "count", ctx, args, least_count)
+    # the defaults a network section may override, checked even where every network does
+    shared = {key: _read(key, args, settings, ctx, at_least=snapshots)
+              for key, spec in SETTINGS.items() if spec.scope == "network"}
 
     networks = []
     for name in parser.sections():
@@ -232,77 +295,33 @@ def load_run_config(args: argparse.Namespace, snapshots: bool = True) -> RunConf
             path = manifest_path.parent / path
         if not path.exists():
             raise CliError(f"{nctx}: input file {path} does not exist")
-        policy_mode = (
-            _get_choice(section, "policy", ("active", "aggregate"), nctx)
-            or _get_choice(settings, "policy", ("active", "aggregate"), ctx)
-            or args.policy
-        )
-        sep = (
-            _get_choice(section, "sep", ("ws", "comma"), nctx)
-            or _get_choice(settings, "sep", ("ws", "comma"), ctx)
-            or args.sep
-        )
-        networks.append(
-            NetworkSpec(
-                name=name,
-                path=path,
-                policy_mode=policy_mode,
-                width=_first_not_none(_get_count(section, "width", nctx, None, least_width), width),
-                count=_first_not_none(_get_count(section, "count", nctx, None, least_count), count),
-                origin=_first_not_none(
-                    _get_int(section, "origin", nctx), _get_int(settings, "origin", ctx)
-                ),
-                sep=sep,
-            )
-        )
+        value = {key: _read(key, None, section, nctx, shared[key], snapshots) for key in shared}
+        networks.append(NetworkSpec(name, path, policy_mode=value.pop("policy"), **value))
     if not networks:
         raise CliError(f"manifest {manifest_path} defines no networks")
 
-    agreement = AgreementConfig(
-        ota_scaling=_get_choice(settings, "ota_scaling", ("normalized", "per_orbit"), ctx)
-        or getattr(args, "ota_scaling", None)
-        or "normalized",
-        use_relative_rescale=_first_not_none(
-            _get_bool(settings, "relative_rescale", ctx),
-            (not args.no_relative_rescale) if hasattr(args, "no_relative_rescale") else None,
-            True,
-        ),
-        gdd_scaling=_get_choice(settings, "gdd_scaling", ("inverse_k", "plain"), ctx)
-        or getattr(args, "gdd_scaling", None)
-        or "inverse_k",
-    )
-    randomization = RandomizationConfig(
-        replicates=_first_not_none(_get_count(settings, "replicates", ctx, args), 100),
-        swaps_per_edge=_first_not_none(_get_count(settings, "swaps_per_edge", ctx, args), 10),
-        seed=_first_not_none(_get_int(settings, "seed", ctx), args.seed),
-    )
-    k = _first_not_none(_get_int(settings, "k", ctx), getattr(args, "k", None), 4)
-    if k not in (3, 4):
+    def setting(key: str):
+        return _read(key, args, settings, ctx)
+
+    k = setting("k")
+    if k not in SETTINGS["k"].choices:
         raise CliError(f"subgraph size k must be 3 or 4, got {k}")
-    out_value = settings.get("out") if settings else None
-    out_dir = Path(out_value) if out_value else Path(args.out)
-    linkage = (
-        _get_choice(settings, "linkage", ("average", "single", "complete"), ctx)
-        or getattr(args, "linkage", None)
-        or "average"
-    )
     return RunConfig(
         networks=tuple(networks),
-        out_dir=out_dir,
+        out_dir=Path(setting("out")),
         k=k,
-        agreement=agreement,
-        randomization=randomization,
-        linkage=linkage,
-        gda_include_k3=bool(getattr(args, "gda_include_k3", False)),
+        agreement=AgreementConfig(
+            ota_scaling=setting("ota_scaling"),
+            use_relative_rescale=setting("relative_rescale"),
+            gdd_scaling=setting("gdd_scaling"),
+        ),
+        randomization=RandomizationConfig(
+            **{key: setting(key) for key in ("replicates", "swaps_per_edge", "seed")}
+        ),
+        linkage=setting("linkage"),
+        gda_include_k3=setting("gda_include_k3"),
         manifest_path=manifest_path,
     )
-
-
-def _first_not_none(*values):
-    for v in values:
-        if v is not None:
-            return v
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -548,11 +567,6 @@ def cmd_motifs(args: argparse.Namespace) -> int:
     return _report_errors(errors)
 
 
-def _similarity_csv_rows(sim: SimilarityMatrix):
-    for i, name in enumerate(sim.names):
-        yield [name, *sim.values[i]]
-
-
 def _tree_json(merges: list[MergeStep]) -> list[dict]:
     return [
         {"left": list(s.left), "right": list(s.right), "height": s.height} for s in merges
@@ -560,11 +574,11 @@ def _tree_json(merges: list[MergeStep]) -> list[dict]:
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
-    run = load_run_config(args, snapshots=args.metric == "ota")
+    metric = _read("metric", args)
+    run = load_run_config(args, snapshots=metric == "ota")
     if len(run.networks) < 2:
         raise CliError("compare needs at least 2 networks in the manifest")
     names = [net.name for net in run.networks]
-    metric = args.metric
 
     gda_ks = (run.k, 3) if run.gda_include_k3 and run.k == 4 else (run.k,)
 
@@ -591,11 +605,8 @@ def cmd_compare(args: argparse.Namespace) -> int:
         sim = motif_distance_matrix(names, ordered)
     merges = hierarchical_cluster(sim, linkage=run.linkage)
 
-    write_csv(
-        run.out_dir / f"compare_{metric}.csv",
-        ["network", *sim.names],
-        _similarity_csv_rows(sim),
-    )
+    rows = ([name, *row] for name, row in zip(sim.names, sim.values))
+    write_csv(run.out_dir / f"compare_{metric}.csv", ["network", *sim.names], rows)
     write_json(run.out_dir / f"compare_{metric}.tree.json", _tree_json(merges))
     write_json(
         run.out_dir / f"compare_{metric}.meta.json",
@@ -669,10 +680,10 @@ def read_similarity_csv(path: Path, kind: str) -> SimilarityMatrix:
 
 
 def cmd_cluster(args: argparse.Namespace) -> int:
-    kind = "MotifDistance" if args.matrix_kind == "distance" else "OTA"
+    kind = "MotifDistance" if _read("matrix_kind", args) == "distance" else "OTA"
     sim = read_similarity_csv(Path(args.matrix), kind)
-    merges = hierarchical_cluster(sim, linkage=args.linkage)
-    out = Path(args.out) / "cluster.tree.json"
+    merges = hierarchical_cluster(sim, linkage=_read("linkage", args))
+    out = Path(_read("out", args)) / "cluster.tree.json"
     write_json(out, _tree_json(merges))
     return 0
 
@@ -681,74 +692,62 @@ def cmd_cluster(args: argparse.Namespace) -> int:
 # argument parsing
 
 
+_SNAPSHOT_FLAGS = ("manifest", "out", "sep", "policy", "width", "count")
+
+# the flags each compare --metric reads besides --manifest --out --sep --metric --linkage
+METRIC_FLAGS = {
+    "ota": ("policy", "width", "count", "ota_scaling", "relative_rescale"),
+    "gda": ("gdd_scaling", "gda_include_k3"),
+    "motif": ("seed", "replicates", "swaps_per_edge"),
+}
+
+# subcommand -> (help, the settings it reads from flags); cmd_<subcommand> runs it
+COMMANDS = {
+    "stats": ("per-snapshot summary metrics", _SNAPSHOT_FLAGS),
+    "census": ("orbit frequencies, classes, GDDs", (*_SNAPSHOT_FLAGS, "k", "gdd_scaling")),
+    "transitions": ("orbit-transition matrices", (*_SNAPSHOT_FLAGS, "k")),
+    "motifs": ("motif scores vs random ensemble", ("manifest", "out", "sep", *METRIC_FLAGS["motif"])),
+    "compare": ("pairwise network comparison",
+                ("manifest", "out", "sep", "metric", "linkage", *chain(*METRIC_FLAGS.values()))),
+    "cluster": ("merge tree from a matrix CSV", ("out", "matrix", "matrix_kind", "linkage")),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="orbitrans",
         description="Temporal-network analysis via graphlet-orbit transitions.",
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--manifest", required=False, help="run manifest (INI format)")
-    common.add_argument("--out", default="out", help="output directory (default: out)")
-    common.add_argument("--seed", type=int, default=0, help="base RNG seed (default: 0)")
-    common.add_argument(
-        "--policy",
-        choices=("active", "aggregate"),
-        default="aggregate",
-        help="default snapshot semantics when the manifest is silent",
-    )
-    common.add_argument("--width", type=int, help="default snapshot width (time units)")
-    common.add_argument("--count", type=int, help="default snapshot count")
-    common.add_argument(
-        "--sep", choices=("ws", "comma"), default="ws", help="edge list field separator"
-    )
-
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("stats", parents=[common], help="per-snapshot summary metrics")
-    p.set_defaults(func=cmd_stats)
-
-    p = sub.add_parser("census", parents=[common], help="orbit frequencies, classes, GDDs")
-    p.add_argument("--k", type=int, choices=(3, 4), help="subgraph size (default 4)")
-    p.add_argument("--gdd-scaling", choices=("inverse_k", "plain"), dest="gdd_scaling")
-    p.set_defaults(func=cmd_census)
-
-    p = sub.add_parser("transitions", parents=[common], help="orbit-transition matrices")
-    p.add_argument("--k", type=int, choices=(3, 4), help="subgraph size (default 4)")
-    p.set_defaults(func=cmd_transitions)
-
-    p = sub.add_parser("motifs", parents=[common], help="motif scores vs random ensemble")
-    p.add_argument("--replicates", type=int, help="ensemble size (default 100)")
-    p.add_argument("--swaps-per-edge", type=int, dest="swaps_per_edge",
-                   help="attempted swaps per edge (default 10)")
-    p.set_defaults(func=cmd_motifs)
-
-    p = sub.add_parser("compare", parents=[common], help="pairwise network comparison")
-    p.add_argument("--metric", choices=("ota", "gda", "motif"), default="ota")
-    p.add_argument("--ota-scaling", choices=("normalized", "per_orbit"), dest="ota_scaling")
-    p.add_argument("--no-relative-rescale", action="store_true",
-                   help="skip per-cell min/max rescaling across the set")
-    p.add_argument("--gdd-scaling", choices=("inverse_k", "plain"), dest="gdd_scaling")
-    p.add_argument("--gda-include-k3", action="store_true",
-                   help="pool 3-node orbits into the GDA average")
-    p.add_argument("--linkage", choices=("average", "single", "complete"))
-    p.add_argument("--replicates", type=int, help="motif ensemble size (default 100)")
-    p.add_argument("--swaps-per-edge", type=int, dest="swaps_per_edge")
-    p.set_defaults(func=cmd_compare)
-
-    p = sub.add_parser("cluster", parents=[common], help="merge tree from a matrix CSV")
-    p.add_argument("--matrix", required=True, help="similarity/distance CSV from compare")
-    p.add_argument("--matrix-kind", choices=("agreement", "distance"), default="agreement")
-    p.add_argument("--linkage", choices=("average", "single", "complete"), default="average")
-    p.set_defaults(func=cmd_cluster)
+    for command, (summary, keys) in COMMANDS.items():
+        p = sub.add_parser(command, help=summary)
+        # looked up by name here, so a handler wrapped after import is the one called
+        p.set_defaults(func=globals()[f"cmd_{command}"])
+        for key in keys:
+            # every flag defaults to None, so _read can tell that it was not given
+            spec = SETTINGS[key]
+            options = dict(dest=key, default=None, help=spec.help)
+            if spec.kind is bool:
+                options["action"] = "store_false" if spec.default else "store_true"
+            else:
+                options.update(type=spec.kind, choices=spec.choices or None, required=spec.required)
+                if spec.default is not None:
+                    options["help"] = f"{spec.help or key.replace('_', ' ')} (default: {spec.default})"
+            p.add_argument(_flag(key), **options)
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command != "cluster" and not args.manifest:
+    if "manifest" in vars(args) and not args.manifest:
         parser.error(f"{args.command} requires --manifest")
+    if args.command == "compare":
+        metric = _read("metric", args)
+        for key in chain(*METRIC_FLAGS.values()):
+            if getattr(args, key) is not None and key not in METRIC_FLAGS[metric]:
+                parser.error(f"compare --metric {metric} does not read {_flag(key)}")
     try:
         return args.func(args)
     except CliError as e:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .census import _bincount_blocks, _induced_masks, _kset_blocks, _orbit_onehot, orbit_count
+from .census import _induced_masks, _kset_blocks, _orbit_onehot, orbit_count
 from .graph_core import SnapshotSeries, StaticGraph
 
 FINGERPRINT_LABELS = ("Rare", "Common", "Frequent")
@@ -77,8 +77,10 @@ def enumerate_transitions(s_from: StaticGraph, s_to: StaticGraph, k: int) -> Orb
     onehot = _orbit_onehot(k)  # [position, mask, orbit - 1], rows of disconnected masks zero
     n_masks = onehot.shape[1]
     # one bin per (mask in s_from, mask in s_to) of the same k-set
-    codes = (masks * n_masks + _induced_masks(s_to, sets) for sets, masks in _kset_blocks(s_from, k))
-    per_pair = _bincount_blocks(codes, n_masks * n_masks).reshape(n_masks, n_masks)
+    per_pair = np.zeros(n_masks * n_masks, dtype=np.int64)
+    for sets, masks in _kset_blocks(s_from, k):
+        per_pair += np.bincount(masks * n_masks + _induced_masks(s_to, sets), minlength=n_masks**2)
+    per_pair = per_pair.reshape(n_masks, n_masks)
     counts = sum(at.T @ per_pair @ at for at in onehot)
     dissolved_groups = per_pair[:, ~onehot[0].any(axis=1)].sum(axis=1)
     dissolved = sum(dissolved_groups @ at for at in onehot)

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from orbitrans.cli import fmt, main, read_similarity_csv, write_atomic
+from orbitrans.cli import build_parser, fmt, main, read_similarity_csv, write_atomic
 from orbitrans.census import compute_gdd, compute_orbit_frequencies, graphlet_class_frequencies
 from orbitrans.graph_core import (
     SnapshotPolicy,
@@ -579,3 +579,156 @@ class TestGoldenFiles:
         rows = read_rows(GOLDEN / "alpha.transitions.csv")
         got = np.array([[int(x) for x in r[1:]] for r in rows[1:]])
         assert np.array_equal(got, oracle)
+
+
+def registered_flags(command: str) -> set[str]:
+    sub = next(a for a in build_parser()._actions if a.dest == "command")
+    return {o for a in sub.choices[command]._actions for o in a.option_strings} - {"-h", "--help"}
+
+
+SNAPSHOT_FLAGS = {"--manifest", "--out", "--sep", "--policy", "--width", "--count"}
+METRIC_FLAGS = {
+    "ota": {"--policy", "--width", "--count", "--ota-scaling", "--no-relative-rescale"},
+    "gda": {"--gdd-scaling", "--gda-include-k3"},
+    "motif": {"--seed", "--replicates", "--swaps-per-edge"},
+}
+# a valid value for each flag that takes one
+FLAG_VALUES = {
+    "--manifest": "m.ini", "--sep": "ws", "--policy": "active", "--width": "5", "--count": "2",
+    "--seed": "1", "--replicates": "2", "--swaps-per-edge": "2", "--ota-scaling": "per_orbit",
+    "--gdd-scaling": "plain",
+}
+
+
+def flag_argv(flag: str) -> list[str]:
+    return [flag, FLAG_VALUES[flag]] if flag in FLAG_VALUES else [flag]
+
+
+class TestFlags:
+    """Each subcommand accepts only the flags it reads."""
+
+    def test_registered_flags(self):
+        assert {c: registered_flags(c) for c in
+                ("stats", "census", "transitions", "motifs", "compare", "cluster")} == {
+            "stats": SNAPSHOT_FLAGS,
+            "census": SNAPSHOT_FLAGS | {"--k", "--gdd-scaling"},
+            "transitions": SNAPSHOT_FLAGS | {"--k"},
+            "motifs": {"--manifest", "--out", "--sep", "--seed", "--replicates",
+                       "--swaps-per-edge"},
+            "compare": {"--manifest", "--out", "--sep", "--metric", "--linkage"}.union(
+                *METRIC_FLAGS.values()),
+            "cluster": {"--out", "--matrix", "--matrix-kind", "--linkage"},
+        }
+
+    @pytest.mark.parametrize("command, flag", [
+        ("stats", "--seed"), ("census", "--seed"), ("transitions", "--seed"),
+        ("motifs", "--policy"), ("motifs", "--width"), ("motifs", "--count"),
+        ("cluster", "--manifest"), ("cluster", "--seed"), ("cluster", "--policy"),
+        ("cluster", "--width"), ("cluster", "--count"), ("cluster", "--sep"),
+    ])
+    def test_unread_flag_rejected_by_argparse(self, toy_run, capsys, command, flag):
+        manifest, out = toy_run
+        if command == "cluster":
+            assert main(["compare", "--manifest", str(manifest), "--out", str(out)]) == 0
+            argv = ["cluster", "--matrix", str(out / "compare_ota.csv")]
+        else:
+            argv = [command, "--manifest", str(manifest)]
+        out = out.parent / "unread"
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--out", str(out), *flag_argv(flag)])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {' '.join(flag_argv(flag))}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("metric, flag", [
+        (metric, flag) for metric in METRIC_FLAGS
+        for flag in sorted(set().union(*METRIC_FLAGS.values()) - METRIC_FLAGS[metric])
+    ])
+    def test_compare_rejects_flag_its_metric_does_not_read(self, toy_run, capsys, metric, flag):
+        manifest, out = toy_run
+        with pytest.raises(SystemExit) as exc:
+            main(["compare", "--manifest", str(manifest), "--out", str(out),
+                  "--metric", metric, *flag_argv(flag)])
+        assert exc.value.code == 2
+        assert f"error: compare --metric {metric} does not read {flag}\n" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("metric", list(METRIC_FLAGS))
+    def test_compare_accepts_every_flag_its_metric_reads(self, toy_run, metric):
+        manifest, out = toy_run
+        flags = [a for flag in sorted(METRIC_FLAGS[metric]) for a in flag_argv(flag)]
+        assert main(["compare", "--manifest", str(manifest), "--out", str(out),
+                     "--metric", metric, "--linkage", "single", "--sep", "ws", *flags]) == 0
+        assert (out / f"compare_{metric}.csv").exists()
+
+
+class TestManifestKeys:
+    """A key its section does not define is a located configuration error."""
+
+    @pytest.mark.parametrize("settings, network, message", [
+        pytest.param("replicate = 3\n", "", "[settings]: unknown key 'replicate'", id="settings-typo"),
+        pytest.param("", "widht = 10\n", "[n1]: unknown key 'widht'", id="network-typo"),
+        pytest.param("path = n.txt\n", "", "[settings]: 'path' belongs in a network section",
+                     id="settings-path"),
+        pytest.param("", "out = elsewhere\n", "[n1]: 'out' belongs in [settings]", id="network-out"),
+        pytest.param("", "seed = 3\n", "[n1]: 'seed' belongs in [settings]", id="network-seed"),
+    ])
+    def test_key_outside_its_section(self, tmp_path, capsys, settings, network, message):
+        write_network(tmp_path, "n", "a b 1\nb c 2\n")
+        manifest = write_manifest(
+            tmp_path,
+            f"[settings]\nwidth = 5\ncount = 2\n{settings}\n[n1]\npath = n.txt\n{network}\n"
+            "[n2]\npath = n.txt\n",
+        )
+        out = tmp_path / "o"
+        for command in ("stats", "census", "transitions", "motifs", "compare"):
+            assert main([command, "--manifest", str(manifest), "--out", str(out)]) == 2
+            assert capsys.readouterr().err == f"error: manifest {manifest} {message}\n"
+        assert not out.exists()
+
+    def test_settings_a_subcommand_does_not_read_are_accepted(self, toy_run):
+        # one manifest serves every subcommand
+        manifest, out = toy_run
+        manifest.write_text(manifest.read_text().replace(
+            "[settings]\n",
+            "[settings]\nk = 4\nswaps_per_edge = 3\nota_scaling = normalized\n"
+            "relative_rescale = yes\ngdd_scaling = plain\nlinkage = single\norigin = 0\n"
+            "sep = ws\npolicy = active\n",
+        ))
+        for command in ("stats", "census", "transitions", "motifs", "compare"):
+            assert main([command, "--manifest", str(manifest), "--out", str(out)]) == 0
+
+    def test_default_section_is_copied_into_every_section(self, tmp_path, capsys):
+        # configparser gives every section the keys of [DEFAULT]
+        write_network(tmp_path, "n", "a b 1\nb c 12\n")
+        body = "[DEFAULT]\nwidth = 10\ncount = 2\n{extra}\n[settings]\n\n[n1]\npath = n.txt\n"
+        manifest = write_manifest(tmp_path, body.format(extra=""))
+        out = tmp_path / "o"
+        assert main(["stats", "--manifest", str(manifest), "--out", str(out)]) == 0
+        assert len(read_rows(out / "n1.stats.csv")) == 1 + 2
+        capsys.readouterr()
+        # so a [settings]-only key there lands in every network section too
+        manifest = write_manifest(tmp_path, body.format(extra="seed = 3\n"))
+        assert main(["stats", "--manifest", str(manifest), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == \
+            f"error: manifest {manifest} [n1]: 'seed' belongs in [settings]\n"
+
+    @pytest.mark.parametrize("value, expected", [("off", False), ("Yes", True), (None, False)])
+    def test_relative_rescale_setting_and_flag(self, toy_run, value, expected):
+        # the manifest wins over --no-relative-rescale, which wins over the default
+        manifest, out = toy_run
+        if value is not None:
+            manifest.write_text(manifest.read_text().replace(
+                "[settings]\n", f"[settings]\nrelative_rescale = {value}\n"))
+        assert main(["compare", "--manifest", str(manifest), "--out", str(out),
+                     "--no-relative-rescale"]) == 0
+        meta = json.loads((out / "compare_ota.meta.json").read_text())
+        assert meta["relative_rescale"] is expected
+
+    def test_relative_rescale_must_be_a_boolean(self, toy_run, capsys):
+        manifest, out = toy_run
+        manifest.write_text(manifest.read_text().replace(
+            "[settings]\n", "[settings]\nrelative_rescale = maybe\n"))
+        assert main(["compare", "--manifest", str(manifest), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == \
+            f"error: manifest {manifest} [settings]: relative_rescale = 'maybe' is not a boolean\n"
