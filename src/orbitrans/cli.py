@@ -24,12 +24,14 @@ A network section takes ``path`` (required), ``policy``, ``width``,
 type, choices and default). Any other key is a configuration error (exit
 2) naming its section, raised before any network loads. One manifest
 serves every subcommand, so ``[settings]`` keys a subcommand does not read
-are accepted, and checked. Subcommands that build snapshots need a
-``width`` of at least 1 and a ``count`` of at least 2. Each subcommand
-registers only the flags it reads (``COMMANDS``), and ``compare`` rejects
-a flag its ``--metric`` does not read (``METRIC_FLAGS``); both are usage
-errors (exit 2). Manifest values take precedence over flags, so a manifest
-fully determines a run; flags fill in whatever the manifest leaves out.
+are accepted, and checked. ``COMMANDS`` (and ``METRIC_FLAGS`` for each
+``compare --metric``) lists the settings each run reads. A subcommand
+registers only those flags and ``compare`` rejects one its ``--metric``
+does not read (usage errors, exit 2); a run that reads ``width`` builds
+snapshots, so needs a ``width`` of at least 1 and a ``count`` of at least
+2; and the meta files record ``k`` and exactly the settings the run read.
+Manifest values take precedence over flags, so a manifest fully
+determines a run; flags fill in whatever the manifest leaves out.
 All outputs are written atomically and deterministically: rerunning the
 same manifest reproduces every file byte for byte. After loading each
 network, one line on stderr reports the events read, the self-loops
@@ -157,7 +159,7 @@ class NetworkSpec:
 
     name: str
     path: Path
-    policy_mode: str
+    policy: str
     width: int | None
     count: int | None
     origin: int | None
@@ -170,7 +172,7 @@ class NetworkSpec:
                 "in the manifest"
             )
         return SnapshotPolicy(
-            mode=self.policy_mode, width=self.width, count=self.count, origin=self.origin
+            mode=self.policy, width=self.width, count=self.count, origin=self.origin
         )
 
     def load_events(self) -> TemporalEdgeList:
@@ -194,29 +196,15 @@ class RunConfig:
     randomization: RandomizationConfig
     linkage: str
     gda_include_k3: bool
-    manifest_path: Path
-
-    def network_summary(self) -> dict:
-        return {
-            net.name: {
-                "path": str(net.path),
-                "policy": net.policy_mode,
-                "width": net.width,
-                "count": net.count,
-                "origin": net.origin,
-                "sep": net.sep,
-            }
-            for net in self.networks
-        }
 
 
 def _read(key: str, args, section=None, context: str = "", fallback=None, at_least: bool = True):
     """Setting ``key`` as manifest ``section`` sets it, else as its flag in
     ``args`` does, else ``fallback``, else the setting's default.
 
-    A manifest value is converted to the setting's type and, for a string,
-    checked against its choices (argparse has checked a flag's); either is
-    checked against the setting's minimum unless ``at_least`` is false.
+    A manifest value is converted to the setting's type and checked against
+    its choices (argparse has checked a flag's); either is checked against
+    the setting's minimum unless ``at_least`` is false.
     ``context`` locates the section in error messages.
     """
     spec = SETTINGS[key]
@@ -234,7 +222,7 @@ def _read(key: str, args, section=None, context: str = "", fallback=None, at_lea
             value = configparser.ConfigParser.BOOLEAN_STATES.get(raw.lower())
             if value is None:
                 raise CliError(f"{where} = {raw!r} is not a boolean")
-        elif spec.choices and raw not in spec.choices:
+        if spec.choices and value not in spec.choices:
             raise CliError(f"{where} must be one of {spec.choices}, got {raw!r}")
     if value is None:
         return spec.default if fallback is None else fallback
@@ -258,13 +246,14 @@ def _check_keys(parser: configparser.ConfigParser, manifest_path: Path) -> None:
             raise CliError(f"{where}: unknown key {key!r}")
 
 
-def load_run_config(args: argparse.Namespace, snapshots: bool = True) -> RunConfig:
+def load_run_config(args: argparse.Namespace) -> RunConfig:
     """Merge the manifest with command-line flags (manifest wins).
 
-    ``snapshots`` says whether the subcommand builds snapshot series; if
-    it does, every network's width must be at least 1 and its count at
-    least 2 (transitions need two snapshots).
+    A run that reads ``width`` builds snapshot series, so every network's
+    width must be at least 1 and its count at least 2 (transitions need
+    two snapshots).
     """
+    snapshots = "width" in _reads(args)
     manifest_path = Path(args.manifest)
     parser = configparser.ConfigParser(interpolation=None)
     try:
@@ -296,20 +285,17 @@ def load_run_config(args: argparse.Namespace, snapshots: bool = True) -> RunConf
         if not path.exists():
             raise CliError(f"{nctx}: input file {path} does not exist")
         value = {key: _read(key, None, section, nctx, shared[key], snapshots) for key in shared}
-        networks.append(NetworkSpec(name, path, policy_mode=value.pop("policy"), **value))
+        networks.append(NetworkSpec(name, path, **value))
     if not networks:
         raise CliError(f"manifest {manifest_path} defines no networks")
 
     def setting(key: str):
         return _read(key, args, settings, ctx)
 
-    k = setting("k")
-    if k not in SETTINGS["k"].choices:
-        raise CliError(f"subgraph size k must be 3 or 4, got {k}")
     return RunConfig(
         networks=tuple(networks),
         out_dir=Path(setting("out")),
-        k=k,
+        k=setting("k"),
         agreement=AgreementConfig(
             ota_scaling=setting("ota_scaling"),
             use_relative_rescale=setting("relative_rescale"),
@@ -320,7 +306,6 @@ def load_run_config(args: argparse.Namespace, snapshots: bool = True) -> RunConf
         ),
         linkage=setting("linkage"),
         gda_include_k3=setting("gda_include_k3"),
-        manifest_path=manifest_path,
     )
 
 
@@ -376,6 +361,23 @@ def write_orbit_matrix_csv(path: Path, values) -> None:
     write_csv(path, header, ([a + 1, *row] for a, row in enumerate(values)))
 
 
+def write_meta(path: Path, run: RunConfig, args: argparse.Namespace, **extra) -> None:
+    """Record the tool version, ``extra``, ``k`` and each other setting the run read;
+    per network, its input and, where the run builds snapshots, its snapshot settings."""
+    reads = _reads(args)
+    # RunConfig and its two configs name each setting as SETTINGS does, but for this one
+    values = {**vars(run), **vars(run.agreement), **vars(run.randomization),
+              "relative_rescale": run.agreement.use_relative_rescale}
+    meta = {"tool_version": __version__, **extra, "k": run.k}
+    for key in reads:
+        if key not in meta and key not in ("manifest", "out", *NETWORK_KEYS):
+            meta[key] = values[key]
+    net_keys = NETWORK_KEYS if "width" in reads else ("path", "sep")
+    meta["networks"] = {net.name: {key: getattr(net, key) for key in net_keys} | {"path": str(net.path)}
+                        for net in run.networks}
+    write_json(path, meta)
+
+
 # ---------------------------------------------------------------------------
 # per-network pipelines
 
@@ -417,7 +419,7 @@ def run_per_network(run: RunConfig, worker: Callable[[NetworkSpec], object]) -> 
     for net in run.networks:
         try:
             results[net.name] = worker(net)
-        except (CliError, ValueError, OSError) as e:
+        except (CliError, ValueError, OSError, OverflowError) as e:
             errors.append(f"network {net.name!r}: {e}")
     return results, errors
 
@@ -542,7 +544,7 @@ def cmd_transitions(args: argparse.Namespace) -> int:
 
 
 def cmd_motifs(args: argparse.Namespace) -> int:
-    run = load_run_config(args, snapshots=False)
+    run = load_run_config(args)
 
     def worker(net: NetworkSpec):
         real, means, fp = _network_motifs(run, net)
@@ -553,17 +555,7 @@ def cmd_motifs(args: argparse.Namespace) -> int:
         )
 
     _results, errors = run_per_network(run, worker)
-    write_json(
-        run.out_dir / "motifs.meta.json",
-        {
-            "tool_version": __version__,
-            "k": run.k,
-            "replicates": run.randomization.replicates,
-            "swaps_per_edge": run.randomization.swaps_per_edge,
-            "seed": run.randomization.seed,
-            "networks": run.network_summary(),
-        },
-    )
+    write_meta(run.out_dir / "motifs.meta.json", run, args)
     return _report_errors(errors)
 
 
@@ -575,7 +567,7 @@ def _tree_json(merges: list[MergeStep]) -> list[dict]:
 
 def cmd_compare(args: argparse.Namespace) -> int:
     metric = _read("metric", args)
-    run = load_run_config(args, snapshots=metric == "ota")
+    run = load_run_config(args)
     if len(run.networks) < 2:
         raise CliError("compare needs at least 2 networks in the manifest")
     names = [net.name for net in run.networks]
@@ -608,24 +600,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
     rows = ([name, *row] for name, row in zip(sim.names, sim.values))
     write_csv(run.out_dir / f"compare_{metric}.csv", ["network", *sim.names], rows)
     write_json(run.out_dir / f"compare_{metric}.tree.json", _tree_json(merges))
-    write_json(
-        run.out_dir / f"compare_{metric}.meta.json",
-        {
-            "tool_version": __version__,
-            "metric": metric,
-            "kind": sim.kind,
-            "linkage": run.linkage,
-            "k": run.k,
-            "ota_scaling": run.agreement.ota_scaling,
-            "relative_rescale": run.agreement.use_relative_rescale,
-            "gdd_scaling": run.agreement.gdd_scaling,
-            "gda_include_k3": run.gda_include_k3,
-            "replicates": run.randomization.replicates,
-            "swaps_per_edge": run.randomization.swaps_per_edge,
-            "seed": run.randomization.seed,
-            "networks": run.network_summary(),
-        },
-    )
+    write_meta(run.out_dir / f"compare_{metric}.meta.json", run, args, metric=metric, kind=sim.kind)
     return 0
 
 
@@ -693,8 +668,9 @@ def cmd_cluster(args: argparse.Namespace) -> int:
 
 
 _SNAPSHOT_FLAGS = ("manifest", "out", "sep", "policy", "width", "count")
+_COMPARE_FLAGS = ("manifest", "out", "sep", "metric", "linkage")
 
-# the flags each compare --metric reads besides --manifest --out --sep --metric --linkage
+# the flags each compare --metric reads besides _COMPARE_FLAGS
 METRIC_FLAGS = {
     "ota": ("policy", "width", "count", "ota_scaling", "relative_rescale"),
     "gda": ("gdd_scaling", "gda_include_k3"),
@@ -707,10 +683,16 @@ COMMANDS = {
     "census": ("orbit frequencies, classes, GDDs", (*_SNAPSHOT_FLAGS, "k", "gdd_scaling")),
     "transitions": ("orbit-transition matrices", (*_SNAPSHOT_FLAGS, "k")),
     "motifs": ("motif scores vs random ensemble", ("manifest", "out", "sep", *METRIC_FLAGS["motif"])),
-    "compare": ("pairwise network comparison",
-                ("manifest", "out", "sep", "metric", "linkage", *chain(*METRIC_FLAGS.values()))),
+    "compare": ("pairwise network comparison", (*_COMPARE_FLAGS, *chain(*METRIC_FLAGS.values()))),
     "cluster": ("merge tree from a matrix CSV", ("out", "matrix", "matrix_kind", "linkage")),
 }
+
+
+def _reads(args: argparse.Namespace) -> tuple[str, ...]:
+    """The settings ``args.command`` reads; for ``compare``, those its ``--metric`` reads."""
+    if args.command == "compare":
+        return (*_COMPARE_FLAGS, *METRIC_FLAGS[_read("metric", args)])
+    return COMMANDS[args.command][1]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -723,7 +705,7 @@ def build_parser() -> argparse.ArgumentParser:
     for command, (summary, keys) in COMMANDS.items():
         p = sub.add_parser(command, help=summary)
         # looked up by name here, so a handler wrapped after import is the one called
-        p.set_defaults(func=globals()[f"cmd_{command}"])
+        p.set_defaults(func=globals()[f"cmd_{command}"], subparser=p)
         for key in keys:
             # every flag defaults to None, so _read can tell that it was not given
             spec = SETTINGS[key]
@@ -739,15 +721,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args, unrecognized = build_parser().parse_known_args(argv)
+    # the subcommand's parser reports usage errors, so its usage line lists its own flags
+    error = args.subparser.error
+    if unrecognized:
+        error(f"unrecognized arguments: {' '.join(unrecognized)}")
     if "manifest" in vars(args) and not args.manifest:
-        parser.error(f"{args.command} requires --manifest")
-    if args.command == "compare":
-        metric = _read("metric", args)
-        for key in chain(*METRIC_FLAGS.values()):
-            if getattr(args, key) is not None and key not in METRIC_FLAGS[metric]:
-                parser.error(f"compare --metric {metric} does not read {_flag(key)}")
+        error(f"{args.command} requires --manifest")
+    reads = _reads(args)
+    for key in COMMANDS[args.command][1]:
+        if key not in reads and getattr(args, key) is not None:
+            # only compare registers flags that some of its runs do not read
+            error(f"compare --metric {_read('metric', args)} does not read {_flag(key)}")
     try:
         return args.func(args)
     except CliError as e:

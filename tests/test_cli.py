@@ -356,6 +356,24 @@ class TestDeterminismAndFailure:
         meta = json.loads((out / "motifs.meta.json").read_text())
         assert set(meta["networks"]) == {"good", "bad"}
 
+    def test_census_overflow_fails_alone(self, tmp_path, monkeypatch, capsys):
+        # the degree guard's OverflowError is a per-network failure, not a crash
+        monkeypatch.setattr("orbitrans.census._MAX_DEGREE", 2)
+        write_network(tmp_path, "star", "h a 0\nh b 0\nh c 0\n")
+        write_network(tmp_path, "path", "a b 0\nb c 0\nc d 0\n")
+        manifest = write_manifest(
+            tmp_path,
+            "[settings]\nwidth = 10\ncount = 2\n\n[star]\npath = star.txt\n\n"
+            "[path]\npath = path.txt\n",
+        )
+        out = tmp_path / "out"
+        assert main(["census", "--manifest", str(manifest), "--out", str(out)]) == 1
+        assert "error: network 'star': a node of degree 3 " in capsys.readouterr().err
+        assert sorted(p.name for p in out.iterdir()) == sorted(
+            f"path.{tag}.{kind}" for tag in ("snap0", "snap1", "final")
+            for kind in ("fr.csv", "classes.csv", "gdd.json")
+        )
+
     def test_network_without_policy_fails_alone(self, tmp_path, capsys):
         write_network(tmp_path, "nop", "a b 0\nb c 5\n")
         manifest = write_manifest(tmp_path, "[nop]\npath = nop.txt\n")
@@ -514,6 +532,16 @@ class TestManifestValidation:
             assert capsys.readouterr().err == f"error: {located} = {value} must be at least {minimum}\n"
         assert not (tmp_path / "o").exists()
 
+    def test_k_outside_its_choices(self, tmp_path, capsys):
+        write_network(tmp_path, "n", "a b 1\n")
+        manifest = write_manifest(
+            tmp_path, "[settings]\nk = 5\n\n[x]\npath = n.txt\nwidth = 5\ncount = 2\n"
+        )
+        for command in ("stats", "census", "transitions", "motifs", "compare"):
+            assert main([command, "--manifest", str(manifest), "--out", str(tmp_path / "o")]) == 2
+            assert capsys.readouterr().err == \
+                f"error: manifest {manifest} [settings]: k must be one of (3, 4), got '5'\n"
+
     def test_manifest_required(self, capsys):
         with pytest.raises(SystemExit):
             main(["stats"])
@@ -637,7 +665,9 @@ class TestFlags:
         with pytest.raises(SystemExit) as exc:
             main([*argv, "--out", str(out), *flag_argv(flag)])
         assert exc.value.code == 2
-        assert f"unrecognized arguments: {' '.join(flag_argv(flag))}" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"unrecognized arguments: {' '.join(flag_argv(flag))}" in err
+        assert f"usage: orbitrans {command} [-h]" in err
         assert not out.exists()
 
     @pytest.mark.parametrize("metric, flag", [
@@ -650,7 +680,9 @@ class TestFlags:
             main(["compare", "--manifest", str(manifest), "--out", str(out),
                   "--metric", metric, *flag_argv(flag)])
         assert exc.value.code == 2
-        assert f"error: compare --metric {metric} does not read {flag}\n" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"error: compare --metric {metric} does not read {flag}\n" in err
+        assert "usage: orbitrans compare [-h]" in err
         assert not out.exists()
 
     @pytest.mark.parametrize("metric", list(METRIC_FLAGS))
@@ -732,3 +764,28 @@ class TestManifestKeys:
         assert main(["compare", "--manifest", str(manifest), "--out", str(out)]) == 2
         assert capsys.readouterr().err == \
             f"error: manifest {manifest} [settings]: relative_rescale = 'maybe' is not a boolean\n"
+
+
+SNAPSHOT_KEYS = {"policy", "width", "count", "origin"}
+
+
+class TestMetaFiles:
+    """A meta file records k and exactly the settings its run read."""
+
+    @pytest.mark.parametrize("argv, name, keys, network_keys", [
+        (["motifs"], "motifs", {"seed", "replicates", "swaps_per_edge"}, set()),
+        (["compare", "--metric", "ota"], "compare_ota",
+         {"metric", "kind", "linkage", "ota_scaling", "relative_rescale"}, SNAPSHOT_KEYS),
+        (["compare", "--metric", "gda"], "compare_gda",
+         {"metric", "kind", "linkage", "gdd_scaling", "gda_include_k3"}, set()),
+        (["compare", "--metric", "motif"], "compare_motif",
+         {"metric", "kind", "linkage", "seed", "replicates", "swaps_per_edge"}, set()),
+    ])
+    def test_keys(self, toy_run, argv, name, keys, network_keys):
+        manifest, out = toy_run
+        assert main([*argv, "--manifest", str(manifest), "--out", str(out)]) == 0
+        meta = json.loads((out / f"{name}.meta.json").read_text())
+        assert set(meta) == {"tool_version", "k", "networks"} | keys
+        assert list(meta["networks"]) == ["densify", "churn"]
+        for entry in meta["networks"].values():
+            assert set(entry) == {"path", "sep"} | network_keys
