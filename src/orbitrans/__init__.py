@@ -43,7 +43,6 @@ from .metrics import (
     gda_matrix,
     gda_pair,
     hierarchical_cluster,
-    motif_scores,
     ota_matrix,
     ota_pair,
     relative_rescale,
@@ -103,7 +102,6 @@ __all__ = [
     "gda_pair",
     "graphlet_class_frequencies",
     "hierarchical_cluster",
-    "motif_scores",
     "ota_matrix",
     "ota_pair",
     "parse_edge_list",

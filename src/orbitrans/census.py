@@ -1,11 +1,13 @@
 """Connected-subgraph census: graphlet classes, node orbits, frequencies.
 
 Works on induced subgraphs of 3 or 4 nodes. Every connected shape on k
-nodes is a *graphlet class* (k=3: chain, triangle; k=4: star, path,
-cycle, paw, diamond, clique, ordered by edge count) and every
-structurally distinct node position within a class is an *orbit*,
-numbered 1..3 for k=3 and 1..11 for k=4. A census of a graph counts, for
-each node, how often it occupies each orbit across all connected induced
+nodes is a *graphlet class* and every structurally distinct node position
+within a class is an *orbit*, numbered 1..3 for k=3 and 1..11 for k=4.
+``GRAPHLET_CLASSES`` states this catalogue once, with the degree a node
+in each orbit has within its shape; the orbit counts, the table from an
+induced-adjacency mask to its class and orbits, and every product indexed
+by class or orbit derive from it. A census of a graph counts, for each
+node, how often it occupies each orbit across all connected induced
 k-subgraphs.
 
 The census is closed-form. ``compute_orbit_frequencies`` counts each
@@ -45,66 +47,50 @@ import numpy as np
 
 from .graph_core import StaticGraph, _group
 
-# Node-pair positions, one bit each, in this fixed order. For k=3 only
-# the first three pairs exist.
-PAIR_POSITIONS: dict[int, tuple[tuple[int, int], ...]] = {
-    3: ((0, 1), (0, 2), (1, 2)),
-    4: ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)),
-}
-
-ORBIT_COUNTS = {3: 3, 4: 11}
-
-
-def orbit_count(k: int) -> int:
-    if k not in ORBIT_COUNTS:
-        raise ValueError(f"subgraph size must be 3 or 4, got {k}")
-    return ORBIT_COUNTS[k]
-
 
 @dataclass(frozen=True)
 class GraphletClass:
-    """One connected k-node shape, with the orbits its nodes can occupy."""
+    """One connected k-node shape, with the orbits its nodes can occupy.
+
+    ``degrees[i]`` is the degree, within the shape, of a node in orbit
+    ``orbits[i]``.
+    """
 
     k: int
-    index: int  # 1-based rank within its k, by increasing edge count
     name: str
     edge_count: int
     orbits: tuple[int, ...]
+    degrees: tuple[int, ...]
 
 
-# Classes in canonical order. Degree multisets identify them uniquely
-# among connected k-node graphs, and within a class a node's degree
-# determines its orbit (tests check every mask against an isomorphism oracle).
+# Classes in canonical order, by edge count. Among connected graphs of at
+# most 4 nodes the set of node degrees identifies the class, and within a
+# class a node's degree identifies its orbit (tests check every mask
+# against an isomorphism oracle).
 GRAPHLET_CLASSES: dict[int, tuple[GraphletClass, ...]] = {
     3: (
-        GraphletClass(3, 1, "chain", 2, (1, 2)),
-        GraphletClass(3, 2, "triangle", 3, (3,)),
+        GraphletClass(3, "chain", 2, (1, 2), (1, 2)),
+        GraphletClass(3, "triangle", 3, (3,), (2,)),
     ),
     4: (
-        GraphletClass(4, 1, "star", 3, (1, 2)),
-        GraphletClass(4, 2, "path", 3, (3, 4)),
-        GraphletClass(4, 3, "cycle", 4, (5,)),
-        GraphletClass(4, 4, "paw", 4, (6, 7, 8)),
-        GraphletClass(4, 5, "diamond", 5, (9, 10)),
-        GraphletClass(4, 6, "clique", 6, (11,)),
+        GraphletClass(4, "star", 3, (1, 2), (1, 3)),
+        GraphletClass(4, "path", 3, (3, 4), (1, 2)),
+        GraphletClass(4, "cycle", 4, (5,), (2,)),
+        GraphletClass(4, "paw", 4, (6, 7, 8), (1, 3, 2)),
+        GraphletClass(4, "diamond", 5, (9, 10), (2, 3)),
+        GraphletClass(4, "clique", 6, (11,), (3,)),
     ),
 }
 
-# (sorted degree tuple) -> (class position in GRAPHLET_CLASSES[k], degree -> orbit id)
-_DEGREE_RULES: dict[int, dict[tuple[int, ...], tuple[int, dict[int, int]]]] = {
-    3: {
-        (1, 1, 2): (0, {1: 1, 2: 2}),
-        (2, 2, 2): (1, {2: 3}),
-    },
-    4: {
-        (1, 1, 1, 3): (0, {1: 1, 3: 2}),
-        (1, 1, 2, 2): (1, {1: 3, 2: 4}),
-        (2, 2, 2, 2): (2, {2: 5}),
-        (1, 2, 2, 3): (3, {1: 6, 3: 7, 2: 8}),
-        (2, 2, 3, 3): (4, {2: 9, 3: 10}),
-        (3, 3, 3, 3): (5, {3: 11}),
-    },
-}
+# Node-pair positions of a j-node set, one bit each, in this fixed order:
+# for each class size, and for the smaller sets the enumeration grows.
+PAIR_POSITIONS = {j: tuple(combinations(range(j), 2)) for j in range(2, max(GRAPHLET_CLASSES) + 1)}
+
+
+def orbit_count(k: int) -> int:
+    if k not in GRAPHLET_CLASSES:
+        raise ValueError(f"subgraph size must be 3 or 4, got {k}")
+    return sum(len(cls.orbits) for cls in GRAPHLET_CLASSES[k])
 
 
 @dataclass(frozen=True)
@@ -125,13 +111,13 @@ class ClassificationTable:
         return self.class_of[mask] >= 0
 
 
-def _mask_edges(mask: int, pairs: tuple[tuple[int, int], ...]) -> list[tuple[int, int]]:
-    return [pair for bit, pair in enumerate(pairs) if mask >> bit & 1]
+def _mask_edges(mask: int, k: int) -> list[tuple[int, int]]:
+    return [pair for bit, pair in enumerate(PAIR_POSITIONS[k]) if mask >> bit & 1]
 
 
-def _mask_is_connected(mask: int, k: int, pairs) -> bool:
+def _mask_is_connected(mask: int, k: int) -> bool:
     adj: list[set[int]] = [set() for _ in range(k)]
-    for i, j in _mask_edges(mask, pairs):
+    for i, j in _mask_edges(mask, k):
         adj[i].add(j)
         adj[j].add(i)
     seen = {0}
@@ -146,24 +132,23 @@ def _mask_is_connected(mask: int, k: int, pairs) -> bool:
 
 @lru_cache(maxsize=None)
 def build_classification_table(k: int) -> ClassificationTable:
-    """Build the mask -> class/orbit lookup for size ``k`` from the degree rules."""
-    orbit_count(k)  # rejects any other k
-    pairs = PAIR_POSITIONS[k]
-    rules = _DEGREE_RULES[k]
-    n_masks = 1 << len(pairs)
+    """Build the mask -> class/orbit lookup for size ``k`` from ``GRAPHLET_CLASSES``.
 
+    A connected mask belongs to the class whose orbit degrees are the set
+    of its node degrees, and each node to that class's orbit of its degree.
+    """
+    orbit_count(k)  # rejects any other k
+    rules = {frozenset(cls.degrees): (pos, dict(zip(cls.degrees, cls.orbits)))
+             for pos, cls in enumerate(GRAPHLET_CLASSES[k])}
     class_of = []
     orbits_of: list[tuple[int, ...] | None] = []
-    for mask in range(n_masks):
-        if not _mask_is_connected(mask, k, pairs):
+    for mask in range(1 << len(PAIR_POSITIONS[k])):
+        if not _mask_is_connected(mask, k):
             class_of.append(-1)
             orbits_of.append(None)
             continue
-        degrees = [0] * k
-        for i, j in _mask_edges(mask, pairs):
-            degrees[i] += 1
-            degrees[j] += 1
-        class_pos, orbit_by_degree = rules[tuple(sorted(degrees))]
+        degrees = [sum(q in pair for pair in _mask_edges(mask, k)) for q in range(k)]
+        class_pos, orbit_by_degree = rules[frozenset(degrees)]
         class_of.append(class_pos)
         orbits_of.append(tuple(orbit_by_degree[d] for d in degrees))
 
@@ -195,32 +180,28 @@ def _extension_table(j: int) -> np.ndarray:
     every member of T above w is a cut vertex. Entries for a member, or
     for a w adjacent to no member, are -1.
     """
-    s_pairs = tuple(combinations(range(j), 2))
-    t_pairs = tuple(combinations(range(j + 1), 2))
-    table = np.full((1 << len(s_pairs) + j + 1) * (j + 1), -1, dtype=np.int64)
-    for s_mask in range(1 << len(s_pairs)):
-        if not _mask_is_connected(s_mask, j, s_pairs):
+    t_pairs = PAIR_POSITIONS[j + 1]
+    table = np.full((1 << len(PAIR_POSITIONS[j]) + j + 1) * (j + 1), -1, dtype=np.int64)
+    for s_mask in range(1 << len(PAIR_POSITIONS[j])):
+        if not _mask_is_connected(s_mask, j):
             continue
         for bits in range(1, 1 << j):
             for ins in range(j + 1):
                 at = [q + (q >= ins) for q in range(j)]
-                t_edges = [(at[a], at[b]) for a, b in _mask_edges(s_mask, s_pairs)]
+                t_edges = [(at[a], at[b]) for a, b in _mask_edges(s_mask, j)]
                 t_edges += [tuple(sorted((at[q], ins))) for q in range(j) if bits >> q & 1]
                 t_mask = sum(1 << t_pairs.index(edge) for edge in t_edges)
-                if all(_is_cut_vertex(t_mask, j + 1, t_pairs, i) for i in range(ins + 1, j + 1)):
+                if all(_is_cut_vertex(t_mask, j + 1, i) for i in range(ins + 1, j + 1)):
                     table[(s_mask << j + 1 | bits) * (j + 1) + ins] = t_mask
     return table
 
 
-def _is_cut_vertex(mask: int, k: int, pairs, i: int) -> bool:
+def _is_cut_vertex(mask: int, k: int, i: int) -> bool:
     """Whether removing position ``i`` disconnects the k-node ``mask``."""
     keep = [q for q in range(k) if q != i]
-    rest = tuple(combinations(range(k - 1), 2))
-    sub = 0
-    for bit, (a, b) in enumerate(rest):
-        if mask >> pairs.index((keep[a], keep[b])) & 1:
-            sub |= 1 << bit
-    return not _mask_is_connected(sub, k - 1, rest)
+    sub = sum(1 << bit for bit, (a, b) in enumerate(PAIR_POSITIONS[k - 1])
+              if mask >> PAIR_POSITIONS[k].index((keep[a], keep[b])) & 1)
+    return not _mask_is_connected(sub, k - 1)
 
 
 def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:

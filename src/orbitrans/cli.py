@@ -58,6 +58,7 @@ import numpy as np
 
 from . import __version__
 from .census import (
+    GRAPHLET_CLASSES,
     class_counts,
     compute_gdd,
     compute_orbit_frequencies,
@@ -129,7 +130,7 @@ SETTINGS = {
     "origin": Setting(int, scope="network"),
     "sep": Setting(default="ws", choices=("ws", "comma"), scope="network",
                    help="edge list field separator"),
-    "k": Setting(int, 4, (3, 4), scope="settings", help="subgraph size"),
+    "k": Setting(int, 4, tuple(GRAPHLET_CLASSES), scope="settings", help="subgraph size"),
     "seed": Setting(int, 0, scope="settings", help="base RNG seed"),
     "replicates": Setting(int, 100, minimum=1, scope="settings", help="null-model ensemble size"),
     "swaps_per_edge": Setting(int, 10, minimum=1, scope="settings", help="attempted swaps per edge"),
@@ -193,6 +194,7 @@ class RunConfig:
     out_dir: Path
     k: int
     agreement: AgreementConfig
+    gdd_scaling: str
     randomization: RandomizationConfig
     linkage: str
     gda_include_k3: bool
@@ -271,10 +273,14 @@ def load_run_config(args: argparse.Namespace) -> RunConfig:
     shared = {key: _read(key, args, settings, ctx, at_least=snapshots)
               for key, spec in SETTINGS.items() if spec.scope == "network"}
 
-    networks = []
+    networks, stems = [], {}
     for name in parser.sections():
         if name == "settings":
             continue
+        stem = _file_stem(name)
+        if stems.setdefault(stem, name) != name:
+            raise CliError(f"manifest {manifest_path}: networks {stems[stem]!r} and {name!r} "
+                           f"both write files named {stem}.*")
         section = parser[name]
         nctx = f"manifest {manifest_path} [{name}]"
         if "path" not in section:
@@ -299,8 +305,8 @@ def load_run_config(args: argparse.Namespace) -> RunConfig:
         agreement=AgreementConfig(
             ota_scaling=setting("ota_scaling"),
             use_relative_rescale=setting("relative_rescale"),
-            gdd_scaling=setting("gdd_scaling"),
         ),
+        gdd_scaling=setting("gdd_scaling"),
         randomization=RandomizationConfig(
             **{key: setting(key) for key in ("replicates", "swaps_per_edge", "seed")}
         ),
@@ -323,8 +329,11 @@ def fmt(value) -> str:
 
 
 def write_atomic(path: Path, data: str) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f"{path.name}.", suffix=".tmp")
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f"{path.name}.", suffix=".tmp")
+    except OSError as e:
+        raise CliError(f"cannot write {path}: {e.strerror}") from e
     try:
         # mkstemp creates the file owner-only; give it the usual umask mode
         umask = os.umask(0)
@@ -470,7 +479,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
 
 def _census_bundle(run: RunConfig, stem: str, tag: str, g: StaticGraph, labels) -> None:
     fr = compute_orbit_frequencies(g, run.k)
-    gdd = compute_gdd(fr, scaling=run.agreement.gdd_scaling)
+    gdd = compute_gdd(fr, scaling=run.gdd_scaling)
     header = ["node"] + [f"orbit_{j + 1}" for j in range(fr.m)]
     write_csv(
         run.out_dir / f"{stem}.{tag}.fr.csv",
@@ -554,8 +563,9 @@ def cmd_motifs(args: argparse.Namespace) -> int:
             ([name, real[name], means[name], score] for name, score in zip(fp.class_names, fp.scores)),
         )
 
-    _results, errors = run_per_network(run, worker)
+    # first, so an unwritable output directory fails the run before any network loads
     write_meta(run.out_dir / "motifs.meta.json", run, args)
+    _results, errors = run_per_network(run, worker)
     return _report_errors(errors)
 
 
@@ -577,7 +587,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
     def gdd_worker(net: NetworkSpec):
         g = _network_final_graph(net)
         return [
-            compute_gdd(compute_orbit_frequencies(g, k), run.agreement.gdd_scaling)
+            compute_gdd(compute_orbit_frequencies(g, k), run.gdd_scaling)
             for k in gda_ks
         ]
 

@@ -22,16 +22,10 @@ from typing import Literal, Sequence
 
 import numpy as np
 
-from .census import (
-    GRAPHLET_CLASSES,
-    GraphletDegreeDistribution,
-    graphlet_class_frequencies,
-)
-from .graph_core import StaticGraph
+from .census import GRAPHLET_CLASSES, GraphletDegreeDistribution
 from .transitions import NormalizedTransitionMatrix, OrbitTransitionMatrix, row_normalize
 
 OtaScaling = Literal["normalized", "per_orbit"]
-GddScaling = Literal["inverse_k", "plain"]
 Linkage = Literal["average", "single", "complete"]
 
 
@@ -42,13 +36,11 @@ class AgreementConfig:
     ``ota_scaling="normalized"`` divides the OTA sum by |O|^2 so identical
     matrices score 1; ``"per_orbit"`` divides by |O| only, so identical 11x11
     matrices score 11. ``use_relative_rescale`` switches the per-cell
-    min/max rescaling across the network set. ``gdd_scaling`` picks the
-    degree-distribution normalization used for GDA inputs.
+    min/max rescaling across the network set.
     """
 
     ota_scaling: OtaScaling = "normalized"
     use_relative_rescale: bool = True
-    gdd_scaling: GddScaling = "inverse_k"
 
 
 @dataclass(frozen=True)
@@ -178,7 +170,13 @@ def motif_scores_from_counts(
     ensemble_means: Sequence[float],
     k: int = 4,
 ) -> MotifFingerprint:
-    """Fingerprint from per-class counts and ensemble means, canonical order."""
+    """Over/under-representation of each graphlet class versus an ensemble.
+
+    ``real_counts`` and ``ensemble_means`` are in canonical class order.
+    Each raw score is (observed - expected)/(observed + expected), zero
+    when both are zero; the vector is then scaled to unit Euclidean norm
+    (skipped if every score is zero).
+    """
     classes = GRAPHLET_CLASSES[k]
     if len(real_counts) != len(classes) or len(ensemble_means) != len(classes):
         raise ValueError(f"expected {len(classes)} class entries for k={k}")
@@ -192,24 +190,6 @@ def motif_scores_from_counts(
         deltas /= norm
     return MotifFingerprint(
         k=k, class_names=tuple(c.name for c in classes), scores=deltas
-    )
-
-
-def motif_scores(
-    real: StaticGraph, ensemble_means: dict[str, float], k: int = 4
-) -> MotifFingerprint:
-    """Over/under-representation of each graphlet class versus an ensemble.
-
-    Each raw score is (observed - expected)/(observed + expected), zero
-    when both are zero; the vector is then scaled to unit Euclidean norm
-    (skipped if every score is zero).
-    """
-    real_counts = graphlet_class_frequencies(real, k)
-    order = [c.name for c in GRAPHLET_CLASSES[k]]
-    return motif_scores_from_counts(
-        [real_counts[name] for name in order],
-        [ensemble_means[name] for name in order],
-        k,
     )
 
 

@@ -18,12 +18,13 @@ same replica either way.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
 
-from .census import GRAPHLET_CLASSES, graphlet_class_frequencies
+from .census import graphlet_class_frequencies
 from .graph_core import StaticGraph
 
 # Swap attempts drawn per ``rng.integers`` call: amortises the call over
@@ -107,11 +108,8 @@ def randomized_replicates(g: StaticGraph, cfg: RandomizationConfig) -> Iterator[
 def ensemble_frequencies(
     g: StaticGraph, cfg: RandomizationConfig, k: int = 4
 ) -> dict[str, float]:
-    """Mean graphlet-class counts over the randomized ensemble."""
-    order = [c.name for c in GRAPHLET_CLASSES[k]]
-    totals = np.zeros(len(order))
+    """Mean graphlet-class counts over the randomized ensemble, canonical order."""
+    totals: Counter[str] = Counter()
     for replica in randomized_replicates(g, cfg):
-        counts = graphlet_class_frequencies(replica, k)
-        totals += [counts[name] for name in order]
-    means = totals / cfg.replicates
-    return {name: float(mean) for name, mean in zip(order, means)}
+        totals.update(graphlet_class_frequencies(replica, k))
+    return {name: total / cfg.replicates for name, total in totals.items()}

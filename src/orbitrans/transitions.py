@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .census import _induced_masks, _kset_blocks, _orbit_onehot, orbit_count
+from .census import GRAPHLET_CLASSES, _induced_masks, _kset_blocks, _orbit_onehot, orbit_count
 from .graph_core import SnapshotSeries, StaticGraph
 
 FINGERPRINT_LABELS = ("Rare", "Common", "Frequent")
@@ -124,12 +124,13 @@ def discretize(nt: NormalizedTransitionMatrix | np.ndarray) -> TransitionFingerp
         values = np.asarray(nt, dtype=np.float64)
         if values.ndim != 2 or values.shape[0] != values.shape[1]:
             raise ValueError(f"expected a square matrix, got shape {values.shape}")
-        k = {3: 3, 11: 4}.get(values.shape[0])
+        k = next((k for k in GRAPHLET_CLASSES if orbit_count(k) == len(values)), None)
     if np.any(values < 0.0) or np.any(values > 1.0):
         bad = values[(values < 0.0) | (values > 1.0)].flat[0]
         raise ValueError(f"cell value {bad} outside [0, 1]; normalize or rescale first")
     if k is None:
-        raise ValueError(f"expected a 3x3 (k=3) or 11x11 (k=4) matrix, got shape {values.shape}")
+        shapes = " or ".join(f"{orbit_count(k)}x{orbit_count(k)} (k={k})" for k in GRAPHLET_CLASSES)
+        raise ValueError(f"expected a {shapes} matrix, got shape {values.shape}")
     bins = (values > _LOW).astype(np.int8) + (values > _HIGH).astype(np.int8)
     labels = tuple(
         tuple(FINGERPRINT_LABELS[b] for b in row) for row in bins

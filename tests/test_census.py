@@ -79,6 +79,21 @@ class TestClassificationTable:
                     assert table.orbits_of[mask] == orbits
                     assert table.classes[table.class_of[mask]].name == name
 
+    def test_orbit_degrees(self):
+        # each position's degree in a connected mask is the one GRAPHLET_CLASSES
+        # gives the orbit the isomorphism oracle puts it in
+        for k in (3, 4):
+            degree_of = {o: d for cls in GRAPHLET_CLASSES[k] for o, d in zip(cls.orbits, cls.degrees)}
+            pairs = list(combinations(range(k), 2))
+            for mask in range(1 << len(pairs)):
+                found = classify_mask(k, mask)
+                if found is None:
+                    continue
+                edges = [pair for bit, pair in enumerate(pairs) if mask >> bit & 1]
+                for position, orbit in enumerate(found[1]):
+                    degree = sum(position in edge for edge in edges)
+                    assert degree == degree_of[orbit], (k, mask, position)
+
     def test_class_orbit_partition(self):
         # the orbits listed per class cover 1..m exactly once
         for k, m in ((3, 3), (4, 11)):

@@ -447,6 +447,42 @@ class TestWriteAtomic:
         assert list(tmp_path.iterdir()) == []
 
 
+class TestUnwritableOut:
+    """An --out below a regular file cannot be created."""
+
+    @pytest.fixture
+    def blocked(self, toy_run):
+        manifest, _out = toy_run
+        (manifest.parent / "afile").write_text("")
+        return manifest, manifest.parent / "afile" / "sub"
+
+    @pytest.mark.parametrize("argv", [["compare"], ["compare", "--metric", "gda"], ["motifs"]])
+    def test_run_level_writers_exit_2(self, blocked, capsys, argv):
+        manifest, out = blocked
+        assert main([*argv, "--manifest", str(manifest), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"error: cannot write {out}/" in err and ": Not a directory" in err
+        assert "Traceback" not in err
+
+    def test_cluster_exit_2(self, blocked, capsys):
+        manifest, out = blocked
+        good = manifest.parent / "good"
+        assert main(["compare", "--manifest", str(manifest), "--out", str(good)]) == 0
+        capsys.readouterr()
+        assert main(["cluster", "--matrix", str(good / "compare_ota.csv"), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: cannot write {out / 'cluster.tree.json'}: Not a directory\n"
+
+    @pytest.mark.parametrize("command", ["stats", "census", "transitions"])
+    def test_per_network_writers_exit_1(self, blocked, capsys, command):
+        manifest, out = blocked
+        assert main([command, "--manifest", str(manifest), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        for name in ("densify", "churn"):
+            assert f"error: network '{name}': cannot write {out / name}." in err
+        assert "Traceback" not in err
+
+
 class TestManifestValidation:
     def test_missing_manifest_file(self, tmp_path, capsys):
         assert main(["stats", "--manifest", str(tmp_path / "nope.ini"), "--out", "o"]) == 2
@@ -465,6 +501,20 @@ class TestManifestValidation:
         manifest = write_manifest(tmp_path, "[x]\npath = ghost.txt\n")
         assert main(["stats", "--manifest", str(manifest), "--out", "o"]) == 2
         assert "does not exist" in capsys.readouterr().err
+
+    def test_names_sharing_a_file_stem(self, tmp_path, capsys):
+        # 'n/x' and 'n_x' both map to n_x.*: the second network would overwrite the first
+        write_network(tmp_path, "n", "a b 0\nb c 5\nc d 12\n")
+        manifest = write_manifest(
+            tmp_path,
+            "[settings]\nwidth = 10\ncount = 2\n\n[n/x]\npath = n.txt\n\n[n_x]\npath = n.txt\n",
+        )
+        out = tmp_path / "out"
+        assert main(["transitions", "--manifest", str(manifest), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == (f"error: manifest {manifest}: networks 'n/x' and 'n_x' "
+                       "both write files named n_x.*\n")
+        assert not out.exists()
 
     def test_duplicate_sections(self, tmp_path):
         write_network(tmp_path, "n", "a b 1\n")
