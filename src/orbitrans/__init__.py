@@ -64,48 +64,6 @@ from .transitions import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AgreementConfig",
-    "ClassificationTable",
-    "EdgeListParseError",
-    "GraphletClass",
-    "GraphletDegreeDistribution",
-    "MergeStep",
-    "MotifFingerprint",
-    "NormalizedTransitionMatrix",
-    "OrbitFrequencyMatrix",
-    "OrbitTransitionMatrix",
-    "RandomizationConfig",
-    "SimilarityMatrix",
-    "SnapshotPolicy",
-    "SnapshotSeries",
-    "StaticGraph",
-    "TemporalEdgeList",
-    "TransitionFingerprint",
-    "accumulate_series",
-    "average_degree",
-    "build_classification_table",
-    "build_snapshots",
-    "characteristic_path_length",
-    "clustering_coefficient",
-    "compute_gdd",
-    "compute_orbit_frequencies",
-    "connected_subgraphs",
-    "cut_clusters",
-    "degree_preserving_randomize",
-    "discretize",
-    "ensemble_frequencies",
-    "enumerate_transitions",
-    "final_aggregate_graph",
-    "fingerprint_distance",
-    "gda_matrix",
-    "gda_pair",
-    "graphlet_class_frequencies",
-    "hierarchical_cluster",
-    "ota_matrix",
-    "ota_pair",
-    "parse_edge_list",
-    "relative_rescale",
-    "relative_size_series",
-    "row_normalize",
-]
+# the names imported above, each stated once
+__all__ = sorted(name for name, value in vars().items()
+                 if getattr(value, "__module__", "").startswith(f"{__name__}."))

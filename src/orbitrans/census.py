@@ -22,25 +22,14 @@ edges (Chiba and Nishizeki, "Arboricity and subgraph listing
 algorithms", 1985).
 
 Transitions need every set, so they enumerate, as does
-``connected_subgraphs``. The connected k-sets of a graph are enumerated
-with numpy, in blocks.
-Sets grow from the edges (the connected 2-sets) one neighbour at a time,
-and a grown set T is kept only when it came from its canonical parent:
-T without its largest non-cut vertex. The neighbours a set's members
-propose are sorted so that each new node is examined once per set, its
-adjacency to the set read off the members that proposed it. Every
-connected k-set thus appears exactly once, in no specified order. Each
-block of sets is extended from at most a fixed number of (set,
-neighbour) candidates, or from one set alone if it has more, so memory
-stays bounded whatever the graph's size. Transition tallies are
-``np.bincount`` sums over the blocks.
+``connected_subgraphs``: with numpy, in bounded blocks (``_pair_blocks``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, product
 from typing import Iterator
 
 import numpy as np
@@ -161,7 +150,7 @@ def build_classification_table(k: int) -> ClassificationTable:
 
 
 # Most candidates one block examines: (set, neighbour) pairs in
-# ``_kset_blocks``, wedges or clique corners in the orbit census, and
+# ``_pair_blocks``, wedges or clique corners in the orbit census, and
 # the triangles that census keeps for its second pass. It bounds the
 # block's temporary arrays whatever the graph's size; a set (or node, or
 # triangle) whose own candidates exceed it forms a block by itself.
@@ -169,39 +158,34 @@ _BLOCK_CANDIDATES = 4096
 
 
 @lru_cache(maxsize=None)
-def _extension_table(j: int) -> np.ndarray:
-    """Mask of T = S + w, or -1 where S is not T's canonical parent.
-
-    S is a connected j-set and w a node. The flat index is
-    ``(S mask << j+1 | bits) * (j+1) + ins``: bit q < j of ``bits`` says w
-    is adjacent to S's member at position q, bit j that w is a member, and
-    ``ins`` is w's position in T. S is T's canonical parent when w is the
-    largest non-cut vertex of T; since T - w = S is connected, that means
-    every member of T above w is a cut vertex. Entries for a member, or
-    for a w adjacent to no member, are -1.
-    """
-    t_pairs = PAIR_POSITIONS[j + 1]
-    table = np.full((1 << len(PAIR_POSITIONS[j]) + j + 1) * (j + 1), -1, dtype=np.int64)
-    for s_mask in range(1 << len(PAIR_POSITIONS[j])):
-        if not _mask_is_connected(s_mask, j):
-            continue
-        for bits in range(1, 1 << j):
-            for ins in range(j + 1):
-                at = [q + (q >= ins) for q in range(j)]
-                t_edges = [(at[a], at[b]) for a, b in _mask_edges(s_mask, j)]
-                t_edges += [tuple(sorted((at[q], ins))) for q in range(j) if bits >> q & 1]
-                t_mask = sum(1 << t_pairs.index(edge) for edge in t_edges)
-                if all(_is_cut_vertex(t_mask, j + 1, i) for i in range(ins + 1, j + 1)):
-                    table[(s_mask << j + 1 | bits) * (j + 1) + ins] = t_mask
+def _insertion_table(j: int) -> np.ndarray:
+    """Mask of T = S + w for every j-node mask S, at flat index
+    ``(S mask << j+1 | bits) * (j+1) + ins``: bit q < j of ``bits`` says w is
+    adjacent to S's member at position q, bit j that w is a member (entry
+    -1), and ``ins`` is w's position in T."""
+    pairs, s_masks = PAIR_POSITIONS[j + 1], 1 << len(PAIR_POSITIONS[j])
+    table = np.full((s_masks << j + 1) * (j + 1), -1, dtype=np.int64)
+    for s_mask, bits, ins in product(range(s_masks), range(1 << j), range(j + 1)):
+        at = [q + (q >= ins) for q in range(j)]
+        edges = [(at[a], at[b]) for a, b in _mask_edges(s_mask, j)]
+        edges += [tuple(sorted((at[q], ins))) for q in range(j) if bits >> q & 1]
+        table[(s_mask << j + 1 | bits) * (j + 1) + ins] = sum(1 << pairs.index(e) for e in edges)
     return table
 
 
-def _is_cut_vertex(mask: int, k: int, i: int) -> bool:
-    """Whether removing position ``i`` disconnects the k-node ``mask``."""
-    keep = [q for q in range(k) if q != i]
-    sub = sum(1 << bit for bit, (a, b) in enumerate(PAIR_POSITIONS[k - 1])
-              if mask >> PAIR_POSITIONS[k].index((keep[a], keep[b])) & 1)
-    return not _mask_is_connected(sub, k - 1)
+@lru_cache(maxsize=None)
+def _extension_table(j: int) -> np.ndarray:
+    """``_insertion_table(j)`` where S is T's canonical parent, else -1: S is
+    connected, w adjacent to it and T's largest non-cut vertex, the largest
+    position at which a connected j-set grows into T."""
+    table = _insertion_table(j)
+    slot, ins = np.divmod(np.arange(len(table)), j + 1)
+    s_mask, bits = slot >> j + 1, slot & (1 << j + 1) - 1
+    connected = np.array([_mask_is_connected(mask, j) for mask in range(s_mask[-1] + 1)])
+    grows = connected[s_mask] & (bits > 0) & (bits >> j == 0)
+    top = np.full(1 << len(PAIR_POSITIONS[j + 1]), -1)
+    np.maximum.at(top, table[grows], ins[grows])
+    return np.where(grows & (ins == top[table]), table, -1)
 
 
 def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -210,47 +194,57 @@ def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
     return offsets + np.arange(len(offsets))
 
 
-def _induced_masks(g: StaticGraph, sets: np.ndarray) -> np.ndarray:
-    """Adjacency masks of the subgraphs ``g`` induces on each row of ``sets``."""
-    first, second = np.array(PAIR_POSITIONS[sets.shape[1]]).T
-    query = (sets[:, first] * g.n + sets[:, second]).ravel()
-    hits = np.zeros(len(query), dtype=np.int64)
-    if len(g.keys):
-        # sorted queries make searchsorted several times faster than random ones
-        order = np.argsort(query)
-        query = query[order]
-        hits[order] = g.keys.take(np.searchsorted(g.keys, query), mode="clip") == query
-    return hits.reshape(len(sets), len(first)) @ (1 << np.arange(len(first)))
-
-
-def _extend(g: StaticGraph, sets: np.ndarray, masks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The connected (j+1)-sets whose canonical parent is a row of ``sets``."""
+def _extend(
+    g: StaticGraph, tags: np.ndarray, sets: np.ndarray, masks: np.ndarray, seeded: bool
+) -> tuple[np.ndarray, np.ndarray]:
+    """The (j+1)-sets whose canonical parent is a row of ``sets``, and their
+    masks, in the union ``g`` of a source and a target (see ``_pair_blocks``).
+    A seeded row's first two members are its seed."""
     b, j = sets.shape
+    seeds = 2 if seeded else 0
     shift = max(g.n - 1, 1).bit_length()
     members = sets.ravel()
     degrees = g.indptr[members + 1] - g.indptr[members]
-    w = g.indices[_ranges(g.indptr[members], degrees)]
-    # Code (row, node, tag) with tag q < j for a neighbour of the member at
-    # position q and tag j for the member itself (2 bits, as j <= 3).
-    # Sorting gathers each (row, node): its tags give the node's adjacency
-    # to the row's members and say whether it is one of them.
-    row_code = np.arange(b).repeat(j) << shift + 2
-    code = np.concatenate((row_code | members << 2 | j,
-                           np.repeat(row_code | np.tile(np.arange(j), b), degrees) | w << 2))
+    entries = _ranges(g.indptr[members], degrees)
+    # Code (row, node, tag): tag q << 2 | e for a neighbour of the member at
+    # position q through an entry tagged e, 0 for a member ranked by id and
+    # 4 for a seed member. Sorting gathers each (row, node), whose tags give
+    # bit q (source) and 4 + q (target) of its adjacency to the row, bits j
+    # and 4 + j if it is a member, and bit 8 if one ranked by id.
+    row_code = np.arange(b).repeat(j) << shift + 4
+    neighbours = np.repeat(row_code | np.tile(np.arange(j), b) << 2, degrees)
+    code = np.concatenate((row_code | members << 4 | np.tile(np.arange(j) < seeds, b) * 4,
+                           neighbours | g.indices[entries] << 4 | tags[entries]))
     code.sort()
-    node = code >> 2
+    node = code >> 4
     first = np.flatnonzero(np.concatenate(([True], node[1:] != node[:-1])))
-    bits = np.bitwise_or.reduceat(1 << (code & 3), first)
+    q, e = np.arange(16) >> 2, np.arange(16) & 3
+    tag_bits = np.where(e > 0, (e & 1) << q | (e >> 1) << q + 4, 0x11 << j | np.where(q, 0, 256))
+    bits = np.bitwise_or.reduceat(tag_bits[code & 15], first)
     node = node[first]
     row = node >> shift
-    # each row has j member groups, so the running count of them, less
-    # j per earlier row, counts the row's members up to this node
-    ins = np.cumsum(bits >> j) - row * j
-    t_masks = _extension_table(j)[(masks[row] << j + 1 | bits) * (j + 1) + ins]
+    # w's position in T follows the seed and the members ranked below it:
+    # their running count, less the j - seeds of each earlier row
+    ins = np.cumsum(bits >> 8) - row * (j - seeds) + seeds
+    source, target = bits & 15, bits >> 4 & 15
+    # a set grows through the source's edges, or if seeded the union's
+    grow_mask, grow_bits = masks[row, 0] | masks[row, 1] * seeded, source | target * seeded
+    t_masks = _extension_table(j)[(grow_mask << j + 1 | grow_bits) * (j + 1) + ins]
     keep = np.flatnonzero(t_masks >= 0)
-    grown = np.column_stack((sets[row[keep]], node[keep] & (1 << shift) - 1))
-    grown.sort(axis=1)
-    return grown, t_masks[keep]
+    row, ins, source, target, t_masks = (x[keep] for x in (row, ins, source, target, t_masks))
+    grown = np.column_stack((sets[row], node[keep] & (1 << shift) - 1))
+    if seeded:
+        # a set counts at its smallest changed pair (in one graph only), so
+        # one holding a changed pair below its seed goes, as its supersets would
+        w, seed_key = grown[:, -1:], grown[:, :1] * g.n + grown[:, 1:2]
+        pair_key = np.minimum(grown[:, :-1], w) * g.n + np.maximum(grown[:, :-1], w)
+        changed = (source ^ target)[:, None] >> np.arange(j) & 1 == 1
+        keep = np.flatnonzero(~(changed & (pair_key < seed_key)).any(axis=1))
+        row, ins, source, target, grown = (x[keep] for x in (row, ins, source, target, grown))
+        t_masks = _insertion_table(j)[(masks[row, 0] << j + 1 | source) * (j + 1) + ins]
+    grown[:, seeds:].sort(axis=1)
+    to_masks = _insertion_table(j)[(masks[row, 1] << j + 1 | target) * (j + 1) + ins]
+    return grown, np.column_stack((t_masks, to_masks))
 
 
 def _block_bounds(costs: np.ndarray) -> Iterator[tuple[int, int]]:
@@ -265,46 +259,52 @@ def _block_bounds(costs: np.ndarray) -> Iterator[tuple[int, int]]:
         start = stop
 
 
-def _grow(
-    g: StaticGraph, sets: np.ndarray, masks: np.ndarray, k: int
-) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+def _grow(g: StaticGraph, tags: np.ndarray, sets: np.ndarray, masks: np.ndarray, k: int,
+          seeded: bool) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     costs = (g.indptr[sets + 1] - g.indptr[sets]).sum(axis=1)
     for start, stop in _block_bounds(costs):
-        grown, grown_masks = _extend(g, sets[start:stop], masks[start:stop])
+        grown, grown_masks = _extend(g, tags, sets[start:stop], masks[start:stop], seeded)
         if grown.shape[1] < k:
-            yield from _grow(g, grown, grown_masks, k)
+            yield from _grow(g, tags, grown, grown_masks, k, seeded)
         elif len(grown):
             yield grown, grown_masks
 
 
-def _kset_blocks(g: StaticGraph, k: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Every connected k-set of ``g`` once, in ``(sets, masks)`` blocks.
+def _pair_blocks(u: StaticGraph, tags: np.ndarray, k: int,
+                 seeded: bool) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """k-sets of the union ``u`` of a source and a target, in ``(sets, masks)`` blocks.
 
-    ``sets`` is a ``(b, k)`` array of node ids sorted within each row and
-    ``masks`` the ``(b,)`` induced-adjacency masks. Sets grow from the
-    edges one node at a time, and each connected set T is kept only when
-    grown from its canonical parent T - w, w being T's largest non-cut
-    vertex (see ``_extension_table``). The sets of one level are extended
-    in blocks of at most ``_BLOCK_CANDIDATES`` (set, neighbour) candidates,
-    or one set if it alone has more, and the next level is grown from
-    each block before the following one, so memory stays bounded.
+    ``tags[e]`` says which graph has CSR entry e (bit 0 the source, bit 1
+    the target), and ``masks[i]`` holds the masks both induce on
+    ``sets[i]``. Sets grow from edges one node at a time, each kept only
+    when grown from its canonical parent (``_extension_table``): unless
+    ``seeded``, the source's connected k-sets from its edges; if
+    ``seeded``, the union's connected k-sets holding a changed pair from
+    each such pair, ranked below every other node (a connected set holding
+    an edge has a non-cut vertex outside it), and kept at the smallest.
+    Each set appears once. Rows are extended depth first, in blocks of at
+    most ``_BLOCK_CANDIDATES`` (set, neighbour) candidates or of one row,
+    so memory stays bounded.
     """
     orbit_count(k)  # rejects any other k
-    edges = g.edge_array()
-    yield from _grow(g, edges, np.ones(len(edges), dtype=np.int64), k)
+    edge_tags = tags[u.keys // max(u.n, 1) < u.indices]  # the tags of edge_array's rows
+    pick = edge_tags != 3 if seeded else edge_tags & 1 == 1
+    masks = np.column_stack((edge_tags & 1, edge_tags >> 1))
+    yield from _grow(u, tags, u.edge_array()[pick], masks[pick], k, seeded)
+
+
+def _kset_blocks(g: StaticGraph, k: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Every connected k-set of ``g`` once, in ``(sets, masks)`` blocks: a
+    ``(b, k)`` array of node ids, sorted within each row, and the ``(b,)``
+    induced-adjacency masks (see ``_pair_blocks``)."""
+    for sets, masks in _pair_blocks(g, np.ones(len(g.keys), dtype=np.int64), k, False):
+        yield sets, masks[:, 0]
 
 
 def connected_subgraphs(g: StaticGraph, k: int) -> Iterator[tuple[tuple[int, ...], int]]:
-    """Yield every connected induced k-subgraph of ``g`` exactly once.
-
-    Each item is ``(nodes, mask)`` with ``nodes`` sorted ascending and
-    ``mask`` its induced-adjacency mask: bit b is set when the pair at
-    ``PAIR_POSITIONS[k][b]`` of ``nodes`` is an edge. The order
-    of the items is unspecified. Sets are grown from the edges one node at
-    a time, and every connected set is reached from exactly one parent:
-    itself without its largest non-cut vertex. The work runs in numpy
-    blocks of bounded size, so memory stays bounded whatever the graph.
-    """
+    """Yield every connected induced k-subgraph of ``g`` exactly once, in no
+    specified order, as ``(nodes, mask)``: ``nodes`` ascending, and bit b of
+    ``mask`` set when the pair ``PAIR_POSITIONS[k][b]`` of ``nodes`` is an edge."""
     for sets, masks in _kset_blocks(g, k):
         yield from zip(map(tuple, sets.tolist()), masks.tolist())
 

@@ -360,6 +360,14 @@ def write_json(path: Path, obj) -> None:
     write_atomic(path, json.dumps(obj, indent=2) + "\n")
 
 
+def write_run_file(write: Callable, path: Path, *data) -> None:
+    """``write(path, *data)`` for a file of the whole run: failing, it ends the run (exit 2)."""
+    try:
+        write(path, *data)
+    except OSError as e:
+        raise CliError(f"cannot write {path}: {e.strerror or e}") from e
+
+
 def _file_stem(name: str) -> str:
     return name.replace(os.sep, "_").replace("/", "_")
 
@@ -384,7 +392,7 @@ def write_meta(path: Path, run: RunConfig, args: argparse.Namespace, **extra) ->
     net_keys = NETWORK_KEYS if "width" in reads else ("path", "sep")
     meta["networks"] = {net.name: {key: getattr(net, key) for key in net_keys} | {"path": str(net.path)}
                         for net in run.networks}
-    write_json(path, meta)
+    write_run_file(write_json, path, meta)
 
 
 # ---------------------------------------------------------------------------
@@ -473,7 +481,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
         [net.name, *row] for net in run.networks if net.name in results for row in results[net.name]
     ]
     if results:
-        write_csv(run.out_dir / "stats.csv", ("network", *STATS_HEADER), combined)
+        write_run_file(write_csv, run.out_dir / "stats.csv", ("network", *STATS_HEADER), combined)
     return _report_errors(errors)
 
 
@@ -608,8 +616,8 @@ def cmd_compare(args: argparse.Namespace) -> int:
     merges = hierarchical_cluster(sim, linkage=run.linkage)
 
     rows = ([name, *row] for name, row in zip(sim.names, sim.values))
-    write_csv(run.out_dir / f"compare_{metric}.csv", ["network", *sim.names], rows)
-    write_json(run.out_dir / f"compare_{metric}.tree.json", _tree_json(merges))
+    write_run_file(write_csv, run.out_dir / f"compare_{metric}.csv", ["network", *sim.names], rows)
+    write_run_file(write_json, run.out_dir / f"compare_{metric}.tree.json", _tree_json(merges))
     write_meta(run.out_dir / f"compare_{metric}.meta.json", run, args, metric=metric, kind=sim.kind)
     return 0
 
@@ -669,7 +677,7 @@ def cmd_cluster(args: argparse.Namespace) -> int:
     sim = read_similarity_csv(Path(args.matrix), kind)
     merges = hierarchical_cluster(sim, linkage=_read("linkage", args))
     out = Path(_read("out", args)) / "cluster.tree.json"
-    write_json(out, _tree_json(merges))
+    write_run_file(write_json, out, _tree_json(merges))
     return 0
 
 
@@ -678,7 +686,7 @@ def cmd_cluster(args: argparse.Namespace) -> int:
 
 
 _SNAPSHOT_FLAGS = ("manifest", "out", "sep", "policy", "width", "count")
-_COMPARE_FLAGS = ("manifest", "out", "sep", "metric", "linkage")
+_COMPARE_FLAGS = ("manifest", "out", "sep", "k", "metric", "linkage")
 
 # the flags each compare --metric reads besides _COMPARE_FLAGS
 METRIC_FLAGS = {
@@ -692,7 +700,7 @@ COMMANDS = {
     "stats": ("per-snapshot summary metrics", _SNAPSHOT_FLAGS),
     "census": ("orbit frequencies, classes, GDDs", (*_SNAPSHOT_FLAGS, "k", "gdd_scaling")),
     "transitions": ("orbit-transition matrices", (*_SNAPSHOT_FLAGS, "k")),
-    "motifs": ("motif scores vs random ensemble", ("manifest", "out", "sep", *METRIC_FLAGS["motif"])),
+    "motifs": ("motif scores vs random ensemble", ("manifest", "out", "sep", "k", *METRIC_FLAGS["motif"])),
     "compare": ("pairwise network comparison", (*_COMPARE_FLAGS, *chain(*METRIC_FLAGS.values()))),
     "cluster": ("merge tree from a matrix CSV", ("out", "matrix", "matrix_kind", "linkage")),
 }

@@ -6,6 +6,7 @@ real co-authorship dataset and is skipped unless ORBITRANS_DATASET
 points at a temporal edge list.
 """
 
+import csv
 import math
 import os
 import time
@@ -13,6 +14,7 @@ import time
 import numpy as np
 import pytest
 
+from orbitrans.cli import main
 from orbitrans.census import (
     GRAPHLET_CLASSES,
     OrbitFrequencyMatrix,
@@ -252,6 +254,100 @@ def test_two_synthetic_families_are_grouped_apart():
     assert separated >= 9, f"within-family agreement won only {separated}/10 trials"
     assert recovered >= 9, f"families recovered in only {recovered}/10 trials"
     assert elapsed < 120.0, f"grouping battery took {elapsed:.1f}s"
+
+
+def _timed_lattice_text(rng, closure: bool) -> str:
+    """A ring lattice (n=60, reach 3) plus 20 random chords, timed in [0, 60).
+
+    Taken in a random order, an edge closes a triangle when its ends
+    already share a neighbour among the edges kept open before it. Under
+    ``closure`` those edges get late times, in [30, 60); every other edge,
+    and every edge otherwise, gets a uniform time.
+    """
+    n = 60
+    edges = {tuple(sorted((i, (i + j) % n))) for i in range(n) for j in range(1, 4)}
+    while len(edges) < 3 * n + 20:
+        u, v = rng.integers(n, size=2).tolist()
+        if u != v:
+            edges.add((min(u, v), max(u, v)))
+    edges = sorted(edges)
+    nbrs: list[set[int]] = [set() for _ in range(n)]
+    closing = np.zeros(len(edges), dtype=bool)
+    for e in rng.permutation(len(edges)).tolist():
+        u, v = edges[e]
+        closing[e] = bool(nbrs[u] & nbrs[v])
+        if not closing[e]:
+            nbrs[u].add(v)
+            nbrs[v].add(u)
+    t = rng.integers(60, size=len(edges))
+    if closure:
+        t = np.where(closing, rng.integers(30, 60, size=len(edges)), t)
+    return "".join(f"v{u} v{v} {s}\n" for (u, v), s in zip(edges, t.tolist()))
+
+
+def _within_and_cross(values: np.ndarray, half: int) -> tuple[float, float]:
+    """Mean score of pairs in one category and of pairs across the two."""
+    n = 2 * half
+    within = np.mean([values[i, j] for i in range(n) for j in range(n)
+                      if i != j and (i < half) == (j < half)])
+    return within, np.mean(values[:half, half:])
+
+
+def test_categories_that_differ_only_in_timing_are_told_apart():
+    # the paper's central claim: networks of one static model (a ring
+    # lattice plus random chords) whose edges appear in a different order
+    # are told apart by their transitions. 4 "closure" + 4 "random"
+    # networks per trial over 6 aggregate snapshots of width 10: mean
+    # within-category OTA must beat the cross-category mean in >= 9/10
+    # trials; under 30 s
+    start = time.perf_counter()
+    separated = 0
+    for trial in range(10):
+        rng = np.random.default_rng([2027, trial])
+        names, mats = [], []
+        for category in ("closure", "random"):
+            for i in range(4):
+                tel = parse_edge_list(_timed_lattice_text(rng, category == "closure"))
+                series = build_snapshots(tel, SnapshotPolicy("aggregate", 10, 6, origin=0))
+                names.append(f"{category}{i}")
+                mats.append(accumulate_series(series, 4))
+        within, cross = _within_and_cross(ota_matrix(names, mats).values, 4)
+        separated += within > cross
+    elapsed = time.perf_counter() - start
+    assert separated >= 9, f"within-category agreement won only {separated}/10 trials"
+    assert elapsed < 30.0, f"category battery took {elapsed:.1f}s"
+
+
+def test_categories_that_differ_only_in_timing_through_the_cli(tmp_path):
+    # the same 8 networks through the manifest reader and the writers:
+    # compare --metric ota writes the in-process matrix, so within beats
+    # cross there too; gda and motif write full matrices over the 8 names
+    rng = np.random.default_rng([2027, 0])
+    names, mats, lines = [], [], []
+    for category in ("closure", "random"):
+        for i in range(4):
+            text = _timed_lattice_text(rng, category == "closure")
+            (tmp_path / f"{category}{i}.txt").write_text(text)
+            series = build_snapshots(parse_edge_list(text), SnapshotPolicy("aggregate", 10, 6, origin=0))
+            names.append(f"{category}{i}")
+            mats.append(accumulate_series(series, 4))
+            lines += ["", f"[{category}{i}]", f"path = {category}{i}.txt"]
+    manifest = tmp_path / "manifest.ini"
+    manifest.write_text("\n".join(["[settings]", "policy = aggregate", "width = 10", "count = 6",
+                                   "origin = 0", "replicates = 4", "seed = 3", *lines]) + "\n")
+    expected = ota_matrix(names, mats).values
+    for metric in ("ota", "gda", "motif"):
+        out = tmp_path / metric
+        assert main(["compare", "--manifest", str(manifest), "--metric", metric, "--out", str(out)]) == 0
+        with open(out / f"compare_{metric}.csv") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == ["network", *names]
+        values = np.array([[float(x) for x in row[1:]] for row in rows[1:]])
+        assert values.shape == (8, 8)
+        if metric == "ota":
+            assert np.allclose(values, expected, rtol=1e-11, atol=0)
+            within, cross = _within_and_cross(values, 4)
+            assert within > cross
 
 
 @pytest.mark.skipif(

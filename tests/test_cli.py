@@ -406,6 +406,20 @@ class TestManifestK:
         assert [r[0] for r in rows[1:]] == ["chain", "triangle"]
         assert json.loads((out / "motifs.meta.json").read_text())["k"] == 3
 
+    @pytest.mark.parametrize("argv", [["motifs"], ["compare", "--metric", "gda"]])
+    def test_k_flag_writes_what_manifest_k_writes(self, toy_run, argv):
+        manifest, out = toy_run
+        k3 = manifest.parent / "k3.ini"
+        k3.write_text(manifest.read_text().replace("[settings]\n", "[settings]\nk = 3\n"))
+        assert main([*argv, "--manifest", str(k3), "--out", str(out / "manifest")]) == 0
+        assert main([*argv, "--manifest", str(manifest), "--k", "3", "--out", str(out / "flag")]) == 0
+        names = sorted(p.name for p in (out / "manifest").iterdir())
+        assert names == sorted(p.name for p in (out / "flag").iterdir())
+        metas = [name for name in names if name.endswith(".meta.json")]
+        assert len(metas) == 1 and json.loads((out / "flag" / metas[0]).read_text())["k"] == 3
+        for name in names:
+            assert (out / "manifest" / name).read_bytes() == (out / "flag" / name).read_bytes(), name
+
     def test_gda_k3_pools_3_node_orbits_once(self, tmp_path):
         texts = {"tail": "a b 0\nb c 1\nc d 2\nd e 3\nc e 4\n",
                  "hub": "a b 0\na c 1\na d 2\na e 3\nb c 4\n"}
@@ -472,6 +486,23 @@ class TestUnwritableOut:
         assert main(["cluster", "--matrix", str(good / "compare_ota.csv"), "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert err == f"error: cannot write {out / 'cluster.tree.json'}: Not a directory\n"
+
+    @pytest.mark.parametrize("command, target", [
+        ("compare", "compare_ota.csv"), ("compare", "compare_ota.tree.json"),
+        ("compare", "compare_ota.meta.json"), ("motifs", "motifs.meta.json"), ("stats", "stats.csv"),
+        ("cluster", "cluster.tree.json"),
+    ])
+    def test_directory_in_place_of_a_run_file_exits_2(self, toy_run, capsys, command, target):
+        manifest, out = toy_run
+        argv = ["--manifest", str(manifest)]
+        if command == "cluster":
+            assert main(["compare", *argv, "--out", str(out / "good")]) == 0
+            argv = ["--matrix", str(out / "good" / "compare_ota.csv")]
+        (out / target).mkdir(parents=True)
+        assert main([command, *argv, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"error: cannot write {out / target}: Is a directory\n" in err
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize("command", ["stats", "census", "transitions"])
     def test_per_network_writers_exit_1(self, blocked, capsys, command):
@@ -691,9 +722,9 @@ class TestFlags:
             "stats": SNAPSHOT_FLAGS,
             "census": SNAPSHOT_FLAGS | {"--k", "--gdd-scaling"},
             "transitions": SNAPSHOT_FLAGS | {"--k"},
-            "motifs": {"--manifest", "--out", "--sep", "--seed", "--replicates",
+            "motifs": {"--manifest", "--out", "--sep", "--k", "--seed", "--replicates",
                        "--swaps-per-edge"},
-            "compare": {"--manifest", "--out", "--sep", "--metric", "--linkage"}.union(
+            "compare": {"--manifest", "--out", "--sep", "--k", "--metric", "--linkage"}.union(
                 *METRIC_FLAGS.values()),
             "cluster": {"--out", "--matrix", "--matrix-kind", "--linkage"},
         }

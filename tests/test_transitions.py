@@ -1,45 +1,65 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from orbitrans import census, transitions
 from orbitrans.graph_core import SnapshotPolicy, StaticGraph, build_snapshots, parse_edge_list
 from orbitrans.transitions import (
     NormalizedTransitionMatrix,
+    _union,
     accumulate_series,
     discretize,
     enumerate_transitions,
     row_normalize,
 )
-from orbitrans.census import GRAPHLET_CLASSES
+from orbitrans.census import GRAPHLET_CLASSES, graphlet_class_frequencies
 from oracles import (
     complete_graph,
     cycle_graph,
     exhaustive_occurrences,
     exhaustive_transitions,
+    gnm_graph,
     gnp_graph,
     path_graph,
     random_event_text,
     relabeled,
+    ring_lattice_with_chords,
 )
 
 
 @st.composite
 def snapshot_pairs(draw):
-    """Two graphs on one node set: independent, identical, or one edgeless."""
+    """Two graphs on one node set: independent, identical, one edgeless, the
+    target a subset or a superset of the source, or a few pairs changed."""
     n = draw(st.integers(min_value=0, max_value=9))
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
 
-    def edges():
-        keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
-        return [pair for pair, present in zip(pairs, keep) if present]
+    def flags():
+        return draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
 
-    a = edges()
-    b = {"independent": edges, "identical": lambda: a, "edgeless": lambda: []}[
-        draw(st.sampled_from(("independent", "identical", "edgeless")))
-    ]()
-    a, b = draw(st.permutations((a, b)))
-    return StaticGraph(n, a), StaticGraph(n, b)
+    a = flags()
+    kind = draw(st.sampled_from(("independent", "identical", "edgeless", "subset", "superset", "few")))
+    if kind == "few":
+        flip = draw(st.sets(st.integers(0, max(len(pairs) - 1, 0)), max_size=3)) if pairs else set()
+        b = [x != (i in flip) for i, x in enumerate(a)]
+    else:
+        other = flags()
+        b = {"independent": other, "identical": a, "edgeless": [False] * len(pairs),
+             "subset": [x and y for x, y in zip(a, other)],
+             "superset": [x or y for x, y in zip(a, other)]}[kind]
+    if kind == "edgeless" and draw(st.booleans()):
+        a, b = b, a
+    return tuple(StaticGraph(n, [p for p, x in zip(pairs, keep) if x]) for keep in (a, b))
+
+
+# each path of enumerate_transitions, called directly
+PATHS = {
+    "full": lambda a, b, k: transitions._tally(*_union(a, b), k, seeded=False),
+    "delta": lambda a, b, k: transitions._delta_path(a, *_union(a, b), k),
+}
 
 
 def triangle():
@@ -117,6 +137,106 @@ class TestPairEnumeration:
         t2 = enumerate_transitions(relabeled(a, perm), relabeled(b, perm), 4)
         assert np.array_equal(t1.counts, t2.counts)
         assert np.array_equal(t1.dissolved, t2.dissolved)
+
+
+def churn_pair(rng, n=200, live=0.6):
+    """Two active snapshots of a ring lattice (reach 4), each edge live in
+    each with probability ``live``: about 0.57 of the union changes."""
+    ring = np.array([(i, (i + j) % n) for i in range(n) for j in range(1, 5)])
+    return tuple(StaticGraph(n, ring[rng.random(len(ring)) < live]) for _ in range(2))
+
+
+def growth_pair(rng, n=250, new=0.06):
+    """Aggregate snapshots: a ring lattice (reach 4) with 50 chords, then
+    the same graph with a ``new`` share more random edges."""
+    a = ring_lattice_with_chords(rng, n, reach=4, chords=50)
+    extra = rng.integers(0, n, size=(int(new * a.edge_count), 2))
+    return a, StaticGraph(n, np.concatenate((a.edge_array(), extra[extra[:, 0] != extra[:, 1]])))
+
+
+def active_pair(rng, n=300, m=1300, swap=0.02):
+    """Active snapshots of a random graph: a ``swap`` share of its edges
+    gone in the target, and as many new ones."""
+    a = gnm_graph(rng, n, m)
+    edges = a.edge_array()
+    gone = rng.random(len(edges)) < swap
+    extra = rng.integers(0, n, size=(int(gone.sum()), 2))
+    return a, StaticGraph(n, np.concatenate((edges[~gone], extra[extra[:, 0] != extra[:, 1]])))
+
+
+class TestPaths:
+    """The full and the delta path, each against the oracle and each other."""
+
+    @pytest.mark.parametrize("block", [None, 2])
+    @pytest.mark.parametrize("path", PATHS)
+    @settings(max_examples=60, deadline=None)
+    @given(pair=snapshot_pairs(), k=st.sampled_from((3, 4)))
+    def test_matches_oracle(self, block, path, pair, k):
+        # a bound of 2 puts every row of every level in a block of its own
+        a, b = pair
+        with pytest.MonkeyPatch.context() as patch:
+            if block:
+                patch.setattr(census, "_BLOCK_CANDIDATES", block)
+            t = PATHS[path](a, b, k)
+        counts, dissolved = exhaustive_transitions(a, b, k)
+        assert np.array_equal(t.counts, counts)
+        assert np.array_equal(t.dissolved, dissolved)
+
+    @pytest.mark.parametrize("make", [churn_pair, growth_pair, active_pair])
+    @pytest.mark.parametrize("k", [3, 4])
+    def test_paths_agree_at_workload_size(self, make, k):
+        a, b = make(np.random.default_rng(51))
+        full, delta = (PATHS[path](a, b, k) for path in ("full", "delta"))
+        assert np.array_equal(full.counts, delta.counts)
+        assert np.array_equal(full.dissolved, delta.dissolved)
+        assert full.total_node_transitions() == k * sum(graphlet_class_frequencies(a, k).values())
+        if make is growth_pair:
+            assert delta.dissolved.sum() == 0
+
+    def test_pair_picks_its_path(self):
+        rng = np.random.default_rng(52)
+        takes_delta = {name: [transitions._takes_delta_path(*_union(*make(rng)), k) for _ in range(3)]
+                       for name, make, k in (("churn", churn_pair, 4), ("growth", growth_pair, 4),
+                                             ("active", active_pair, 3))}
+        assert takes_delta == {"churn": [False] * 3, "growth": [True] * 3, "active": [True] * 3}
+
+    def test_enumerate_transitions_takes_the_picked_path(self, monkeypatch):
+        # both paths tally through _tally: the full path every source set,
+        # the delta path (seeded) the changed ones
+        calls = []
+        tally = transitions._tally
+
+        def spy(u, tags, k, seeded):
+            calls.append(seeded)
+            return tally(u, tags, k, seeded)
+
+        monkeypatch.setattr(transitions, "_tally", spy)
+        rng = np.random.default_rng(53)
+        enumerate_transitions(*churn_pair(rng), 4)
+        enumerate_transitions(*growth_pair(rng), 4)
+        assert calls == [False, True]
+
+    def test_delta_memory_does_not_grow_with_changes(self):
+        # 4000 of a ring lattice's (reach 3) edges gone: the delta path
+        # counts about 97,000 changed 4-sets, 4.4 MB of rows and masks if
+        # held at once; grown in blocks, the peak stays that of the graph's
+        # own arrays and the census, about 3 MB, as with 500 gone
+        n = 6000
+        g = StaticGraph(n, [(i, (i + j) % n) for i in range(n) for j in range(1, 4)])
+        edges = g.edge_array()
+        peaks = []
+        for changed in (500, 4000):
+            gone = np.random.default_rng(54).choice(len(edges), size=changed, replace=False)
+            s_to = StaticGraph(n, np.delete(edges, gone, axis=0))
+            u, tags = _union(g, s_to)
+            tracemalloc.start()
+            try:
+                transitions._delta_path(g, u, tags, 4)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < 1.25 * peaks[0], peaks
+        assert peaks[1] < 4 * 2**20, peaks
 
 
 class TestSeriesAccumulation:
