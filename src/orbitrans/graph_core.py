@@ -13,9 +13,9 @@ The layer works on integer arrays from end to end:
   at line breaks and tokenizes each block with numpy, so its memory
   beyond the final ``(N, 3)`` int64 event array is bounded by the block
   size, not by the size of the text;
-- ``build_snapshots`` and ``final_aggregate_graph`` bin that array by
-  undirected edge keys ``min(u,v)*n + max(u,v)`` with sorting and
-  ``searchsorted``, with no loop over events;
+- that array is sorted by time, so ``build_snapshots`` cuts it into one
+  slice per snapshot and sorts only each slice's undirected edge keys
+  ``min(u,v)*n + max(u,v)``, with no loop over events;
 - a ``StaticGraph`` is a set of sorted CSR arrays and nothing else;
 - ``characteristic_path_length`` is a bit-parallel breadth-first search
   over those arrays; ``clustering_coefficient`` reads the 3-node census.
@@ -151,6 +151,14 @@ class TemporalEdgeList:
     labels: tuple[str, ...]
     events: np.ndarray
     dropped_self_loops: int = 0
+
+    def __post_init__(self) -> None:
+        # build_snapshots slices the events by time, trusting this order
+        events = self.events
+        if getattr(events, "dtype", None) != np.int64 or np.shape(events)[1:] != (3,):
+            raise ValueError("events must be an (N, 3) int64 array")
+        if np.any(events[1:, 2] < events[:-1, 2]):
+            raise ValueError("events must be sorted by time")
 
     @property
     def n(self) -> int:
@@ -349,15 +357,16 @@ class _EventReader:
         returns = block.count(b"\r")
         plain = not block.translate(None, _PLAIN)
         plain = plain and (not returns or returns == block.count(b"\r\n"))
-        if plain and self._add_plain(np.frombuffer(block, dtype=np.uint8)):
+        if plain and self._add_plain(block):
             self.lines += block.count(b"\n") + (not block.endswith(b"\n"))
         else:
             self._add_lines(block)
 
-    def _add_plain(self, buf: np.ndarray) -> bool:
+    def _add_plain(self, block: bytes) -> bool:
         """Tokenize a block with numpy; False (adding nothing) if any line is off."""
+        buf = np.frombuffer(block, dtype=np.uint8)
         start, end, line = _fields(buf, self.sep)
-        if len(start):
+        if b"#" in block:  # a comment line starts with one
             first = np.concatenate(([True], line[1:] != line[:-1]))
             comment = first & (end > start) & (buf[np.minimum(start, len(buf) - 1)] == 0x23)
             keep = ~np.isin(line, line[comment])
@@ -402,12 +411,11 @@ class _EventReader:
                 fields = [f.strip() for f in stripped.split(",")]
             if len(fields) != 3:
                 raise EdgeListParseError(f"expected 3 fields, got {len(fields)}", line_no)
-            try:
-                t = int(fields[2])
-            except ValueError:
-                raise EdgeListParseError(
-                    f"timestamp {fields[2]!r} is not an integer", line_no
-                ) from None
+            # int() would also take underscores and non-ASCII digits
+            digits = fields[2][1:] if fields[2][:1] in ("+", "-") else fields[2]
+            if not (digits.isascii() and digits.isdigit()):
+                raise EdgeListParseError(f"timestamp {fields[2]!r} is not an integer", line_no)
+            t = int(fields[2])
             if not _INT64_MIN <= t <= _INT64_MAX:
                 raise EdgeListParseError(
                     f"timestamp {fields[2]!r} does not fit in a signed 64-bit integer", line_no
@@ -450,13 +458,15 @@ def _first_appearance(u: np.ndarray, v: np.ndarray, ids: int) -> np.ndarray:
     """Ids in order of first appearance in ``u[0], v[0], u[1], v[1], ...``."""
     seen = np.zeros(ids, dtype=bool)
     found = [np.zeros(0, dtype=np.int64)]
-    step = 1 << 16  # rows per pass: bounds the temporaries
-    for lo in range(0, len(u), step):
+    # passes double up to 1 << 16 rows (bounding the temporaries) and stop when all ids are found
+    lo, step = 0, 1 << 10
+    while lo < len(u) and sum(map(len, found)) < ids:
         run = np.column_stack((u[lo : lo + step], v[lo : lo + step])).reshape(-1)
         run = run[~seen[run]]
         present, first = np.unique(run, return_index=True)
         found.append(present[np.argsort(first)].astype(np.int64))
         seen[present] = True
+        lo, step = lo + step, min(2 * step, 1 << 16)
     return np.concatenate(found)
 
 
@@ -543,19 +553,6 @@ def _key_graph(n: int, keys: np.ndarray) -> StaticGraph:
     return StaticGraph(n, np.column_stack((keys // n, keys % n)))
 
 
-def _snapshot_index(t: np.ndarray, origin: int, width: int, count: int) -> np.ndarray:
-    """Snapshot of each timestamp: -1 before ``origin``, ``count`` from the end on.
-
-    The interval bounds are exact Python integers. Bounds outside the
-    int64 range are counted rather than compared, so no arithmetic on
-    ``t`` can overflow.
-    """
-    bounds = [origin + width * i for i in range(count + 1)]
-    below = sum(b < _INT64_MIN for b in bounds)
-    inside = np.array([b for b in bounds if _INT64_MIN <= b <= _INT64_MAX], dtype=np.int64)
-    return np.searchsorted(inside, t, side="right") + (below - 1)
-
-
 def build_snapshots(edges: TemporalEdgeList, policy: SnapshotPolicy) -> SnapshotSeries:
     """Materialize the snapshot series of a temporal edge list.
 
@@ -564,28 +561,31 @@ def build_snapshots(edges: TemporalEdgeList, policy: SnapshotPolicy) -> Snapshot
     edge is present from the first such snapshot onward (events before the
     origin count from snapshot 0). Events at or past the end of the last
     interval are discarded and counted.
+
+    Snapshot i's events are the slice ``[cuts[i], cuts[i+1])`` of the
+    time-sorted events. The bounds are exact Python integers, and those
+    outside the int64 range are counted rather than compared with ``t``.
     """
     origin = policy.origin if policy.origin is not None else edges.origin
-    count, n = policy.count, edges.n
-    index = _snapshot_index(edges.events[:, 2], int(origin), int(policy.width), count)
-    if policy.mode == "active":
-        keep = (index >= 0) & (index < count)
-    else:
-        keep = index < count
-        index = np.maximum(index, 0)
-    discarded = len(index) - int(np.count_nonzero(keep))
-    edge_keys, edge_id = _group(_edge_keys(edges.events[keep], n)[:, None])
-    edge_keys = edge_keys[:, 0]
-    # distinct (snapshot, edge) pairs, sorted by snapshot, then by edge key
-    pairs = _distinct(index[keep] * len(edge_keys) + edge_id)
-    snap, edge = np.divmod(pairs, max(len(edge_keys), 1))
-    # snapshot i holds the pairs up to ends[i]: from starts[i] in active
-    # mode, from the first in aggregate mode (StaticGraph drops repeats)
-    ends = np.searchsorted(snap, np.arange(1, count + 1)).tolist()
-    starts = [0] + ends[:-1] if policy.mode == "active" else [0] * count
-    graphs = tuple(_key_graph(n, edge_keys[edge[a:b]]) for a, b in zip(starts, ends))
+    count, n, t = policy.count, edges.n, edges.events[:, 2]
+    bounds = [int(origin) + int(policy.width) * i for i in range(count + 1)]
+    below = sum(b < _INT64_MIN for b in bounds)
+    inside = np.array([b for b in bounds if _INT64_MIN <= b <= _INT64_MAX], dtype=np.int64)
+    cuts = [0] * below + np.searchsorted(t, inside).tolist()
+    cuts += [len(t)] * (count + 1 - len(cuts))
+    if policy.mode == "aggregate":
+        cuts[0] = 0
+    held, graphs = np.zeros(0, dtype=np.int64), []
+    for a, b in zip(cuts, cuts[1:]):
+        keys = _edge_keys(edges.events[a:b], n)
+        if policy.mode == "active":
+            held = _distinct(keys)
+        else:  # the previous snapshot's edges carry forward
+            held = _distinct(np.concatenate((held, keys)))
+        graphs.append(_key_graph(n, held))
+    discarded = len(t) - (cuts[-1] - cuts[0])
     return SnapshotSeries(
-        snapshots=graphs, policy=policy, labels=edges.labels, events_discarded=discarded
+        snapshots=tuple(graphs), policy=policy, labels=edges.labels, events_discarded=discarded
     )
 
 

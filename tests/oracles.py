@@ -262,6 +262,9 @@ def loop_parse_edge_list(text: str, sep: str = "ws"):
         if len(fields) != 3:
             raise EdgeListParseError(f"expected 3 fields, got {len(fields)}", line_no)
         try:
+            # the format's [+-]digits: int() alone also takes "1_000" and "３"
+            if not fields[2].isascii() or "_" in fields[2]:
+                raise ValueError
             t = int(fields[2])
         except ValueError:
             raise EdgeListParseError(

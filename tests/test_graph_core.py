@@ -14,6 +14,7 @@ from orbitrans.graph_core import (
     EdgeListParseError,
     SnapshotPolicy,
     StaticGraph,
+    TemporalEdgeList,
     average_degree,
     build_snapshots,
     characteristic_path_length,
@@ -128,6 +129,15 @@ class TestParse:
         with pytest.raises(EdgeListParseError, match="not an integer"):
             parse_edge_list("a b xyz")
 
+    @pytest.mark.parametrize("bad", ["1_000", "３", "١٢", "+-2", "+"])
+    def test_timestamp_is_ascii_sign_and_digits(self, bad):
+        # int() takes underscores and non-ASCII digits; the format does not
+        text = f"a b 1\nb c {bad}\n"
+        for parse in (parse_edge_list, loop_parse_edge_list):
+            with pytest.raises(EdgeListParseError) as err:
+                parse(text)
+            assert str(err.value) == f"line 2: timestamp {bad!r} is not an integer"
+
     def test_empty_input_rejected(self):
         with pytest.raises(EdgeListParseError, match="no edge events"):
             parse_edge_list("")
@@ -171,14 +181,52 @@ class TestParse:
         assert tel.labels == ("p", "q") and tel.events.tolist() == [[0, 1, 8]]
 
     def test_plain_ascii_input_never_falls_back_to_lines(self):
-        # the vectorized path handles every well-formed ASCII line shape
-        texts = {
-            "ws": "# c 1 2\r\n\r\n  a\tb  +05 \r\nb b -3\r\n\t\r\nc a 2",
-            "comma": "#a,b,1\n \t\n a , b c,\t5\n,x,3\nb c,b c,07\n",
-        }
+        # the vectorized path handles every well-formed ASCII line shape,
+        # including a '#' that does not start a line
+        texts = [
+            ("ws", "# c 1 2\r\n\r\n  a\tb  +05 \r\nb b -3\r\n\t\r\nc a 2"),
+            ("comma", "#a,b,1\n \t\n a , b c,\t5\n,x,3\nb c,b c,07\n"),
+            ("ws", "a#1 b 3\nb# a#1 4\n"),
+            ("comma", "a, #b,3\n#c,a, 1\n a#,a,5\n"),
+        ]
         with mock.patch.object(graph_core._EventReader, "_add_lines", side_effect=AssertionError):
-            for sep, text in texts.items():
+            for sep, text in texts:
                 assert len(parse_edge_list(text, sep).events) == 2
+        assert parse_edge_list(texts[2][1]).labels == ("a#1", "b", "b#")
+
+    @pytest.mark.parametrize("late", [False, True])
+    def test_label_order_across_first_appearance_passes(self, late):
+        # 70,000 events, more than _first_appearance's largest pass of
+        # 65,536 rows. With late, two nodes are first seen after that many
+        # rows and one occurs only in a self-loop, so the walk runs to the
+        # end; without, the first short pass sees every node and ends it
+        rng = np.random.default_rng(21)
+        count = 70_000
+        u = rng.integers(0, 50, count)
+        v = (u + 1 + rng.integers(0, 49, count)) % 50
+        t = np.arange(count) // 3
+        if late:
+            u[[67_000, 68_500]] = [50, 51]
+        lines = [f"n{a} n{b} {c}\n" for a, b, c in zip(u.tolist(), v.tolist(), t.tolist())]
+        lines += ["n52 n52 5\n"] if late else []
+        text = "".join(rng.permutation(lines))
+        with mock.patch.object(np, "unique", wraps=np.unique) as unique:
+            tel = parse_edge_list(text)
+        assert _outcome(lambda: tel) == _outcome(lambda: loop_parse_edge_list(text))
+        if late:
+            assert tel.labels[-2:] == ("n50", "n51")
+        else:
+            assert unique.call_count == 1
+
+    def test_edge_list_requires_time_sorted_int64_rows(self):
+        tel = parse_edge_list("a b 2\nb c 1\nc a 2\n")
+        assert TemporalEdgeList(tel.labels, tel.events) == tel
+        unsorted = tel.events[::-1].copy()
+        with pytest.raises(ValueError, match="sorted by time"):
+            TemporalEdgeList(tel.labels, unsorted)
+        for events in (tel.events.astype(np.int32), tel.events[:, :2], tel.events.tolist()):
+            with pytest.raises(ValueError, match=r"\(N, 3\) int64"):
+                TemporalEdgeList(tel.labels, events)
 
     def test_memory_stays_within_a_multiple_of_the_events(self):
         # 200k unsorted events with distinct-enough labels; the old
@@ -218,7 +266,7 @@ class TestParse:
 WS_LABELS = (
     "a", "b", "v7", "007", "x-y.z", "longer-than-8", "node_0000000001", "é", "日本", "naïve-node-label",
 )
-BAD_TIMESTAMPS = ("1.5", "x", "1e3", "--1", "+-2", "0x10", "1_000", "")
+BAD_TIMESTAMPS = ("1.5", "x", "1e3", "--1", "+-2", "0x10", "1_000", "", "３", "١٢")
 # comments, some shaped like data lines in one format or the other
 COMMENTS = ("# note, 1 2 3", "#a b 5", "# a b 5", "#a,b,5", "# x, y, 7")
 
@@ -393,6 +441,29 @@ class TestSnapshots:
             snaps, discarded = set_build_snapshots(tel.events.tolist(), tel.n, policy)
             assert series.events_discarded == discarded, (origin, width, count)
             assert [set(g.edges()) for g in series.snapshots] == snaps, (origin, width, count)
+
+    @pytest.mark.parametrize("mode", POLICY_MODES)
+    def test_memory_scales_with_a_snapshot_not_the_events(self, mode):
+        # 400k events over at most 1,300 edges in 12 snapshots: binning
+        # slices the time-sorted events, so its temporaries are one
+        # snapshot's keys (a twelfth of the events) and the graphs are
+        # small. A binning that sorts all the events peaks at 2.4x the
+        # event array here.
+        rng = np.random.default_rng(17)
+        count, n = 400_000, 300
+        u = rng.integers(0, n, 1300)
+        v = (u + 1 + rng.integers(0, n - 1, 1300)) % n
+        pick = rng.integers(0, 1300, count)
+        t = np.sort(rng.integers(0, 12_000, count))
+        tel = TemporalEdgeList(tuple(map(str, range(n))), np.column_stack((u[pick], v[pick], t)))
+        tracemalloc.start()
+        try:
+            series = build_snapshots(tel, SnapshotPolicy(mode, width=1000, count=12, origin=0))
+            _current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert series.events_discarded == 0 and series[11].edge_count > 1000
+        assert peak < tel.events.nbytes / 2
 
     def test_final_aggregate_graph_is_event_union(self):
         tel = parse_edge_list("a b 0\nb c 5\na b 9\nc a 40")
