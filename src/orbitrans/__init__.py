@@ -34,7 +34,6 @@ from .graph_core import (
     relative_size_series,
 )
 from .metrics import (
-    AgreementConfig,
     MergeStep,
     MotifFingerprint,
     SimilarityMatrix,
@@ -43,6 +42,7 @@ from .metrics import (
     gda_matrix,
     gda_pair,
     hierarchical_cluster,
+    motif_distance_matrix,
     ota_matrix,
     ota_pair,
     relative_rescale,
@@ -51,9 +51,9 @@ from .nullmodel import (
     RandomizationConfig,
     degree_preserving_randomize,
     ensemble_frequencies,
+    randomized_replicates,
 )
 from .transitions import (
-    NormalizedTransitionMatrix,
     OrbitTransitionMatrix,
     TransitionFingerprint,
     accumulate_series,

@@ -49,7 +49,8 @@ import json
 import os
 import sys
 import tempfile
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from functools import partial
 from itertools import chain
 from pathlib import Path
 from typing import Callable, Sequence
@@ -76,7 +77,6 @@ from .graph_core import (
     snapshot_stats,
 )
 from .metrics import (
-    AgreementConfig,
     MergeStep,
     MotifFingerprint,
     SimilarityMatrix,
@@ -188,16 +188,20 @@ class NetworkSpec:
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Everything a subcommand needs: networks, knobs, output directory."""
+    """Everything a subcommand needs: the networks and each run-level
+    setting, under its ``SETTINGS`` name."""
 
     networks: tuple[NetworkSpec, ...]
-    out_dir: Path
+    out: Path
     k: int
-    agreement: AgreementConfig
+    seed: int
+    replicates: int
+    swaps_per_edge: int
+    ota_scaling: str
+    relative_rescale: bool
     gdd_scaling: str
-    randomization: RandomizationConfig
-    linkage: str
     gda_include_k3: bool
+    linkage: str
 
 
 def _read(key: str, args, section=None, context: str = "", fallback=None, at_least: bool = True):
@@ -295,24 +299,8 @@ def load_run_config(args: argparse.Namespace) -> RunConfig:
     if not networks:
         raise CliError(f"manifest {manifest_path} defines no networks")
 
-    def setting(key: str):
-        return _read(key, args, settings, ctx)
-
-    return RunConfig(
-        networks=tuple(networks),
-        out_dir=Path(setting("out")),
-        k=setting("k"),
-        agreement=AgreementConfig(
-            ota_scaling=setting("ota_scaling"),
-            use_relative_rescale=setting("relative_rescale"),
-        ),
-        gdd_scaling=setting("gdd_scaling"),
-        randomization=RandomizationConfig(
-            **{key: setting(key) for key in ("replicates", "swaps_per_edge", "seed")}
-        ),
-        linkage=setting("linkage"),
-        gda_include_k3=setting("gda_include_k3"),
-    )
+    values = {f.name: _read(f.name, args, settings, ctx) for f in fields(RunConfig)[1:]}
+    return RunConfig(tuple(networks), **values | {"out": Path(values["out"])})
 
 
 # ---------------------------------------------------------------------------
@@ -382,13 +370,10 @@ def write_meta(path: Path, run: RunConfig, args: argparse.Namespace, **extra) ->
     """Record the tool version, ``extra``, ``k`` and each other setting the run read;
     per network, its input and, where the run builds snapshots, its snapshot settings."""
     reads = _reads(args)
-    # RunConfig and its two configs name each setting as SETTINGS does, but for this one
-    values = {**vars(run), **vars(run.agreement), **vars(run.randomization),
-              "relative_rescale": run.agreement.use_relative_rescale}
     meta = {"tool_version": __version__, **extra, "k": run.k}
     for key in reads:
         if key not in meta and key not in ("manifest", "out", *NETWORK_KEYS):
-            meta[key] = values[key]
+            meta[key] = getattr(run, key)
     net_keys = NETWORK_KEYS if "width" in reads else ("path", "sep")
     meta["networks"] = {net.name: {key: getattr(net, key) for key in net_keys} | {"path": str(net.path)}
                         for net in run.networks}
@@ -451,7 +436,8 @@ def _network_motifs(run: RunConfig, net: NetworkSpec) -> tuple[dict, dict, Motif
     """Real class counts, ensemble means and motif fingerprint of the final graph."""
     g = _network_final_graph(net)
     real = graphlet_class_frequencies(g, run.k)
-    means = ensemble_frequencies(g, run.randomization, run.k)
+    cfg = RandomizationConfig(run.replicates, run.swaps_per_edge, run.seed)
+    means = ensemble_frequencies(g, cfg, run.k)
     fp = motif_scores_from_counts(list(real.values()), [means[name] for name in real], run.k)
     return real, means, fp
 
@@ -473,7 +459,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
         _events, series = _network_series(net)
         rows = snapshot_stats(series)
         table = [[r[col] for col in STATS_HEADER] for r in rows]
-        write_csv(run.out_dir / f"{_file_stem(net.name)}.stats.csv", STATS_HEADER, table)
+        write_csv(run.out / f"{_file_stem(net.name)}.stats.csv", STATS_HEADER, table)
         return table
 
     results, errors = run_per_network(run, worker)
@@ -481,7 +467,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
         [net.name, *row] for net in run.networks if net.name in results for row in results[net.name]
     ]
     if results:
-        write_run_file(write_csv, run.out_dir / "stats.csv", ("network", *STATS_HEADER), combined)
+        write_run_file(write_csv, run.out / "stats.csv", ("network", *STATS_HEADER), combined)
     return _report_errors(errors)
 
 
@@ -490,17 +476,17 @@ def _census_bundle(run: RunConfig, stem: str, tag: str, g: StaticGraph, labels) 
     gdd = compute_gdd(fr, scaling=run.gdd_scaling)
     header = ["node"] + [f"orbit_{j + 1}" for j in range(fr.m)]
     write_csv(
-        run.out_dir / f"{stem}.{tag}.fr.csv",
+        run.out / f"{stem}.{tag}.fr.csv",
         header,
         ([labels[v], *row] for v, row in enumerate(fr.counts.tolist())),
     )
     write_csv(
-        run.out_dir / f"{stem}.{tag}.classes.csv",
+        run.out / f"{stem}.{tag}.classes.csv",
         ("class", "count"),
         class_counts(fr).items(),
     )
     write_json(
-        run.out_dir / f"{stem}.{tag}.gdd.json",
+        run.out / f"{stem}.{tag}.gdd.json",
         {
             "k": gdd.k,
             "scaling": gdd.scaling,
@@ -537,19 +523,19 @@ def cmd_transitions(args: argparse.Namespace) -> int:
 
     def worker(net: NetworkSpec):
         t = _network_transitions(run, net)
-        nt = row_normalize(t)
-        fp = discretize(nt)
+        normalized = row_normalize(t)
+        fp = discretize(normalized)
         stem = _file_stem(net.name)
-        write_orbit_matrix_csv(run.out_dir / f"{stem}.transitions.csv", t.counts)
-        write_orbit_matrix_csv(run.out_dir / f"{stem}.transitions_normalized.csv", nt.values)
-        write_orbit_matrix_csv(run.out_dir / f"{stem}.fingerprint.csv", fp.labels)
+        write_orbit_matrix_csv(run.out / f"{stem}.transitions.csv", t.counts)
+        write_orbit_matrix_csv(run.out / f"{stem}.transitions_normalized.csv", normalized)
+        write_orbit_matrix_csv(run.out / f"{stem}.fingerprint.csv", fp.labels)
         write_json(
-            run.out_dir / f"{stem}.transitions.json",
+            run.out / f"{stem}.transitions.json",
             {
                 "k": t.k,
                 "pairs_processed": t.pairs_processed,
                 "counts": t.counts.tolist(),
-                "normalized": nt.values.tolist(),
+                "normalized": normalized.tolist(),
                 "fingerprint": [list(row) for row in fp.labels],
                 "dissolved": {str(a + 1): int(c) for a, c in enumerate(t.dissolved)},
                 "total_node_transitions": t.total_node_transitions(),
@@ -566,13 +552,13 @@ def cmd_motifs(args: argparse.Namespace) -> int:
     def worker(net: NetworkSpec):
         real, means, fp = _network_motifs(run, net)
         write_csv(
-            run.out_dir / f"{_file_stem(net.name)}.motifs.csv",
+            run.out / f"{_file_stem(net.name)}.motifs.csv",
             ("class", "real_count", "ensemble_mean", "delta"),
             ([name, real[name], means[name], score] for name, score in zip(fp.class_names, fp.scores)),
         )
 
     # first, so an unwritable output directory fails the run before any network loads
-    write_meta(run.out_dir / "motifs.meta.json", run, args)
+    write_meta(run.out / "motifs.meta.json", run, args)
     _results, errors = run_per_network(run, worker)
     return _report_errors(errors)
 
@@ -599,26 +585,25 @@ def cmd_compare(args: argparse.Namespace) -> int:
             for k in gda_ks
         ]
 
-    workers = {"ota": lambda net: _network_transitions(run, net), "gda": gdd_worker,
-               "motif": lambda net: _network_motifs(run, net)[2]}
-    results, errors = run_per_network(run, workers[metric])
+    # metric -> (per-network worker, matrix builder over names and the workers' results)
+    worker, build = {
+        "ota": (lambda net: _network_transitions(run, net),
+                partial(ota_matrix, ota_scaling=run.ota_scaling, rescale=run.relative_rescale)),
+        "gda": (gdd_worker, gda_matrix),
+        "motif": (lambda net: _network_motifs(run, net)[2], motif_distance_matrix),
+    }[metric]
+    results, errors = run_per_network(run, worker)
     if errors:
         # a pairwise comparison cannot proceed with missing networks
         return _report_errors(errors)
 
-    ordered = [results[name] for name in names]
-    if metric == "ota":
-        sim = ota_matrix(names, ordered, run.agreement)
-    elif metric == "gda":
-        sim = gda_matrix(names, ordered)
-    else:
-        sim = motif_distance_matrix(names, ordered)
+    sim = build(names, [results[name] for name in names])
     merges = hierarchical_cluster(sim, linkage=run.linkage)
 
     rows = ([name, *row] for name, row in zip(sim.names, sim.values))
-    write_run_file(write_csv, run.out_dir / f"compare_{metric}.csv", ["network", *sim.names], rows)
-    write_run_file(write_json, run.out_dir / f"compare_{metric}.tree.json", _tree_json(merges))
-    write_meta(run.out_dir / f"compare_{metric}.meta.json", run, args, metric=metric, kind=sim.kind)
+    write_run_file(write_csv, run.out / f"compare_{metric}.csv", ["network", *sim.names], rows)
+    write_run_file(write_json, run.out / f"compare_{metric}.tree.json", _tree_json(merges))
+    write_meta(run.out / f"compare_{metric}.meta.json", run, args, metric=metric, kind=sim.kind)
     return 0
 
 

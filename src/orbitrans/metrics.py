@@ -10,7 +10,10 @@ Three comparison routes ship here:
   over/under-representation scores of the graphlet classes versus a
   degree-preserving random ensemble.
 
-Agreement matrices can be turned into a merge tree with a small
+Each all-pairs builder checks its input and fills the matrix through
+``_all_pairs``, which scores every pair i <= j once and mirrors it, so the
+matrix is exactly symmetric and its diagonal is a network's score against
+itself. Agreement matrices can be turned into a merge tree with a small
 deterministic agglomerative clusterer.
 """
 
@@ -18,29 +21,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Literal, Sequence
+from typing import Callable, Literal, Sequence
 
 import numpy as np
 
 from .census import GRAPHLET_CLASSES, GraphletDegreeDistribution
-from .transitions import NormalizedTransitionMatrix, OrbitTransitionMatrix, row_normalize
+from .transitions import OrbitTransitionMatrix, row_normalize
 
 OtaScaling = Literal["normalized", "per_orbit"]
 Linkage = Literal["average", "single", "complete"]
-
-
-@dataclass(frozen=True)
-class AgreementConfig:
-    """Knobs for the agreement computations.
-
-    ``ota_scaling="normalized"`` divides the OTA sum by |O|^2 so identical
-    matrices score 1; ``"per_orbit"`` divides by |O| only, so identical 11x11
-    matrices score 11. ``use_relative_rescale`` switches the per-cell
-    min/max rescaling across the network set.
-    """
-
-    ota_scaling: OtaScaling = "normalized"
-    use_relative_rescale: bool = True
 
 
 @dataclass(frozen=True)
@@ -88,6 +77,28 @@ def gda_pair(gdd_a: GraphletDegreeDistribution, gdd_b: GraphletDegreeDistributio
     return sum(scores) / len(scores)
 
 
+def _all_pairs(
+    kind: str, names: Sequence[str], items: Sequence, what: str,
+    score: Callable[[object, object], float], prepare: Callable[[list], list] = list,
+) -> SimilarityMatrix:
+    """``score`` over every pair of ``prepare(items)``, one item per name.
+
+    Each pair i <= j is scored once and mirrored; the diagonal is an
+    item's score against itself.
+    """
+    if len(names) != len(items):
+        raise ValueError(f"one {what} required per network name")
+    if len(names) < 2:
+        raise ValueError("need at least 2 networks to compare")
+    items = prepare(items)
+    n = len(names)
+    values = np.empty((n, n))
+    for i in range(n):
+        for j in range(i, n):
+            values[i, j] = values[j, i] = score(items[i], items[j])
+    return SimilarityMatrix(names=tuple(names), values=values, kind=kind)
+
+
 def gda_matrix(
     names: Sequence[str],
     gdds: Sequence[Sequence[GraphletDegreeDistribution]],
@@ -98,19 +109,12 @@ def gda_matrix(
     (e.g. the 4-node orbits alone, or 3- and 4-node together); per-orbit
     scores are pooled across them before averaging.
     """
-    if len(names) != len(gdds):
-        raise ValueError("one GDD bundle required per network name")
-    if len(names) < 2:
-        raise ValueError("need at least 2 networks to compare")
-    n = len(names)
-    values = np.ones((n, n))
-    for i in range(n):
-        for j in range(i + 1, n):
-            pooled: list[float] = []
-            for a, b in zip(gdds[i], gdds[j]):
-                pooled.extend(gda_orbit_scores(a, b))
-            values[i, j] = values[j, i] = sum(pooled) / len(pooled)
-    return SimilarityMatrix(names=tuple(names), values=values, kind="GDA")
+
+    def pooled(bundle_a, bundle_b) -> float:
+        scores = [s for a, b in zip(bundle_a, bundle_b) for s in gda_orbit_scores(a, b)]
+        return sum(scores) / len(scores)
+
+    return _all_pairs("GDA", names, gdds, "GDD bundle", pooled)
 
 
 def relative_rescale(matrices: Sequence[np.ndarray]) -> list[np.ndarray]:
@@ -128,16 +132,20 @@ def relative_rescale(matrices: Sequence[np.ndarray]) -> list[np.ndarray]:
     return [out[i] for i in range(len(matrices))]
 
 
-def ota_pair(m1: np.ndarray, m2: np.ndarray, cfg: AgreementConfig | None = None) -> float:
-    """Orbit-transition agreement between two (rescaled) matrices."""
-    cfg = cfg or AgreementConfig()
+def ota_pair(m1: np.ndarray, m2: np.ndarray, ota_scaling: OtaScaling = "normalized") -> float:
+    """Orbit-transition agreement between two (rescaled) matrices.
+
+    The sum of 1 - |m1 - m2| over the |O| x |O| cells is divided by |O|^2
+    under ``"normalized"``, so identical matrices score 1, and by |O| under
+    ``"per_orbit"``, so identical 11x11 matrices score 11.
+    """
     m1 = np.asarray(m1, dtype=np.float64)
     m2 = np.asarray(m2, dtype=np.float64)
     if m1.shape != m2.shape:
         raise ValueError(f"matrix shapes differ: {m1.shape} vs {m2.shape}")
     total = np.sum(1.0 - np.abs(m1 - m2))
     n_orbits = m1.shape[0]
-    if cfg.ota_scaling == "per_orbit":
+    if ota_scaling == "per_orbit":
         return float(total / n_orbits)
     return float(total / n_orbits**2)
 
@@ -145,24 +153,18 @@ def ota_pair(m1: np.ndarray, m2: np.ndarray, cfg: AgreementConfig | None = None)
 def ota_matrix(
     names: Sequence[str],
     transition_matrices: Sequence[OrbitTransitionMatrix],
-    cfg: AgreementConfig | None = None,
+    ota_scaling: OtaScaling = "normalized",
+    rescale: bool = True,
 ) -> SimilarityMatrix:
-    """All-pairs OTA: row-normalize, rescale across the set, compare."""
-    cfg = cfg or AgreementConfig()
-    if len(names) != len(transition_matrices):
-        raise ValueError("one transition matrix required per network name")
-    if len(names) < 2:
-        raise ValueError("need at least 2 networks to compare")
-    normalized = [row_normalize(t).values for t in transition_matrices]
-    if cfg.use_relative_rescale:
-        normalized = relative_rescale(normalized)
-    n = len(names)
-    values = np.zeros((n, n))
-    for i in range(n):
-        values[i, i] = ota_pair(normalized[i], normalized[i], cfg)
-        for j in range(i + 1, n):
-            values[i, j] = values[j, i] = ota_pair(normalized[i], normalized[j], cfg)
-    return SimilarityMatrix(names=tuple(names), values=values, kind="OTA")
+    """All-pairs OTA: row-normalize, rescale each cell across the set if
+    ``rescale``, compare under ``ota_scaling`` (``ota_pair``)."""
+
+    def prepare(ts: list[OrbitTransitionMatrix]) -> list[np.ndarray]:
+        normalized = [row_normalize(t) for t in ts]
+        return relative_rescale(normalized) if rescale else normalized
+
+    return _all_pairs("OTA", names, transition_matrices, "transition matrix",
+                      lambda a, b: ota_pair(a, b, ota_scaling), prepare)
 
 
 def motif_scores_from_counts(
@@ -204,18 +206,7 @@ def motif_distance_matrix(
     names: Sequence[str], fingerprints: Sequence[MotifFingerprint]
 ) -> SimilarityMatrix:
     """All-pairs Euclidean distances between motif fingerprints."""
-    if len(names) != len(fingerprints):
-        raise ValueError("one fingerprint required per network name")
-    if len(names) < 2:
-        raise ValueError("need at least 2 networks to compare")
-    n = len(names)
-    values = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i + 1, n):
-            values[i, j] = values[j, i] = fingerprint_distance(
-                fingerprints[i], fingerprints[j]
-            )
-    return SimilarityMatrix(names=tuple(names), values=values, kind="MotifDistance")
+    return _all_pairs("MotifDistance", names, fingerprints, "fingerprint", fingerprint_distance)
 
 
 @dataclass(frozen=True)
@@ -241,10 +232,9 @@ def hierarchical_cluster(sim: SimilarityMatrix, linkage: Linkage = "average") ->
     n = len(sim.names)
     if n < 2:
         raise ValueError("need at least 2 networks to cluster")
-    if sim.kind == "MotifDistance":
-        dist = np.asarray(sim.values, dtype=np.float64)
-    else:
-        dist = 1.0 - np.asarray(sim.values, dtype=np.float64)
+    dist = np.asarray(sim.values, dtype=np.float64)
+    if sim.kind != "MotifDistance":
+        dist = 1.0 - dist
 
     clusters: list[set[int]] = [{i} for i in range(n)]
     merges: list[MergeStep] = []
@@ -261,24 +251,17 @@ def hierarchical_cluster(sim: SimilarityMatrix, linkage: Linkage = "average") ->
         return min(sim.names[i] for i in c)
 
     while len(clusters) > 1:
-        best = None
-        best_key = None
-        for i in range(len(clusters)):
-            for j in range(i + 1, len(clusters)):
-                d = cluster_distance(clusters[i], clusters[j])
-                labels = sorted((min_label(clusters[i]), min_label(clusters[j])))
-                key = (d, labels[0], labels[1])
-                if best_key is None or key < best_key:
-                    best_key = key
-                    best = (i, j)
-        assert best is not None and best_key is not None
-        i, j = best
+        # least (distance, smaller label, larger label); of equals, the first in (i, j) order
+        height, *_labels, i, j = min(
+            (cluster_distance(a, b), *sorted((min_label(a), min_label(b))), i, j)
+            for i, a in enumerate(clusters) for j, b in enumerate(clusters) if i < j
+        )
         a, b = clusters[i], clusters[j]
         left_names = tuple(sorted(sim.names[x] for x in a))
         right_names = tuple(sorted(sim.names[x] for x in b))
         if min(left_names) > min(right_names):
             left_names, right_names = right_names, left_names
-        merges.append(MergeStep(left=left_names, right=right_names, height=best_key[0]))
+        merges.append(MergeStep(left=left_names, right=right_names, height=height))
         clusters = [c for idx, c in enumerate(clusters) if idx not in (i, j)]
         clusters.append(a | b)
     return merges

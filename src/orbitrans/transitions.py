@@ -55,14 +55,6 @@ class OrbitTransitionMatrix:
 
 
 @dataclass(frozen=True)
-class NormalizedTransitionMatrix:
-    """Row-stochastic transition matrix (all-zero rows allowed)."""
-
-    k: int
-    values: np.ndarray  # (m, m) float64
-
-
-@dataclass(frozen=True)
 class TransitionFingerprint:
     """Coarse per-cell classification of a transition matrix."""
 
@@ -137,31 +129,30 @@ def accumulate_series(series: SnapshotSeries, k: int) -> OrbitTransitionMatrix:
     return OrbitTransitionMatrix(k, counts, dissolved, pairs_processed=len(pairs))
 
 
-def row_normalize(t: OrbitTransitionMatrix) -> NormalizedTransitionMatrix:
-    """Divide each row by its sum; rows of an unseen source orbit stay zero.
+def row_normalize(t: OrbitTransitionMatrix) -> np.ndarray:
+    """The (m, m) float64 row-stochastic matrix: each row divided by its sum,
+    rows of an unseen source orbit staying zero.
 
     Dissolved counts do not enter the denominator — they live outside the
     matrix.
     """
     sums = t.counts.sum(axis=1, keepdims=True)
-    values = np.divide(
-        t.counts, sums, out=np.zeros_like(t.counts, dtype=np.float64), where=sums > 0
-    )
-    return NormalizedTransitionMatrix(k=t.k, values=values)
+    return np.divide(t.counts, sums, out=np.zeros_like(t.counts, dtype=np.float64), where=sums > 0)
 
 
-def discretize(nt: NormalizedTransitionMatrix | np.ndarray) -> TransitionFingerprint:
-    """Bin each cell into Rare [0,1/3], Common (1/3,2/3] or Frequent (2/3,1]."""
-    if isinstance(nt, NormalizedTransitionMatrix):
-        k, values = nt.k, nt.values
-    else:
-        values = np.asarray(nt, dtype=np.float64)
-        if values.ndim != 2 or values.shape[0] != values.shape[1]:
-            raise ValueError(f"expected a square matrix, got shape {values.shape}")
-        k = next((k for k in GRAPHLET_CLASSES if orbit_count(k) == len(values)), None)
-    if np.any(values < 0.0) or np.any(values > 1.0):
-        bad = values[(values < 0.0) | (values > 1.0)].flat[0]
+def discretize(values: np.ndarray) -> TransitionFingerprint:
+    """Bin each cell into Rare [0,1/3], Common (1/3,2/3] or Frequent (2/3,1].
+
+    A cell outside [0, 1], NaN included, is rejected.
+    """
+    values = np.asarray(values, dtype=np.float64)
+    if values.ndim != 2 or values.shape[0] != values.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {values.shape}")
+    outside = ~((values >= 0.0) & (values <= 1.0))
+    if outside.any():
+        bad = values[outside][0]
         raise ValueError(f"cell value {bad} outside [0, 1]; normalize or rescale first")
+    k = next((k for k in GRAPHLET_CLASSES if orbit_count(k) == len(values)), None)
     if k is None:
         shapes = " or ".join(f"{orbit_count(k)}x{orbit_count(k)} (k={k})" for k in GRAPHLET_CLASSES)
         raise ValueError(f"expected a {shapes} matrix, got shape {values.shape}")

@@ -31,7 +31,6 @@ from orbitrans.graph_core import (
     parse_edge_list,
 )
 from orbitrans.metrics import (
-    AgreementConfig,
     cut_clusters,
     gda_pair,
     hierarchical_cluster,
@@ -155,7 +154,7 @@ def test_agreement_metric_properties():
         assert -tol <= gda_pair(ga, gb) <= 1.0 + tol
 
     m = rng.random((11, 11))
-    assert ota_pair(m, m, AgreementConfig(ota_scaling="per_orbit")) == 11.0
+    assert ota_pair(m, m, ota_scaling="per_orbit") == 11.0
 
 
 def test_motif_pipeline_guarantees():

@@ -154,7 +154,7 @@ class TestTransitions:
         assert bundle["pairs_processed"] == 2
         assert np.array_equal(np.array(bundle["counts"]), t.counts)
         nt = row_normalize(t)
-        assert np.allclose(np.array(bundle["normalized"]), nt.values)
+        assert np.allclose(np.array(bundle["normalized"]), nt)
         assert bundle["fingerprint"] == [list(r) for r in discretize(nt).labels]
         assert sum(bundle["dissolved"].values()) + int(t.counts.sum()) == bundle[
             "total_node_transitions"

@@ -11,7 +11,6 @@ from orbitrans.census import (
 )
 from orbitrans.graph_core import StaticGraph
 from orbitrans.metrics import (
-    AgreementConfig,
     MotifFingerprint,
     SimilarityMatrix,
     cut_clusters,
@@ -145,11 +144,11 @@ class TestOta:
     def test_opposite_extremes(self):
         z, o = np.zeros((11, 11)), np.ones((11, 11))
         assert ota_pair(z, o) == pytest.approx(0.0)
-        assert ota_pair(z, o, AgreementConfig(ota_scaling="per_orbit")) == pytest.approx(0.0)
+        assert ota_pair(z, o, ota_scaling="per_orbit") == pytest.approx(0.0)
 
     def test_per_orbit_scaling_identical_is_eleven(self):
         m = np.random.default_rng(39).random((11, 11))
-        assert ota_pair(m, m, AgreementConfig(ota_scaling="per_orbit")) == 11.0
+        assert ota_pair(m, m, ota_scaling="per_orbit") == 11.0
 
     def test_matches_formula_oracle(self):
         rng = np.random.default_rng(40)
@@ -157,7 +156,7 @@ class TestOta:
             a, b = rng.random((11, 11)), rng.random((11, 11))
             assert ota_pair(a, b) == pytest.approx(formula_ota(a, b), abs=1e-12)
             assert ota_pair(
-                a, b, AgreementConfig(ota_scaling="per_orbit")
+                a, b, ota_scaling="per_orbit"
             ) == pytest.approx(formula_ota(a, b, per_cell=False), abs=1e-12)
 
     def test_shape_mismatch(self):
@@ -184,7 +183,7 @@ class TestOta:
         rng = np.random.default_rng(43)
         ts = [random_transition_matrix(rng) for _ in range(3)]
         sim = ota_matrix(["a", "b", "c"], ts)
-        rescaled = relative_rescale([row_normalize(t).values for t in ts])
+        rescaled = relative_rescale([row_normalize(t) for t in ts])
         for i in range(3):
             for j in range(3):
                 assert sim.values[i, j] == pytest.approx(
@@ -194,9 +193,8 @@ class TestOta:
     def test_matrix_without_rescale(self):
         rng = np.random.default_rng(44)
         ts = [random_transition_matrix(rng) for _ in range(2)]
-        cfg = AgreementConfig(use_relative_rescale=False)
-        sim = ota_matrix(["a", "b"], ts, cfg)
-        raw = [row_normalize(t).values for t in ts]
+        sim = ota_matrix(["a", "b"], ts, rescale=False)
+        raw = [row_normalize(t) for t in ts]
         assert sim.values[0, 1] == pytest.approx(formula_ota(raw[0], raw[1]), abs=1e-12)
 
 
@@ -271,6 +269,46 @@ class TestFingerprintDistance:
         assert sim.kind == "MotifDistance"
         assert np.allclose(np.diag(sim.values), 0.0)
         assert np.allclose(sim.values, sim.values.T)
+
+
+def _gda_inputs(rng, n):
+    return [[compute_gdd(random_fr(rng))] for _ in range(n)]
+
+
+def _ota_inputs(rng, n):
+    return [random_transition_matrix(rng) for _ in range(n)]
+
+
+def _motif_inputs(rng, n):
+    return [
+        motif_scores_from_counts(list(rng.integers(0, 30, 6)), list(rng.random(6) * 30))
+        for _ in range(n)
+    ]
+
+
+class TestMatrixBuilders:
+    @pytest.mark.parametrize(
+        "build, inputs, options, diagonal",
+        [
+            (gda_matrix, _gda_inputs, {}, 1.0),
+            (ota_matrix, _ota_inputs, {}, 1.0),
+            (ota_matrix, _ota_inputs, {"ota_scaling": "per_orbit"}, 11.0),
+            (ota_matrix, _ota_inputs, {"ota_scaling": "per_orbit", "rescale": False}, 11.0),
+            (motif_distance_matrix, _motif_inputs, {}, 0.0),
+        ],
+        ids=["gda", "ota", "ota-per_orbit", "ota-per_orbit-raw", "motif"],
+    )
+    def test_input_checks_symmetry_and_diagonal(self, build, inputs, options, diagonal):
+        items = inputs(np.random.default_rng(48), 4)
+        with pytest.raises(ValueError, match="required per network name"):
+            build(["a", "b", "c"], items, **options)
+        # one network is rejected by the builder, not later by relative_rescale
+        with pytest.raises(ValueError, match="at least 2 networks to compare"):
+            build(["a"], items[:1], **options)
+        sim = build(["a", "b", "c", "d"], items, **options)
+        # exact, as read_similarity_csv requires of the written matrix
+        assert np.array_equal(sim.values, sim.values.T)
+        assert np.all(np.diag(sim.values) == diagonal)
 
 
 def agreement_matrix(names, values):

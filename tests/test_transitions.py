@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from orbitrans import census, transitions
 from orbitrans.graph_core import SnapshotPolicy, StaticGraph, build_snapshots, parse_edge_list
 from orbitrans.transitions import (
-    NormalizedTransitionMatrix,
     _union,
     accumulate_series,
     discretize,
@@ -304,8 +303,8 @@ class TestNormalization:
             k=4, counts=counts, dissolved=np.zeros(11, dtype=np.int64), pairs_processed=1
         )
         nt = row_normalize(t)
-        assert nt.values[0, :4] == pytest.approx([0.5, 0.25, 0.25, 0.0])
-        assert nt.values[1:].sum() == 0.0
+        assert nt[0, :4] == pytest.approx([0.5, 0.25, 0.25, 0.0])
+        assert nt[1:].sum() == 0.0
 
     def test_rows_sum_to_one_or_zero(self):
         rng = np.random.default_rng(26)
@@ -315,7 +314,7 @@ class TestNormalization:
                 parse_edge_list(text), SnapshotPolicy("active", width=10, count=4, origin=0)
             )
             nt = row_normalize(accumulate_series(series, 4))
-            sums = nt.values.sum(axis=1)
+            sums = nt.sum(axis=1)
             for s in sums:
                 assert s == pytest.approx(0.0, abs=1e-12) or s == pytest.approx(
                     1.0, abs=1e-12
@@ -329,9 +328,9 @@ class TestNormalization:
         dissolved = enumerate_transitions(square, gone, 4)
         nt_s = row_normalize(survived)
         nt_d = row_normalize(dissolved)
-        assert nt_s.values[4].sum() == pytest.approx(1.0)
+        assert nt_s[4].sum() == pytest.approx(1.0)
         # every group dissolved: the row stays zero instead of normalizing
-        assert nt_d.values[4].sum() == 0.0
+        assert nt_d[4].sum() == 0.0
 
 
 class TestDiscretize:
@@ -354,8 +353,7 @@ class TestDiscretize:
         assert discretize(np.full((3, 3), 0.5)).labels == (("Common",) * 3,) * 3
 
     def test_accepts_normalized_matrix(self):
-        nt = NormalizedTransitionMatrix(k=4, values=np.zeros((11, 11)))
-        fp = discretize(nt)
+        fp = discretize(np.zeros((11, 11)))
         assert fp.k == 4
         assert all(label == "Rare" for row in fp.labels for label in row)
 
@@ -364,6 +362,9 @@ class TestDiscretize:
             discretize(np.array([[1.2]]))
         with pytest.raises(ValueError, match="outside"):
             discretize(np.array([[-0.1]]))
+        # NaN is neither below 0 nor above 1, yet no label fits it
+        with pytest.raises(ValueError, match="outside"):
+            discretize(np.full((3, 3), np.nan))
 
     def test_non_square_rejected(self):
         with pytest.raises(ValueError, match="square"):
