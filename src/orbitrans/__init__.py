@@ -35,7 +35,6 @@ from .graph_core import (
 )
 from .metrics import (
     MergeStep,
-    MotifFingerprint,
     SimilarityMatrix,
     cut_clusters,
     fingerprint_distance,
@@ -48,14 +47,12 @@ from .metrics import (
     relative_rescale,
 )
 from .nullmodel import (
-    RandomizationConfig,
     degree_preserving_randomize,
     ensemble_frequencies,
     randomized_replicates,
 )
 from .transitions import (
     OrbitTransitionMatrix,
-    TransitionFingerprint,
     accumulate_series,
     discretize,
     enumerate_transitions,

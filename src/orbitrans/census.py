@@ -317,10 +317,6 @@ class OrbitFrequencyMatrix:
     counts: np.ndarray  # shape (n, m), int64
 
     @property
-    def n(self) -> int:
-        return self.counts.shape[0]
-
-    @property
     def m(self) -> int:
         return self.counts.shape[1]
 
@@ -548,23 +544,20 @@ def compute_orbit_frequencies(g: StaticGraph, k: int) -> OrbitFrequencyMatrix:
     return OrbitFrequencyMatrix(k=k, counts=_orbit_counts(g, k))
 
 
-def _class_totals(counts: np.ndarray, k: int) -> dict[str, int]:
-    """Occurrence count of each connected k-node class from orbit ``counts``.
+def class_counts(fr: OrbitFrequencyMatrix) -> dict[str, int]:
+    """Occurrence count of each connected k-node class, canonical order,
+    from an orbit census.
 
     Every occurrence of a class puts its k nodes into that class's orbits,
     so the class's orbit columns sum to k times its count. The sums are
     taken in two 32-bit halves, each of which fits in int64 below 2**31
     nodes, and joined as Python integers, so they never wrap.
     """
-    high = (counts >> 32).sum(axis=0).tolist()
-    low = (counts & 0xFFFFFFFF).sum(axis=0).tolist()
+    high = (fr.counts >> 32).sum(axis=0).tolist()
+    low = (fr.counts & 0xFFFFFFFF).sum(axis=0).tolist()
     totals = [(h << 32) + lo for h, lo in zip(high, low)]
-    return {cls.name: sum(totals[j - 1] for j in cls.orbits) // k for cls in GRAPHLET_CLASSES[k]}
-
-
-def class_counts(fr: OrbitFrequencyMatrix) -> dict[str, int]:
-    """Occurrence count of each connected k-node class, from an orbit census."""
-    return _class_totals(fr.counts, fr.k)
+    return {cls.name: sum(totals[j - 1] for j in cls.orbits) // fr.k
+            for cls in GRAPHLET_CLASSES[fr.k]}
 
 
 def graphlet_class_frequencies(g: StaticGraph, k: int) -> dict[str, int]:
@@ -573,9 +566,9 @@ def graphlet_class_frequencies(g: StaticGraph, k: int) -> dict[str, int]:
     The closed-form orbit census's column sums, divided by k, without
     enumerating a set.
     """
-    # perfbench's tracer wraps the public census functions, so this one
-    # calls none of them: a nested call would be counted twice
-    return _class_totals(_orbit_counts(g, k), k)
+    # perfbench's tracer wraps compute_orbit_frequencies, so this calls
+    # _orbit_counts directly: a nested call would be counted twice
+    return class_counts(OrbitFrequencyMatrix(k, _orbit_counts(g, k)))
 
 
 @dataclass(frozen=True)
@@ -585,14 +578,12 @@ class GraphletDegreeDistribution:
     ``raw[j-1][d]`` counts nodes appearing in orbit j exactly d times
     (including d=0, so each raw distribution sums to n).
     ``normalized[j-1]`` covers d >= 1 and sums to 1 for touched orbits;
-    untouched orbits get an empty mapping and are listed in ``untouched``.
+    an orbit no node occupies gets an empty mapping.
     """
 
     k: int
     raw: tuple[dict[int, int], ...]
     normalized: tuple[dict[int, float], ...]
-    untouched: tuple[int, ...]
-    scaling: str
 
 
 def compute_gdd(fr: OrbitFrequencyMatrix, scaling: str = "inverse_k") -> GraphletDegreeDistribution:
@@ -606,26 +597,15 @@ def compute_gdd(fr: OrbitFrequencyMatrix, scaling: str = "inverse_k") -> Graphle
         raise ValueError(f"unknown scaling {scaling!r}")
     raw: list[dict[int, int]] = []
     normalized: list[dict[int, float]] = []
-    untouched: list[int] = []
     for col in range(fr.m):
         values, counts = np.unique(fr.counts[:, col], return_counts=True)
         dist = {int(v): int(c) for v, c in zip(values, counts)}
         raw.append(dist)
-        positive = {d: c for d, c in dist.items() if d >= 1}
-        if not positive:
-            normalized.append({})
-            untouched.append(col + 1)
-            continue
+        positive = {d: c for d, c in dist.items() if d >= 1}  # empty for an untouched orbit
         if scaling == "inverse_k":
             scaled = {d: c / d for d, c in positive.items()}
         else:
             scaled = {d: float(c) for d, c in positive.items()}
         total = sum(scaled.values())
         normalized.append({d: s / total for d, s in scaled.items()})
-    return GraphletDegreeDistribution(
-        k=fr.k,
-        raw=tuple(raw),
-        normalized=tuple(normalized),
-        untouched=tuple(untouched),
-        scaling=scaling,
-    )
+    return GraphletDegreeDistribution(k=fr.k, raw=tuple(raw), normalized=tuple(normalized))

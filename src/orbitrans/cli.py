@@ -28,8 +28,9 @@ are accepted, and checked. ``COMMANDS`` (and ``METRIC_FLAGS`` for each
 ``compare --metric``) lists the settings each run reads. A subcommand
 registers only those flags and ``compare`` rejects one its ``--metric``
 does not read (usage errors, exit 2); a run that reads ``width`` builds
-snapshots, so needs a ``width`` of at least 1 and a ``count`` of at least
-2; and the meta files record ``k`` and exactly the settings the run read.
+snapshots, so each network needs a ``width`` of at least 1 and a
+``count`` of at least 2; ``--gda-include-k3`` needs ``k`` = 4; and the
+meta files record ``k`` and exactly the settings the run read.
 Manifest values take precedence over flags, so a manifest fully
 determines a run; flags fill in whatever the manifest leaves out.
 All outputs are written atomically and deterministically: rerunning the
@@ -78,7 +79,6 @@ from .graph_core import (
 )
 from .metrics import (
     MergeStep,
-    MotifFingerprint,
     SimilarityMatrix,
     gda_matrix,
     hierarchical_cluster,
@@ -86,7 +86,7 @@ from .metrics import (
     motif_scores_from_counts,
     ota_matrix,
 )
-from .nullmodel import RandomizationConfig, ensemble_frequencies
+from .nullmodel import ensemble_frequencies
 from .transitions import OrbitTransitionMatrix, accumulate_series, discretize, row_normalize
 
 STATS_HEADER = ("snapshot", "nodes", "edges", "avg_degree", "clustering", "cpl")
@@ -167,11 +167,6 @@ class NetworkSpec:
     sep: str
 
     def snapshot_policy(self) -> SnapshotPolicy:
-        if self.width is None or self.count is None:
-            raise CliError(
-                "snapshot width/count not configured; set 'width' and 'count' "
-                "in the manifest"
-            )
         return SnapshotPolicy(
             mode=self.policy, width=self.width, count=self.count, origin=self.origin
         )
@@ -255,9 +250,10 @@ def _check_keys(parser: configparser.ConfigParser, manifest_path: Path) -> None:
 def load_run_config(args: argparse.Namespace) -> RunConfig:
     """Merge the manifest with command-line flags (manifest wins).
 
-    A run that reads ``width`` builds snapshot series, so every network's
-    width must be at least 1 and its count at least 2 (transitions need
-    two snapshots).
+    A run that reads ``width`` builds snapshot series, so every network
+    needs a width of at least 1 and a count of at least 2 (transitions need
+    two snapshots). ``gda_include_k3`` pools 3-node orbits into a k = 4
+    run, so it needs k = 4.
     """
     snapshots = "width" in _reads(args)
     manifest_path = Path(args.manifest)
@@ -295,11 +291,18 @@ def load_run_config(args: argparse.Namespace) -> RunConfig:
         if not path.exists():
             raise CliError(f"{nctx}: input file {path} does not exist")
         value = {key: _read(key, None, section, nctx, shared[key], snapshots) for key in shared}
+        if snapshots and (value["width"] is None or value["count"] is None):
+            raise CliError(f"{nctx}: snapshot width/count not configured; "
+                           "set 'width' and 'count' in the manifest")
         networks.append(NetworkSpec(name, path, **value))
     if not networks:
         raise CliError(f"manifest {manifest_path} defines no networks")
 
     values = {f.name: _read(f.name, args, settings, ctx) for f in fields(RunConfig)[1:]}
+    if values["gda_include_k3"] and values["k"] != 4:
+        where = f"{ctx}: k = {values['k']}" if settings and "k" in settings else f"--k {values['k']}"
+        raise CliError(f"--gda-include-k3 pools 3-node orbits into a k = 4 run, "
+                       f"but this run has {where}")
     return RunConfig(tuple(networks), **values | {"out": Path(values["out"])})
 
 
@@ -432,12 +435,11 @@ def _network_transitions(run: RunConfig, net: NetworkSpec) -> OrbitTransitionMat
     return accumulate_series(series, run.k)
 
 
-def _network_motifs(run: RunConfig, net: NetworkSpec) -> tuple[dict, dict, MotifFingerprint]:
+def _network_motifs(run: RunConfig, net: NetworkSpec) -> tuple[dict, dict, np.ndarray]:
     """Real class counts, ensemble means and motif fingerprint of the final graph."""
     g = _network_final_graph(net)
     real = graphlet_class_frequencies(g, run.k)
-    cfg = RandomizationConfig(run.replicates, run.swaps_per_edge, run.seed)
-    means = ensemble_frequencies(g, cfg, run.k)
+    means = ensemble_frequencies(g, run.k, run.replicates, run.swaps_per_edge, run.seed)
     fp = motif_scores_from_counts(list(real.values()), [means[name] for name in real], run.k)
     return real, means, fp
 
@@ -489,7 +491,7 @@ def _census_bundle(run: RunConfig, stem: str, tag: str, g: StaticGraph, labels) 
         run.out / f"{stem}.{tag}.gdd.json",
         {
             "k": gdd.k,
-            "scaling": gdd.scaling,
+            "scaling": run.gdd_scaling,
             "orbits": {
                 str(j + 1): {
                     "raw": {str(d): c for d, c in sorted(gdd.raw[j].items())},
@@ -499,7 +501,7 @@ def _census_bundle(run: RunConfig, stem: str, tag: str, g: StaticGraph, labels) 
                 }
                 for j in range(len(gdd.raw))
             },
-            "untouched_orbits": list(gdd.untouched),
+            "untouched_orbits": [j + 1 for j, dist in enumerate(gdd.normalized) if not dist],
         },
     )
 
@@ -528,7 +530,7 @@ def cmd_transitions(args: argparse.Namespace) -> int:
         stem = _file_stem(net.name)
         write_orbit_matrix_csv(run.out / f"{stem}.transitions.csv", t.counts)
         write_orbit_matrix_csv(run.out / f"{stem}.transitions_normalized.csv", normalized)
-        write_orbit_matrix_csv(run.out / f"{stem}.fingerprint.csv", fp.labels)
+        write_orbit_matrix_csv(run.out / f"{stem}.fingerprint.csv", fp)
         write_json(
             run.out / f"{stem}.transitions.json",
             {
@@ -536,7 +538,7 @@ def cmd_transitions(args: argparse.Namespace) -> int:
                 "pairs_processed": t.pairs_processed,
                 "counts": t.counts.tolist(),
                 "normalized": normalized.tolist(),
-                "fingerprint": [list(row) for row in fp.labels],
+                "fingerprint": [list(row) for row in fp],
                 "dissolved": {str(a + 1): int(c) for a, c in enumerate(t.dissolved)},
                 "total_node_transitions": t.total_node_transitions(),
             },
@@ -554,7 +556,7 @@ def cmd_motifs(args: argparse.Namespace) -> int:
         write_csv(
             run.out / f"{_file_stem(net.name)}.motifs.csv",
             ("class", "real_count", "ensemble_mean", "delta"),
-            ([name, real[name], means[name], score] for name, score in zip(fp.class_names, fp.scores)),
+            ([name, real[name], means[name], score] for name, score in zip(real, fp)),
         )
 
     # first, so an unwritable output directory fails the run before any network loads
@@ -576,7 +578,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
         raise CliError("compare needs at least 2 networks in the manifest")
     names = [net.name for net in run.networks]
 
-    gda_ks = (run.k, 3) if run.gda_include_k3 and run.k == 4 else (run.k,)
+    gda_ks = (run.k, 3) if run.gda_include_k3 else (run.k,)
 
     def gdd_worker(net: NetworkSpec):
         g = _network_final_graph(net)

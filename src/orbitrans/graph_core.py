@@ -532,8 +532,6 @@ class SnapshotSeries:
     """
 
     snapshots: tuple[StaticGraph, ...]
-    policy: SnapshotPolicy
-    labels: tuple[str, ...]
     events_discarded: int = 0
 
     def __len__(self) -> int:
@@ -584,9 +582,7 @@ def build_snapshots(edges: TemporalEdgeList, policy: SnapshotPolicy) -> Snapshot
             held = _distinct(np.concatenate((held, keys)))
         graphs.append(_key_graph(n, held))
     discarded = len(t) - (cuts[-1] - cuts[0])
-    return SnapshotSeries(
-        snapshots=tuple(graphs), policy=policy, labels=edges.labels, events_discarded=discarded
-    )
+    return SnapshotSeries(snapshots=tuple(graphs), events_discarded=discarded)
 
 
 def final_aggregate_graph(edges: TemporalEdgeList) -> StaticGraph:

@@ -41,15 +41,6 @@ class SimilarityMatrix:
     kind: Literal["OTA", "GDA", "MotifDistance"]
 
 
-@dataclass(frozen=True)
-class MotifFingerprint:
-    """Unit-norm vector of per-class over/under-representation scores."""
-
-    k: int
-    class_names: tuple[str, ...]
-    scores: np.ndarray  # (#classes,) float64
-
-
 def gda_orbit_scores(
     gdd_a: GraphletDegreeDistribution, gdd_b: GraphletDegreeDistribution
 ) -> list[float]:
@@ -171,8 +162,9 @@ def motif_scores_from_counts(
     real_counts: Sequence[int],
     ensemble_means: Sequence[float],
     k: int = 4,
-) -> MotifFingerprint:
-    """Over/under-representation of each graphlet class versus an ensemble.
+) -> np.ndarray:
+    """The motif fingerprint: over/under-representation of each graphlet
+    class versus an ensemble, a float64 array in canonical class order.
 
     ``real_counts`` and ``ensemble_means`` are in canonical class order.
     Each raw score is (observed - expected)/(observed + expected), zero
@@ -190,20 +182,22 @@ def motif_scores_from_counts(
     norm = np.linalg.norm(deltas)
     if norm > 0:
         deltas /= norm
-    return MotifFingerprint(
-        k=k, class_names=tuple(c.name for c in classes), scores=deltas
-    )
+    return deltas
 
 
-def fingerprint_distance(f1: MotifFingerprint, f2: MotifFingerprint) -> float:
-    """Euclidean distance between two motif fingerprints."""
-    if f1.class_names != f2.class_names:
+def fingerprint_distance(f1: np.ndarray, f2: np.ndarray) -> float:
+    """Euclidean distance between two motif fingerprints.
+
+    Each k has its own number of classes (2 for k=3, 6 for k=4), so two
+    fingerprints of different shape cover different class sets.
+    """
+    if np.shape(f1) != np.shape(f2):
         raise ValueError("fingerprints cover different class sets")
-    return float(np.linalg.norm(f1.scores - f2.scores))
+    return float(np.linalg.norm(np.subtract(f1, f2)))
 
 
 def motif_distance_matrix(
-    names: Sequence[str], fingerprints: Sequence[MotifFingerprint]
+    names: Sequence[str], fingerprints: Sequence[np.ndarray]
 ) -> SimilarityMatrix:
     """All-pairs Euclidean distances between motif fingerprints."""
     return _all_pairs("MotifDistance", names, fingerprints, "fingerprint", fingerprint_distance)

@@ -4,7 +4,9 @@ A replica is produced by repeated double-edge swaps: pick two edges
 (a,b) and (c,d), rewire to (a,d) and (c,b). Swaps that would create a
 self-loop or a duplicate edge are rejected, so every replica is a simple
 graph with exactly the original degree sequence. Ensemble class
-frequencies are the mean graphlet-class counts over many replicas.
+frequencies are the mean graphlet-class counts over many replicas. The
+ensemble's settings (replicates, swaps per edge, seed) are plain
+arguments of ``randomized_replicates`` and ``ensemble_frequencies``.
 
 The proposals (two edge positions and an orientation) come from one
 per-``(seed, r)`` stream, drawn ``_PROPOSAL_CHUNK`` attempts at a time
@@ -19,7 +21,6 @@ same replica either way.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
@@ -30,19 +31,6 @@ from .graph_core import StaticGraph
 # Swap attempts drawn per ``rng.integers`` call: amortises the call over
 # many attempts while the (chunk, 3) array of proposals stays small.
 _PROPOSAL_CHUNK = 4096
-
-
-@dataclass(frozen=True)
-class RandomizationConfig:
-    replicates: int = 100
-    swaps_per_edge: int = 10
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        if self.replicates < 1:
-            raise ValueError("replicates must be >= 1")
-        if self.swaps_per_edge < 1:
-            raise ValueError("swaps_per_edge must be >= 1")
 
 
 def degree_preserving_randomize(
@@ -93,23 +81,27 @@ def degree_preserving_randomize(
     return StaticGraph(g.n, edges)
 
 
-def randomized_replicates(g: StaticGraph, cfg: RandomizationConfig) -> Iterator[StaticGraph]:
-    """The ensemble's replicas, in replicate order.
+def randomized_replicates(
+    g: StaticGraph, replicates: int = 100, swaps_per_edge: int = 10, seed: int = 0
+) -> Iterator[StaticGraph]:
+    """The ensemble's ``replicates`` replicas, in replicate order.
 
     Replica r draws from a stream seeded by (seed, r), so any subset can
     be regenerated independently and the full set never depends on
-    generation order.
+    generation order. ``replicates < 1`` is rejected before any replica is
+    drawn; ``swaps_per_edge < 1`` when the first one is.
     """
-    for r in range(cfg.replicates):
-        rng = np.random.default_rng([cfg.seed, r])
-        yield degree_preserving_randomize(g, rng, cfg.swaps_per_edge)
+    if replicates < 1:
+        raise ValueError("replicates must be >= 1")
+    return (degree_preserving_randomize(g, np.random.default_rng([seed, r]), swaps_per_edge)
+            for r in range(replicates))
 
 
 def ensemble_frequencies(
-    g: StaticGraph, cfg: RandomizationConfig, k: int = 4
+    g: StaticGraph, k: int = 4, replicates: int = 100, swaps_per_edge: int = 10, seed: int = 0
 ) -> dict[str, float]:
-    """Mean graphlet-class counts over the randomized ensemble, canonical order."""
+    """Mean graphlet-class counts over ``randomized_replicates``, canonical order."""
     totals: Counter[str] = Counter()
-    for replica in randomized_replicates(g, cfg):
+    for replica in randomized_replicates(g, replicates, swaps_per_edge, seed):
         totals.update(graphlet_class_frequencies(replica, k))
-    return {name: total / cfg.replicates for name, total in totals.items()}
+    return {name: total / replicates for name, total in totals.items()}

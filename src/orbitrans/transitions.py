@@ -46,20 +46,8 @@ class OrbitTransitionMatrix:
     dissolved: np.ndarray  # (m,) int64
     pairs_processed: int
 
-    @property
-    def m(self) -> int:
-        return self.counts.shape[0]
-
     def total_node_transitions(self) -> int:
         return int(self.counts.sum() + self.dissolved.sum())
-
-
-@dataclass(frozen=True)
-class TransitionFingerprint:
-    """Coarse per-cell classification of a transition matrix."""
-
-    k: int
-    labels: tuple[tuple[str, ...], ...]  # entries from FINGERPRINT_LABELS
 
 
 def enumerate_transitions(s_from: StaticGraph, s_to: StaticGraph, k: int) -> OrbitTransitionMatrix:
@@ -140,8 +128,9 @@ def row_normalize(t: OrbitTransitionMatrix) -> np.ndarray:
     return np.divide(t.counts, sums, out=np.zeros_like(t.counts, dtype=np.float64), where=sums > 0)
 
 
-def discretize(values: np.ndarray) -> TransitionFingerprint:
-    """Bin each cell into Rare [0,1/3], Common (1/3,2/3] or Frequent (2/3,1].
+def discretize(values: np.ndarray) -> tuple[tuple[str, ...], ...]:
+    """Each cell's label from ``FINGERPRINT_LABELS``, as a tuple of row tuples:
+    Rare [0,1/3], Common (1/3,2/3] or Frequent (2/3,1].
 
     A cell outside [0, 1], NaN included, is rejected.
     """
@@ -152,12 +141,8 @@ def discretize(values: np.ndarray) -> TransitionFingerprint:
     if outside.any():
         bad = values[outside][0]
         raise ValueError(f"cell value {bad} outside [0, 1]; normalize or rescale first")
-    k = next((k for k in GRAPHLET_CLASSES if orbit_count(k) == len(values)), None)
-    if k is None:
+    if all(orbit_count(k) != len(values) for k in GRAPHLET_CLASSES):
         shapes = " or ".join(f"{orbit_count(k)}x{orbit_count(k)} (k={k})" for k in GRAPHLET_CLASSES)
         raise ValueError(f"expected a {shapes} matrix, got shape {values.shape}")
     bins = (values > _LOW).astype(np.int8) + (values > _HIGH).astype(np.int8)
-    labels = tuple(
-        tuple(FINGERPRINT_LABELS[b] for b in row) for row in bins
-    )
-    return TransitionFingerprint(k=k, labels=labels)
+    return tuple(tuple(FINGERPRINT_LABELS[b] for b in row) for row in bins)

@@ -494,9 +494,8 @@ class TestGdd:
     def test_untouched_orbits_flagged(self):
         fr = compute_orbit_frequencies(star_graph(6), 4)
         gdd = compute_gdd(fr)
-        assert 11 in gdd.untouched
-        assert gdd.normalized[10] == {}
-        assert 1 not in gdd.untouched
+        assert gdd.normalized[10] == {}  # orbit 11, untouched
+        assert gdd.normalized[0] != {}  # orbit 1, touched
 
     def test_raw_includes_zero_bucket(self):
         fr = compute_orbit_frequencies(star_graph(6), 4)

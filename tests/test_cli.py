@@ -22,7 +22,7 @@ from orbitrans.metrics import (
     motif_scores_from_counts,
     ota_matrix,
 )
-from orbitrans.nullmodel import RandomizationConfig, ensemble_frequencies
+from orbitrans.nullmodel import ensemble_frequencies
 from orbitrans.transitions import accumulate_series, discretize, row_normalize
 from oracles import exhaustive_transitions
 
@@ -155,7 +155,7 @@ class TestTransitions:
         assert np.array_equal(np.array(bundle["counts"]), t.counts)
         nt = row_normalize(t)
         assert np.allclose(np.array(bundle["normalized"]), nt)
-        assert bundle["fingerprint"] == [list(r) for r in discretize(nt).labels]
+        assert bundle["fingerprint"] == [list(r) for r in discretize(nt)]
         assert sum(bundle["dissolved"].values()) + int(t.counts.sum()) == bundle[
             "total_node_transitions"
         ]
@@ -174,14 +174,13 @@ class TestMotifs:
         assert main(["motifs", "--manifest", str(manifest), "--out", str(out)]) == 0
         tel = parse_edge_list((manifest.parent / "churn.txt").read_text())
         g = final_aggregate_graph(tel)
-        cfg = RandomizationConfig(replicates=6, swaps_per_edge=10, seed=17)
-        means = ensemble_frequencies(g, cfg, 4)
+        means = ensemble_frequencies(g, 4, replicates=6, swaps_per_edge=10, seed=17)
         real = graphlet_class_frequencies(g, 4)
         order = list(real)
         fp = motif_scores_from_counts([real[n] for n in order], [means[n] for n in order])
         rows = read_rows(out / "churn.motifs.csv")
         assert [r[0] for r in rows[1:]] == order
-        for row, name, score in zip(rows[1:], order, fp.scores):
+        for row, name, score in zip(rows[1:], order, fp):
             assert row[1] == fmt(real[name])
             assert row[2] == fmt(means[name])
             assert row[3] == fmt(score)
@@ -374,11 +373,23 @@ class TestDeterminismAndFailure:
             for kind in ("fr.csv", "classes.csv", "gdd.json")
         )
 
-    def test_network_without_policy_fails_alone(self, tmp_path, capsys):
+    def test_network_without_width_fails_before_any_load(self, tmp_path, capsys):
+        # a configuration error of the run (exit 2), reported before any network loads
+        write_network(tmp_path, "full", "a b 0\nb c 5\n")
         write_network(tmp_path, "nop", "a b 0\nb c 5\n")
-        manifest = write_manifest(tmp_path, "[nop]\npath = nop.txt\n")
-        assert main(["stats", "--manifest", str(manifest), "--out", str(tmp_path / "o")]) == 1
-        assert "width" in capsys.readouterr().err
+        manifest = write_manifest(
+            tmp_path, "[full]\npath = full.txt\nwidth = 10\ncount = 2\n\n[nop]\npath = nop.txt\n"
+        )
+        out = tmp_path / "o"
+        for argv in (["transitions"], ["stats"], ["census"], ["compare", "--metric", "ota"]):
+            assert main([*argv, "--manifest", str(manifest), "--out", str(out)]) == 2, argv
+            assert capsys.readouterr().err == (
+                f"error: manifest {manifest} [nop]: snapshot width/count not configured; "
+                "set 'width' and 'count' in the manifest\n"
+            )
+            assert not out.exists()
+        # a run that builds no snapshots reads no width
+        assert main(["compare", "--metric", "gda", "--manifest", str(manifest), "--out", str(out)]) == 0
 
 
 class TestManifestK:
@@ -432,7 +443,7 @@ class TestManifestK:
         )
         out = tmp_path / "out"
         assert main(["compare", "--manifest", str(manifest), "--out", str(out),
-                     "--metric", "gda", "--gda-include-k3"]) == 0
+                     "--metric", "gda"]) == 0
         gdds = [
             [compute_gdd(compute_orbit_frequencies(final_aggregate_graph(parse_edge_list(t)), 3))]
             for t in texts.values()
@@ -441,6 +452,22 @@ class TestManifestK:
         assert expected[0, 1] < 1.0
         got = read_similarity_csv(out / "compare_gda.csv", "GDA")
         assert got.values == pytest.approx(expected)
+
+    def test_gda_include_k3_needs_k4(self, k3_run, capsys):
+        # a k = 3 run has no 4-node orbits to pool into, so the flag would do nothing
+        manifest, out = k3_run
+        plain = manifest.parent / "plain.ini"
+        plain.write_text(manifest.read_text().replace("k = 3\n", ""))
+        for path, k_flag, where in ((manifest, [], f"manifest {manifest} [settings]: k = 3"),
+                                    (plain, ["--k", "3"], "--k 3")):
+            argv = ["compare", "--metric", "gda", "--gda-include-k3", *k_flag,
+                    "--manifest", str(path), "--out", str(out)]
+            assert main(argv) == 2
+            assert capsys.readouterr().err == (
+                "error: --gda-include-k3 pools 3-node orbits into a k = 4 run, "
+                f"but this run has {where}\n"
+            )
+            assert not out.exists()
 
 
 class TestWriteAtomic:

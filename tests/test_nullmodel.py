@@ -4,7 +4,6 @@ import pytest
 from orbitrans import nullmodel
 from orbitrans.graph_core import StaticGraph
 from orbitrans.nullmodel import (
-    RandomizationConfig,
     degree_preserving_randomize,
     ensemble_frequencies,
     randomized_replicates,
@@ -113,48 +112,54 @@ class TestChunkedProposals:
 
 class TestConfig:
     def test_defaults(self):
-        cfg = RandomizationConfig(seed=1)
-        assert cfg.replicates == 100
-        assert cfg.swaps_per_edge == 10
+        # 100 replicates, 10 swaps per edge, seed 0
+        g = gnm_graph(np.random.default_rng(61), 12, 20)
+        default = [list(r.edges()) for r in randomized_replicates(g)]
+        assert default == [list(r.edges()) for r in randomized_replicates(g, 100, 10, 0)]
+        assert ensemble_frequencies(g) == ensemble_frequencies(g, 4, 100, 10, 0)
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            RandomizationConfig(replicates=0)
-        with pytest.raises(ValueError):
-            RandomizationConfig(swaps_per_edge=0)
+        g = gnm_graph(np.random.default_rng(62), 12, 20)
+        # rejected when called, before any replica is drawn
+        with pytest.raises(ValueError, match="replicates"):
+            randomized_replicates(g, replicates=0)
+        with pytest.raises(ValueError, match="replicates"):
+            ensemble_frequencies(g, replicates=0)
+        with pytest.raises(ValueError, match="swaps_per_edge"):
+            next(randomized_replicates(g, swaps_per_edge=0))
+        with pytest.raises(ValueError, match="swaps_per_edge"):
+            ensemble_frequencies(g, swaps_per_edge=0)
 
 
 class TestEnsemble:
     def test_unswappable_graph_equals_own_counts(self):
         tri = StaticGraph(3, [(0, 1), (1, 2), (0, 2)])
-        cfg = RandomizationConfig(replicates=1, swaps_per_edge=3, seed=8)
-        means = ensemble_frequencies(tri, cfg, k=3)
+        means = ensemble_frequencies(tri, k=3, replicates=1, swaps_per_edge=3, seed=8)
         own = graphlet_class_frequencies(tri, 3)
         assert means == {name: float(count) for name, count in own.items()}
 
     def test_same_seed_identical(self):
         rng = np.random.default_rng(55)
         g = gnm_graph(rng, 18, 35)
-        cfg = RandomizationConfig(replicates=8, swaps_per_edge=5, seed=21)
-        assert ensemble_frequencies(g, cfg) == ensemble_frequencies(g, cfg)
+        cfg = dict(replicates=8, swaps_per_edge=5, seed=21)
+        assert ensemble_frequencies(g, **cfg) == ensemble_frequencies(g, **cfg)
 
     def test_replicates_independent_of_generation_order(self):
         rng = np.random.default_rng(56)
         g = gnm_graph(rng, 15, 30)
-        cfg = RandomizationConfig(replicates=5, swaps_per_edge=4, seed=3)
-        full = [list(r.edges()) for r in randomized_replicates(g, cfg)]
+        cfg = dict(replicates=5, swaps_per_edge=4, seed=3)
+        full = [list(r.edges()) for r in randomized_replicates(g, **cfg)]
         # regenerating only the last replicate reproduces it exactly
-        tail_cfg = RandomizationConfig(replicates=5, swaps_per_edge=4, seed=3)
-        regenerated = list(randomized_replicates(g, tail_cfg))[-1]
+        regenerated = list(randomized_replicates(g, **cfg))[-1]
         assert list(regenerated.edges()) == full[-1]
 
     def test_mean_matches_per_replicate_oracle_census(self):
         rng = np.random.default_rng(57)
         g = gnp_graph(rng, 25, 0.12)
-        cfg = RandomizationConfig(replicates=20, swaps_per_edge=3, seed=13)
-        means = ensemble_frequencies(g, cfg, k=4)
+        cfg = dict(replicates=20, swaps_per_edge=3, seed=13)
+        means = ensemble_frequencies(g, k=4, **cfg)
         totals = {name: 0 for name in means}
-        for replica in randomized_replicates(g, cfg):
+        for replica in randomized_replicates(g, **cfg):
             _, classes = exhaustive_census(replica, 4)
             for name in totals:
                 totals[name] += classes.get(name, 0)

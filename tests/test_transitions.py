@@ -268,9 +268,7 @@ class TestSeriesAccumulation:
     def test_requires_two_snapshots(self):
         tel = parse_edge_list("a b 0")
         series = build_snapshots(tel, SnapshotPolicy("active", width=10, count=2))
-        short = type(series)(
-            snapshots=series.snapshots[:1], policy=series.policy, labels=series.labels
-        )
+        short = type(series)(snapshots=series.snapshots[:1])
         with pytest.raises(ValueError):
             accumulate_series(short, 4)
 
@@ -343,19 +341,19 @@ class TestDiscretize:
             ]
         )
         fp = discretize(values)
-        assert fp.labels == (
+        assert fp == (
             ("Rare", "Rare", "Common"),
             ("Common", "Common", "Frequent"),
             ("Frequent", "Frequent", "Rare"),
         )
 
     def test_half_way_value(self):
-        assert discretize(np.full((3, 3), 0.5)).labels == (("Common",) * 3,) * 3
+        assert discretize(np.full((3, 3), 0.5)) == (("Common",) * 3,) * 3
 
     def test_accepts_normalized_matrix(self):
         fp = discretize(np.zeros((11, 11)))
-        assert fp.k == 4
-        assert all(label == "Rare" for row in fp.labels for label in row)
+        assert len(fp) == 11 and all(len(row) == 11 for row in fp)  # k = 4
+        assert all(label == "Rare" for row in fp for label in row)
 
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError, match="outside"):
