@@ -9,7 +9,6 @@ degree-preserving null model.
 """
 
 from .census import (
-    ClassificationTable,
     GraphletClass,
     GraphletDegreeDistribution,
     OrbitFrequencyMatrix,

@@ -5,7 +5,7 @@ nodes is a *graphlet class* and every structurally distinct node position
 within a class is an *orbit*, numbered 1..3 for k=3 and 1..11 for k=4.
 ``GRAPHLET_CLASSES`` states this catalogue once, with the degree a node
 in each orbit has within its shape; the orbit counts, the table from an
-induced-adjacency mask to its class and orbits, and every product indexed
+induced-adjacency mask to its nodes' orbits, and every product indexed
 by class or orbit derive from it. A census of a graph counts, for each
 node, how often it occupies each orbit across all connected induced
 k-subgraphs.
@@ -82,24 +82,6 @@ def orbit_count(k: int) -> int:
     return sum(len(cls.orbits) for cls in GRAPHLET_CLASSES[k])
 
 
-@dataclass(frozen=True)
-class ClassificationTable:
-    """Induced-adjacency-mask lookup for one subgraph size.
-
-    ``class_of[mask]`` is the position of the graphlet class in
-    ``classes`` (or -1 for a disconnected mask); ``orbits_of[mask]`` maps
-    each of the k node positions to its orbit id (None if disconnected).
-    """
-
-    k: int
-    classes: tuple[GraphletClass, ...]
-    class_of: tuple[int, ...]
-    orbits_of: tuple[tuple[int, ...] | None, ...]
-
-    def is_connected(self, mask: int) -> bool:
-        return self.class_of[mask] >= 0
-
-
 def _mask_edges(mask: int, k: int) -> list[tuple[int, int]]:
     return [pair for bit, pair in enumerate(PAIR_POSITIONS[k]) if mask >> bit & 1]
 
@@ -120,33 +102,24 @@ def _mask_is_connected(mask: int, k: int) -> bool:
 
 
 @lru_cache(maxsize=None)
-def build_classification_table(k: int) -> ClassificationTable:
-    """Build the mask -> class/orbit lookup for size ``k`` from ``GRAPHLET_CLASSES``.
+def build_classification_table(k: int) -> tuple[tuple[int, ...] | None, ...]:
+    """The orbit table for size ``k``, from ``GRAPHLET_CLASSES``: entry
+    ``mask`` holds the orbit id at each of the k node positions of that
+    induced-adjacency mask, or None for a disconnected mask.
 
     A connected mask belongs to the class whose orbit degrees are the set
     of its node degrees, and each node to that class's orbit of its degree.
     """
     orbit_count(k)  # rejects any other k
-    rules = {frozenset(cls.degrees): (pos, dict(zip(cls.degrees, cls.orbits)))
-             for pos, cls in enumerate(GRAPHLET_CLASSES[k])}
-    class_of = []
+    rules = {frozenset(cls.degrees): dict(zip(cls.degrees, cls.orbits)) for cls in GRAPHLET_CLASSES[k]}
     orbits_of: list[tuple[int, ...] | None] = []
     for mask in range(1 << len(PAIR_POSITIONS[k])):
         if not _mask_is_connected(mask, k):
-            class_of.append(-1)
             orbits_of.append(None)
             continue
         degrees = [sum(q in pair for pair in _mask_edges(mask, k)) for q in range(k)]
-        class_pos, orbit_by_degree = rules[frozenset(degrees)]
-        class_of.append(class_pos)
-        orbits_of.append(tuple(orbit_by_degree[d] for d in degrees))
-
-    return ClassificationTable(
-        k=k,
-        classes=GRAPHLET_CLASSES[k],
-        class_of=tuple(class_of),
-        orbits_of=tuple(orbits_of),
-    )
+        orbits_of.append(tuple(map(rules[frozenset(degrees)].get, degrees)))
+    return tuple(orbits_of)
 
 
 # Most candidates one block examines: (set, neighbour) pairs in
@@ -325,8 +298,8 @@ class OrbitFrequencyMatrix:
 def _orbit_onehot(k: int) -> np.ndarray:
     """``[position, mask, orbit id - 1]`` = 1 where the orbit table puts it."""
     table = build_classification_table(k)
-    onehot = np.zeros((k, len(table.orbits_of), orbit_count(k)), dtype=np.int64)
-    for mask, orbits in enumerate(table.orbits_of):
+    onehot = np.zeros((k, len(table), orbit_count(k)), dtype=np.int64)
+    for mask, orbits in enumerate(table):
         for position, orbit in enumerate(orbits or ()):
             onehot[position, mask, orbit - 1] = 1
     return onehot
@@ -438,11 +411,11 @@ def _overlaps(k: int) -> np.ndarray:
     m = orbit_count(k)
     overlaps = np.zeros((m, m), dtype=np.int64)
     for j in range(1, m + 1):
-        mask, at = next((mask, orbits.index(j)) for mask, orbits in enumerate(table.orbits_of)
+        mask, at = next((mask, orbits.index(j)) for mask, orbits in enumerate(table)
                         if orbits and j in orbits)
         for sub in range(mask + 1):
-            if sub & mask == sub and table.orbits_of[sub]:
-                overlaps[table.orbits_of[sub][at] - 1, j - 1] += 1
+            if sub & mask == sub and table[sub]:
+                overlaps[table[sub][at] - 1, j - 1] += 1
     if not np.array_equal(np.tril(overlaps), np.eye(m, dtype=np.int64)):
         raise RuntimeError(f"orbit overlaps k={k} are not unit upper triangular")
     overlaps.setflags(write=False)
@@ -578,7 +551,8 @@ class GraphletDegreeDistribution:
     ``raw[j-1][d]`` counts nodes appearing in orbit j exactly d times
     (including d=0, so each raw distribution sums to n).
     ``normalized[j-1]`` covers d >= 1 and sums to 1 for touched orbits;
-    an orbit no node occupies gets an empty mapping.
+    an orbit no node occupies gets an empty mapping. Both list their
+    keys d in ascending order.
     """
 
     k: int

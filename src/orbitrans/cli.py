@@ -131,7 +131,7 @@ SETTINGS = {
     "sep": Setting(default="ws", choices=("ws", "comma"), scope="network",
                    help="edge list field separator"),
     "k": Setting(int, 4, tuple(GRAPHLET_CLASSES), scope="settings", help="subgraph size"),
-    "seed": Setting(int, 0, scope="settings", help="base RNG seed"),
+    "seed": Setting(int, 0, minimum=0, scope="settings", help="base RNG seed"),
     "replicates": Setting(int, 100, minimum=1, scope="settings", help="null-model ensemble size"),
     "swaps_per_edge": Setting(int, 10, minimum=1, scope="settings", help="attempted swaps per edge"),
     "ota_scaling": Setting(default="normalized", choices=("normalized", "per_orbit"),
@@ -320,22 +320,25 @@ def fmt(value) -> str:
 
 
 def write_atomic(path: Path, data: str) -> None:
+    """Write ``data`` to ``path`` through a temporary file beside it, so
+    ``path`` never holds part of it; any ``OSError`` is a ``CliError``
+    naming ``path``, and the temporary file is removed on any failure."""
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
         fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f"{path.name}.", suffix=".tmp")
+        try:
+            with os.fdopen(fd, "w") as fh:
+                # mkstemp creates the file owner-only; give it the usual umask mode
+                umask = os.umask(0)
+                os.umask(umask)
+                os.chmod(tmp, 0o666 & ~umask)
+                fh.write(data)
+            os.replace(tmp, path)
+        except BaseException:
+            os.unlink(tmp)
+            raise
     except OSError as e:
-        raise CliError(f"cannot write {path}: {e.strerror}") from e
-    try:
-        # mkstemp creates the file owner-only; give it the usual umask mode
-        umask = os.umask(0)
-        os.umask(umask)
-        os.chmod(tmp, 0o666 & ~umask)
-        with os.fdopen(fd, "w") as fh:
-            fh.write(data)
-        os.replace(tmp, path)
-    except BaseException:
-        os.unlink(tmp)
-        raise
+        raise CliError(f"cannot write {path}: {e.strerror or e}") from e
 
 
 def write_csv(path: Path, header: Sequence[str], rows) -> None:
@@ -349,14 +352,6 @@ def write_csv(path: Path, header: Sequence[str], rows) -> None:
 
 def write_json(path: Path, obj) -> None:
     write_atomic(path, json.dumps(obj, indent=2) + "\n")
-
-
-def write_run_file(write: Callable, path: Path, *data) -> None:
-    """``write(path, *data)`` for a file of the whole run: failing, it ends the run (exit 2)."""
-    try:
-        write(path, *data)
-    except OSError as e:
-        raise CliError(f"cannot write {path}: {e.strerror or e}") from e
 
 
 def _file_stem(name: str) -> str:
@@ -380,7 +375,7 @@ def write_meta(path: Path, run: RunConfig, args: argparse.Namespace, **extra) ->
     net_keys = NETWORK_KEYS if "width" in reads else ("path", "sep")
     meta["networks"] = {net.name: {key: getattr(net, key) for key in net_keys} | {"path": str(net.path)}
                         for net in run.networks}
-    write_run_file(write_json, path, meta)
+    write_json(path, meta)
 
 
 # ---------------------------------------------------------------------------
@@ -469,7 +464,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
         [net.name, *row] for net in run.networks if net.name in results for row in results[net.name]
     ]
     if results:
-        write_run_file(write_csv, run.out / "stats.csv", ("network", *STATS_HEADER), combined)
+        write_csv(run.out / "stats.csv", ("network", *STATS_HEADER), combined)
     return _report_errors(errors)
 
 
@@ -493,13 +488,8 @@ def _census_bundle(run: RunConfig, stem: str, tag: str, g: StaticGraph, labels) 
             "k": gdd.k,
             "scaling": run.gdd_scaling,
             "orbits": {
-                str(j + 1): {
-                    "raw": {str(d): c for d, c in sorted(gdd.raw[j].items())},
-                    "normalized": {
-                        str(d): v for d, v in sorted(gdd.normalized[j].items())
-                    },
-                }
-                for j in range(len(gdd.raw))
+                str(j + 1): {"raw": raw, "normalized": normalized}
+                for j, (raw, normalized) in enumerate(zip(gdd.raw, gdd.normalized))
             },
             "untouched_orbits": [j + 1 for j, dist in enumerate(gdd.normalized) if not dist],
         },
@@ -603,8 +593,8 @@ def cmd_compare(args: argparse.Namespace) -> int:
     merges = hierarchical_cluster(sim, linkage=run.linkage)
 
     rows = ([name, *row] for name, row in zip(sim.names, sim.values))
-    write_run_file(write_csv, run.out / f"compare_{metric}.csv", ["network", *sim.names], rows)
-    write_run_file(write_json, run.out / f"compare_{metric}.tree.json", _tree_json(merges))
+    write_csv(run.out / f"compare_{metric}.csv", ["network", *sim.names], rows)
+    write_json(run.out / f"compare_{metric}.tree.json", _tree_json(merges))
     write_meta(run.out / f"compare_{metric}.meta.json", run, args, metric=metric, kind=sim.kind)
     return 0
 
@@ -664,7 +654,7 @@ def cmd_cluster(args: argparse.Namespace) -> int:
     sim = read_similarity_csv(Path(args.matrix), kind)
     merges = hierarchical_cluster(sim, linkage=_read("linkage", args))
     out = Path(_read("out", args)) / "cluster.tree.json"
-    write_run_file(write_json, out, _tree_json(merges))
+    write_json(out, _tree_json(merges))
     return 0
 
 

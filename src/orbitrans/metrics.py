@@ -130,6 +130,8 @@ def ota_pair(m1: np.ndarray, m2: np.ndarray, ota_scaling: OtaScaling = "normaliz
     under ``"normalized"``, so identical matrices score 1, and by |O| under
     ``"per_orbit"``, so identical 11x11 matrices score 11.
     """
+    if ota_scaling not in ("normalized", "per_orbit"):
+        raise ValueError(f"unknown ota_scaling {ota_scaling!r}: expected 'normalized' or 'per_orbit'")
     m1 = np.asarray(m1, dtype=np.float64)
     m2 = np.asarray(m2, dtype=np.float64)
     if m1.shape != m2.shape:

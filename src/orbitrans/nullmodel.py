@@ -49,8 +49,7 @@ def degree_preserving_randomize(
         raise ValueError("swaps_per_edge must be >= 1")
     if g.edge_count < 2:
         raise ValueError("randomization needs at least 2 edges")
-    if not isinstance(rng, np.random.Generator):
-        rng = np.random.default_rng(rng)
+    rng = np.random.default_rng(rng)  # a Generator passes through unchanged
     edges = list(g.edges())
     edge_set = set(edges)
     m = len(edges)
@@ -88,11 +87,13 @@ def randomized_replicates(
 
     Replica r draws from a stream seeded by (seed, r), so any subset can
     be regenerated independently and the full set never depends on
-    generation order. ``replicates < 1`` is rejected before any replica is
-    drawn; ``swaps_per_edge < 1`` when the first one is.
+    generation order. ``replicates < 1`` and ``seed < 0`` are rejected
+    before any replica is drawn; ``swaps_per_edge < 1`` when the first one is.
     """
     if replicates < 1:
         raise ValueError("replicates must be >= 1")
+    if seed < 0:
+        raise ValueError("seed must be >= 0")
     return (degree_preserving_randomize(g, np.random.default_rng([seed, r]), swaps_per_edge)
             for r in range(replicates))
 

@@ -40,32 +40,39 @@ from oracles import (
 )
 
 
+def class_of_orbit(k: int) -> dict[int, str]:
+    """Orbit id -> name of the graphlet class holding it."""
+    return {orbit: cls.name for cls in GRAPHLET_CLASSES[k] for orbit in cls.orbits}
+
+
 class TestClassificationTable:
     def test_connected_mask_counts(self):
         # known counts of connected labeled graphs: 4 of 8 for k=3, 38 of 64 for k=4
-        assert sum(build_classification_table(3).is_connected(m) for m in range(8)) == 4
-        assert sum(build_classification_table(4).is_connected(m) for m in range(64)) == 38
+        for k, n_masks, connected in ((3, 8, 4), (4, 64, 38)):
+            table = build_classification_table(k)
+            assert len(table) == n_masks
+            assert sum(orbits is not None for orbits in table) == connected
 
     def test_full_mask_is_clique(self):
         table = build_classification_table(4)
-        assert table.orbits_of[0b111111] == (11, 11, 11, 11)
-        assert table.classes[table.class_of[0b111111]].name == "clique"
+        assert table[0b111111] == (11, 11, 11, 11)
+        assert class_of_orbit(4)[table[0b111111][0]] == "clique"
 
     def test_star_mask_orbits(self):
         # edges (0,1),(0,2),(0,3) occupy bits 0..2
         table = build_classification_table(4)
-        assert table.orbits_of[0b000111] == (2, 1, 1, 1)
+        assert table[0b000111] == (2, 1, 1, 1)
 
     def test_k3_chain_mask(self):
         # edges (0,1),(1,2) -> bits 0 and 2
         table = build_classification_table(3)
-        assert table.orbits_of[0b101] == (1, 2, 1)
+        assert table[0b101] == (1, 2, 1)
 
     def test_disconnected_masks_unclassified(self):
         table = build_classification_table(4)
-        assert table.orbits_of[0] is None
+        assert table[0] is None
         # triangle on 0,1,2 leaves node 3 isolated: edges (0,1),(0,2),(1,2)
-        assert table.orbits_of[0b001011] is None
+        assert table[0b001011] is None
 
     def test_agrees_with_isomorphism_oracle(self):
         for k, n_masks in ((3, 8), (4, 64)):
@@ -73,11 +80,11 @@ class TestClassificationTable:
             for mask in range(n_masks):
                 oracle = classify_mask(k, mask)
                 if oracle is None:
-                    assert table.orbits_of[mask] is None
+                    assert table[mask] is None
                 else:
                     name, orbits = oracle
-                    assert table.orbits_of[mask] == orbits
-                    assert table.classes[table.class_of[mask]].name == name
+                    assert table[mask] == orbits
+                    assert {class_of_orbit(k)[orbit] for orbit in orbits} == {name}
 
     def test_orbit_degrees(self):
         # each position's degree in a connected mask is the one GRAPHLET_CLASSES
@@ -277,11 +284,11 @@ class TestClassFrequencies:
 
 def mask_tally(g: StaticGraph, k: int) -> dict[str, int]:
     """Class counts tallied from the enumerated k-sets' masks."""
-    table = build_classification_table(k)
-    tallies = dict.fromkeys((cls.name for cls in table.classes), 0)
+    table, class_of = build_classification_table(k), class_of_orbit(k)
+    tallies = dict.fromkeys((cls.name for cls in GRAPHLET_CLASSES[k]), 0)
     for _sets, masks in census._kset_blocks(g, k):
         for mask in masks.tolist():
-            tallies[table.classes[table.class_of[mask]].name] += 1
+            tallies[class_of[table[mask][0]]] += 1
     return tallies
 
 

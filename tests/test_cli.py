@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from orbitrans.cli import build_parser, fmt, main, read_similarity_csv, write_atomic
+from orbitrans.cli import CliError, build_parser, fmt, main, read_similarity_csv, write_atomic
 from orbitrans.census import compute_gdd, compute_orbit_frequencies, graphlet_class_frequencies
 from orbitrans.graph_core import (
     SnapshotPolicy,
@@ -483,8 +483,20 @@ class TestWriteAtomic:
             raise OSError("replace refused")
 
         monkeypatch.setattr("orbitrans.cli.os.replace", refuse)
-        with pytest.raises(OSError, match="replace refused"):
+        with pytest.raises(CliError, match="cannot write .*x.csv: replace refused"):
             write_atomic(tmp_path / "x.csv", "a,b\n")
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.skipif(not Path("/proc/self/fd").is_dir(), reason="needs /proc/self/fd")
+    def test_failed_chmod_closes_the_temp_file(self, tmp_path, monkeypatch):
+        def refuse(path, mode):
+            raise OSError("chmod refused")
+
+        monkeypatch.setattr("orbitrans.cli.os.chmod", refuse)
+        open_fds = len(list(Path("/proc/self/fd").iterdir()))
+        with pytest.raises(CliError, match="cannot write .*x.csv: chmod refused"):
+            write_atomic(tmp_path / "x.csv", "a,b\n")
+        assert len(list(Path("/proc/self/fd").iterdir())) == open_fds
         assert list(tmp_path.iterdir()) == []
 
 
@@ -539,6 +551,25 @@ class TestUnwritableOut:
         for name in ("densify", "churn"):
             assert f"error: network '{name}': cannot write {out / name}." in err
         assert "Traceback" not in err
+
+
+    @pytest.mark.parametrize("command, first", [
+        ("stats", "stats.csv"), ("census", "snap0.fr.csv"), ("transitions", "transitions.csv"),
+    ])
+    def test_directory_in_place_of_a_network_file_exits_1(self, toy_run, capsys, command, first):
+        # the file is named, not the temporary file beside it, and the other network runs
+        manifest, out = toy_run
+        target = out / f"densify.{first}"
+        target.mkdir(parents=True)
+        argv = [command, "--manifest", str(manifest), "--out", str(out)]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert f"error: network 'densify': cannot write {target}: Is a directory\n" in err
+        assert "Traceback" not in err
+        assert list(out.glob("*.tmp")) == []
+        assert (out / f"churn.{first}").is_file()
+        assert main(argv) == 1
+        assert capsys.readouterr().err == err
 
 
 class TestManifestValidation:
@@ -604,6 +635,21 @@ class TestManifestValidation:
             assert main([command, "--manifest", str(manifest), "--out", str(tmp_path / "o")]) == 2
             err = capsys.readouterr().err
             assert f"manifest {manifest} [settings]: {key} = {int(value)} must be at least 1" in err
+
+    @pytest.mark.parametrize("where", ["settings", "flag"])
+    def test_negative_seed(self, tmp_path, capsys, where):
+        # located and raised before any network loads, not once per network
+        write_network(tmp_path, "n", "a b 1\nb c 2\nc a 3\n")
+        settings = "[settings]\nseed = -3\n\n" if where == "settings" else ""
+        manifest = write_manifest(tmp_path, f"{settings}[x]\npath = n.txt\n\n[y]\npath = n.txt\n")
+        flags = ["--seed", "-1"] if where == "flag" else []
+        located = (f"manifest {manifest} [settings]: seed = -3" if where == "settings"
+                   else "--seed = -1")
+        out = tmp_path / "o"
+        for argv in (["motifs"], ["compare", "--metric", "motif"]):
+            assert main([*argv, "--manifest", str(manifest), "--out", str(out), *flags]) == 2
+            assert capsys.readouterr().err == f"error: {located} must be at least 0\n"
+            assert not out.exists()
 
     @pytest.mark.parametrize("flag", ["--replicates", "--swaps-per-edge"])
     def test_non_positive_null_model_flag(self, tmp_path, capsys, flag):

@@ -162,6 +162,14 @@ class TestOta:
         with pytest.raises(ValueError):
             ota_pair(np.zeros((3, 3)), np.zeros((11, 11)))
 
+    def test_unknown_scaling(self):
+        # scored as neither choice: both name the choices
+        with pytest.raises(ValueError, match="'bogus'.*'normalized' or 'per_orbit'"):
+            ota_pair(np.eye(3), np.zeros((3, 3)), "bogus")
+        ts = [random_transition_matrix(np.random.default_rng(45)) for _ in range(2)]
+        with pytest.raises(ValueError, match="'per-orbit'.*'normalized' or 'per_orbit'"):
+            ota_matrix(["a", "b"], ts, ota_scaling="per-orbit")
+
     def test_matrix_duplicate_network_maximal(self):
         rng = np.random.default_rng(41)
         t1 = random_transition_matrix(rng)

@@ -130,6 +130,14 @@ class TestConfig:
         with pytest.raises(ValueError, match="swaps_per_edge"):
             ensemble_frequencies(g, swaps_per_edge=0)
 
+    def test_negative_seed(self):
+        # rejected when called, like replicates < 1, not when the first replica is drawn
+        g = gnm_graph(np.random.default_rng(63), 12, 20)
+        with pytest.raises(ValueError, match="seed must be >= 0"):
+            randomized_replicates(g, seed=-1)
+        with pytest.raises(ValueError, match="seed must be >= 0"):
+            ensemble_frequencies(g, seed=-1)
+
 
 class TestEnsemble:
     def test_unswappable_graph_equals_own_counts(self):
