@@ -127,7 +127,7 @@ def build_classification_table(k: int) -> tuple[tuple[int, ...] | None, ...]:
 # the triangles that census keeps for its second pass. It bounds the
 # block's temporary arrays whatever the graph's size; a set (or node, or
 # triangle) whose own candidates exceed it forms a block by itself.
-_BLOCK_CANDIDATES = 4096
+_BLOCK_CANDIDATES = 8192
 
 
 @lru_cache(maxsize=None)
@@ -161,6 +161,13 @@ def _extension_table(j: int) -> np.ndarray:
     return np.where(grows & (ins == top[table]), table, -1)
 
 
+@lru_cache(maxsize=None)
+def _tag_bits(j: int) -> np.ndarray:
+    """Adjacency bits of each 4-bit tag of ``_extend``'s codes."""
+    q, e = np.arange(16) >> 2, np.arange(16) & 3
+    return np.where(e > 0, (e & 1) << q | (e >> 1) << q + 4, 0x11 << j | np.where(q, 0, 256))
+
+
 def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
     """``arange(start, start + count)`` for each pair, concatenated."""
     offsets = np.repeat(starts - (np.cumsum(counts) - counts), counts)
@@ -168,17 +175,26 @@ def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
 
 
 def _extend(
-    g: StaticGraph, tags: np.ndarray, sets: np.ndarray, masks: np.ndarray, seeded: bool
+    g: StaticGraph, packed: np.ndarray, sets: np.ndarray, masks: np.ndarray, seeded: bool
 ) -> tuple[np.ndarray, np.ndarray]:
     """The (j+1)-sets whose canonical parent is a row of ``sets``, and their
     masks, in the union ``g`` of a source and a target (see ``_pair_blocks``).
-    A seeded row's first two members are its seed."""
+    ``packed[e]`` is CSR entry e's node << 4 | its tag. A seeded row's first
+    two members are its seed.
+
+    An unseeded row S reads only its members' neighbours above min(S): T =
+    S + w is kept only when w is T's largest non-cut vertex, and a connected
+    T has another non-cut vertex, in S, so w > min(S). A seeded row reads
+    them all, as its seed ranks below every node.
+    """
     b, j = sets.shape
     seeds = 2 if seeded else 0
     shift = max(g.n - 1, 1).bit_length()
     members = sets.ravel()
-    degrees = g.indptr[members + 1] - g.indptr[members]
-    entries = _ranges(g.indptr[members], degrees)
+    starts, stops = g.indptr[members], g.indptr[members + 1]
+    if not seeded:  # a row's neighbours ascend, so those above its first member end it
+        starts = np.searchsorted(g.keys, members * g.n + sets[:, 0].repeat(j), side="right")
+    degrees = stops - starts
     # Code (row, node, tag): tag q << 2 | e for a neighbour of the member at
     # position q through an entry tagged e, 0 for a member ranked by id and
     # 4 for a seed member. Sorting gathers each (row, node), whose tags give
@@ -187,13 +203,11 @@ def _extend(
     row_code = np.arange(b).repeat(j) << shift + 4
     neighbours = np.repeat(row_code | np.tile(np.arange(j), b) << 2, degrees)
     code = np.concatenate((row_code | members << 4 | np.tile(np.arange(j) < seeds, b) * 4,
-                           neighbours | g.indices[entries] << 4 | tags[entries]))
+                           neighbours | packed[_ranges(starts, degrees)]))
     code.sort()
     node = code >> 4
     first = np.flatnonzero(np.concatenate(([True], node[1:] != node[:-1])))
-    q, e = np.arange(16) >> 2, np.arange(16) & 3
-    tag_bits = np.where(e > 0, (e & 1) << q | (e >> 1) << q + 4, 0x11 << j | np.where(q, 0, 256))
-    bits = np.bitwise_or.reduceat(tag_bits[code & 15], first)
+    bits = np.bitwise_or.reduceat(_tag_bits(j)[code & 15], first)
     node = node[first]
     row = node >> shift
     # w's position in T follows the seed and the members ranked below it:
@@ -201,21 +215,27 @@ def _extend(
     ins = np.cumsum(bits >> 8) - row * (j - seeds) + seeds
     source, target = bits & 15, bits >> 4 & 15
     # a set grows through the source's edges, or if seeded the union's
-    grow_mask, grow_bits = masks[row, 0] | masks[row, 1] * seeded, source | target * seeded
+    grow_mask, grow_bits = masks[row, 0], source
+    if seeded:
+        grow_mask, grow_bits = grow_mask | masks[row, 1], source | target
     t_masks = _extension_table(j)[(grow_mask << j + 1 | grow_bits) * (j + 1) + ins]
     keep = np.flatnonzero(t_masks >= 0)
     row, ins, source, target, t_masks = (x[keep] for x in (row, ins, source, target, t_masks))
-    grown = np.column_stack((sets[row], node[keep] & (1 << shift) - 1))
+    w = node[keep] & (1 << shift) - 1
     if seeded:
         # a set counts at its smallest changed pair (in one graph only), so
         # one holding a changed pair below its seed goes, as its supersets would
-        w, seed_key = grown[:, -1:], grown[:, :1] * g.n + grown[:, 1:2]
-        pair_key = np.minimum(grown[:, :-1], w) * g.n + np.maximum(grown[:, :-1], w)
+        parent, at = sets[row], w[:, None]
+        seed_key = parent[:, :1] * g.n + parent[:, 1:2]
+        pair_key = np.minimum(parent, at) * g.n + np.maximum(parent, at)
         changed = (source ^ target)[:, None] >> np.arange(j) & 1 == 1
         keep = np.flatnonzero(~(changed & (pair_key < seed_key)).any(axis=1))
-        row, ins, source, target, grown = (x[keep] for x in (row, ins, source, target, grown))
+        row, ins, source, target, w = (x[keep] for x in (row, ins, source, target, w))
         t_masks = _insertion_table(j)[(masks[row, 0] << j + 1 | source) * (j + 1) + ins]
-    grown[:, seeds:].sort(axis=1)
+    # T's members: the row's, each moved one place up from w's position ins on, and w
+    column = np.arange(j + 1)
+    grown = members.take((row * j)[:, None] + column - (column > ins[:, None]), mode="clip")
+    grown[np.arange(len(w)), ins] = w
     to_masks = _insertion_table(j)[(masks[row, 1] << j + 1 | target) * (j + 1) + ins]
     return grown, np.column_stack((t_masks, to_masks))
 
@@ -232,13 +252,13 @@ def _block_bounds(costs: np.ndarray) -> Iterator[tuple[int, int]]:
         start = stop
 
 
-def _grow(g: StaticGraph, tags: np.ndarray, sets: np.ndarray, masks: np.ndarray, k: int,
+def _grow(g: StaticGraph, packed: np.ndarray, sets: np.ndarray, masks: np.ndarray, k: int,
           seeded: bool) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     costs = (g.indptr[sets + 1] - g.indptr[sets]).sum(axis=1)
     for start, stop in _block_bounds(costs):
-        grown, grown_masks = _extend(g, tags, sets[start:stop], masks[start:stop], seeded)
+        grown, grown_masks = _extend(g, packed, sets[start:stop], masks[start:stop], seeded)
         if grown.shape[1] < k:
-            yield from _grow(g, tags, grown, grown_masks, k, seeded)
+            yield from _grow(g, packed, grown, grown_masks, k, seeded)
         elif len(grown):
             yield grown, grown_masks
 
@@ -255,15 +275,18 @@ def _pair_blocks(u: StaticGraph, tags: np.ndarray, k: int,
     ``seeded``, the union's connected k-sets holding a changed pair from
     each such pair, ranked below every other node (a connected set holding
     an edge has a non-cut vertex outside it), and kept at the smallest.
-    Each set appears once. Rows are extended depth first, in blocks of at
-    most ``_BLOCK_CANDIDATES`` (set, neighbour) candidates or of one row,
-    so memory stays bounded.
+    Each set appears once: unseeded rows ascending, seeded ones their seed
+    then the rest ascending. An unseeded row S is extended only by nodes
+    above min(S), since S + w is kept only when w is its largest non-cut
+    vertex and a connected set has two. Rows are extended depth first, in
+    blocks of at most ``_BLOCK_CANDIDATES`` (set, neighbour) candidates or
+    of one row, so memory stays bounded.
     """
     orbit_count(k)  # rejects any other k
     edge_tags = tags[u.keys // max(u.n, 1) < u.indices]  # the tags of edge_array's rows
     pick = edge_tags != 3 if seeded else edge_tags & 1 == 1
     masks = np.column_stack((edge_tags & 1, edge_tags >> 1))
-    yield from _grow(u, tags, u.edge_array()[pick], masks[pick], k, seeded)
+    yield from _grow(u, u.indices << 4 | tags, u.edge_array()[pick], masks[pick], k, seeded)
 
 
 def _kset_blocks(g: StaticGraph, k: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:

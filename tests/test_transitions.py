@@ -1,4 +1,5 @@
 import tracemalloc
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -22,10 +23,12 @@ from oracles import (
     exhaustive_transitions,
     gnm_graph,
     gnp_graph,
+    neighbour_sets,
     path_graph,
     random_event_text,
     relabeled,
     ring_lattice_with_chords,
+    subset_mask,
 )
 
 
@@ -236,6 +239,72 @@ class TestPaths:
                 tracemalloc.stop()
         assert peaks[1] < 1.25 * peaks[0], peaks
         assert peaks[1] < 4 * 2**20, peaks
+
+    def test_full_memory_does_not_grow_with_sets(self):
+        # two pairs of about 6,000-edge sources and 11,500-edge unions: a
+        # ring lattice of reach 2 holds 24,000 connected 4-sets, one of
+        # reach 24 with each edge kept at 1/12 about 113,000, 5.4 MB of
+        # rows and masks if held at once; grown in blocks, the full path's
+        # peak stays that of the pair's own arrays and one block's, about
+        # 1.5 MB
+        n = 3000
+        rng = np.random.default_rng(56)
+
+        def lattice(reach, live):
+            ring = np.array([(i, (i + j) % n) for i in range(n) for j in range(1, reach + 1)])
+            return StaticGraph(n, ring[rng.random(len(ring)) < live])
+
+        wide = [lattice(24, 1 / 12) for _ in range(3)]
+        peaks = []
+        for s_from, s_to in ((lattice(2, 1.0), wide[0]), (wide[1], wide[2])):
+            u, tags = _union(s_from, s_to)
+            tracemalloc.start()
+            try:
+                transitions._tally(u, tags, 4, seeded=False)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < 1.25 * peaks[0], peaks
+        assert peaks[1] < 2 * 2**20, peaks
+
+
+class TestKernelRows:
+    """The row contract of ``census._pair_blocks`` on graphs with permuted ids."""
+
+    @pytest.mark.parametrize("block", [None, 2])
+    @pytest.mark.parametrize("k", [3, 4])
+    def test_rows_on_relabeled_graphs(self, monkeypatch, block, k):
+        # the full path skips neighbours below a row's first member and puts
+        # each new node in place, so both read node ids: permuted ids give
+        # rows in every order
+        if block:
+            monkeypatch.setattr(census, "_BLOCK_CANDIDATES", block)
+        rng = np.random.default_rng(57)
+        pairs = [(gnp_graph(rng, 12, rng.uniform(0.15, 0.5)), gnp_graph(rng, 12, rng.uniform(0.15, 0.5)))
+                 for _ in range(4)] + [churn_pair(rng, n=13)]
+        for a, b in pairs:
+            perm = rng.permutation(a.n)
+            a, b = relabeled(a, perm), relabeled(b, perm)
+            u, tags = _union(a, b)
+            nbrs = neighbour_sets(a), neighbour_sets(b)
+            changed = set(a.edges()) ^ set(b.edges())
+            seeded = []
+            for nodes in exhaustive_occurrences(u, k):
+                pairs_changed = [p for p in combinations(nodes, 2) if p in changed]
+                if pairs_changed:
+                    seed = min(pairs_changed)
+                    seeded.append(seed + tuple(sorted(set(nodes) - set(seed))))
+            expected = {False: sorted(exhaustive_occurrences(a, k)), True: sorted(seeded)}
+            for is_seeded, rows in expected.items():
+                got = []
+                for sets, masks in census._pair_blocks(u, tags, k, is_seeded):
+                    for row, (from_mask, to_mask) in zip(map(tuple, sets.tolist()), masks.tolist()):
+                        assert from_mask == subset_mask(nbrs[0], row)
+                        assert to_mask == subset_mask(nbrs[1], row)
+                        got.append(row)
+                assert sorted(got) == rows
+                if not is_seeded:
+                    assert all(row == tuple(sorted(set(row))) for row in got)
 
 
 class TestSeriesAccumulation:
