@@ -8,58 +8,38 @@ orbit-transition matrix, and compare networks by transition agreement
 degree-preserving null model.
 """
 
-from .census import (
-    GraphletClass,
-    GraphletDegreeDistribution,
-    OrbitFrequencyMatrix,
-    build_classification_table,
-    compute_gdd,
-    compute_orbit_frequencies,
-    connected_subgraphs,
-    graphlet_class_frequencies,
-)
-from .graph_core import (
-    EdgeListParseError,
-    SnapshotPolicy,
-    SnapshotSeries,
-    StaticGraph,
-    TemporalEdgeList,
-    average_degree,
-    build_snapshots,
-    characteristic_path_length,
-    clustering_coefficient,
-    final_aggregate_graph,
-    parse_edge_list,
-    relative_size_series,
-)
-from .metrics import (
-    MergeStep,
-    SimilarityMatrix,
-    cut_clusters,
-    fingerprint_distance,
-    gda_matrix,
-    gda_pair,
-    hierarchical_cluster,
-    motif_distance_matrix,
-    ota_matrix,
-    ota_pair,
-    relative_rescale,
-)
-from .nullmodel import (
-    degree_preserving_randomize,
-    ensemble_frequencies,
-    randomized_replicates,
-)
-from .transitions import (
-    OrbitTransitionMatrix,
-    accumulate_series,
-    discretize,
-    enumerate_transitions,
-    row_normalize,
-)
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-# the names imported above, each stated once
-__all__ = sorted(name for name, value in vars().items()
-                 if getattr(value, "__module__", "").startswith(f"{__name__}."))
+# Each public name under the module that defines it. A module loads on the
+# first use of one of its names, so a subcommand compiles and runs only the
+# modules it needs: `census` and `stats` never load transitions, metrics or
+# the null model.
+_EXPORTS = {
+    "census": ("GraphletClass", "GraphletDegreeDistribution", "OrbitFrequencyMatrix",
+               "build_classification_table", "compute_gdd", "compute_orbit_frequencies",
+               "connected_subgraphs", "graphlet_class_frequencies"),
+    "graph_core": ("EdgeListParseError", "SnapshotPolicy", "SnapshotSeries", "StaticGraph",
+                   "TemporalEdgeList", "average_degree", "build_snapshots",
+                   "characteristic_path_length", "clustering_coefficient", "final_aggregate_graph",
+                   "parse_edge_list"),
+    "metrics": ("MergeStep", "SimilarityMatrix", "cut_clusters", "fingerprint_distance",
+                "gda_matrix", "hierarchical_cluster", "motif_distance_matrix", "ota_matrix",
+                "ota_pair", "relative_rescale"),
+    "nullmodel": ("degree_preserving_randomize", "ensemble_frequencies", "randomized_replicates"),
+    "transitions": ("OrbitTransitionMatrix", "accumulate_series", "discretize",
+                    "enumerate_transitions", "row_normalize"),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name: str):
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(import_module(f".{_HOME[name]}", __name__), name)
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

@@ -312,20 +312,13 @@ class OrbitFrequencyMatrix:
     k: int
     counts: np.ndarray  # shape (n, m), int64
 
-    @property
-    def m(self) -> int:
-        return self.counts.shape[1]
-
 
 @lru_cache(maxsize=None)
-def _orbit_onehot(k: int) -> np.ndarray:
-    """``[position, mask, orbit id - 1]`` = 1 where the orbit table puts it."""
-    table = build_classification_table(k)
-    onehot = np.zeros((k, len(table), orbit_count(k)), dtype=np.int64)
-    for mask, orbits in enumerate(table):
-        for position, orbit in enumerate(orbits or ()):
-            onehot[position, mask, orbit - 1] = 1
-    return onehot
+def _orbit_slots(k: int) -> np.ndarray:
+    """``[mask, position]``: the orbit id - 1 the orbit table puts there, or
+    ``orbit_count(k)`` at every position of a disconnected mask."""
+    apart = (orbit_count(k) + 1,) * k
+    return np.array([orbits or apart for orbits in build_classification_table(k)]) - 1
 
 
 class _Ranked:
@@ -594,9 +587,9 @@ def compute_gdd(fr: OrbitFrequencyMatrix, scaling: str = "inverse_k") -> Graphle
         raise ValueError(f"unknown scaling {scaling!r}")
     raw: list[dict[int, int]] = []
     normalized: list[dict[int, float]] = []
-    for col in range(fr.m):
+    for col in range(fr.counts.shape[1]):
         values, counts = np.unique(fr.counts[:, col], return_counts=True)
-        dist = {int(v): int(c) for v, c in zip(values, counts)}
+        dist = dict(zip(values.tolist(), counts.tolist()))
         raw.append(dist)
         positive = {d: c for d, c in dist.items() if d >= 1}  # empty for an untouched orbit
         if scaling == "inverse_k":

@@ -54,7 +54,7 @@ from dataclasses import dataclass, fields
 from functools import partial
 from itertools import chain
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
 
@@ -77,17 +77,12 @@ from .graph_core import (
     parse_edge_list,
     snapshot_stats,
 )
-from .metrics import (
-    MergeStep,
-    SimilarityMatrix,
-    gda_matrix,
-    hierarchical_cluster,
-    motif_distance_matrix,
-    motif_scores_from_counts,
-    ota_matrix,
-)
-from .nullmodel import ensemble_frequencies
-from .transitions import OrbitTransitionMatrix, accumulate_series, discretize, row_normalize
+
+# metrics, the null model and transitions load in the commands that use
+# them, so `stats` and `census` never compile them
+if TYPE_CHECKING:
+    from .metrics import MergeStep, SimilarityMatrix
+    from .transitions import OrbitTransitionMatrix
 
 STATS_HEADER = ("snapshot", "nodes", "edges", "avg_degree", "clustering", "cpl")
 
@@ -341,17 +336,48 @@ def write_atomic(path: Path, data: str) -> None:
         raise CliError(f"cannot write {path}: {e.strerror or e}") from e
 
 
+# cell types csv.writer renders as fmt does, so their cells skip fmt
+_VERBATIM = frozenset((int, str))
+
+
 def write_csv(path: Path, header: Sequence[str], rows) -> None:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
-    for row in rows:
-        writer.writerow([fmt(cell) for cell in row])
+    writer.writerows(row if _VERBATIM.issuperset(map(type, row)) else [fmt(cell) for cell in row]
+                     for row in rows)
     write_atomic(path, buf.getvalue())
 
 
+# value types the C encoder renders as json.dumps(indent=2) does in a container
+_JSON_SCALARS = frozenset((str, int, float, bool, type(None)))
+
+
+def _indented(obj, pad: str) -> str:
+    """``json.dumps(obj, indent=2)`` for a value at indent ``pad``.
+
+    That call runs Python's pure-Python encoder, so each container of
+    scalars goes to the C encoder instead, with the separators of its
+    indented layout, and only the containers holding containers are
+    joined here.
+    """
+    if not isinstance(obj, (dict, list, tuple)) or not obj:
+        return json.dumps(obj)
+    inner = pad + "  "
+    values = obj.values() if isinstance(obj, dict) else obj
+    if _JSON_SCALARS.issuperset(map(type, values)):
+        text = json.dumps(obj, separators=(",\n" + inner, ": "))
+    elif isinstance(obj, dict):
+        # json.dumps renders and escapes each key: {key: 0} gives '{"key": 0}'
+        text = "{%s}" % (",\n" + inner).join(
+            json.dumps({key: 0})[1:-4] + ": " + _indented(value, inner) for key, value in obj.items())
+    else:
+        text = "[%s]" % (",\n" + inner).join(_indented(value, inner) for value in obj)
+    return f"{text[0]}\n{inner}{text[1:-1]}\n{pad}{text[-1]}"
+
+
 def write_json(path: Path, obj) -> None:
-    write_atomic(path, json.dumps(obj, indent=2) + "\n")
+    write_atomic(path, _indented(obj, "") + "\n")
 
 
 def _file_stem(name: str) -> str:
@@ -419,19 +445,24 @@ def run_per_network(run: RunConfig, worker: Callable[[NetworkSpec], object]) -> 
     for net in run.networks:
         try:
             results[net.name] = worker(net)
-        except (CliError, ValueError, OSError, OverflowError) as e:
+        except (CliError, ValueError, OSError, OverflowError, RuntimeError) as e:
             errors.append(f"network {net.name!r}: {e}")
     return results, errors
 
 
 def _network_transitions(run: RunConfig, net: NetworkSpec) -> OrbitTransitionMatrix:
     """Orbit-transition counts summed over the network's snapshot series."""
+    from .transitions import accumulate_series
+
     _events, series = _network_series(net)
     return accumulate_series(series, run.k)
 
 
 def _network_motifs(run: RunConfig, net: NetworkSpec) -> tuple[dict, dict, np.ndarray]:
     """Real class counts, ensemble means and motif fingerprint of the final graph."""
+    from .metrics import motif_scores_from_counts
+    from .nullmodel import ensemble_frequencies
+
     g = _network_final_graph(net)
     real = graphlet_class_frequencies(g, run.k)
     means = ensemble_frequencies(g, run.k, run.replicates, run.swaps_per_edge, run.seed)
@@ -471,7 +502,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
 def _census_bundle(run: RunConfig, stem: str, tag: str, g: StaticGraph, labels) -> None:
     fr = compute_orbit_frequencies(g, run.k)
     gdd = compute_gdd(fr, scaling=run.gdd_scaling)
-    header = ["node"] + [f"orbit_{j + 1}" for j in range(fr.m)]
+    header = ["node"] + [f"orbit_{j + 1}" for j in range(fr.counts.shape[1])]
     write_csv(
         run.out / f"{stem}.{tag}.fr.csv",
         header,
@@ -511,6 +542,8 @@ def cmd_census(args: argparse.Namespace) -> int:
 
 
 def cmd_transitions(args: argparse.Namespace) -> int:
+    from .transitions import discretize, row_normalize
+
     run = load_run_config(args)
 
     def worker(net: NetworkSpec):
@@ -562,6 +595,8 @@ def _tree_json(merges: list[MergeStep]) -> list[dict]:
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
+    from .metrics import gda_matrix, hierarchical_cluster, motif_distance_matrix, ota_matrix
+
     metric = _read("metric", args)
     run = load_run_config(args)
     if len(run.networks) < 2:
@@ -606,6 +641,8 @@ def read_similarity_csv(path: Path, kind: str) -> SimilarityMatrix:
     matrix that is not exactly symmetric; ``compare`` writes both cells of
     a pair from one value.
     """
+    from .metrics import SimilarityMatrix
+
     try:
         text = path.read_text()
     except OSError as e:
@@ -650,6 +687,8 @@ def read_similarity_csv(path: Path, kind: str) -> SimilarityMatrix:
 
 
 def cmd_cluster(args: argparse.Namespace) -> int:
+    from .metrics import hierarchical_cluster
+
     kind = "MotifDistance" if _read("matrix_kind", args) == "distance" else "OTA"
     sim = read_similarity_csv(Path(args.matrix), kind)
     merges = hierarchical_cluster(sim, linkage=_read("linkage", args))

@@ -112,12 +112,6 @@ class StaticGraph:
         for array in (self.indptr, self.indices, self.keys):
             array.setflags(write=False)
 
-    def neighbors(self, v: int) -> tuple[int, ...]:
-        return tuple(self.indices[self.indptr[v] : self.indptr[v + 1]].tolist())
-
-    def degree(self, v: int) -> int:
-        return int(self.indptr[v + 1] - self.indptr[v])
-
     def edges(self) -> Iterator[tuple[int, int]]:
         """All edges as (u, v) with u < v, in lexicographic order."""
         return map(tuple, self.edge_array().tolist())
@@ -170,14 +164,6 @@ class TemporalEdgeList:
         if not len(self.events):
             raise ValueError("edge list has no events")
         return int(self.events[0, 2])
-
-    def to_text(self, sep: str = "ws") -> str:
-        joiner = " " if sep == "ws" else ","
-        lines = [
-            joiner.join((self.labels[u], self.labels[v], str(t)))
-            for u, v, t in self.events.tolist()
-        ]
-        return "\n".join(lines) + ("\n" if lines else "")
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, TemporalEdgeList):
@@ -690,13 +676,6 @@ def characteristic_path_length(g: StaticGraph) -> float:
             seen |= reached
             frontier[rows] = reached
     return total / pairs
-def relative_size_series(series: SnapshotSeries) -> list[float]:
-    """Non-isolated node count of each snapshot, scaled by the series maximum."""
-    counts = [present_nodes(g) for g in series.snapshots]
-    peak = max(counts, default=0)
-    if peak == 0:
-        raise ValueError("every snapshot is empty")
-    return [c / peak for c in counts]
 
 
 def snapshot_stats(series: SnapshotSeries) -> list[dict[str, float]]:

@@ -62,12 +62,6 @@ def gda_orbit_scores(
     return scores
 
 
-def gda_pair(gdd_a: GraphletDegreeDistribution, gdd_b: GraphletDegreeDistribution) -> float:
-    """Mean per-orbit agreement; lies in [0, 1]."""
-    scores = gda_orbit_scores(gdd_a, gdd_b)
-    return sum(scores) / len(scores)
-
-
 def _all_pairs(
     kind: str, names: Sequence[str], items: Sequence, what: str,
     score: Callable[[object, object], float], prepare: Callable[[list], list] = list,

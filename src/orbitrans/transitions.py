@@ -11,9 +11,11 @@ coarse Rare/Common/Frequent fingerprint.
 A set holding no changed pair, none of the symmetric difference D of the
 two edge sets, keeps its orbits. The full path enumerates every set
 connected in the source; the delta path only those holding a pair of D,
-and takes the rest from the source's closed-form census (edge-local
+and takes the rest from the source's per-orbit totals (edge-local
 counting after Schiller et al., "StreaM", AlCoB 2015). Each pair takes
-the cheaper (``_takes_delta_path``); both give the same counts.
+the cheaper (``_takes_delta_path``); both give the same counts. Along a
+series the delta path's tally also gives the target's totals, so only a
+chain's first pair takes them from a closed-form census.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .census import GRAPHLET_CLASSES, _orbit_counts, _orbit_onehot, _pair_blocks, orbit_count
+from .census import GRAPHLET_CLASSES, _orbit_counts, _orbit_slots, _pair_blocks, orbit_count
 from .graph_core import SnapshotSeries, StaticGraph
 
 FINGERPRINT_LABELS = ("Rare", "Common", "Frequent")
@@ -39,29 +41,35 @@ class OrbitTransitionMatrix:
     to orbit b; ``dissolved[a-1]`` counts node-transitions out of orbit a
     whose group was no longer connected in the next snapshot. Every
     surviving or dissolving group contributes exactly k node-transitions.
+    ``formed[b-1]``, the mirror of ``dissolved``, counts the nodes in orbit
+    b of groups connected only in the next snapshot; a pair's tally holds
+    it on the delta path only, else it is None.
     """
 
     k: int
     counts: np.ndarray  # (m, m) int64
     dissolved: np.ndarray  # (m,) int64
     pairs_processed: int
+    formed: np.ndarray | None = None  # (m,) int64
 
     def total_node_transitions(self) -> int:
         return int(self.counts.sum() + self.dissolved.sum())
 
 
-def enumerate_transitions(s_from: StaticGraph, s_to: StaticGraph, k: int) -> OrbitTransitionMatrix:
+def enumerate_transitions(s_from: StaticGraph, s_to: StaticGraph, k: int, *,
+                          totals: np.ndarray | None = None) -> OrbitTransitionMatrix:
     """Transition counts for one ordered snapshot pair.
 
     Only groups connected in ``s_from`` contribute (newly formed groups
     have no source orbit); groups that lose connectivity in ``s_to`` land
-    in the dissolved counters.
+    in the dissolved counters. ``totals``, if given, are ``s_from``'s
+    per-orbit totals, which the delta path then takes instead of a census.
     """
     if s_from.n != s_to.n:
         raise ValueError(f"snapshots disagree on node universe ({s_from.n} vs {s_to.n} nodes)")
     u, tags = _union(s_from, s_to)
     if _takes_delta_path(u, tags, k):
-        return _delta_path(s_from, u, tags, k)
+        return _delta_path(s_from, u, tags, k, totals)
     return _tally(u, tags, k, seeded=False)
 
 
@@ -72,8 +80,11 @@ def _union(s_from: StaticGraph, s_to: StaticGraph) -> tuple[StaticGraph, np.ndar
     return u, in_from | in_to.astype(np.int64) << 1
 
 
-# where the two paths cost the same, on pairs of growing turnover (CHANGES.md)
-_DELTA_BELOW = 0.3
+# per k, about where the two paths cost the same on pairs of growing
+# turnover, the delta pair given its source totals: k = 3 pairs crossed at
+# 0.42-0.45, k = 4 pairs at 0.30-0.44, and at about 0.23 on a dense
+# aggregate series (BENCH_17_carried_totals.json)
+_DELTA_BELOW = {3: 0.4, 4: 0.3}
 
 
 def _takes_delta_path(u: StaticGraph, tags: np.ndarray, k: int) -> bool:
@@ -81,40 +92,77 @@ def _takes_delta_path(u: StaticGraph, tags: np.ndarray, k: int) -> bool:
     edges: an edge {a, b} lies in about (d(a) + d(b)) ** (k - 2), by degree in ``u``."""
     degree = np.diff(u.indptr)
     reach = (np.repeat(degree, degree) + degree[u.indices]).astype(np.float64) ** (k - 2)
-    return bool(reach[tags != 3].sum() < _DELTA_BELOW * reach[tags & 1 == 1].sum())
+    return bool(reach[tags != 3].sum() < _DELTA_BELOW[k] * reach[tags & 1 == 1].sum())
 
 
 def _tally(u: StaticGraph, tags: np.ndarray, k: int, seeded: bool) -> OrbitTransitionMatrix:
     """Counts over the sets of ``_pair_blocks(u, tags, k, seeded)``: unless
-    ``seeded``, the full path. A set disconnected in the source counts nowhere."""
-    onehot = _orbit_onehot(k)  # [position, mask, orbit - 1], rows of disconnected masks zero
-    n_masks = onehot.shape[1]
+    ``seeded``, the full path. A set disconnected in the source counts
+    nowhere but, if ``seeded``, in ``formed``."""
+    slots = _orbit_slots(k)  # [mask, position]: orbit id - 1, or m if the mask is disconnected
+    n_masks, m = len(slots), orbit_count(k)
     # one bin per (mask in the source, mask in the target) of the same k-set
     per_pair = np.zeros(n_masks * n_masks, dtype=np.int64)
     for _sets, masks in _pair_blocks(u, tags, k, seeded):
         per_pair += np.bincount(masks[:, 0] * n_masks + masks[:, 1], minlength=n_masks**2)
-    per_pair = per_pair.reshape(n_masks, n_masks)
-    counts = sum(at.T @ per_pair @ at for at in onehot)
-    dissolved = per_pair[:, ~onehot[0].any(axis=1)].sum(axis=1) @ onehot.sum(axis=0)
-    return OrbitTransitionMatrix(k=k, counts=counts, dissolved=dissolved, pairs_processed=1)
+    # each filled bin's node-transitions, a disconnected mask's in row or column m
+    bins = np.flatnonzero(per_pair)
+    moves = np.zeros((m + 1, m + 1), dtype=np.int64)
+    np.add.at(moves, (slots[bins // n_masks], slots[bins % n_masks]), per_pair[bins, None])
+    return OrbitTransitionMatrix(k, moves[:m, :m], moves[:m, m], 1, moves[m, :m] if seeded else None)
 
 
-def _delta_path(s_from: StaticGraph, u: StaticGraph, tags: np.ndarray,
-                k: int) -> OrbitTransitionMatrix:
-    """Counts over the changed sets, plus the others, which keep their orbits."""
+def _delta_path(s_from: StaticGraph, u: StaticGraph, tags: np.ndarray, k: int,
+                totals: np.ndarray | None = None) -> OrbitTransitionMatrix:
+    """Counts over the changed sets, plus the others, which keep their orbits:
+    ``s_from``'s per-orbit ``totals``, from its closed-form census unless given,
+    less the changed sets' source orbits."""
     t = _tally(u, tags, k, seeded=True)
-    stay = _orbit_counts(s_from, k).sum(axis=0) - t.counts.sum(axis=1) - t.dissolved
-    t.counts[np.diag_indices_from(t.counts)] += stay
+    if totals is None:
+        totals = _orbit_counts(s_from, k).sum(axis=0)
+    t.counts[np.diag_indices_from(t.counts)] += totals - t.counts.sum(axis=1) - t.dissolved
     return t
 
 
 def accumulate_series(series: SnapshotSeries, k: int) -> OrbitTransitionMatrix:
-    """Sum of pairwise transition counts over all consecutive snapshots."""
+    """Sum of pairwise transition counts over all consecutive snapshots.
+
+    A delta-path pair gives its target's per-orbit totals, its column sums
+    plus ``formed``, and the next pair takes them instead of a census. Each
+    chain of carried totals is checked where it ends: against a full-path
+    pair's source totals, its row sums plus ``dissolved``, or against the
+    last snapshot's closed-form census. A mismatch raises RuntimeError
+    naming the pair.
+    """
     if len(series) < 2:
         raise ValueError("need at least 2 snapshots to track transitions")
-    pairs = [enumerate_transitions(series[i], series[i + 1], k) for i in range(len(series) - 1)]
-    counts, dissolved = sum(p.counts for p in pairs), sum(p.dissolved for p in pairs)
-    return OrbitTransitionMatrix(k, counts, dissolved, pairs_processed=len(pairs))
+    m, last = orbit_count(k), len(series) - 1
+    counts, dissolved = np.zeros((m, m), dtype=np.int64), np.zeros(m, dtype=np.int64)
+    totals, start = None, 0  # snapshot i's totals, carried from snapshot start
+    for i in range(last):
+        p = enumerate_transitions(series[i], series[i + 1], k, totals=totals)
+        counts += p.counts
+        dissolved += p.dissolved
+        if p.formed is not None:
+            if totals is None:
+                start = i
+            totals = p.counts.sum(axis=0) + p.formed
+        elif totals is not None:
+            _check_carried(totals, p.counts.sum(axis=1) + p.dissolved, start, i, i,
+                           "its full-path tally")
+            totals = None
+    if totals is not None:
+        _check_carried(totals, _orbit_counts(series[last], k).sum(axis=0), start, last - 1, last,
+                       "its closed-form census")
+    return OrbitTransitionMatrix(k, counts, dissolved, pairs_processed=last)
+
+
+def _check_carried(carried: np.ndarray, found: np.ndarray, start: int, pair: int, at: int,
+                   what: str) -> None:
+    if not np.array_equal(carried, found):
+        raise RuntimeError(
+            f"snapshot pair {pair}->{pair + 1}: the orbit totals of snapshot {at}, carried "
+            f"from snapshot {start}, disagree with {what} ({carried.tolist()} vs {found.tolist()})")
 
 
 def row_normalize(t: OrbitTransitionMatrix) -> np.ndarray:

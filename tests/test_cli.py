@@ -1,12 +1,29 @@
 import csv
 import filecmp
+import io
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from orbitrans.cli import CliError, build_parser, fmt, main, read_similarity_csv, write_atomic
+import orbitrans
+from orbitrans import census, transitions
+from orbitrans.cli import (
+    CliError,
+    build_parser,
+    fmt,
+    main,
+    read_similarity_csv,
+    write_atomic,
+    write_csv,
+    write_json,
+)
 from orbitrans.census import compute_gdd, compute_orbit_frequencies, graphlet_class_frequencies
 from orbitrans.graph_core import (
     SnapshotPolicy,
@@ -25,6 +42,7 @@ from orbitrans.metrics import (
 from orbitrans.nullmodel import ensemble_frequencies
 from orbitrans.transitions import accumulate_series, discretize, row_normalize
 from oracles import exhaustive_transitions
+from test_transitions import drop_first_seeded_block
 
 DATA = Path(__file__).parent / "data"
 GOLDEN = DATA / "golden"
@@ -373,6 +391,19 @@ class TestDeterminismAndFailure:
             for kind in ("fr.csv", "classes.csv", "gdd.json")
         )
 
+    def test_carried_totals_mismatch_fails_alone(self, tmp_path, monkeypatch, capsys):
+        # every pair on the delta path, and alpha's first one loses a block of
+        # changed sets: the check at the end of its chain fails alpha alone
+        monkeypatch.setattr(transitions, "_DELTA_BELOW", dict.fromkeys((3, 4), 1e9))
+        monkeypatch.setattr(census, "_BLOCK_CANDIDATES", 2)  # a block per row
+        drop_first_seeded_block(monkeypatch)
+        out = tmp_path / "out"
+        assert main(["transitions", "--manifest", str(DATA / "manifest.ini"), "--out", str(out)]) == 1
+        assert ("error: network 'alpha': snapshot pair 2->3: the orbit totals of snapshot 3, "
+                "carried from snapshot 0, disagree with its closed-form census") in capsys.readouterr().err
+        assert not (out / "alpha.transitions.csv").exists()
+        assert (out / "beta.transitions.csv").read_text() == (GOLDEN / "beta.transitions.csv").read_text()
+
     def test_network_without_width_fails_before_any_load(self, tmp_path, capsys):
         # a configuration error of the run (exit 2), reported before any network loads
         write_network(tmp_path, "full", "a b 0\nb c 5\n")
@@ -498,6 +529,84 @@ class TestWriteAtomic:
             write_atomic(tmp_path / "x.csv", "a,b\n")
         assert len(list(Path("/proc/self/fd").iterdir())) == open_fds
         assert list(tmp_path.iterdir()) == []
+
+
+def reference_csv(header, rows) -> str:
+    """What ``write_csv`` wrote when it passed every cell through ``fmt``."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow([fmt(cell) for cell in row])
+    return buf.getvalue()
+
+
+SPECIAL_FLOATS = st.sampled_from((1e-05, 0.1 + 0.2, 5e-324, -0.0, 1e16, 1 / 3))
+FLOATS = st.floats() | SPECIAL_FLOATS
+SCALARS = st.none() | st.booleans() | st.integers() | FLOATS | st.text(max_size=5)
+
+
+@st.composite
+def gdd_documents(draw):
+    """A gdd.json document: per orbit a raw and a normalized distribution,
+    an untouched orbit's normalized one empty."""
+    orbits = {}
+    for j in range(1, draw(st.integers(min_value=1, max_value=11)) + 1):
+        raw = draw(st.dictionaries(st.integers(min_value=0, max_value=10**6), st.integers(min_value=1),
+                                   max_size=30))
+        touched = {d: draw(FLOATS) for d in raw if d >= 1}
+        orbits[str(j)] = {"raw": raw, "normalized": touched}
+    return {"k": draw(st.sampled_from((3, 4))), "scaling": draw(st.sampled_from(("inverse_k", "plain"))),
+            "orbits": orbits,
+            "untouched_orbits": [int(j) for j, o in orbits.items() if not o["normalized"]]}
+
+
+class TestWriters:
+    """``write_csv`` and ``write_json`` write the bytes of the plain
+    ``csv.writer`` + ``fmt`` loop and of ``json.dumps(obj, indent=2)``."""
+
+    @staticmethod
+    def written(write, *args) -> str:
+        """The text ``write`` hands to ``write_atomic``."""
+        got = []
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr("orbitrans.cli.write_atomic", lambda path, data: got.append(data))
+            write(Path("unused"), *args)
+        return got[0]
+
+    @settings(max_examples=150, deadline=None)
+    @given(doc=gdd_documents())
+    def test_gdd_documents(self, doc):
+        assert self.written(write_json, doc) == json.dumps(doc, indent=2) + "\n"
+
+    @settings(max_examples=150, deadline=None)
+    @given(obj=st.recursive(SCALARS, lambda inner: st.lists(inner, max_size=4)
+                            | st.tuples(inner, inner)
+                            | st.dictionaries(st.text(max_size=3) | st.integers() | FLOATS | st.booleans()
+                                              | st.none(), inner, max_size=4), max_leaves=30))
+    def test_any_json_value(self, obj):
+        assert self.written(write_json, obj) == json.dumps(obj, indent=2) + "\n"
+
+    def test_unencodable_value_still_raises(self):
+        for obj in ({"a": [np.int64(1)]}, [{(1, 2): 3}, {"b": 1}]):
+            with pytest.raises(TypeError):
+                self.written(write_json, obj)
+
+    @settings(max_examples=150, deadline=None)
+    @given(rows=st.lists(st.lists(
+        st.sampled_from(("a,b", '"q"', "x\ny", "", " s ", "plain")) | st.integers() | st.booleans()
+        | FLOATS | st.integers(min_value=-2**63, max_value=2**63 - 1).map(np.int64)
+        | FLOATS.map(np.float64) | st.booleans().map(np.bool_) | st.none(), max_size=5), max_size=6))
+    def test_csv_cells(self, rows):
+        assert self.written(write_csv, ("node", "a,b"), rows) == reference_csv(("node", "a,b"), rows)
+
+    def test_float_matrices_and_fr_rows(self):
+        rng = np.random.default_rng(60)
+        values = rng.random((11, 11)) / rng.integers(1, 10**6, size=(11, 11))
+        rows = [[a + 1, *row] for a, row in enumerate(values)]
+        fr = [["a,b", 0, 3], ['"q"', 12, 0], ["n3", 2**40, 1]]
+        for table in (rows, [list(r) for r in values.tolist()], fr):
+            assert self.written(write_csv, ("orbit", "v"), table) == reference_csv(("orbit", "v"), table)
 
 
 class TestUnwritableOut:
@@ -727,6 +836,24 @@ class TestRunReport:
         )
         # the report stays out of the output files
         assert all("events read" not in f.read_text() for f in out.iterdir())
+
+
+class TestModuleLoading:
+    def test_stats_and_census_load_only_their_modules(self, tmp_path):
+        # a fresh interpreter, so that no other test has loaded a module yet
+        manifest, out = str(DATA / "manifest.ini"), str(tmp_path)
+        code = (
+            "import sys\n"
+            "from orbitrans.cli import main\n"
+            f"assert main(['stats', '--manifest', {manifest!r}, '--out', {out!r}]) == 0\n"
+            f"assert main(['census', '--manifest', {manifest!r}, '--out', {out!r}]) == 0\n"
+            "print(' '.join(sorted(m for m in sys.modules if m.startswith('orbitrans'))))\n"
+        )
+        src = str(Path(orbitrans.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+        loaded = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                                check=True).stdout.split()
+        assert loaded == ["orbitrans", "orbitrans.census", "orbitrans.cli", "orbitrans.graph_core"]
 
 
 class TestGoldenFiles:

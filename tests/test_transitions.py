@@ -7,7 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from orbitrans import census, transitions
-from orbitrans.graph_core import SnapshotPolicy, StaticGraph, build_snapshots, parse_edge_list
+from orbitrans.graph_core import (
+    SnapshotPolicy,
+    SnapshotSeries,
+    StaticGraph,
+    build_snapshots,
+    parse_edge_list,
+)
 from orbitrans.transitions import (
     _union,
     accumulate_series,
@@ -55,6 +61,52 @@ def snapshot_pairs(draw):
     if kind == "edgeless" and draw(st.booleans()):
         a, b = b, a
     return tuple(StaticGraph(n, [p for p, x in zip(pairs, keep) if x]) for keep in (a, b))
+
+
+@st.composite
+def changing_series(draw):
+    """Snapshots on one node set, each the last with a few random pairs
+    flipped, or under ``aggregate`` only added; and a path for each pair,
+    True for the delta path."""
+    n = draw(st.integers(min_value=0, max_value=8))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    aggregate = draw(st.booleans())
+    length = draw(st.integers(min_value=2, max_value=5))
+    live = draw(st.sets(st.sampled_from(pairs))) if pairs else set()
+    snapshots = [live]
+    for _ in range(length - 1):
+        flips = draw(st.sets(st.sampled_from(pairs), max_size=4)) if pairs else set()
+        snapshots.append(snapshots[-1] | flips if aggregate else snapshots[-1] ^ flips)
+    delta = draw(st.lists(st.booleans(), min_size=length - 1, max_size=length - 1))
+    return [StaticGraph(n, sorted(s)) for s in snapshots], aggregate, delta
+
+
+def forced_series(series, k, delta, patch):
+    """``accumulate_series(series, k)`` with pair i on the delta path if
+    ``delta[i]``, set through ``_DELTA_BELOW``; and each pair's result."""
+    pairs, picks = [], iter(delta)
+
+    def forced(s_from, s_to, k, **kwargs):
+        # no pair's changed pairs reach 1e9 times what its source's edges do
+        patch.setattr(transitions, "_DELTA_BELOW", dict.fromkeys((3, 4), 1e9 if next(picks) else 0.0))
+        pairs.append(enumerate_transitions(s_from, s_to, k, **kwargs))
+        return pairs[-1]
+
+    patch.setattr(transitions, "enumerate_transitions", forced)
+    return accumulate_series(series, k), pairs
+
+
+def drop_first_seeded_block(patch):
+    """Make ``_tally`` lose the first block of its first seeded enumeration."""
+    dropped = []
+
+    def dropping(u, tags, k, seeded):
+        blocks = census._pair_blocks(u, tags, k, seeded)
+        if seeded and not dropped:
+            dropped.append(next(blocks))
+        return blocks
+
+    patch.setattr(transitions, "_pair_blocks", dropping)
 
 
 # each path of enumerate_transitions, called directly
@@ -340,6 +392,51 @@ class TestSeriesAccumulation:
         short = type(series)(snapshots=series.snapshots[:1])
         with pytest.raises(ValueError):
             accumulate_series(short, 4)
+
+    @settings(max_examples=80, deadline=None)
+    @given(drawn=changing_series(), k=st.sampled_from((3, 4)))
+    def test_paths_in_any_order_match_oracle(self, drawn, k):
+        # a delta pair takes its source totals from the pair before if that
+        # was a delta pair too, else from a census; every chain is checked
+        snapshots, aggregate, delta = drawn
+        with pytest.MonkeyPatch.context() as patch:
+            total, pairs = forced_series(SnapshotSeries(tuple(snapshots)), k, delta, patch)
+        # an edgeless source gives the delta path no weight to pick it by
+        assert [p.formed is not None for p in pairs] == [
+            d and a.edge_count > 0 for d, a in zip(delta, snapshots)]
+        for a, b, p in zip(snapshots, snapshots[1:], pairs):
+            counts, dissolved = exhaustive_transitions(a, b, k)
+            assert np.array_equal(p.counts, counts)
+            assert np.array_equal(p.dissolved, dissolved)
+            assert p.total_node_transitions() == k * len(exhaustive_occurrences(a, k))
+            if aggregate:
+                assert p.dissolved.sum() == 0
+        assert np.array_equal(total.counts, sum(p.counts for p in pairs))
+        assert np.array_equal(total.dissolved, sum(p.dissolved for p in pairs))
+        assert total.pairs_processed == len(pairs)
+
+    @pytest.mark.parametrize("ends_at, check", [
+        ("full", "pair 2->3: the orbit totals of snapshot 2, carried from snapshot 0, "
+                 "disagree with its full-path tally"),
+        ("delta", "pair 2->3: the orbit totals of snapshot 3, carried from snapshot 0, "
+                  "disagree with its closed-form census"),
+    ])
+    def test_lost_block_fails_the_chain_check(self, monkeypatch, ends_at, check):
+        # pairs 0->1 and 1->2 carry the totals on; the check where the chain
+        # ends finds the block that pair 0->1 lost
+        monkeypatch.setattr(census, "_BLOCK_CANDIDATES", 2)  # a block per row
+        rng = np.random.default_rng(58)
+        snapshots = [gnm_graph(rng, 14, 20)]
+        for _ in range(3):
+            snapshots.append(StaticGraph(14, np.concatenate((snapshots[-1].edge_array(),
+                                                             gnm_graph(rng, 14, 3).edge_array()))))
+        series = SnapshotSeries(tuple(snapshots))
+        delta = [True, True, ends_at == "delta"]
+        with pytest.MonkeyPatch.context() as patch:
+            forced_series(series, 4, delta, patch)  # intact, the checks pass
+            drop_first_seeded_block(patch)
+            with pytest.raises(RuntimeError, match=f"^snapshot {check} "):
+                forced_series(series, 4, delta, patch)
 
     def test_aggregate_never_loses_edges_pattern(self):
         # matrix cells whose target class has fewer edges than the source
