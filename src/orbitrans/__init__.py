@@ -24,9 +24,9 @@ _EXPORTS = {
                    "TemporalEdgeList", "average_degree", "build_snapshots",
                    "characteristic_path_length", "clustering_coefficient", "final_aggregate_graph",
                    "parse_edge_list"),
-    "metrics": ("MergeStep", "SimilarityMatrix", "cut_clusters", "fingerprint_distance",
-                "gda_matrix", "hierarchical_cluster", "motif_distance_matrix", "ota_matrix",
-                "ota_pair", "relative_rescale"),
+    "metrics": ("MergeStep", "cut_clusters", "fingerprint_distance", "gda_matrix",
+                "hierarchical_cluster", "motif_distance_matrix", "ota_matrix", "ota_pair",
+                "relative_rescale"),
     "nullmodel": ("degree_preserving_randomize", "ensemble_frequencies", "randomized_replicates"),
     "transitions": ("OrbitTransitionMatrix", "accumulate_series", "discretize",
                     "enumerate_transitions", "row_normalize"),

@@ -61,6 +61,7 @@ import numpy as np
 from . import __version__
 from .census import (
     GRAPHLET_CLASSES,
+    OrbitFrequencyMatrix,
     class_counts,
     compute_gdd,
     compute_orbit_frequencies,
@@ -81,7 +82,7 @@ from .graph_core import (
 # metrics, the null model and transitions load in the commands that use
 # them, so `stats` and `census` never compile them
 if TYPE_CHECKING:
-    from .metrics import MergeStep, SimilarityMatrix
+    from .metrics import MergeStep
     from .transitions import OrbitTransitionMatrix
 
 STATS_HEADER = ("snapshot", "nodes", "edges", "avg_degree", "clustering", "cpl")
@@ -138,7 +139,6 @@ SETTINGS = {
     "linkage": Setting(default="average", choices=("average", "single", "complete"), scope="settings"),
     "metric": Setting(default="ota", choices=("ota", "gda", "motif")),
     "matrix": Setting(required=True, help="similarity/distance CSV from compare"),
-    "matrix_kind": Setting(default="agreement", choices=("agreement", "distance")),
 }
 NETWORK_KEYS = ("path", *(key for key, s in SETTINGS.items() if s.scope == "network"))
 SETTINGS_KEYS = tuple(key for key, s in SETTINGS.items() if s.scope)
@@ -499,8 +499,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
     return _report_errors(errors)
 
 
-def _census_bundle(run: RunConfig, stem: str, tag: str, g: StaticGraph, labels) -> None:
-    fr = compute_orbit_frequencies(g, run.k)
+def _census_bundle(run: RunConfig, stem: str, tag: str, fr: OrbitFrequencyMatrix, labels) -> None:
     gdd = compute_gdd(fr, scaling=run.gdd_scaling)
     header = ["node"] + [f"orbit_{j + 1}" for j in range(fr.counts.shape[1])]
     write_csv(
@@ -534,8 +533,12 @@ def cmd_census(args: argparse.Namespace) -> int:
         events, series = _network_series(net)
         stem = _file_stem(net.name)
         for i, snap in enumerate(series.snapshots):
-            _census_bundle(run, stem, f"snap{i}", snap, events.labels)
-        _census_bundle(run, stem, "final", final_aggregate_graph(events), events.labels)
+            fr = compute_orbit_frequencies(snap, run.k)
+            _census_bundle(run, stem, f"snap{i}", fr, events.labels)
+        # an aggregate series with no event past its window ends on the final graph
+        if (final := final_aggregate_graph(events)) != series[-1]:
+            fr = compute_orbit_frequencies(final, run.k)
+        _census_bundle(run, stem, "final", fr, events.labels)
 
     _results, errors = run_per_network(run, worker)
     return _report_errors(errors)
@@ -612,37 +615,35 @@ def cmd_compare(args: argparse.Namespace) -> int:
             for k in gda_ks
         ]
 
-    # metric -> (per-network worker, matrix builder over names and the workers' results)
-    worker, build = {
+    # metric -> (per-network worker, matrix builder over the workers' results, its meta kind)
+    worker, build, kind = {
         "ota": (lambda net: _network_transitions(run, net),
-                partial(ota_matrix, ota_scaling=run.ota_scaling, rescale=run.relative_rescale)),
-        "gda": (gdd_worker, gda_matrix),
-        "motif": (lambda net: _network_motifs(run, net)[2], motif_distance_matrix),
+                partial(ota_matrix, ota_scaling=run.ota_scaling, rescale=run.relative_rescale), "OTA"),
+        "gda": (gdd_worker, gda_matrix, "GDA"),
+        "motif": (lambda net: _network_motifs(run, net)[2], motif_distance_matrix, "MotifDistance"),
     }[metric]
     results, errors = run_per_network(run, worker)
     if errors:
         # a pairwise comparison cannot proceed with missing networks
         return _report_errors(errors)
 
-    sim = build(names, [results[name] for name in names])
-    merges = hierarchical_cluster(sim, linkage=run.linkage)
+    values = build(names, [results[name] for name in names])
+    merges = hierarchical_cluster(names, values, linkage=run.linkage)
 
-    rows = ([name, *row] for name, row in zip(sim.names, sim.values))
-    write_csv(run.out / f"compare_{metric}.csv", ["network", *sim.names], rows)
+    rows = ([name, *row] for name, row in zip(names, values))
+    write_csv(run.out / f"compare_{metric}.csv", ["network", *names], rows)
     write_json(run.out / f"compare_{metric}.tree.json", _tree_json(merges))
-    write_meta(run.out / f"compare_{metric}.meta.json", run, args, metric=metric, kind=sim.kind)
+    write_meta(run.out / f"compare_{metric}.meta.json", run, args, metric=metric, kind=kind)
     return 0
 
 
-def read_similarity_csv(path: Path, kind: str) -> SimilarityMatrix:
-    """Load a similarity/distance matrix written by ``compare``.
+def read_similarity_csv(path: Path) -> tuple[tuple[str, ...], np.ndarray]:
+    """The names and the (N, N) agreement or distance matrix of a ``compare`` CSV.
 
     Rejects a header that names a network twice, a non-finite cell and a
     matrix that is not exactly symmetric; ``compare`` writes both cells of
     a pair from one value.
     """
-    from .metrics import SimilarityMatrix
-
     try:
         text = path.read_text()
     except OSError as e:
@@ -683,15 +684,17 @@ def read_similarity_csv(path: Path, kind: str) -> SimilarityMatrix:
             f"{rows[i + 1][j + 1]}, but row {names[j]!r}, column {names[i]!r} "
             f"is {rows[j + 1][i + 1]}"
         )
-    return SimilarityMatrix(names=names, values=values, kind=kind)
+    return names, values
 
 
 def cmd_cluster(args: argparse.Namespace) -> int:
     from .metrics import hierarchical_cluster
 
-    kind = "MotifDistance" if _read("matrix_kind", args) == "distance" else "OTA"
-    sim = read_similarity_csv(Path(args.matrix), kind)
-    merges = hierarchical_cluster(sim, linkage=_read("linkage", args))
+    path = Path(args.matrix)
+    try:
+        merges = hierarchical_cluster(*read_similarity_csv(path), linkage=_read("linkage", args))
+    except ValueError as e:
+        raise CliError(f"{path}: {e}") from None
     out = Path(_read("out", args)) / "cluster.tree.json"
     write_json(out, _tree_json(merges))
     return 0
@@ -718,7 +721,7 @@ COMMANDS = {
     "transitions": ("orbit-transition matrices", (*_SNAPSHOT_FLAGS, "k")),
     "motifs": ("motif scores vs random ensemble", ("manifest", "out", "sep", "k", *METRIC_FLAGS["motif"])),
     "compare": ("pairwise network comparison", (*_COMPARE_FLAGS, *chain(*METRIC_FLAGS.values()))),
-    "cluster": ("merge tree from a matrix CSV", ("out", "matrix", "matrix_kind", "linkage")),
+    "cluster": ("merge tree from a matrix CSV", ("out", "matrix", "linkage")),
 }
 
 

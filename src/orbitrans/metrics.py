@@ -13,8 +13,9 @@ Three comparison routes ship here:
 Each all-pairs builder checks its input and fills the matrix through
 ``_all_pairs``, which scores every pair i <= j once and mirrors it, so the
 matrix is exactly symmetric and its diagonal is a network's score against
-itself. Agreement matrices can be turned into a merge tree with a small
-deterministic agglomerative clusterer.
+itself. A matrix, agreement or distance, can be turned into a merge tree
+with a small deterministic agglomerative clusterer, which tells the two
+apart by the diagonal: 0 for a distance, positive for an agreement.
 """
 
 from __future__ import annotations
@@ -30,15 +31,6 @@ from .transitions import OrbitTransitionMatrix, row_normalize
 
 OtaScaling = Literal["normalized", "per_orbit"]
 Linkage = Literal["average", "single", "complete"]
-
-
-@dataclass(frozen=True)
-class SimilarityMatrix:
-    """Symmetric pairwise scores over a named network set."""
-
-    names: tuple[str, ...]
-    values: np.ndarray  # (N, N) float64
-    kind: Literal["OTA", "GDA", "MotifDistance"]
 
 
 def gda_orbit_scores(
@@ -63,10 +55,10 @@ def gda_orbit_scores(
 
 
 def _all_pairs(
-    kind: str, names: Sequence[str], items: Sequence, what: str,
+    names: Sequence[str], items: Sequence, what: str,
     score: Callable[[object, object], float], prepare: Callable[[list], list] = list,
-) -> SimilarityMatrix:
-    """``score`` over every pair of ``prepare(items)``, one item per name.
+) -> np.ndarray:
+    """The (N, N) ``score`` over every pair of ``prepare(items)``, one item per name.
 
     Each pair i <= j is scored once and mirrored; the diagonal is an
     item's score against itself.
@@ -81,13 +73,10 @@ def _all_pairs(
     for i in range(n):
         for j in range(i, n):
             values[i, j] = values[j, i] = score(items[i], items[j])
-    return SimilarityMatrix(names=tuple(names), values=values, kind=kind)
+    return values
 
 
-def gda_matrix(
-    names: Sequence[str],
-    gdds: Sequence[Sequence[GraphletDegreeDistribution]],
-) -> SimilarityMatrix:
+def gda_matrix(names: Sequence[str], gdds: Sequence[Sequence[GraphletDegreeDistribution]]) -> np.ndarray:
     """All-pairs GDA over a network set.
 
     ``gdds[i]`` holds one or more degree distributions for network i
@@ -99,7 +88,7 @@ def gda_matrix(
         scores = [s for a, b in zip(bundle_a, bundle_b) for s in gda_orbit_scores(a, b)]
         return sum(scores) / len(scores)
 
-    return _all_pairs("GDA", names, gdds, "GDD bundle", pooled)
+    return _all_pairs(names, gdds, "GDD bundle", pooled)
 
 
 def relative_rescale(matrices: Sequence[np.ndarray]) -> list[np.ndarray]:
@@ -142,7 +131,7 @@ def ota_matrix(
     transition_matrices: Sequence[OrbitTransitionMatrix],
     ota_scaling: OtaScaling = "normalized",
     rescale: bool = True,
-) -> SimilarityMatrix:
+) -> np.ndarray:
     """All-pairs OTA: row-normalize, rescale each cell across the set if
     ``rescale``, compare under ``ota_scaling`` (``ota_pair``)."""
 
@@ -150,7 +139,7 @@ def ota_matrix(
         normalized = [row_normalize(t) for t in ts]
         return relative_rescale(normalized) if rescale else normalized
 
-    return _all_pairs("OTA", names, transition_matrices, "transition matrix",
+    return _all_pairs(names, transition_matrices, "transition matrix",
                       lambda a, b: ota_pair(a, b, ota_scaling), prepare)
 
 
@@ -192,11 +181,9 @@ def fingerprint_distance(f1: np.ndarray, f2: np.ndarray) -> float:
     return float(np.linalg.norm(np.subtract(f1, f2)))
 
 
-def motif_distance_matrix(
-    names: Sequence[str], fingerprints: Sequence[np.ndarray]
-) -> SimilarityMatrix:
+def motif_distance_matrix(names: Sequence[str], fingerprints: Sequence[np.ndarray]) -> np.ndarray:
     """All-pairs Euclidean distances between motif fingerprints."""
-    return _all_pairs("MotifDistance", names, fingerprints, "fingerprint", fingerprint_distance)
+    return _all_pairs(names, fingerprints, "fingerprint", fingerprint_distance)
 
 
 @dataclass(frozen=True)
@@ -208,23 +195,33 @@ class MergeStep:
     height: float
 
 
-def hierarchical_cluster(sim: SimilarityMatrix, linkage: Linkage = "average") -> list[MergeStep]:
-    """Agglomerative merge sequence for a similarity/distance matrix.
+def hierarchical_cluster(names: Sequence[str], values: np.ndarray,
+                         linkage: Linkage = "average") -> list[MergeStep]:
+    """Agglomerative merge sequence for the (N, N) matrix ``values`` over ``names``.
 
-    Agreement kinds (OTA/GDA) are converted to distances as 1 - value;
-    distance kinds are used as-is. Cluster distances are computed from
-    the original pairwise matrix (average, single or complete linkage).
-    Ties are broken by the lexicographic pair of smallest member labels,
-    so the tree is deterministic.
+    A matrix whose diagonal is all zero holds distances, used as they are;
+    one whose diagonal is all positive holds agreements (OTA, GDA), each
+    converted to the distance 1 - value. Any other diagonal is a
+    ``ValueError``. Cluster distances are computed from the pairwise
+    matrix (average, single or complete linkage). Ties are broken by the
+    lexicographic pair of smallest member labels, so the tree is
+    deterministic.
     """
     if linkage not in ("average", "single", "complete"):
         raise ValueError(f"unknown linkage {linkage!r}")
-    n = len(sim.names)
+    n = len(names)
     if n < 2:
         raise ValueError("need at least 2 networks to cluster")
-    dist = np.asarray(sim.values, dtype=np.float64)
-    if sim.kind != "MotifDistance":
+    dist = np.asarray(values, dtype=np.float64)
+    if dist.shape != (n, n):
+        raise ValueError(f"a matrix of shape {dist.shape} does not pair {n} names")
+    diagonal = np.diagonal(dist)
+    if (diagonal > 0).all():
         dist = 1.0 - dist
+    elif (diagonal != 0).any():
+        cells = ", ".join(f"{name} {value:.12g}" for name, value in zip(names, diagonal))
+        raise ValueError(f"the diagonal is neither all zero (distances) nor all positive "
+                         f"(agreements): {cells}")
 
     clusters: list[set[int]] = [{i} for i in range(n)]
     merges: list[MergeStep] = []
@@ -238,7 +235,7 @@ def hierarchical_cluster(sim: SimilarityMatrix, linkage: Linkage = "average") ->
         return float(cross.mean())
 
     def min_label(c: set[int]) -> str:
-        return min(sim.names[i] for i in c)
+        return min(names[i] for i in c)
 
     while len(clusters) > 1:
         # least (distance, smaller label, larger label); of equals, the first in (i, j) order
@@ -247,8 +244,8 @@ def hierarchical_cluster(sim: SimilarityMatrix, linkage: Linkage = "average") ->
             for i, a in enumerate(clusters) for j, b in enumerate(clusters) if i < j
         )
         a, b = clusters[i], clusters[j]
-        left_names = tuple(sorted(sim.names[x] for x in a))
-        right_names = tuple(sorted(sim.names[x] for x in b))
+        left_names = tuple(sorted(names[x] for x in a))
+        right_names = tuple(sorted(names[x] for x in b))
         if min(left_names) > min(right_names):
             left_names, right_names = right_names, left_names
         merges.append(MergeStep(left=left_names, right=right_names, height=height))

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import orbitrans
-from orbitrans import census, transitions
+from orbitrans import census, cli, transitions
 from orbitrans.cli import (
     CliError,
     build_parser,
@@ -42,6 +42,7 @@ from orbitrans.metrics import (
 from orbitrans.nullmodel import ensemble_frequencies
 from orbitrans.transitions import accumulate_series, discretize, row_normalize
 from oracles import exhaustive_transitions
+from test_acceptance import _timed_lattice_text
 from test_transitions import drop_first_seeded_block
 
 DATA = Path(__file__).parent / "data"
@@ -131,6 +132,25 @@ class TestCensus:
         rows = read_rows(out / "densify.final.classes.csv")
         got = {r[0]: int(r[1]) for r in rows[1:]}
         assert got == graphlet_class_frequencies(g, 4)
+
+    @pytest.mark.parametrize("policy, count, censuses", [
+        ("aggregate", 3, 3),  # no event past the window: the last snapshot is the final graph
+        ("aggregate", 2, 3),  # the event at t = 21 lies past the window
+        ("active", 3, 4),
+    ])
+    def test_one_census_per_distinct_graph(self, toy_run, monkeypatch, policy, count, censuses):
+        manifest, out = toy_run
+        manifest.write_text(f"[settings]\nwidth = 10\ncount = {count}\n\n"
+                            f"[densify]\npath = densify.txt\npolicy = {policy}\n")
+        graphs = []
+        monkeypatch.setattr(cli, "compute_orbit_frequencies",
+                            lambda g, k: graphs.append(g) or compute_orbit_frequencies(g, k))
+        assert main(["census", "--manifest", str(manifest), "--out", str(out)]) == 0
+        assert len(graphs) == censuses
+        tel = parse_edge_list((manifest.parent / "densify.txt").read_text())
+        final = compute_orbit_frequencies(final_aggregate_graph(tel), 4)
+        rows = read_rows(out / "densify.final.fr.csv")
+        assert np.array_equal([[int(x) for x in r[1:]] for r in rows[1:]], final.counts)
 
     def test_gdd_json_well_formed(self, toy_run):
         manifest, out = toy_run
@@ -230,8 +250,7 @@ class TestCompare:
             tel = parse_edge_list((manifest.parent / f"{name}.txt").read_text())
             series = build_snapshots(tel, SnapshotPolicy(mode, width=10, count=3))
             mats.append(accumulate_series(series, 4))
-        sim = ota_matrix(["densify", "churn"], mats)
-        assert values == pytest.approx(sim.values)
+        assert values == pytest.approx(ota_matrix(["densify", "churn"], mats))
 
         tree = json.loads((out / "compare_ota.tree.json").read_text())
         assert len(tree) == 1
@@ -251,10 +270,10 @@ class TestCompare:
         assert main(
             ["compare", "--manifest", str(manifest), "--out", str(out), "--metric", "motif"]
         ) == 0
-        gda = read_similarity_csv(out / "compare_gda.csv", "GDA")
-        assert np.allclose(np.diag(gda.values), 1.0)
-        motif = read_similarity_csv(out / "compare_motif.csv", "MotifDistance")
-        assert np.allclose(np.diag(motif.values), 0.0)
+        _names, gda = read_similarity_csv(out / "compare_gda.csv")
+        assert np.allclose(np.diag(gda), 1.0)
+        _names, motif = read_similarity_csv(out / "compare_motif.csv")
+        assert np.allclose(np.diag(motif), 0.0)
         meta = json.loads((out / "compare_gda.meta.json").read_text())
         assert meta["gda_include_k3"] is True
 
@@ -275,6 +294,18 @@ class TestCompare:
         assert main(["compare", "--manifest", str(manifest), "--out", str(tmp_path / "o")]) == 2
 
 
+@pytest.fixture
+def three_networks(tmp_path):
+    """Two "closure" lattices and a "random" one, whose three pairwise scores
+    differ under every metric; returns (manifest path, out dir)."""
+    rng = np.random.default_rng([2027, 0])
+    lines = ["[settings]", "width = 10", "count = 6", "origin = 0", "seed = 3", "replicates = 4"]
+    for name in ("closure0", "closure1", "random0"):
+        write_network(tmp_path, name, _timed_lattice_text(rng, name.startswith("closure")))
+        lines += ["", f"[{name}]", f"path = {name}.txt"]
+    return write_manifest(tmp_path, "\n".join(lines) + "\n"), tmp_path / "out"
+
+
 class TestCluster:
     def test_round_trip_from_csv(self, toy_run, tmp_path):
         manifest, out = toy_run
@@ -284,13 +315,39 @@ class TestCluster:
             ["cluster", "--matrix", str(out / "compare_ota.csv"), "--out", str(cluster_out)]
         ) == 0
         tree = json.loads((cluster_out / "cluster.tree.json").read_text())
-        sim = read_similarity_csv(out / "compare_ota.csv", "OTA")
-        expected = hierarchical_cluster(sim, linkage="average")
+        expected = hierarchical_cluster(*read_similarity_csv(out / "compare_ota.csv"), linkage="average")
         got = [
             MergeStep(left=tuple(s["left"]), right=tuple(s["right"]), height=s["height"])
             for s in tree
         ]
         assert got == expected
+
+    @pytest.mark.parametrize("argv, metric", [
+        (["--metric", "ota"], "ota"),
+        (["--ota-scaling", "per_orbit"], "ota"),
+        (["--metric", "gda"], "gda"),
+        (["--metric", "motif"], "motif"),
+    ], ids=["ota", "ota-per_orbit", "gda", "motif"])
+    def test_cluster_rebuilds_the_compare_tree(self, three_networks, tmp_path, argv, metric):
+        # three networks, so reading a distance as an agreement changes the merges
+        manifest, out = three_networks
+        assert main(["compare", "--manifest", str(manifest), "--out", str(out), *argv]) == 0
+        assert main(["cluster", "--matrix", str(out / f"compare_{metric}.csv"),
+                     "--out", str(tmp_path / "cl")]) == 0
+        expected = json.loads((out / f"compare_{metric}.tree.json").read_text())
+        got = json.loads((tmp_path / "cl" / "cluster.tree.json").read_text())
+        assert [(s["left"], s["right"]) for s in got] == [(s["left"], s["right"]) for s in expected]
+        assert [s["height"] for s in got] == pytest.approx([s["height"] for s in expected], abs=1e-9)
+
+    def test_mixed_diagonal_rejected(self, tmp_path, capsys):
+        bad = tmp_path / "m.csv"
+        bad.write_text("network,a,b,c\na,0,0.5,0.2\nb,0.5,1,0.3\nc,0.2,0.3,1\n")
+        assert main(["cluster", "--matrix", str(bad), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}: the diagonal is neither all zero (distances) "
+                              "nor all positive (agreements): a 0, b 1, c 1")
+        assert "Traceback" not in err
+        assert not (tmp_path / "cluster.tree.json").exists()
 
     def test_bad_matrix_file(self, tmp_path):
         bad = tmp_path / "m.csv"
@@ -438,9 +495,9 @@ class TestManifestK:
             tel = parse_edge_list((manifest.parent / f"{name}.txt").read_text())
             series = build_snapshots(tel, SnapshotPolicy(mode, width=10, count=3))
             mats.append(accumulate_series(series, 3))
-        sim = ota_matrix(["densify", "churn"], mats)
-        got = read_similarity_csv(out / "compare_ota.csv", "OTA")
-        assert got.values == pytest.approx(sim.values)
+        names, got = read_similarity_csv(out / "compare_ota.csv")
+        assert names == ("densify", "churn")
+        assert got == pytest.approx(ota_matrix(["densify", "churn"], mats))
         assert json.loads((out / "compare_ota.meta.json").read_text())["k"] == 3
 
         assert main(["motifs", "--manifest", str(manifest), "--out", str(out)]) == 0
@@ -479,10 +536,10 @@ class TestManifestK:
             [compute_gdd(compute_orbit_frequencies(final_aggregate_graph(parse_edge_list(t)), 3))]
             for t in texts.values()
         ]
-        expected = gda_matrix(list(texts), gdds).values
+        expected = gda_matrix(list(texts), gdds)
         assert expected[0, 1] < 1.0
-        got = read_similarity_csv(out / "compare_gda.csv", "GDA")
-        assert got.values == pytest.approx(expected)
+        _names, got = read_similarity_csv(out / "compare_gda.csv")
+        assert got == pytest.approx(expected)
 
     def test_gda_include_k3_needs_k4(self, k3_run, capsys):
         # a k = 3 run has no 4-node orbits to pool into, so the flag would do nothing
@@ -905,7 +962,7 @@ METRIC_FLAGS = {
 FLAG_VALUES = {
     "--manifest": "m.ini", "--sep": "ws", "--policy": "active", "--width": "5", "--count": "2",
     "--seed": "1", "--replicates": "2", "--swaps-per-edge": "2", "--ota-scaling": "per_orbit",
-    "--gdd-scaling": "plain",
+    "--gdd-scaling": "plain", "--matrix-kind": "distance",
 }
 
 
@@ -926,7 +983,7 @@ class TestFlags:
                        "--swaps-per-edge"},
             "compare": {"--manifest", "--out", "--sep", "--k", "--metric", "--linkage"}.union(
                 *METRIC_FLAGS.values()),
-            "cluster": {"--out", "--matrix", "--matrix-kind", "--linkage"},
+            "cluster": {"--out", "--matrix", "--linkage"},
         }
 
     @pytest.mark.parametrize("command, flag", [
@@ -934,6 +991,8 @@ class TestFlags:
         ("motifs", "--policy"), ("motifs", "--width"), ("motifs", "--count"),
         ("cluster", "--manifest"), ("cluster", "--seed"), ("cluster", "--policy"),
         ("cluster", "--width"), ("cluster", "--count"), ("cluster", "--sep"),
+        # the matrix's diagonal tells distances from agreements
+        ("cluster", "--matrix-kind"),
     ])
     def test_unread_flag_rejected_by_argparse(self, toy_run, capsys, command, flag):
         manifest, out = toy_run
@@ -1067,6 +1126,8 @@ class TestMetaFiles:
         assert main([*argv, "--manifest", str(manifest), "--out", str(out)]) == 0
         meta = json.loads((out / f"{name}.meta.json").read_text())
         assert set(meta) == {"tool_version", "k", "networks"} | keys
+        kinds = {"compare_ota": "OTA", "compare_gda": "GDA", "compare_motif": "MotifDistance"}
+        assert meta.get("kind") == kinds.get(name)
         assert list(meta["networks"]) == ["densify", "churn"]
         for entry in meta["networks"].values():
             assert set(entry) == {"path", "sep"} | network_keys

@@ -11,7 +11,6 @@ from orbitrans.census import (
 )
 from orbitrans.graph_core import StaticGraph
 from orbitrans.metrics import (
-    SimilarityMatrix,
     cut_clusters,
     fingerprint_distance,
     gda_matrix,
@@ -100,12 +99,12 @@ class TestGda:
             for _ in range(3)
         ]
         sim = gda_matrix(["a", "b", "c"], list(zip(g4, g3)))
-        assert sim.kind == "GDA"
-        assert np.allclose(sim.values, sim.values.T)
-        assert np.allclose(np.diag(sim.values), 1.0)
+        assert sim.shape == (3, 3) and sim.dtype == np.float64
+        assert np.allclose(sim, sim.T)
+        assert np.allclose(np.diag(sim), 1.0)
         # pooled mean over 11 + 3 orbit scores
         pooled = gda_orbit_scores(g4[0], g4[1]) + gda_orbit_scores(g3[0], g3[1])
-        assert sim.values[0, 1] == pytest.approx(sum(pooled) / 14)
+        assert sim[0, 1] == pytest.approx(sum(pooled) / 14)
 
 
 class TestRelativeRescale:
@@ -179,16 +178,16 @@ class TestOta:
         t1 = random_transition_matrix(rng)
         t2 = random_transition_matrix(rng)
         sim = ota_matrix(["x", "x2", "y"], [t1, t1, t2])
-        row = sim.values[0]
+        row = sim[0]
         assert row[1] == max(row[j] for j in (1, 2))
-        assert sim.values[0, 1] == pytest.approx(1.0)
+        assert sim[0, 1] == pytest.approx(1.0)
 
     def test_matrix_reorder_permutes(self):
         rng = np.random.default_rng(42)
         ts = [random_transition_matrix(rng) for _ in range(3)]
         sim = ota_matrix(["a", "b", "c"], ts)
         sim_rev = ota_matrix(["c", "b", "a"], ts[::-1])
-        assert np.allclose(sim.values, sim_rev.values[::-1, ::-1])
+        assert np.allclose(sim, sim_rev[::-1, ::-1])
 
     def test_matrix_equals_manual_pipeline(self):
         rng = np.random.default_rng(43)
@@ -197,7 +196,7 @@ class TestOta:
         rescaled = relative_rescale([row_normalize(t) for t in ts])
         for i in range(3):
             for j in range(3):
-                assert sim.values[i, j] == pytest.approx(
+                assert sim[i, j] == pytest.approx(
                     formula_ota(rescaled[i], rescaled[j]), abs=1e-12
                 )
 
@@ -206,7 +205,7 @@ class TestOta:
         ts = [random_transition_matrix(rng) for _ in range(2)]
         sim = ota_matrix(["a", "b"], ts, rescale=False)
         raw = [row_normalize(t) for t in ts]
-        assert sim.values[0, 1] == pytest.approx(formula_ota(raw[0], raw[1]), abs=1e-12)
+        assert sim[0, 1] == pytest.approx(formula_ota(raw[0], raw[1]), abs=1e-12)
 
 
 class TestMotifScores:
@@ -277,9 +276,9 @@ class TestFingerprintDistance:
             for _ in range(3)
         ]
         sim = motif_distance_matrix(["a", "b", "c"], fps)
-        assert sim.kind == "MotifDistance"
-        assert np.allclose(np.diag(sim.values), 0.0)
-        assert np.allclose(sim.values, sim.values.T)
+        assert sim.shape == (3, 3) and sim.dtype == np.float64
+        assert np.allclose(np.diag(sim), 0.0)
+        assert np.allclose(sim, sim.T)
 
 
 def _gda_inputs(rng, n):
@@ -318,20 +317,13 @@ class TestMatrixBuilders:
             build(["a"], items[:1], **options)
         sim = build(["a", "b", "c", "d"], items, **options)
         # exact, as read_similarity_csv requires of the written matrix
-        assert np.array_equal(sim.values, sim.values.T)
-        assert np.all(np.diag(sim.values) == diagonal)
-
-
-def agreement_matrix(names, values):
-    return SimilarityMatrix(names=tuple(names), values=np.asarray(values, float), kind="OTA")
+        assert np.array_equal(sim, sim.T)
+        assert np.all(np.diag(sim) == diagonal)
 
 
 class TestClustering:
     def test_identical_pair_merges_first(self):
-        sim = agreement_matrix(
-            "abc", [[1.0, 1.0, 0.2], [1.0, 1.0, 0.2], [0.2, 0.2, 1.0]]
-        )
-        merges = hierarchical_cluster(sim)
+        merges = hierarchical_cluster("abc", [[1.0, 1.0, 0.2], [1.0, 1.0, 0.2], [0.2, 0.2, 1.0]])
         assert set(merges[0].left) | set(merges[0].right) == {"a", "b"}
         assert merges[0].height == pytest.approx(0.0)
 
@@ -345,7 +337,7 @@ class TestClustering:
                 [0.15, 0.1, 0.85, 1.0],
             ]
         )
-        merges = hierarchical_cluster(agreement_matrix(names, v))
+        merges = hierarchical_cluster(names, v)
         first_two = [set(m.left) | set(m.right) for m in merges[:2]]
         assert {"a1", "a2"} in first_two and {"b1", "b2"} in first_two
         assert cut_clusters(names, merges, 2) == [("a1", "a2"), ("b1", "b2")]
@@ -361,8 +353,7 @@ class TestClustering:
             dist[np.triu_indices(n, 1)] = tri
             dist += dist.T
             names = [f"n{i}" for i in range(n)]
-            sim = SimilarityMatrix(tuple(names), 1.0 - dist, kind="GDA")
-            mine = hierarchical_cluster(sim, linkage=linkage)
+            mine = hierarchical_cluster(names, 1.0 - dist, linkage=linkage)
             ref = scipy_merges(dist, names, linkage)
             for step, (ra, rb, rh) in zip(mine, ref):
                 assert {frozenset(step.left), frozenset(step.right)} == {ra, rb}
@@ -371,11 +362,10 @@ class TestClustering:
     def test_deterministic_tie_break(self):
         # all pairwise distances equal: first merge must be the two
         # lexicographically smallest labels
-        sim = agreement_matrix(
+        merges = hierarchical_cluster(
             ["zeta", "alpha", "mid"],
             [[1.0, 0.5, 0.5], [0.5, 1.0, 0.5], [0.5, 0.5, 1.0]],
         )
-        merges = hierarchical_cluster(sim)
         assert set(merges[0].left) | set(merges[0].right) == {"alpha", "mid"}
 
     def test_permutation_invariance(self):
@@ -386,37 +376,52 @@ class TestClustering:
         dist[np.triu_indices(n, 1)] = tri
         dist += dist.T
         names = [f"n{i}" for i in range(n)]
-        sim = SimilarityMatrix(tuple(names), 1.0 - dist, kind="OTA")
-        merges = hierarchical_cluster(sim)
+        merges = hierarchical_cluster(names, 1.0 - dist)
         order = rng.permutation(n)
-        sim_p = SimilarityMatrix(
-            tuple(names[i] for i in order), (1.0 - dist)[np.ix_(order, order)], kind="OTA"
+        merges_p = hierarchical_cluster(
+            [names[i] for i in order], (1.0 - dist)[np.ix_(order, order)]
         )
-        merges_p = hierarchical_cluster(sim_p)
         as_sets = lambda ms: [
             ({frozenset(m.left), frozenset(m.right)}, pytest.approx(m.height)) for m in ms
         ]
         assert as_sets(merges) == as_sets(merges_p)
 
     def test_distance_kind_used_directly(self):
-        sim = SimilarityMatrix(
-            ("a", "b", "c"),
-            np.array([[0.0, 0.1, 0.9], [0.1, 0.0, 0.8], [0.9, 0.8, 0.0]]),
-            kind="MotifDistance",
+        # a zero diagonal marks distances
+        merges = hierarchical_cluster(
+            ("a", "b", "c"), np.array([[0.0, 0.1, 0.9], [0.1, 0.0, 0.8], [0.9, 0.8, 0.0]])
         )
-        merges = hierarchical_cluster(sim)
         assert set(merges[0].left) | set(merges[0].right) == {"a", "b"}
         assert merges[0].height == pytest.approx(0.1)
 
+    def test_per_orbit_diagonal_read_as_agreement(self):
+        # per_orbit OTA scores a network against itself |O| = 11: heights go negative
+        merges = hierarchical_cluster("abc", [[11.0, 10.5, 9.0], [10.5, 11.0, 9.5], [9.0, 9.5, 11.0]])
+        assert set(merges[0].left) | set(merges[0].right) == {"a", "b"}
+        assert merges[0].height == pytest.approx(-9.5)
+
+    @pytest.mark.parametrize("diagonal", [[0.0, 1.0, 1.0], [1.0, 0.0, 1.0], [-1.0, -1.0, -1.0],
+                                          [1.0, 1.0, np.nan]])
+    def test_diagonal_neither_distance_nor_agreement(self, diagonal):
+        values = np.full((3, 3), 0.5)
+        np.fill_diagonal(values, diagonal)
+        with pytest.raises(ValueError, match="neither all zero .distances. nor all positive"):
+            hierarchical_cluster("abc", values)
+
+    def test_names_must_match_shape(self):
+        with pytest.raises(ValueError, match=r"shape \(2, 2\) does not pair 3 names"):
+            hierarchical_cluster("abc", np.eye(2))
+        with pytest.raises(ValueError, match="does not pair"):
+            hierarchical_cluster("ab", np.ones((2, 3)))
+
     def test_too_small(self):
         with pytest.raises(ValueError):
-            hierarchical_cluster(agreement_matrix("a", [[1.0]]))
+            hierarchical_cluster("a", [[1.0]])
         with pytest.raises(ValueError):
-            hierarchical_cluster(agreement_matrix("abc", np.eye(3)), linkage="median")
+            hierarchical_cluster("abc", np.eye(3), linkage="median")
 
     def test_cut_clusters_bounds(self):
-        sim = agreement_matrix("ab", [[1.0, 0.5], [0.5, 1.0]])
-        merges = hierarchical_cluster(sim)
+        merges = hierarchical_cluster("ab", [[1.0, 0.5], [0.5, 1.0]])
         assert cut_clusters(["a", "b"], merges, 1) == [("a", "b")]
         assert cut_clusters(["a", "b"], merges, 2) == [("a",), ("b",)]
         with pytest.raises(ValueError):
