@@ -17,14 +17,14 @@ __version__ = "0.1.0"
 # modules it needs: `census` and `stats` never load transitions, metrics or
 # the null model.
 _EXPORTS = {
-    "census": ("GraphletClass", "GraphletDegreeDistribution", "OrbitFrequencyMatrix",
+    "census": ("GraphletClass", "OrbitFrequencyMatrix",
                "build_classification_table", "compute_gdd", "compute_orbit_frequencies",
                "connected_subgraphs", "graphlet_class_frequencies"),
     "graph_core": ("EdgeListParseError", "SnapshotPolicy", "SnapshotSeries", "StaticGraph",
                    "TemporalEdgeList", "average_degree", "build_snapshots",
                    "characteristic_path_length", "clustering_coefficient", "final_aggregate_graph",
                    "parse_edge_list"),
-    "metrics": ("MergeStep", "cut_clusters", "fingerprint_distance", "gda_matrix",
+    "metrics": ("cut_clusters", "fingerprint_distance", "gda_matrix",
                 "hierarchical_cluster", "motif_distance_matrix", "ota_matrix", "ota_pair",
                 "relative_rescale"),
     "nullmodel": ("degree_preserving_randomize", "ensemble_frequencies", "randomized_replicates"),

@@ -560,24 +560,17 @@ def graphlet_class_frequencies(g: StaticGraph, k: int) -> dict[str, int]:
     return class_counts(OrbitFrequencyMatrix(k, _orbit_counts(g, k)))
 
 
-@dataclass(frozen=True)
-class GraphletDegreeDistribution:
-    """Distribution, per orbit, of how many subgraph appearances nodes have.
+def compute_gdd(
+    fr: OrbitFrequencyMatrix, scaling: str = "inverse_k"
+) -> tuple[list[dict[int, int]], list[dict[int, float]]]:
+    """Degree distribution of each orbit of an orbit-frequency matrix, as
+    ``(raw, normalized)``.
 
     ``raw[j-1][d]`` counts nodes appearing in orbit j exactly d times
     (including d=0, so each raw distribution sums to n).
     ``normalized[j-1]`` covers d >= 1 and sums to 1 for touched orbits;
     an orbit no node occupies gets an empty mapping. Both list their
     keys d in ascending order.
-    """
-
-    k: int
-    raw: tuple[dict[int, int], ...]
-    normalized: tuple[dict[int, float], ...]
-
-
-def compute_gdd(fr: OrbitFrequencyMatrix, scaling: str = "inverse_k") -> GraphletDegreeDistribution:
-    """Degree distribution of each orbit of an orbit-frequency matrix.
 
     ``inverse_k`` scaling (the default) divides each degree count d(t) by
     its degree value t before normalizing, damping the weight of
@@ -598,4 +591,4 @@ def compute_gdd(fr: OrbitFrequencyMatrix, scaling: str = "inverse_k") -> Graphle
             scaled = {d: float(c) for d, c in positive.items()}
         total = sum(scaled.values())
         normalized.append({d: s / total for d, s in scaled.items()})
-    return GraphletDegreeDistribution(k=fr.k, raw=tuple(raw), normalized=tuple(normalized))
+    return raw, normalized

@@ -68,6 +68,7 @@ from .census import (
     graphlet_class_frequencies,
 )
 from .graph_core import (
+    STATS_HEADER,
     EdgeListParseError,
     SnapshotPolicy,
     SnapshotSeries,
@@ -82,10 +83,7 @@ from .graph_core import (
 # metrics, the null model and transitions load in the commands that use
 # them, so `stats` and `census` never compile them
 if TYPE_CHECKING:
-    from .metrics import MergeStep
     from .transitions import OrbitTransitionMatrix
-
-STATS_HEADER = ("snapshot", "nodes", "edges", "avg_degree", "clustering", "cpl")
 
 
 class CliError(Exception):
@@ -486,9 +484,8 @@ def cmd_stats(args: argparse.Namespace) -> int:
     def worker(net: NetworkSpec):
         _events, series = _network_series(net)
         rows = snapshot_stats(series)
-        table = [[r[col] for col in STATS_HEADER] for r in rows]
-        write_csv(run.out / f"{_file_stem(net.name)}.stats.csv", STATS_HEADER, table)
-        return table
+        write_csv(run.out / f"{_file_stem(net.name)}.stats.csv", STATS_HEADER, rows)
+        return rows
 
     results, errors = run_per_network(run, worker)
     combined = [
@@ -500,7 +497,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
 
 
 def _census_bundle(run: RunConfig, stem: str, tag: str, fr: OrbitFrequencyMatrix, labels) -> None:
-    gdd = compute_gdd(fr, scaling=run.gdd_scaling)
+    raw, normalized = compute_gdd(fr, scaling=run.gdd_scaling)
     header = ["node"] + [f"orbit_{j + 1}" for j in range(fr.counts.shape[1])]
     write_csv(
         run.out / f"{stem}.{tag}.fr.csv",
@@ -515,13 +512,13 @@ def _census_bundle(run: RunConfig, stem: str, tag: str, fr: OrbitFrequencyMatrix
     write_json(
         run.out / f"{stem}.{tag}.gdd.json",
         {
-            "k": gdd.k,
+            "k": fr.k,
             "scaling": run.gdd_scaling,
             "orbits": {
-                str(j + 1): {"raw": raw, "normalized": normalized}
-                for j, (raw, normalized) in enumerate(zip(gdd.raw, gdd.normalized))
+                str(j + 1): {"raw": counts, "normalized": dist}
+                for j, (counts, dist) in enumerate(zip(raw, normalized))
             },
-            "untouched_orbits": [j + 1 for j, dist in enumerate(gdd.normalized) if not dist],
+            "untouched_orbits": [j + 1 for j, dist in enumerate(normalized) if not dist],
         },
     )
 
@@ -591,12 +588,6 @@ def cmd_motifs(args: argparse.Namespace) -> int:
     return _report_errors(errors)
 
 
-def _tree_json(merges: list[MergeStep]) -> list[dict]:
-    return [
-        {"left": list(s.left), "right": list(s.right), "height": s.height} for s in merges
-    ]
-
-
 def cmd_compare(args: argparse.Namespace) -> int:
     from .metrics import gda_matrix, hierarchical_cluster, motif_distance_matrix, ota_matrix
 
@@ -611,7 +602,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
     def gdd_worker(net: NetworkSpec):
         g = _network_final_graph(net)
         return [
-            compute_gdd(compute_orbit_frequencies(g, k), run.gdd_scaling)
+            compute_gdd(compute_orbit_frequencies(g, k), run.gdd_scaling)[1]
             for k in gda_ks
         ]
 
@@ -628,11 +619,11 @@ def cmd_compare(args: argparse.Namespace) -> int:
         return _report_errors(errors)
 
     values = build(names, [results[name] for name in names])
-    merges = hierarchical_cluster(names, values, linkage=run.linkage)
+    tree = hierarchical_cluster(names, values, linkage=run.linkage)
 
     rows = ([name, *row] for name, row in zip(names, values))
     write_csv(run.out / f"compare_{metric}.csv", ["network", *names], rows)
-    write_json(run.out / f"compare_{metric}.tree.json", _tree_json(merges))
+    write_json(run.out / f"compare_{metric}.tree.json", tree)
     write_meta(run.out / f"compare_{metric}.meta.json", run, args, metric=metric, kind=kind)
     return 0
 
@@ -640,9 +631,8 @@ def cmd_compare(args: argparse.Namespace) -> int:
 def read_similarity_csv(path: Path) -> tuple[tuple[str, ...], np.ndarray]:
     """The names and the (N, N) agreement or distance matrix of a ``compare`` CSV.
 
-    Rejects a header that names a network twice, a non-finite cell and a
-    matrix that is not exactly symmetric; ``compare`` writes both cells of
-    a pair from one value.
+    Rejects a header that names a network twice; ``hierarchical_cluster``
+    checks the values.
     """
     try:
         text = path.read_text()
@@ -669,21 +659,6 @@ def read_similarity_csv(path: Path) -> tuple[tuple[str, ...], np.ndarray]:
             values[i] = [float(x) for x in row[1:]]
         except ValueError as e:
             raise CliError(f"{path}: row {names[i]!r}: {e}") from None
-    bad = np.argwhere(~np.isfinite(values))
-    if len(bad):
-        i, j = bad[0].tolist()
-        raise CliError(
-            f"{path}: row {names[i]!r}, column {names[j]!r}: {rows[i + 1][j + 1]!r} is not finite"
-        )
-    # argwhere is in row-major order, so the first unequal pair has i < j
-    unequal = np.argwhere(values != values.T)
-    if len(unequal):
-        i, j = unequal[0].tolist()
-        raise CliError(
-            f"{path}: matrix is not symmetric: row {names[i]!r}, column {names[j]!r} is "
-            f"{rows[i + 1][j + 1]}, but row {names[j]!r}, column {names[i]!r} "
-            f"is {rows[j + 1][i + 1]}"
-        )
     return names, values
 
 
@@ -692,11 +667,11 @@ def cmd_cluster(args: argparse.Namespace) -> int:
 
     path = Path(args.matrix)
     try:
-        merges = hierarchical_cluster(*read_similarity_csv(path), linkage=_read("linkage", args))
+        tree = hierarchical_cluster(*read_similarity_csv(path), linkage=_read("linkage", args))
     except ValueError as e:
         raise CliError(f"{path}: {e}") from None
     out = Path(_read("out", args)) / "cluster.tree.json"
-    write_json(out, _tree_json(merges))
+    write_json(out, tree)
     return 0
 
 

@@ -593,14 +593,11 @@ def average_degree(g: StaticGraph) -> float:
     return 2.0 * g.edge_count / present
 
 
-def clustering_coefficient(g: StaticGraph, method: str = "average") -> float:
-    """Clustering coefficient of ``g``.
+def clustering_coefficient(g: StaticGraph) -> float:
+    """Clustering coefficient of ``g``: the mean local coefficient over
+    nodes with degree >= 2, or 0.0 when there are none.
 
-    ``average`` (default) is the mean local coefficient over nodes with
-    degree >= 2; ``global`` is the transitivity ratio
-    3*triangles / wedges. Both return 0.0 when undefined.
-
-    Both are read off the 3-node orbit census: the triangles at v are
+    It is read off the 3-node orbit census: the triangles at v are
     v's orbit-3 count (triangle), and its C(deg v, 2) neighbour pairs are
     orbit 2 (chain centre) plus orbit 3, as every pair of v's neighbours
     either is or is not adjacent.
@@ -610,13 +607,9 @@ def clustering_coefficient(g: StaticGraph, method: str = "average") -> float:
 
     if g.n == 0:
         raise ValueError("graph has no nodes")
-    if method not in ("average", "global"):
-        raise ValueError(f"unknown method {method!r}")
     counts = compute_orbit_frequencies(g, 3).counts
     triangles = counts[:, 2].tolist()
     pairs = (counts[:, 1] + counts[:, 2]).tolist()
-    if method == "global":
-        return sum(triangles) / sum(pairs) if any(pairs) else 0.0
     # a running float total in node order; builtin sum() of floats is
     # compensated from Python 3.12 on and would change the last bits
     total = 0.0
@@ -678,22 +671,16 @@ def characteristic_path_length(g: StaticGraph) -> float:
     return total / pairs
 
 
-def snapshot_stats(series: SnapshotSeries) -> list[dict[str, float]]:
-    """Per-snapshot summary rows: nodes, edges, avg_degree, clustering, cpl.
+STATS_HEADER = ("snapshot", "nodes", "edges", "avg_degree", "clustering", "cpl")
+
+
+def snapshot_stats(series: SnapshotSeries) -> list[tuple]:
+    """Per-snapshot summary rows, one tuple per snapshot in ``STATS_HEADER`` order.
 
     ``cpl`` is NaN for edgeless snapshots (the metric is undefined there).
     """
-    rows = []
-    for i, g in enumerate(series.snapshots):
-        cpl = characteristic_path_length(g) if g.edge_count else math.nan
-        rows.append(
-            {
-                "snapshot": i,
-                "nodes": present_nodes(g),
-                "edges": g.edge_count,
-                "avg_degree": average_degree(g),
-                "clustering": clustering_coefficient(g),
-                "cpl": cpl,
-            }
-        )
-    return rows
+    return [
+        (i, present_nodes(g), g.edge_count, average_degree(g), clustering_coefficient(g),
+         characteristic_path_length(g) if g.edge_count else math.nan)
+        for i, g in enumerate(series.snapshots)
+    ]

@@ -21,12 +21,11 @@ apart by the diagonal: 0 for a distance, positive for an agreement.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Literal, Sequence
+from typing import Callable, Literal, Mapping, Sequence
 
 import numpy as np
 
-from .census import GRAPHLET_CLASSES, GraphletDegreeDistribution
+from .census import GRAPHLET_CLASSES
 from .transitions import OrbitTransitionMatrix, row_normalize
 
 OtaScaling = Literal["normalized", "per_orbit"]
@@ -34,18 +33,19 @@ Linkage = Literal["average", "single", "complete"]
 
 
 def gda_orbit_scores(
-    gdd_a: GraphletDegreeDistribution, gdd_b: GraphletDegreeDistribution
+    gdd_a: Sequence[Mapping[int, float]], gdd_b: Sequence[Mapping[int, float]]
 ) -> list[float]:
-    """Per-orbit agreement between two degree distributions.
+    """Per-orbit agreement between two networks' normalized degree
+    distributions, one mapping per orbit (``compute_gdd(...)[1]``).
 
     Each score is 1 - sqrt(sum of squared differences)/sqrt(2); two
     distributions with disjoint support score 0, identical ones score 1.
     Orbits untouched in both networks agree perfectly (empty = empty).
     """
-    if gdd_a.k != gdd_b.k:
-        raise ValueError(f"orbit sets differ (k={gdd_a.k} vs k={gdd_b.k})")
+    if len(gdd_a) != len(gdd_b):
+        raise ValueError(f"orbit sets differ ({len(gdd_a)} vs {len(gdd_b)} orbits)")
     scores = []
-    for dist_a, dist_b in zip(gdd_a.normalized, gdd_b.normalized):
+    for dist_a, dist_b in zip(gdd_a, gdd_b):
         sq = 0.0
         for d in dist_a.keys() | dist_b.keys():
             diff = dist_a.get(d, 0.0) - dist_b.get(d, 0.0)
@@ -76,12 +76,12 @@ def _all_pairs(
     return values
 
 
-def gda_matrix(names: Sequence[str], gdds: Sequence[Sequence[GraphletDegreeDistribution]]) -> np.ndarray:
+def gda_matrix(names: Sequence[str], gdds: Sequence[Sequence[Sequence[Mapping[int, float]]]]) -> np.ndarray:
     """All-pairs GDA over a network set.
 
-    ``gdds[i]`` holds one or more degree distributions for network i
-    (e.g. the 4-node orbits alone, or 3- and 4-node together); per-orbit
-    scores are pooled across them before averaging.
+    ``gdds[i]`` holds one or more normalized degree distributions for
+    network i (e.g. the 4-node orbits alone, or 3- and 4-node together);
+    per-orbit scores are pooled across them before averaging.
     """
 
     def pooled(bundle_a, bundle_b) -> float:
@@ -186,26 +186,21 @@ def motif_distance_matrix(names: Sequence[str], fingerprints: Sequence[np.ndarra
     return _all_pairs(names, fingerprints, "fingerprint", fingerprint_distance)
 
 
-@dataclass(frozen=True)
-class MergeStep:
-    """One agglomeration: the two merged clusters (member names, sorted)."""
-
-    left: tuple[str, ...]
-    right: tuple[str, ...]
-    height: float
-
-
 def hierarchical_cluster(names: Sequence[str], values: np.ndarray,
-                         linkage: Linkage = "average") -> list[MergeStep]:
+                         linkage: Linkage = "average") -> list[dict]:
     """Agglomerative merge sequence for the (N, N) matrix ``values`` over ``names``.
+
+    Each merge is a record ``{"left": [...], "right": [...], "height": h}``
+    of the two merged clusters' member names (sorted; ``left`` holds the
+    smallest name), as a ``*.tree.json`` file lists them.
 
     A matrix whose diagonal is all zero holds distances, used as they are;
     one whose diagonal is all positive holds agreements (OTA, GDA), each
-    converted to the distance 1 - value. Any other diagonal is a
-    ``ValueError``. Cluster distances are computed from the pairwise
-    matrix (average, single or complete linkage). Ties are broken by the
-    lexicographic pair of smallest member labels, so the tree is
-    deterministic.
+    converted to the distance 1 - value. Any other diagonal, a non-finite
+    cell or a matrix that is not exactly symmetric is a ``ValueError``.
+    Cluster distances are computed from the pairwise matrix (average,
+    single or complete linkage). Ties are broken by the lexicographic pair
+    of smallest member labels, so the tree is deterministic.
     """
     if linkage not in ("average", "single", "complete"):
         raise ValueError(f"unknown linkage {linkage!r}")
@@ -216,15 +211,28 @@ def hierarchical_cluster(names: Sequence[str], values: np.ndarray,
     if dist.shape != (n, n):
         raise ValueError(f"a matrix of shape {dist.shape} does not pair {n} names")
     diagonal = np.diagonal(dist)
-    if (diagonal > 0).all():
-        dist = 1.0 - dist
-    elif (diagonal != 0).any():
+    agreement = (diagonal > 0).all()
+    if not agreement and (diagonal != 0).any():
         cells = ", ".join(f"{name} {value:.12g}" for name, value in zip(names, diagonal))
         raise ValueError(f"the diagonal is neither all zero (distances) nor all positive "
                          f"(agreements): {cells}")
+    bad = np.argwhere(~np.isfinite(dist))
+    if len(bad):
+        i, j = bad[0].tolist()
+        raise ValueError(f"row {names[i]!r}, column {names[j]!r}: {format(dist[i, j], '.12g')!r} "
+                         "is not finite")
+    # argwhere is in row-major order, so the first unequal pair has i < j
+    unequal = np.argwhere(dist != dist.T)
+    if len(unequal):
+        i, j = unequal[0].tolist()
+        raise ValueError(f"matrix is not symmetric: row {names[i]!r}, column {names[j]!r} is "
+                         f"{dist[i, j]:.12g}, but row {names[j]!r}, column {names[i]!r} "
+                         f"is {dist[j, i]:.12g}")
+    if agreement:
+        dist = 1.0 - dist
 
     clusters: list[set[int]] = [{i} for i in range(n)]
-    merges: list[MergeStep] = []
+    merges: list[dict] = []
 
     def cluster_distance(a: set[int], b: set[int]) -> float:
         cross = dist[np.ix_(sorted(a), sorted(b))]
@@ -244,17 +252,14 @@ def hierarchical_cluster(names: Sequence[str], values: np.ndarray,
             for i, a in enumerate(clusters) for j, b in enumerate(clusters) if i < j
         )
         a, b = clusters[i], clusters[j]
-        left_names = tuple(sorted(names[x] for x in a))
-        right_names = tuple(sorted(names[x] for x in b))
-        if min(left_names) > min(right_names):
-            left_names, right_names = right_names, left_names
-        merges.append(MergeStep(left=left_names, right=right_names, height=height))
+        left, right = sorted(sorted(names[x] for x in c) for c in (a, b))
+        merges.append({"left": left, "right": right, "height": height})
         clusters = [c for idx, c in enumerate(clusters) if idx not in (i, j)]
         clusters.append(a | b)
     return merges
 
 
-def cut_clusters(names: Sequence[str], merges: Sequence[MergeStep], n_clusters: int) -> list[tuple[str, ...]]:
+def cut_clusters(names: Sequence[str], merges: Sequence[dict], n_clusters: int) -> list[tuple[str, ...]]:
     """Partition obtained by replaying merges until ``n_clusters`` remain.
 
     Returns sorted member tuples, sorted by first member.
@@ -265,7 +270,7 @@ def cut_clusters(names: Sequence[str], merges: Sequence[MergeStep], n_clusters: 
     for step in merges:
         if len(parts) == n_clusters:
             break
-        merged = set(step.left) | set(step.right)
+        merged = {*step["left"], *step["right"]}
         parts = [p for p in parts if not p & merged]
         parts.append(merged)
     return sorted(tuple(sorted(p)) for p in parts)

@@ -393,17 +393,6 @@ def triple_loop_clustering(g: StaticGraph) -> float:
     return total / eligible if eligible else 0.0
 
 
-def triple_loop_transitivity(g: StaticGraph) -> float:
-    """Global transitivity 3 * triangles / wedges, pair by pair."""
-    nbrs = neighbour_sets(g)
-    closed = wedges = 0
-    for v in range(g.n):
-        triangles, d = _triangles_and_degree(nbrs, v)
-        closed += triangles
-        wedges += d * (d - 1) // 2
-    return closed / wedges if wedges else 0.0
-
-
 # ---------------------------------------------------------------------------
 # agreement formula oracles
 

@@ -481,33 +481,33 @@ class TestGdd:
     def test_uniform_column(self):
         counts = np.zeros((6, 3), dtype=np.int64)
         counts[:, 1] = 2
-        gdd = compute_gdd(OrbitFrequencyMatrix(k=3, counts=counts))
-        assert gdd.raw[1] == {2: 6}
-        assert gdd.normalized[1] == {2: 1.0}
+        raw, normalized = compute_gdd(OrbitFrequencyMatrix(k=3, counts=counts))
+        assert raw[1] == {2: 6}
+        assert normalized[1] == {2: 1.0}
 
     def test_inverse_k_scaling_example(self):
         # degree counts {1: 2, 2: 1} scale to {1: 2, 2: 0.5} -> {1: 0.8, 2: 0.2}
         counts = np.array([[1], [1], [2]], dtype=np.int64)
-        gdd = compute_gdd(OrbitFrequencyMatrix(k=3, counts=counts))
-        assert gdd.normalized[0] == pytest.approx({1: 0.8, 2: 0.2})
+        _raw, normalized = compute_gdd(OrbitFrequencyMatrix(k=3, counts=counts))
+        assert normalized[0] == pytest.approx({1: 0.8, 2: 0.2})
 
     def test_plain_scaling(self):
         counts = np.array([[1], [1], [2]], dtype=np.int64)
-        gdd = compute_gdd(OrbitFrequencyMatrix(k=3, counts=counts), scaling="plain")
-        assert gdd.normalized[0] == pytest.approx({1: 2 / 3, 2: 1 / 3})
+        _raw, normalized = compute_gdd(OrbitFrequencyMatrix(k=3, counts=counts), scaling="plain")
+        assert normalized[0] == pytest.approx({1: 2 / 3, 2: 1 / 3})
         with pytest.raises(ValueError):
             compute_gdd(OrbitFrequencyMatrix(k=3, counts=counts), scaling="other")
 
     def test_untouched_orbits_flagged(self):
         fr = compute_orbit_frequencies(star_graph(6), 4)
-        gdd = compute_gdd(fr)
-        assert gdd.normalized[10] == {}  # orbit 11, untouched
-        assert gdd.normalized[0] != {}  # orbit 1, touched
+        _raw, normalized = compute_gdd(fr)
+        assert normalized[10] == {}  # orbit 11, untouched
+        assert normalized[0] != {}  # orbit 1, touched
 
     def test_raw_includes_zero_bucket(self):
         fr = compute_orbit_frequencies(star_graph(6), 4)
-        gdd = compute_gdd(fr)
-        for dist in gdd.raw:
+        raw, _normalized = compute_gdd(fr)
+        for dist in raw:
             assert sum(dist.values()) == 6
 
     def test_k5_clique_orbit_from_oracle(self):
@@ -515,6 +515,6 @@ class TestGdd:
         oracle_counts, _ = exhaustive_census(g, 4)
         expected_degree = int(oracle_counts[0, 10])  # C(4,3) appearances per node
         assert expected_degree == 4
-        gdd = compute_gdd(compute_orbit_frequencies(g, 4))
-        assert gdd.raw[10] == {expected_degree: 5}
-        assert gdd.normalized[10] == {expected_degree: 1.0}
+        raw, normalized = compute_gdd(compute_orbit_frequencies(g, 4))
+        assert raw[10] == {expected_degree: 5}
+        assert normalized[10] == {expected_degree: 1.0}

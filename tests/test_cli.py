@@ -33,7 +33,6 @@ from orbitrans.graph_core import (
     snapshot_stats,
 )
 from orbitrans.metrics import (
-    MergeStep,
     gda_matrix,
     hierarchical_cluster,
     motif_scores_from_counts,
@@ -97,8 +96,7 @@ class TestStats:
         tel = parse_edge_list((manifest.parent / "densify.txt").read_text())
         series = build_snapshots(tel, SnapshotPolicy("aggregate", width=10, count=3))
         expected = snapshot_stats(series)
-        for row, exp in zip(rows[1:], expected):
-            assert row == [fmt(exp[c]) for c in ("snapshot", "nodes", "edges", "avg_degree", "clustering", "cpl")]
+        assert rows[1:] == [[fmt(cell) for cell in exp] for exp in expected]
 
     def test_combined_long_format(self, toy_run):
         manifest, out = toy_run
@@ -316,11 +314,7 @@ class TestCluster:
         ) == 0
         tree = json.loads((cluster_out / "cluster.tree.json").read_text())
         expected = hierarchical_cluster(*read_similarity_csv(out / "compare_ota.csv"), linkage="average")
-        got = [
-            MergeStep(left=tuple(s["left"]), right=tuple(s["right"]), height=s["height"])
-            for s in tree
-        ]
-        assert got == expected
+        assert tree == expected
 
     @pytest.mark.parametrize("argv, metric", [
         (["--metric", "ota"], "ota"),
@@ -533,7 +527,7 @@ class TestManifestK:
         assert main(["compare", "--manifest", str(manifest), "--out", str(out),
                      "--metric", "gda"]) == 0
         gdds = [
-            [compute_gdd(compute_orbit_frequencies(final_aggregate_graph(parse_edge_list(t)), 3))]
+            [compute_gdd(compute_orbit_frequencies(final_aggregate_graph(parse_edge_list(t)), 3))[1]]
             for t in texts.values()
         ]
         expected = gda_matrix(list(texts), gdds)

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from orbitrans import graph_core
 from orbitrans.graph_core import (
     POLICY_MODES,
+    STATS_HEADER,
     EdgeListParseError,
     SnapshotPolicy,
     StaticGraph,
@@ -35,7 +36,6 @@ from oracles import (
     set_build_snapshots,
     star_graph,
     triple_loop_clustering,
-    triple_loop_transitivity,
 )
 
 
@@ -514,15 +514,6 @@ class TestMetrics:
         pairs = data.draw(st.lists(st.tuples(node, node), max_size=40))
         g = StaticGraph(n, [(u, v) for u, v in pairs if u != v])
         assert clustering_coefficient(g) == triple_loop_clustering(g)
-        assert clustering_coefficient(g, method="global") == triple_loop_transitivity(g)
-
-    def test_global_transitivity_flag(self):
-        # one triangle sharing node 2 with a star of wedges
-        g = StaticGraph(5, [(0, 1), (1, 2), (0, 2), (2, 3), (2, 4)])
-        wedges = sum(d * (d - 1) // 2 for d in (2, 2, 4, 1, 1))
-        assert clustering_coefficient(g, method="global") == pytest.approx(3 / wedges)
-        with pytest.raises(ValueError):
-            clustering_coefficient(g, method="median")
 
     def test_cpl_closed_forms(self):
         assert characteristic_path_length(path_graph(3)) == pytest.approx(4 / 3)
@@ -569,7 +560,7 @@ class TestMetrics:
     def test_snapshot_stats_rows(self):
         tel = parse_edge_list("a b 0\nb c 0\na c 10")
         series = build_snapshots(tel, SnapshotPolicy("aggregate", width=10, count=3))
-        rows = snapshot_stats(series)
+        rows = [dict(zip(STATS_HEADER, row, strict=True)) for row in snapshot_stats(series)]
         assert [r["snapshot"] for r in rows] == [0, 1, 2]
         assert rows[0]["edges"] == 2
         assert rows[1]["clustering"] == 1.0
@@ -581,7 +572,7 @@ class TestMetrics:
     def test_snapshot_stats_edgeless_has_nan_cpl(self):
         tel = parse_edge_list("a b 25")
         series = build_snapshots(tel, SnapshotPolicy("active", width=10, count=3, origin=0))
-        rows = snapshot_stats(series)
+        rows = [dict(zip(STATS_HEADER, row, strict=True)) for row in snapshot_stats(series)]
         assert math.isnan(rows[0]["cpl"])
         assert rows[0]["avg_degree"] == 0.0
         assert not math.isnan(rows[2]["cpl"])

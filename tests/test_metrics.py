@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -50,12 +51,12 @@ def random_transition_matrix(rng, m=11, scale=20):
 class TestGda:
     def test_identical_is_one(self):
         rng = np.random.default_rng(31)
-        gdd = compute_gdd(random_fr(rng))
+        gdd = compute_gdd(random_fr(rng))[1]
         assert gda_mean(gdd, gdd) == pytest.approx(1.0)
 
     def test_disjoint_unit_masses_single_orbit(self):
-        a = compute_gdd(OrbitFrequencyMatrix(k=3, counts=np.array([[1, 0, 0]])))
-        b = compute_gdd(OrbitFrequencyMatrix(k=3, counts=np.array([[2, 0, 0]])))
+        a = compute_gdd(OrbitFrequencyMatrix(k=3, counts=np.array([[1, 0, 0]])))[1]
+        b = compute_gdd(OrbitFrequencyMatrix(k=3, counts=np.array([[2, 0, 0]])))[1]
         # orbit 1 carries all mass at distinct degrees -> agreement 0 there;
         # orbits 2 and 3 are untouched in both -> agreement 1 each
         assert gda_mean(a, b) == pytest.approx(2 / 3)
@@ -64,7 +65,7 @@ class TestGda:
         rng = np.random.default_rng(32)
         for _ in range(10):
             fa, fb = random_fr(rng), random_fr(rng)
-            mine = gda_mean(compute_gdd(fa), compute_gdd(fb))
+            mine = gda_mean(compute_gdd(fa)[1], compute_gdd(fb)[1])
             assert mine == pytest.approx(formula_gda(fa.counts, fb.counts), abs=1e-12)
 
     def test_real_graphs_against_oracle(self):
@@ -73,29 +74,29 @@ class TestGda:
         h = gnp_graph(rng, 20, 0.3)
         fg = compute_orbit_frequencies(g, 4)
         fh = compute_orbit_frequencies(h, 4)
-        mine = gda_mean(compute_gdd(fg), compute_gdd(fh))
+        mine = gda_mean(compute_gdd(fg)[1], compute_gdd(fh)[1])
         assert mine == pytest.approx(formula_gda(fg.counts, fh.counts), abs=1e-12)
 
     def test_symmetry_and_bounds(self):
         rng = np.random.default_rng(34)
         for _ in range(20):
-            a = compute_gdd(random_fr(rng))
-            b = compute_gdd(random_fr(rng))
+            a = compute_gdd(random_fr(rng))[1]
+            b = compute_gdd(random_fr(rng))[1]
             ab, ba = gda_mean(a, b), gda_mean(b, a)
             assert ab == pytest.approx(ba, abs=1e-12)
             assert -1e-9 <= ab <= 1 + 1e-9
 
     def test_mismatched_orbit_sets(self):
-        a = compute_gdd(OrbitFrequencyMatrix(k=3, counts=np.zeros((2, 3), dtype=np.int64)))
-        b = compute_gdd(OrbitFrequencyMatrix(k=4, counts=np.zeros((2, 11), dtype=np.int64)))
-        with pytest.raises(ValueError):
+        a = compute_gdd(OrbitFrequencyMatrix(k=3, counts=np.zeros((2, 3), dtype=np.int64)))[1]
+        b = compute_gdd(OrbitFrequencyMatrix(k=4, counts=np.zeros((2, 11), dtype=np.int64)))[1]
+        with pytest.raises(ValueError, match=r"orbit sets differ \(3 vs 11 orbits\)"):
             gda_mean(a, b)
 
     def test_matrix_pools_multiple_gdd_bundles(self):
         rng = np.random.default_rng(35)
-        g4 = [compute_gdd(random_fr(rng)) for _ in range(3)]
+        g4 = [compute_gdd(random_fr(rng))[1] for _ in range(3)]
         g3 = [
-            compute_gdd(OrbitFrequencyMatrix(k=3, counts=rng.integers(0, 5, size=(20, 3))))
+            compute_gdd(OrbitFrequencyMatrix(k=3, counts=rng.integers(0, 5, size=(20, 3))))[1]
             for _ in range(3)
         ]
         sim = gda_matrix(["a", "b", "c"], list(zip(g4, g3)))
@@ -282,7 +283,7 @@ class TestFingerprintDistance:
 
 
 def _gda_inputs(rng, n):
-    return [[compute_gdd(random_fr(rng))] for _ in range(n)]
+    return [[compute_gdd(random_fr(rng))[1]] for _ in range(n)]
 
 
 def _ota_inputs(rng, n):
@@ -324,8 +325,8 @@ class TestMatrixBuilders:
 class TestClustering:
     def test_identical_pair_merges_first(self):
         merges = hierarchical_cluster("abc", [[1.0, 1.0, 0.2], [1.0, 1.0, 0.2], [0.2, 0.2, 1.0]])
-        assert set(merges[0].left) | set(merges[0].right) == {"a", "b"}
-        assert merges[0].height == pytest.approx(0.0)
+        assert set(merges[0]["left"]) | set(merges[0]["right"]) == {"a", "b"}
+        assert merges[0]["height"] == pytest.approx(0.0)
 
     def test_block_structure_respected(self):
         names = ["a1", "a2", "b1", "b2"]
@@ -338,7 +339,7 @@ class TestClustering:
             ]
         )
         merges = hierarchical_cluster(names, v)
-        first_two = [set(m.left) | set(m.right) for m in merges[:2]]
+        first_two = [set(m["left"]) | set(m["right"]) for m in merges[:2]]
         assert {"a1", "a2"} in first_two and {"b1", "b2"} in first_two
         assert cut_clusters(names, merges, 2) == [("a1", "a2"), ("b1", "b2")]
 
@@ -356,8 +357,8 @@ class TestClustering:
             mine = hierarchical_cluster(names, 1.0 - dist, linkage=linkage)
             ref = scipy_merges(dist, names, linkage)
             for step, (ra, rb, rh) in zip(mine, ref):
-                assert {frozenset(step.left), frozenset(step.right)} == {ra, rb}
-                assert step.height == pytest.approx(rh, abs=1e-9)
+                assert {frozenset(step["left"]), frozenset(step["right"])} == {ra, rb}
+                assert step["height"] == pytest.approx(rh, abs=1e-9)
 
     def test_deterministic_tie_break(self):
         # all pairwise distances equal: first merge must be the two
@@ -366,7 +367,7 @@ class TestClustering:
             ["zeta", "alpha", "mid"],
             [[1.0, 0.5, 0.5], [0.5, 1.0, 0.5], [0.5, 0.5, 1.0]],
         )
-        assert set(merges[0].left) | set(merges[0].right) == {"alpha", "mid"}
+        assert set(merges[0]["left"]) | set(merges[0]["right"]) == {"alpha", "mid"}
 
     def test_permutation_invariance(self):
         rng = np.random.default_rng(49)
@@ -382,7 +383,7 @@ class TestClustering:
             [names[i] for i in order], (1.0 - dist)[np.ix_(order, order)]
         )
         as_sets = lambda ms: [
-            ({frozenset(m.left), frozenset(m.right)}, pytest.approx(m.height)) for m in ms
+            ({frozenset(m["left"]), frozenset(m["right"])}, pytest.approx(m["height"])) for m in ms
         ]
         assert as_sets(merges) == as_sets(merges_p)
 
@@ -391,14 +392,14 @@ class TestClustering:
         merges = hierarchical_cluster(
             ("a", "b", "c"), np.array([[0.0, 0.1, 0.9], [0.1, 0.0, 0.8], [0.9, 0.8, 0.0]])
         )
-        assert set(merges[0].left) | set(merges[0].right) == {"a", "b"}
-        assert merges[0].height == pytest.approx(0.1)
+        assert set(merges[0]["left"]) | set(merges[0]["right"]) == {"a", "b"}
+        assert merges[0]["height"] == pytest.approx(0.1)
 
     def test_per_orbit_diagonal_read_as_agreement(self):
         # per_orbit OTA scores a network against itself |O| = 11: heights go negative
         merges = hierarchical_cluster("abc", [[11.0, 10.5, 9.0], [10.5, 11.0, 9.5], [9.0, 9.5, 11.0]])
-        assert set(merges[0].left) | set(merges[0].right) == {"a", "b"}
-        assert merges[0].height == pytest.approx(-9.5)
+        assert set(merges[0]["left"]) | set(merges[0]["right"]) == {"a", "b"}
+        assert merges[0]["height"] == pytest.approx(-9.5)
 
     @pytest.mark.parametrize("diagonal", [[0.0, 1.0, 1.0], [1.0, 0.0, 1.0], [-1.0, -1.0, -1.0],
                                           [1.0, 1.0, np.nan]])
@@ -407,6 +408,22 @@ class TestClustering:
         np.fill_diagonal(values, diagonal)
         with pytest.raises(ValueError, match="neither all zero .distances. nor all positive"):
             hierarchical_cluster("abc", values)
+
+    # agreements, so a check made after the conversion to 1 - value would report other values
+    @pytest.mark.parametrize("linkage", ["average", "single", "complete"])
+    @pytest.mark.parametrize("cell", [np.nan, np.inf, -np.inf])
+    def test_non_finite_cell_rejected(self, linkage, cell):
+        values = np.array([[1.0, 0.5, 0.2], [0.5, 1.0, 0.3], [0.2, 0.3, 1.0]])
+        values[1, 2] = values[2, 1] = cell
+        with pytest.raises(ValueError, match=re.escape(f"row 'b', column 'c': '{cell}' is not finite")):
+            hierarchical_cluster("abc", values, linkage=linkage)
+
+    @pytest.mark.parametrize("linkage", ["average", "single", "complete"])
+    def test_asymmetric_matrix_rejected(self, linkage):
+        values = [[1.0, 0.5, 0.2], [0.5, 1.0, 0.3], [0.25, 0.3, 1.0]]
+        message = "matrix is not symmetric: row 'a', column 'c' is 0.2, but row 'c', column 'a' is 0.25"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            hierarchical_cluster("abc", values, linkage=linkage)
 
     def test_names_must_match_shape(self):
         with pytest.raises(ValueError, match=r"shape \(2, 2\) does not pair 3 names"):
