@@ -15,21 +15,21 @@ __version__ = "0.1.0"
 # Each public name under the module that defines it. A module loads on the
 # first use of one of its names, so a subcommand compiles and runs only the
 # modules it needs: `census` and `stats` never load transitions, metrics or
-# the null model.
+# the null model, and `cluster` loads the clusterer alone, without numpy.
 _EXPORTS = {
-    "census": ("GraphletClass", "OrbitFrequencyMatrix",
-               "build_classification_table", "compute_gdd", "compute_orbit_frequencies",
-               "connected_subgraphs", "graphlet_class_frequencies"),
+    "catalogue": ("GraphletClass",),
+    "census": ("OrbitFrequencyMatrix", "build_classification_table", "compute_gdd",
+               "compute_orbit_frequencies", "connected_subgraphs", "graphlet_class_frequencies"),
     "graph_core": ("EdgeListParseError", "SnapshotPolicy", "SnapshotSeries", "StaticGraph",
                    "TemporalEdgeList", "average_degree", "build_snapshots",
                    "characteristic_path_length", "clustering_coefficient", "final_aggregate_graph",
                    "parse_edge_list"),
-    "metrics": ("cut_clusters", "fingerprint_distance", "gda_matrix",
-                "hierarchical_cluster", "motif_distance_matrix", "ota_matrix", "ota_pair",
-                "relative_rescale"),
+    "metrics": ("fingerprint_distance", "gda_matrix", "motif_distance_matrix", "ota_matrix",
+                "ota_pair", "relative_rescale"),
     "nullmodel": ("degree_preserving_randomize", "ensemble_frequencies", "randomized_replicates"),
     "transitions": ("OrbitTransitionMatrix", "accumulate_series", "discretize",
                     "enumerate_transitions", "row_normalize"),
+    "tree": ("cut_clusters", "hierarchical_cluster"),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 __all__ = sorted(_HOME)

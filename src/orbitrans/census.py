@@ -3,12 +3,12 @@
 Works on induced subgraphs of 3 or 4 nodes. Every connected shape on k
 nodes is a *graphlet class* and every structurally distinct node position
 within a class is an *orbit*, numbered 1..3 for k=3 and 1..11 for k=4.
-``GRAPHLET_CLASSES`` states this catalogue once, with the degree a node
-in each orbit has within its shape; the orbit counts, the table from an
-induced-adjacency mask to its nodes' orbits, and every product indexed
-by class or orbit derive from it. A census of a graph counts, for each
-node, how often it occupies each orbit across all connected induced
-k-subgraphs.
+``GRAPHLET_CLASSES`` (from the stdlib-only ``catalogue`` module) states
+this catalogue once, with the degree a node in each orbit has within its
+shape; the orbit counts, the table from an induced-adjacency mask to its
+nodes' orbits, and every product indexed by class or orbit derive from
+it. A census of a graph counts, for each node, how often it occupies
+each orbit across all connected induced k-subgraphs.
 
 The census is closed-form. ``compute_orbit_frequencies`` counts each
 node's copies of each orbit's shape, induced or not, from degrees,
@@ -34,42 +34,9 @@ from typing import Iterator
 
 import numpy as np
 
+from .catalogue import GRAPHLET_CLASSES
 from .graph_core import StaticGraph, _group
 
-
-@dataclass(frozen=True)
-class GraphletClass:
-    """One connected k-node shape, with the orbits its nodes can occupy.
-
-    ``degrees[i]`` is the degree, within the shape, of a node in orbit
-    ``orbits[i]``.
-    """
-
-    k: int
-    name: str
-    edge_count: int
-    orbits: tuple[int, ...]
-    degrees: tuple[int, ...]
-
-
-# Classes in canonical order, by edge count. Among connected graphs of at
-# most 4 nodes the set of node degrees identifies the class, and within a
-# class a node's degree identifies its orbit (tests check every mask
-# against an isomorphism oracle).
-GRAPHLET_CLASSES: dict[int, tuple[GraphletClass, ...]] = {
-    3: (
-        GraphletClass(3, "chain", 2, (1, 2), (1, 2)),
-        GraphletClass(3, "triangle", 3, (3,), (2,)),
-    ),
-    4: (
-        GraphletClass(4, "star", 3, (1, 2), (1, 3)),
-        GraphletClass(4, "path", 3, (3, 4), (1, 2)),
-        GraphletClass(4, "cycle", 4, (5,), (2,)),
-        GraphletClass(4, "paw", 4, (6, 7, 8), (1, 3, 2)),
-        GraphletClass(4, "diamond", 5, (9, 10), (2, 3)),
-        GraphletClass(4, "clique", 6, (11,), (3,)),
-    ),
-}
 
 # Node-pair positions of a j-node set, one bit each, in this fixed order:
 # for each class size, and for the smaller sets the enumeration grows.

@@ -47,6 +47,7 @@ import configparser
 import csv
 import io
 import json
+import numbers
 import os
 import sys
 import tempfile
@@ -56,33 +57,18 @@ from itertools import chain
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Sequence
 
-import numpy as np
-
 from . import __version__
-from .census import (
-    GRAPHLET_CLASSES,
-    OrbitFrequencyMatrix,
-    class_counts,
-    compute_gdd,
-    compute_orbit_frequencies,
-    graphlet_class_frequencies,
-)
-from .graph_core import (
-    STATS_HEADER,
-    EdgeListParseError,
-    SnapshotPolicy,
-    SnapshotSeries,
-    StaticGraph,
-    TemporalEdgeList,
-    build_snapshots,
-    final_aggregate_graph,
-    parse_edge_list,
-    snapshot_stats,
-)
+from .catalogue import GRAPHLET_CLASSES
 
-# metrics, the null model and transitions load in the commands that use
-# them, so `stats` and `census` never compile them
+# numpy and the modules built on it (graph_core, census, transitions,
+# metrics, the null model) load in the commands that use them: `stats` and
+# `census` never compile transitions, metrics or the null model, and
+# `cluster` runs on the stdlib-only tree module with no numpy at all
 if TYPE_CHECKING:
+    import numpy as np
+
+    from .census import OrbitFrequencyMatrix
+    from .graph_core import SnapshotPolicy, SnapshotSeries, StaticGraph, TemporalEdgeList
     from .transitions import OrbitTransitionMatrix
 
 
@@ -160,11 +146,15 @@ class NetworkSpec:
     sep: str
 
     def snapshot_policy(self) -> SnapshotPolicy:
+        from .graph_core import SnapshotPolicy
+
         return SnapshotPolicy(
             mode=self.policy, width=self.width, count=self.count, origin=self.origin
         )
 
     def load_events(self) -> TemporalEdgeList:
+        from .graph_core import EdgeListParseError, parse_edge_list
+
         try:
             with self.path.open("rb") as fh:
                 return parse_edge_list(fh, sep=self.sep)
@@ -304,10 +294,14 @@ def load_run_config(args: argparse.Namespace) -> RunConfig:
 
 
 def fmt(value) -> str:
-    """Render one CSV cell: ints verbatim, floats with 12 significant digits."""
-    if isinstance(value, (int, np.integer)):
+    """Render one CSV cell: ints verbatim, floats with 12 significant digits.
+
+    numpy registers its integer and floating scalars as ``numbers.Integral``
+    and ``numbers.Real``; ``np.bool_`` is neither, so it renders as ``str``.
+    """
+    if isinstance(value, numbers.Integral):
         return str(int(value))
-    if isinstance(value, (float, np.floating)):
+    if isinstance(value, numbers.Real):
         return f"{float(value):.12g}"
     return str(value)
 
@@ -421,6 +415,8 @@ def _report_load(
 
 
 def _network_series(net: NetworkSpec) -> tuple[TemporalEdgeList, SnapshotSeries]:
+    from .graph_core import build_snapshots
+
     events = net.load_events()
     series = build_snapshots(events, net.snapshot_policy())
     _report_load(net, events, series)
@@ -429,6 +425,8 @@ def _network_series(net: NetworkSpec) -> tuple[TemporalEdgeList, SnapshotSeries]
 
 def _network_final_graph(net: NetworkSpec) -> StaticGraph:
     """The network's final aggregate graph, which uses every event."""
+    from .graph_core import final_aggregate_graph
+
     events = net.load_events()
     _report_load(net, events)
     return final_aggregate_graph(events)
@@ -458,6 +456,7 @@ def _network_transitions(run: RunConfig, net: NetworkSpec) -> OrbitTransitionMat
 
 def _network_motifs(run: RunConfig, net: NetworkSpec) -> tuple[dict, dict, np.ndarray]:
     """Real class counts, ensemble means and motif fingerprint of the final graph."""
+    from .census import graphlet_class_frequencies
     from .metrics import motif_scores_from_counts
     from .nullmodel import ensemble_frequencies
 
@@ -479,6 +478,8 @@ def _report_errors(errors: list[str]) -> int:
 
 
 def cmd_stats(args: argparse.Namespace) -> int:
+    from .graph_core import STATS_HEADER, snapshot_stats
+
     run = load_run_config(args)
 
     def worker(net: NetworkSpec):
@@ -497,6 +498,8 @@ def cmd_stats(args: argparse.Namespace) -> int:
 
 
 def _census_bundle(run: RunConfig, stem: str, tag: str, fr: OrbitFrequencyMatrix, labels) -> None:
+    from .census import class_counts, compute_gdd
+
     raw, normalized = compute_gdd(fr, scaling=run.gdd_scaling)
     header = ["node"] + [f"orbit_{j + 1}" for j in range(fr.counts.shape[1])]
     write_csv(
@@ -524,6 +527,9 @@ def _census_bundle(run: RunConfig, stem: str, tag: str, fr: OrbitFrequencyMatrix
 
 
 def cmd_census(args: argparse.Namespace) -> int:
+    from .census import compute_orbit_frequencies
+    from .graph_core import final_aggregate_graph
+
     run = load_run_config(args)
 
     def worker(net: NetworkSpec):
@@ -589,6 +595,7 @@ def cmd_motifs(args: argparse.Namespace) -> int:
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
+    from .census import compute_gdd, compute_orbit_frequencies
     from .metrics import gda_matrix, hierarchical_cluster, motif_distance_matrix, ota_matrix
 
     metric = _read("metric", args)
@@ -628,8 +635,8 @@ def cmd_compare(args: argparse.Namespace) -> int:
     return 0
 
 
-def read_similarity_csv(path: Path) -> tuple[tuple[str, ...], np.ndarray]:
-    """The names and the (N, N) agreement or distance matrix of a ``compare`` CSV.
+def read_similarity_csv(path: Path) -> tuple[tuple[str, ...], list[list[float]]]:
+    """The names and the N rows of the agreement or distance matrix of a ``compare`` CSV.
 
     Rejects a header that names a network twice; ``hierarchical_cluster``
     checks the values.
@@ -649,21 +656,21 @@ def read_similarity_csv(path: Path) -> tuple[tuple[str, ...], np.ndarray]:
         seen.add(name)
     if len(rows) != len(names) + 1:
         raise CliError(f"{path}: matrix has {len(rows) - 1} rows for {len(names)} names")
-    values = np.zeros((len(names), len(names)))
+    values = []
     for i, row in enumerate(rows[1:]):
         if row[0] != names[i]:
             raise CliError(f"{path}: row {i + 1} is {row[0]!r}, expected {names[i]!r}")
         if len(row) != len(names) + 1:
             raise CliError(f"{path}: row {names[i]!r} has {len(row) - 1} of {len(names)} values")
         try:
-            values[i] = [float(x) for x in row[1:]]
+            values.append([float(x) for x in row[1:]])
         except ValueError as e:
             raise CliError(f"{path}: row {names[i]!r}: {e}") from None
     return names, values
 
 
 def cmd_cluster(args: argparse.Namespace) -> int:
-    from .metrics import hierarchical_cluster
+    from .tree import hierarchical_cluster
 
     path = Path(args.matrix)
     try:

@@ -14,8 +14,9 @@ Each all-pairs builder checks its input and fills the matrix through
 ``_all_pairs``, which scores every pair i <= j once and mirrors it, so the
 matrix is exactly symmetric and its diagonal is a network's score against
 itself. A matrix, agreement or distance, can be turned into a merge tree
-with a small deterministic agglomerative clusterer, which tells the two
-apart by the diagonal: 0 for a distance, positive for an agreement.
+with the deterministic agglomerative clusterer of ``tree``
+(``hierarchical_cluster``, re-exported here), which tells the two apart
+by the diagonal: 0 for a distance, positive for an agreement.
 """
 
 from __future__ import annotations
@@ -25,11 +26,12 @@ from typing import Callable, Literal, Mapping, Sequence
 
 import numpy as np
 
-from .census import GRAPHLET_CLASSES
+from .catalogue import GRAPHLET_CLASSES
 from .transitions import OrbitTransitionMatrix, row_normalize
+# the clusterer lives in the stdlib-only tree module; compare reaches it here
+from .tree import cut_clusters, hierarchical_cluster  # noqa: F401
 
 OtaScaling = Literal["normalized", "per_orbit"]
-Linkage = Literal["average", "single", "complete"]
 
 
 def gda_orbit_scores(
@@ -184,93 +186,3 @@ def fingerprint_distance(f1: np.ndarray, f2: np.ndarray) -> float:
 def motif_distance_matrix(names: Sequence[str], fingerprints: Sequence[np.ndarray]) -> np.ndarray:
     """All-pairs Euclidean distances between motif fingerprints."""
     return _all_pairs(names, fingerprints, "fingerprint", fingerprint_distance)
-
-
-def hierarchical_cluster(names: Sequence[str], values: np.ndarray,
-                         linkage: Linkage = "average") -> list[dict]:
-    """Agglomerative merge sequence for the (N, N) matrix ``values`` over ``names``.
-
-    Each merge is a record ``{"left": [...], "right": [...], "height": h}``
-    of the two merged clusters' member names (sorted; ``left`` holds the
-    smallest name), as a ``*.tree.json`` file lists them.
-
-    A matrix whose diagonal is all zero holds distances, used as they are;
-    one whose diagonal is all positive holds agreements (OTA, GDA), each
-    converted to the distance 1 - value. Any other diagonal, a non-finite
-    cell or a matrix that is not exactly symmetric is a ``ValueError``.
-    Cluster distances are computed from the pairwise matrix (average,
-    single or complete linkage). Ties are broken by the lexicographic pair
-    of smallest member labels, so the tree is deterministic.
-    """
-    if linkage not in ("average", "single", "complete"):
-        raise ValueError(f"unknown linkage {linkage!r}")
-    n = len(names)
-    if n < 2:
-        raise ValueError("need at least 2 networks to cluster")
-    dist = np.asarray(values, dtype=np.float64)
-    if dist.shape != (n, n):
-        raise ValueError(f"a matrix of shape {dist.shape} does not pair {n} names")
-    diagonal = np.diagonal(dist)
-    agreement = (diagonal > 0).all()
-    if not agreement and (diagonal != 0).any():
-        cells = ", ".join(f"{name} {value:.12g}" for name, value in zip(names, diagonal))
-        raise ValueError(f"the diagonal is neither all zero (distances) nor all positive "
-                         f"(agreements): {cells}")
-    bad = np.argwhere(~np.isfinite(dist))
-    if len(bad):
-        i, j = bad[0].tolist()
-        raise ValueError(f"row {names[i]!r}, column {names[j]!r}: {format(dist[i, j], '.12g')!r} "
-                         "is not finite")
-    # argwhere is in row-major order, so the first unequal pair has i < j
-    unequal = np.argwhere(dist != dist.T)
-    if len(unequal):
-        i, j = unequal[0].tolist()
-        raise ValueError(f"matrix is not symmetric: row {names[i]!r}, column {names[j]!r} is "
-                         f"{dist[i, j]:.12g}, but row {names[j]!r}, column {names[i]!r} "
-                         f"is {dist[j, i]:.12g}")
-    if agreement:
-        dist = 1.0 - dist
-
-    clusters: list[set[int]] = [{i} for i in range(n)]
-    merges: list[dict] = []
-
-    def cluster_distance(a: set[int], b: set[int]) -> float:
-        cross = dist[np.ix_(sorted(a), sorted(b))]
-        if linkage == "single":
-            return float(cross.min())
-        if linkage == "complete":
-            return float(cross.max())
-        return float(cross.mean())
-
-    def min_label(c: set[int]) -> str:
-        return min(names[i] for i in c)
-
-    while len(clusters) > 1:
-        # least (distance, smaller label, larger label); of equals, the first in (i, j) order
-        height, *_labels, i, j = min(
-            (cluster_distance(a, b), *sorted((min_label(a), min_label(b))), i, j)
-            for i, a in enumerate(clusters) for j, b in enumerate(clusters) if i < j
-        )
-        a, b = clusters[i], clusters[j]
-        left, right = sorted(sorted(names[x] for x in c) for c in (a, b))
-        merges.append({"left": left, "right": right, "height": height})
-        clusters = [c for idx, c in enumerate(clusters) if idx not in (i, j)]
-        clusters.append(a | b)
-    return merges
-
-
-def cut_clusters(names: Sequence[str], merges: Sequence[dict], n_clusters: int) -> list[tuple[str, ...]]:
-    """Partition obtained by replaying merges until ``n_clusters`` remain.
-
-    Returns sorted member tuples, sorted by first member.
-    """
-    if not 1 <= n_clusters <= len(names):
-        raise ValueError(f"cannot cut {len(names)} items into {n_clusters} clusters")
-    parts: list[set[str]] = [{name} for name in names]
-    for step in merges:
-        if len(parts) == n_clusters:
-            break
-        merged = {*step["left"], *step["right"]}
-        parts = [p for p in parts if not p & merged]
-        parts.append(merged)
-    return sorted(tuple(sorted(p)) for p in parts)

@@ -13,7 +13,8 @@ comes from neighbour sets built from ``g.edges()`` (not the CSR
 lookups), null-model swaps draw each proposal with three scalar calls
 (not in chunks), and edge lists are parsed and binned one line and one
 event at a time in Python (not by numpy tokenizing and binning).
-Agreement formulas are re-implemented directly.
+Agreement formulas are re-implemented directly, and the merge tree by the
+package's earlier numpy clusterer (not the pure-Python one in tree.py).
 """
 
 from __future__ import annotations
@@ -449,6 +450,79 @@ def scipy_merges(dist: np.ndarray, names, method: str):
         a, b, height = int(row[0]), int(row[1]), float(row[2])
         merges.append((members[a], members[b], height))
         members[len(names) + step] = members[a] | members[b]
+    return merges
+
+
+# the merge-tree reference: numpy np.ix_ blocks and reductions, not tree.py's lists
+def numpy_hierarchical_cluster(names, values: np.ndarray, linkage: str = "average") -> list[dict]:
+    """Agglomerative merge sequence for the (N, N) matrix ``values`` over ``names``.
+
+    Each merge is a record ``{"left": [...], "right": [...], "height": h}``
+    of the two merged clusters' member names (sorted; ``left`` holds the
+    smallest name), as a ``*.tree.json`` file lists them.
+
+    A matrix whose diagonal is all zero holds distances, used as they are;
+    one whose diagonal is all positive holds agreements (OTA, GDA), each
+    converted to the distance 1 - value. Any other diagonal, a non-finite
+    cell or a matrix that is not exactly symmetric is a ``ValueError``.
+    Cluster distances are computed from the pairwise matrix (average,
+    single or complete linkage). Ties are broken by the lexicographic pair
+    of smallest member labels, so the tree is deterministic.
+    """
+    if linkage not in ("average", "single", "complete"):
+        raise ValueError(f"unknown linkage {linkage!r}")
+    n = len(names)
+    if n < 2:
+        raise ValueError("need at least 2 networks to cluster")
+    dist = np.asarray(values, dtype=np.float64)
+    if dist.shape != (n, n):
+        raise ValueError(f"a matrix of shape {dist.shape} does not pair {n} names")
+    diagonal = np.diagonal(dist)
+    agreement = (diagonal > 0).all()
+    if not agreement and (diagonal != 0).any():
+        cells = ", ".join(f"{name} {value:.12g}" for name, value in zip(names, diagonal))
+        raise ValueError(f"the diagonal is neither all zero (distances) nor all positive "
+                         f"(agreements): {cells}")
+    bad = np.argwhere(~np.isfinite(dist))
+    if len(bad):
+        i, j = bad[0].tolist()
+        raise ValueError(f"row {names[i]!r}, column {names[j]!r}: {format(dist[i, j], '.12g')!r} "
+                         "is not finite")
+    # argwhere is in row-major order, so the first unequal pair has i < j
+    unequal = np.argwhere(dist != dist.T)
+    if len(unequal):
+        i, j = unequal[0].tolist()
+        raise ValueError(f"matrix is not symmetric: row {names[i]!r}, column {names[j]!r} is "
+                         f"{dist[i, j]:.12g}, but row {names[j]!r}, column {names[i]!r} "
+                         f"is {dist[j, i]:.12g}")
+    if agreement:
+        dist = 1.0 - dist
+
+    clusters: list[set[int]] = [{i} for i in range(n)]
+    merges: list[dict] = []
+
+    def cluster_distance(a: set[int], b: set[int]) -> float:
+        cross = dist[np.ix_(sorted(a), sorted(b))]
+        if linkage == "single":
+            return float(cross.min())
+        if linkage == "complete":
+            return float(cross.max())
+        return float(cross.mean())
+
+    def min_label(c: set[int]) -> str:
+        return min(names[i] for i in c)
+
+    while len(clusters) > 1:
+        # least (distance, smaller label, larger label); of equals, the first in (i, j) order
+        height, *_labels, i, j = min(
+            (cluster_distance(a, b), *sorted((min_label(a), min_label(b))), i, j)
+            for i, a in enumerate(clusters) for j, b in enumerate(clusters) if i < j
+        )
+        a, b = clusters[i], clusters[j]
+        left, right = sorted(sorted(names[x] for x in c) for c in (a, b))
+        merges.append({"left": left, "right": right, "height": height})
+        clusters = [c for idx, c in enumerate(clusters) if idx not in (i, j)]
+        clusters.append(a | b)
     return merges
 
 

@@ -141,7 +141,8 @@ class TestCensus:
         manifest.write_text(f"[settings]\nwidth = 10\ncount = {count}\n\n"
                             f"[densify]\npath = densify.txt\npolicy = {policy}\n")
         graphs = []
-        monkeypatch.setattr(cli, "compute_orbit_frequencies",
+        # cmd_census looks the function up in census when it runs, where the tracer patches it
+        monkeypatch.setattr(census, "compute_orbit_frequencies",
                             lambda g, k: graphs.append(g) or compute_orbit_frequencies(g, k))
         assert main(["census", "--manifest", str(manifest), "--out", str(out)]) == 0
         assert len(graphs) == censuses
@@ -612,6 +613,21 @@ def gdd_documents(draw):
             "untouched_orbits": [int(j) for j, o in orbits.items() if not o["normalized"]]}
 
 
+class TestFmt:
+    # numpy's integer and float scalars render as Python's do; np.bool_ is neither, so str
+    @pytest.mark.parametrize("cell, text", [
+        (7, "7"), (-2**70, str(-2**70)), (True, "1"), (False, "0"),
+        (np.bool_(True), "True"), (np.bool_(False), "False"),
+        (np.int64(-3), "-3"), (np.int64(2**63 - 1), "9223372036854775807"), (np.uint8(255), "255"),
+        (np.float32(0.1), "0.10000000149"), (np.float64(1 / 3), "0.333333333333"),
+        (np.float64("nan"), "nan"), (np.float32("-inf"), "-inf"),
+        (0.1 + 0.2, "0.3"), (-0.0, "-0"), (1e16, "1e+16"), (5e-324, "4.94065645841e-324"),
+        ("x,y", "x,y"), ("", ""), (None, "None"),
+    ])
+    def test_cells_render_as_before(self, cell, text):
+        assert fmt(cell) == text
+
+
 class TestWriters:
     """``write_csv`` and ``write_json`` write the bytes of the plain
     ``csv.writer`` + ``fmt`` loop and of ``json.dumps(obj, indent=2)``."""
@@ -890,21 +906,33 @@ class TestRunReport:
 
 
 class TestModuleLoading:
-    def test_stats_and_census_load_only_their_modules(self, tmp_path):
-        # a fresh interpreter, so that no other test has loaded a module yet
-        manifest, out = str(DATA / "manifest.ini"), str(tmp_path)
-        code = (
-            "import sys\n"
-            "from orbitrans.cli import main\n"
-            f"assert main(['stats', '--manifest', {manifest!r}, '--out', {out!r}]) == 0\n"
-            f"assert main(['census', '--manifest', {manifest!r}, '--out', {out!r}]) == 0\n"
-            "print(' '.join(sorted(m for m in sys.modules if m.startswith('orbitrans'))))\n"
-        )
+    @staticmethod
+    def loaded_after(*argvs: list[str]) -> list[str]:
+        """The orbitrans modules, and numpy if loaded, once a fresh interpreter
+        (one no other test has loaded a module in) has run each of ``argvs``."""
+        code = "import sys\nfrom orbitrans.cli import main\n"
+        code += "".join(f"assert main({argv!r}) == 0\n" for argv in argvs)
+        code += "print(' '.join(sorted(m for m in sys.modules if m.startswith('orbitrans') or m == 'numpy')))\n"
         src = str(Path(orbitrans.__file__).parents[1])
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
-        loaded = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
-                                check=True).stdout.split()
-        assert loaded == ["orbitrans", "orbitrans.census", "orbitrans.cli", "orbitrans.graph_core"]
+        return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                              check=True).stdout.split()
+
+    def test_stats_and_census_load_only_their_modules(self, tmp_path):
+        # stats reads the 3-node census for the clustering coefficient
+        args = ["--manifest", str(DATA / "manifest.ini"), "--out", str(tmp_path)]
+        assert self.loaded_after(["stats", *args], ["census", *args]) == [
+            "numpy", "orbitrans", "orbitrans.catalogue", "orbitrans.census", "orbitrans.cli",
+            "orbitrans.graph_core"]
+
+    def test_cluster_runs_without_numpy(self, tmp_path):
+        matrix = tmp_path / "compare_ota.csv"
+        matrix.write_text("network,a,b,c\na,1,0.5,0.2\nb,0.5,1,0.3\nc,0.2,0.3,1\n")
+        argv = ["cluster", "--matrix", str(matrix), "--out", str(tmp_path)]
+        assert self.loaded_after(argv) == ["orbitrans", "orbitrans.catalogue", "orbitrans.cli",
+                                           "orbitrans.tree"]
+        assert json.loads((tmp_path / "cluster.tree.json").read_text()) == hierarchical_cluster(
+            *read_similarity_csv(matrix))
 
 
 class TestGoldenFiles:

@@ -1,3 +1,4 @@
+import json
 import math
 import re
 
@@ -24,7 +25,8 @@ from orbitrans.metrics import (
     relative_rescale,
 )
 from orbitrans.transitions import OrbitTransitionMatrix, row_normalize
-from oracles import formula_gda, formula_ota, gnp_graph, scipy_merges
+from orbitrans.tree import _pairwise_sum
+from oracles import formula_gda, formula_ota, gnp_graph, numpy_hierarchical_cluster, scipy_merges
 
 
 def random_fr(rng, n=20, m=11, high=6):
@@ -443,3 +445,142 @@ class TestClustering:
         assert cut_clusters(["a", "b"], merges, 2) == [("a",), ("b",)]
         with pytest.raises(ValueError):
             cut_clusters(["a", "b"], merges, 3)
+
+    def test_cut_rejects_merges_of_other_names(self):
+        names = ["x", "y", "z"]
+        merges = hierarchical_cluster(names, [[1.0, 0.9, 0.1], [0.9, 1.0, 0.2], [0.1, 0.2, 1.0]])
+        assert cut_clusters(names, merges, 1) == [("x", "y", "z")]
+        # merges of other names are rejected, not kept beside the names' own parts
+        with pytest.raises(ValueError, match="^merge 1: 'x' is not one of the names$"):
+            cut_clusters(["a", "b", "c"], merges, 1)
+        with pytest.raises(ValueError, match="^merge 2: 'w' is not one of the names$"):
+            cut_clusters(names, [merges[0], {"left": ["w"], "right": ["z"], "height": 0.5}], 1)
+
+    def test_cut_rejects_merges_that_run_out(self):
+        names = ["x", "y", "z"]
+        merges = hierarchical_cluster(names, [[1.0, 0.9, 0.1], [0.9, 1.0, 0.2], [0.1, 0.2, 1.0]])
+        # merges too few to reach the asked count are rejected, not cut short
+        with pytest.raises(ValueError, match="^the merges run out at 2 clusters, before 1 remain$"):
+            cut_clusters(names, merges[:1], 1)
+        assert cut_clusters(names, merges[:1], 2) == [("x", "y"), ("z",)]
+
+    @pytest.mark.parametrize("left, right", [(["x"], ["x"]), (["x"], ["x", "y"]), (["x", "z"], ["y"])])
+    def test_cut_rejects_sides_that_are_not_current_clusters(self, left, right):
+        merges = [{"left": left, "right": right, "height": 0.1}]
+        message = f"^merge 1: left {sorted(left)} and right {sorted(right)} are not two current clusters$"
+        with pytest.raises(ValueError, match=re.escape(message[1:-1])):
+            cut_clusters(["x", "y", "z"], merges, 1)
+
+
+def cluster_outcome(cluster, names, values, linkage):
+    """The merge records, or the ValueError message, of ``cluster``."""
+    try:
+        return cluster(names, values, linkage=linkage)
+    except ValueError as e:
+        return f"ValueError: {e}"
+
+
+def random_names(rng, n):
+    """n distinct labels of 1-3 letters, in random order, so ties are broken by label."""
+    names = set()
+    while len(names) < n:
+        names.add("".join(rng.choice(list("abcde"), size=int(rng.integers(1, 4)))))
+    return [str(name) for name in rng.permutation(sorted(names))]
+
+
+def random_matrix(rng, n, kind, tied):
+    """A symmetric (n, n) distance or agreement matrix; ``tied`` draws its
+    cells from a handful of values, so that many cluster distances tie."""
+    if tied:
+        cells = rng.integers(0, 4, size=(n, n)) / 4.0
+    else:
+        cells = rng.random((n, n)) * 10.0 ** float(rng.integers(-3, 3))
+    values = np.triu(cells, 1)
+    values += values.T
+    if kind == "agreement":
+        values = 1.0 - values
+        np.fill_diagonal(values, rng.choice([1.0, 11.0, 0.75]))
+    return values
+
+
+class TestPurePythonClusterer:
+    """The stdlib clusterer gives the numpy clusterer's records and errors exactly."""
+
+    @pytest.mark.parametrize("linkage", ["average", "single", "complete"])
+    @pytest.mark.parametrize("kind", ["distance", "agreement"])
+    @pytest.mark.parametrize("tied", [False, True], ids=["distinct", "tied"])
+    def test_same_records_as_numpy(self, linkage, kind, tied):
+        rng = np.random.default_rng([61, len(linkage), len(kind), tied])
+        for n in [2, 3, 40, *rng.integers(4, 40, size=9)]:
+            names = random_names(rng, int(n))
+            values = random_matrix(rng, int(n), kind, tied)
+            expected = numpy_hierarchical_cluster(names, values, linkage=linkage)
+            # == on the records compares every height exactly
+            assert hierarchical_cluster(names, values, linkage=linkage) == expected
+            assert hierarchical_cluster(names, values.tolist(), linkage=linkage) == expected
+
+    @pytest.mark.parametrize("linkage", ["average", "single", "complete"])
+    def test_two_large_blocks(self, linkage):
+        # the last average merge sums a 20 x 20 block: the pairwise halves above 128 cells
+        rng = np.random.default_rng(62)
+        group = np.repeat([0, 1], 20)
+        values = np.where(group[:, None] == group, 0.1, 5.0) + rng.random((40, 40))
+        values = np.triu(values, 1) + np.triu(values, 1).T
+        names = [f"n{i:02d}" for i in range(40)]
+        expected = numpy_hierarchical_cluster(names, values, linkage=linkage)
+        assert hierarchical_cluster(names, values, linkage=linkage) == expected
+
+    def test_pairwise_sum_is_numpy_mean(self):
+        rng = np.random.default_rng(63)
+        for n in [*range(1, 300), 511, 1000]:
+            cells = rng.standard_normal(n) * 10.0 ** rng.integers(-8, 8, size=n)
+            assert (0.0 + _pairwise_sum(cells.tolist(), 0, n)) / n == cells.mean(), n
+        assert 0.0 + _pairwise_sum([-0.0] * 9, 0, 9) == np.full(9, -0.0).sum()
+
+    def test_negative_zero_distances_average_to_zero(self):
+        # numpy's mean of a block of -0.0 cells is 0.0, and a tree file writes the sign;
+        # the merges chain, so the last one averages a 9-cell block, past the left fold
+        names = [f"n{i}" for i in range(10)]
+        values = np.full((10, 10), -0.0)
+        mine = hierarchical_cluster(names, values.tolist())
+        expected = numpy_hierarchical_cluster(names, values)
+        assert json.dumps(mine) == json.dumps(expected)
+        assert '"height": 0.0' in json.dumps(mine)
+
+    @pytest.mark.parametrize("case", [
+        "mixed-diagonal", "negative-diagonal", "nan-diagonal", "nan", "inf", "-inf",
+        "asymmetric", "too-large", "too-wide", "flat", "unknown-linkage", "one-name",
+    ])
+    def test_same_errors_as_numpy(self, case):
+        rng = np.random.default_rng([64, len(case)])
+        for _ in range(5):
+            n = int(rng.integers(2, 9))
+            names = random_names(rng, n)
+            values = random_matrix(rng, n, str(rng.choice(["distance", "agreement"])), False)
+            i, j = sorted(rng.choice(n, size=2, replace=False).tolist())
+            linkage = str(rng.choice(["average", "single", "complete"]))
+            if case == "mixed-diagonal":
+                np.fill_diagonal(values, 1.0)
+                values[i, i] = 0.0
+            elif case == "negative-diagonal":
+                np.fill_diagonal(values, -rng.random(n))
+            elif case == "nan-diagonal":
+                values[j, j] = np.nan
+            elif case in ("nan", "inf", "-inf"):
+                values[i, j] = values[j, i] = float(case)
+            elif case == "asymmetric":
+                values[j, i] += 0.125
+            elif case == "too-large":
+                values = np.eye(n + 1)
+            elif case == "too-wide":
+                values = np.ones((n, n + 1))
+            elif case == "flat":
+                values = np.ones(n)
+            elif case == "unknown-linkage":
+                linkage = str(rng.choice(["median", "ward", ""]))
+            else:
+                names = names[:1]
+            expected = cluster_outcome(numpy_hierarchical_cluster, names, values, linkage)
+            assert expected.startswith("ValueError: ")
+            assert cluster_outcome(hierarchical_cluster, names, values, linkage) == expected
+            assert cluster_outcome(hierarchical_cluster, names, values.tolist(), linkage) == expected
