@@ -55,7 +55,7 @@ from dataclasses import dataclass, fields
 from functools import partial
 from itertools import chain
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import TYPE_CHECKING, Callable, NoReturn, Sequence
 
 from . import __version__
 from .catalogue import GRAPHLET_CLASSES
@@ -759,5 +759,27 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 2
 
 
+def run() -> NoReturn:
+    """The process entry point: run ``main`` on ``sys.argv``, flush stdout and
+    stderr, and end the process with ``main``'s exit code.
+
+    It ends through ``os._exit``, so it skips the interpreter's teardown
+    (clearing every module, and a final garbage collection over numpy's
+    tracked objects): about 20 ms in a child that loaded numpy, about 10 ms
+    in one that did not. Every output file is written and closed before
+    ``main`` returns, and the flushes carry out what the streams still hold.
+    argparse's ``SystemExit`` (usage errors, ``--help``, ``--version``) and
+    any uncaught exception leave through the normal interpreter exit.
+
+    Only a process entry point may call it: it never returns. In-process
+    callers use ``main``, which returns the code.
+    """
+    code = main()
+    for stream in (sys.stdout, sys.stderr):
+        if stream is not None:  # None where the descriptor was closed at start-up
+            stream.flush()
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

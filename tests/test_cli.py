@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 import pytest
@@ -905,6 +906,68 @@ class TestRunReport:
         assert all("events read" not in f.read_text() for f in out.iterdir())
 
 
+def child(*argv: str, shell: Sequence[str] = ()) -> subprocess.CompletedProcess:
+    """A fresh interpreter run on ``argv`` (through the ``shell`` command
+    prefix, if given) with this orbitrans importable, stdout and stderr
+    piped and ``PYTHONUNBUFFERED`` unset, so a stream reaches the pipe only
+    where the process flushes it."""
+    src = str(Path(orbitrans.__file__).parents[1])
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    return subprocess.run([*shell, sys.executable, *argv], env=env, capture_output=True, text=True,
+                          timeout=120)
+
+
+class TestProcessEntryPoint:
+    """``python -m orbitrans`` ends through ``cli.run``: flushed streams, then ``os._exit``."""
+
+    def test_child_writes_what_main_writes(self, tmp_path, capsys):
+        args = ["transitions", "--manifest", str(DATA / "manifest.ini"), "--out"]
+        assert main([*args, str(tmp_path / "main")]) == 0
+        proc = child("-m", "orbitrans", *args, str(tmp_path / "child"))
+        assert proc.returncode == 0
+        err = capsys.readouterr().err
+        assert err.count("events read") == 2
+        assert proc.stderr == err
+        names = sorted(p.name for p in (tmp_path / "main").iterdir())
+        assert sorted(p.name for p in (tmp_path / "child").iterdir()) == names
+        for name in names:
+            assert (tmp_path / "child" / name).read_bytes() == (tmp_path / "main" / name).read_bytes()
+
+    def test_failed_network_exits_1(self, tmp_path):
+        target = tmp_path / "alpha.transitions.csv"
+        target.mkdir()
+        proc = child("-m", "orbitrans", "transitions", "--manifest", str(DATA / "manifest.ini"),
+                     "--out", str(tmp_path))
+        assert proc.returncode == 1
+        assert proc.stderr.endswith(f"error: network 'alpha': cannot write {target}: Is a directory\n")
+
+    def test_configuration_error_exits_2(self, tmp_path):
+        missing = tmp_path / "nope.ini"
+        proc = child("-m", "orbitrans", "stats", "--manifest", str(missing), "--out", str(tmp_path))
+        assert proc.returncode == 2
+        assert proc.stderr.startswith(f"error: cannot read manifest {missing}: ")
+
+    def test_run_flushes_what_main_left_buffered(self):
+        # neither line ends in a newline, so line buffering has not sent it
+        code = ("import sys\nfrom orbitrans import cli\n"
+                "cli.main = lambda: print('out', end='') or print('err', end='', file=sys.stderr) or 3\n"
+                "cli.run()\n")
+        proc = child("-c", code)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (3, "out", "err")
+
+    def test_stdout_closed_at_start_up(self, tmp_path):
+        # sys.stdout is None then, and there is nothing to flush
+        proc = child("-m", "orbitrans", "transitions", "--manifest", str(DATA / "manifest.ini"),
+                     "--out", str(tmp_path), shell=("sh", "-c", '"$@" >&-', "sh"))
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr.count("events read") == 2
+
+    def test_version_leaves_through_argparse(self):
+        proc = child("-m", "orbitrans", "--version")
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, f"orbitrans {orbitrans.__version__}\n", "")
+
+
 class TestModuleLoading:
     @staticmethod
     def loaded_after(*argvs: list[str]) -> list[str]:
@@ -913,10 +976,9 @@ class TestModuleLoading:
         code = "import sys\nfrom orbitrans.cli import main\n"
         code += "".join(f"assert main({argv!r}) == 0\n" for argv in argvs)
         code += "print(' '.join(sorted(m for m in sys.modules if m.startswith('orbitrans') or m == 'numpy')))\n"
-        src = str(Path(orbitrans.__file__).parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
-        return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
-                              check=True).stdout.split()
+        proc = child("-c", code)
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout.split()
 
     def test_stats_and_census_load_only_their_modules(self, tmp_path):
         # stats reads the 3-node census for the clustering coefficient
