@@ -638,14 +638,19 @@ def cmd_compare(args: argparse.Namespace) -> int:
 def read_similarity_csv(path: Path) -> tuple[tuple[str, ...], list[list[float]]]:
     """The names and the N rows of the agreement or distance matrix of a ``compare`` CSV.
 
-    Rejects a header that names a network twice; ``hierarchical_cluster``
-    checks the values.
+    Rejects a blank line and a header that names a network twice;
+    ``hierarchical_cluster`` checks the values.
     """
     try:
         text = path.read_text()
     except OSError as e:
         raise CliError(f"cannot read matrix {path}: {e}") from e
-    rows = list(csv.reader(io.StringIO(text)))
+    reader = csv.reader(io.StringIO(text))
+    rows = []
+    for row in reader:
+        if not row:
+            raise CliError(f"{path}: line {reader.line_num} is blank")
+        rows.append(row)
     if not rows or len(rows[0]) < 3:
         raise CliError(f"{path}: expected a header row with at least 2 network names")
     names = tuple(rows[0][1:])

@@ -278,13 +278,15 @@ class TestCompare:
         assert meta["gda_include_k3"] is True
 
     def test_per_orbit_scaling_flag(self, toy_run):
+        # per_orbit scores a network against itself 11, and both settings reach the meta file
         manifest, out = toy_run
-        main(
-            ["compare", "--manifest", str(manifest), "--out", str(out),
-             "--ota-scaling", "per_orbit"]
-        )
-        rows = read_rows(out / "compare_ota.csv")
-        assert float(rows[1][1]) == pytest.approx(11.0)
+        for flags, rescale in (([], True), (["--no-relative-rescale"], False)):
+            assert main(["compare", "--manifest", str(manifest), "--out", str(out),
+                         "--ota-scaling", "per_orbit", *flags]) == 0
+            rows = read_rows(out / "compare_ota.csv")
+            assert [row[i + 1] for i, row in enumerate(rows[1:])] == ["11", "11"]
+            meta = json.loads((out / "compare_ota.meta.json").read_text())
+            assert (meta["ota_scaling"], meta["relative_rescale"]) == ("per_orbit", rescale)
 
     def test_single_network_rejected(self, tmp_path):
         write_network(tmp_path, "only", "a b 1\nb c 2\n")
@@ -343,6 +345,17 @@ class TestCluster:
         assert err.startswith(f"error: {bad}: the diagonal is neither all zero (distances) "
                               "nor all positive (agreements): a 0, b 1, c 1")
         assert "Traceback" not in err
+        assert not (tmp_path / "cluster.tree.json").exists()
+
+    @pytest.mark.parametrize("text, line", [
+        ("network,a,b\n\nb,0.5,1\n", 2),
+        ("network,a,b\na,1,0.5\nb,0.5,1\n\n", 4),
+    ], ids=["inner", "trailing"])
+    def test_blank_line_rejected(self, tmp_path, capsys, text, line):
+        bad = tmp_path / "m.csv"
+        bad.write_text(text)
+        assert main(["cluster", "--matrix", str(bad), "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == f"error: {bad}: line {line} is blank\n"
         assert not (tmp_path / "cluster.tree.json").exists()
 
     def test_bad_matrix_file(self, tmp_path):
@@ -1017,7 +1030,29 @@ class TestGoldenFiles:
         for golden in sorted(GOLDEN.iterdir()):
             produced = out / golden.name
             assert produced.exists(), f"missing output {golden.name}"
-            assert produced.read_text() == golden.read_text(), golden.name
+            # bytes, not text: read_text() would read "\r\n" line ends as "\n"
+            assert produced.read_bytes() == golden.read_bytes(), golden.name
+        # cluster reads distances (the motif CSV's 0 diagonal) from agreements off
+        # the matrix itself; OTA's cells, rounded to 12 digits, move its heights
+        for metric in ("gda", "motif"):
+            assert main(["cluster", "--matrix", str(GOLDEN / f"compare_{metric}.csv"),
+                         "--out", str(tmp_path / metric)]) == 0
+            tree = GOLDEN / f"compare_{metric}.tree.json"
+            assert (tmp_path / metric / "cluster.tree.json").read_bytes() == tree.read_bytes(), metric
+
+    def test_rewritten_input_keeps_golden_bytes(self, tmp_path):
+        # alpha's lines reversed, with CRLF line ends and one more comment line:
+        # neither file depends on node ids, so this runs sorting, comments and
+        # snapshot binning through main
+        for name in ("beta.txt", "manifest.ini"):
+            (tmp_path / name).write_bytes((DATA / name).read_bytes())
+        lines = ["# reversed", *reversed((DATA / "alpha.txt").read_text().splitlines())]
+        (tmp_path / "alpha.txt").write_bytes("".join(f"{line}\r\n" for line in lines).encode())
+        out = tmp_path / "out"
+        for command in ("stats", "transitions"):
+            assert main([command, "--manifest", str(tmp_path / "manifest.ini"), "--out", str(out)]) == 0
+        for name in ("alpha.stats.csv", "alpha.transitions.csv"):
+            assert (out / name).read_bytes() == (GOLDEN / name).read_bytes(), name
 
     def test_golden_transitions_verified_by_oracle(self):
         # guards the checked-in files themselves against drift
