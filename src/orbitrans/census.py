@@ -23,6 +23,8 @@ algorithms", 1985).
 
 Transitions need every set, so they enumerate, as does
 ``connected_subgraphs``: with numpy, in bounded blocks (``_pair_blocks``).
+A transition tally reads only the masks a source and a target induce on a
+k-set, so only ``connected_subgraphs`` builds the k-sets' node rows.
 """
 
 from __future__ import annotations
@@ -135,6 +137,9 @@ def _tag_bits(j: int) -> np.ndarray:
     return np.where(e > 0, (e & 1) << q | (e >> 1) << q + 4, 0x11 << j | np.where(q, 0, 256))
 
 
+_Masks = tuple[np.ndarray, np.ndarray]  # what a source and a target induce on each set
+
+
 def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
     """``arange(start, start + count)`` for each pair, concatenated."""
     offsets = np.repeat(starts - (np.cumsum(counts) - counts), counts)
@@ -142,12 +147,13 @@ def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
 
 
 def _extend(
-    g: StaticGraph, packed: np.ndarray, sets: np.ndarray, masks: np.ndarray, seeded: bool
-) -> tuple[np.ndarray, np.ndarray]:
-    """The (j+1)-sets whose canonical parent is a row of ``sets``, and their
-    masks, in the union ``g`` of a source and a target (see ``_pair_blocks``).
-    ``packed[e]`` is CSR entry e's node << 4 | its tag. A seeded row's first
-    two members are its seed.
+    g: StaticGraph, packed: np.ndarray, sets: np.ndarray, masks: _Masks, seeded: bool, rows: bool
+) -> tuple[np.ndarray | None, _Masks]:
+    """The (j+1)-sets whose canonical parent is a row of ``sets``, in the
+    union ``g`` of a source and a target (see ``_pair_blocks``): their
+    members if ``rows`` (else None), and their masks. ``masks`` holds the
+    rows', ``packed[e]`` is CSR entry e's node << 4 | its tag, and a seeded
+    row's first two members are its seed.
 
     An unseeded row S reads only its members' neighbours above min(S): T =
     S + w is kept only when w is T's largest non-cut vertex, and a connected
@@ -181,14 +187,15 @@ def _extend(
     # their running count, less the j - seeds of each earlier row
     ins = np.cumsum(bits >> 8) - row * (j - seeds) + seeds
     source, target = bits & 15, bits >> 4 & 15
+    from_masks, to_masks = masks
     # a set grows through the source's edges, or if seeded the union's
-    grow_mask, grow_bits = masks[row, 0], source
+    grow_mask, grow_bits = from_masks[row], source
     if seeded:
-        grow_mask, grow_bits = grow_mask | masks[row, 1], source | target
+        grow_mask, grow_bits = grow_mask | to_masks[row], source | target
     t_masks = _extension_table(j)[(grow_mask << j + 1 | grow_bits) * (j + 1) + ins]
     keep = np.flatnonzero(t_masks >= 0)
     row, ins, source, target, t_masks = (x[keep] for x in (row, ins, source, target, t_masks))
-    w = node[keep] & (1 << shift) - 1
+    w = node[keep] & (1 << shift) - 1 if seeded or rows else None
     if seeded:
         # a set counts at its smallest changed pair (in one graph only), so
         # one holding a changed pair below its seed goes, as its supersets would
@@ -198,13 +205,15 @@ def _extend(
         changed = (source ^ target)[:, None] >> np.arange(j) & 1 == 1
         keep = np.flatnonzero(~(changed & (pair_key < seed_key)).any(axis=1))
         row, ins, source, target, w = (x[keep] for x in (row, ins, source, target, w))
-        t_masks = _insertion_table(j)[(masks[row, 0] << j + 1 | source) * (j + 1) + ins]
+        t_masks = _insertion_table(j)[(from_masks[row] << j + 1 | source) * (j + 1) + ins]
+    grown_masks = t_masks, _insertion_table(j)[(to_masks[row] << j + 1 | target) * (j + 1) + ins]
+    if not rows:
+        return None, grown_masks
     # T's members: the row's, each moved one place up from w's position ins on, and w
     column = np.arange(j + 1)
     grown = members.take((row * j)[:, None] + column - (column > ins[:, None]), mode="clip")
     grown[np.arange(len(w)), ins] = w
-    to_masks = _insertion_table(j)[(masks[row, 1] << j + 1 | target) * (j + 1) + ins]
-    return grown, np.column_stack((t_masks, to_masks))
+    return grown, grown_masks
 
 
 def _block_bounds(costs: np.ndarray) -> Iterator[tuple[int, int]]:
@@ -219,25 +228,29 @@ def _block_bounds(costs: np.ndarray) -> Iterator[tuple[int, int]]:
         start = stop
 
 
-def _grow(g: StaticGraph, packed: np.ndarray, sets: np.ndarray, masks: np.ndarray, k: int,
-          seeded: bool) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+def _grow(g: StaticGraph, packed: np.ndarray, sets: np.ndarray, masks: _Masks, k: int,
+          seeded: bool, rows: bool) -> Iterator[tuple[np.ndarray | None, _Masks]]:
     costs = (g.indptr[sets + 1] - g.indptr[sets]).sum(axis=1)
+    last = sets.shape[1] + 1 == k
     for start, stop in _block_bounds(costs):
-        grown, grown_masks = _extend(g, packed, sets[start:stop], masks[start:stop], seeded)
-        if grown.shape[1] < k:
-            yield from _grow(g, packed, grown, grown_masks, k, seeded)
-        elif len(grown):
+        block_masks = masks[0][start:stop], masks[1][start:stop]
+        grown, grown_masks = _extend(g, packed, sets[start:stop], block_masks, seeded, rows or not last)
+        if not last:
+            yield from _grow(g, packed, grown, grown_masks, k, seeded, rows)
+        elif len(grown_masks[0]):
             yield grown, grown_masks
 
 
-def _pair_blocks(u: StaticGraph, tags: np.ndarray, k: int,
-                 seeded: bool) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+def _pair_blocks(u: StaticGraph, tags: np.ndarray, k: int, seeded: bool,
+                 rows: bool) -> Iterator[tuple[np.ndarray | None, _Masks]]:
     """k-sets of the union ``u`` of a source and a target, in ``(sets, masks)`` blocks.
 
     ``tags[e]`` says which graph has CSR entry e (bit 0 the source, bit 1
-    the target), and ``masks[i]`` holds the masks both induce on
-    ``sets[i]``. Sets grow from edges one node at a time, each kept only
-    when grown from its canonical parent (``_extension_table``): unless
+    the target). ``masks`` holds the masks the source and the target induce
+    on each set, and ``sets`` its members, one row each, if ``rows``, else
+    None: the last level keeps only the masks, which is all a tally reads.
+    Sets grow from edges one node at a time, each kept only when grown
+    from its canonical parent (``_extension_table``): unless
     ``seeded``, the source's connected k-sets from its edges; if
     ``seeded``, the union's connected k-sets holding a changed pair from
     each such pair, ranked below every other node (a connected set holding
@@ -252,16 +265,16 @@ def _pair_blocks(u: StaticGraph, tags: np.ndarray, k: int,
     orbit_count(k)  # rejects any other k
     edge_tags = tags[u.keys // max(u.n, 1) < u.indices]  # the tags of edge_array's rows
     pick = edge_tags != 3 if seeded else edge_tags & 1 == 1
-    masks = np.column_stack((edge_tags & 1, edge_tags >> 1))
-    yield from _grow(u, u.indices << 4 | tags, u.edge_array()[pick], masks[pick], k, seeded)
+    masks = (edge_tags & 1)[pick], (edge_tags >> 1)[pick]
+    yield from _grow(u, u.indices << 4 | tags, u.edge_array()[pick], masks, k, seeded, rows)
 
 
 def _kset_blocks(g: StaticGraph, k: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Every connected k-set of ``g`` once, in ``(sets, masks)`` blocks: a
     ``(b, k)`` array of node ids, sorted within each row, and the ``(b,)``
     induced-adjacency masks (see ``_pair_blocks``)."""
-    for sets, masks in _pair_blocks(g, np.ones(len(g.keys), dtype=np.int64), k, False):
-        yield sets, masks[:, 0]
+    for sets, masks in _pair_blocks(g, np.ones(len(g.keys), dtype=np.int64), k, False, rows=True):
+        yield sets, masks[0]
 
 
 def connected_subgraphs(g: StaticGraph, k: int) -> Iterator[tuple[tuple[int, ...], int]]:

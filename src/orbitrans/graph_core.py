@@ -101,9 +101,18 @@ class StaticGraph:
             if a == b:
                 raise ValueError(f"self-loop ({a},{a}) not allowed")
             raise ValueError(f"edge ({a},{b}) outside node range 0..{n - 1}")
-        self.n = n
         # a row's keys lie in [u*n, u*n + n), so sorting them sorts each row
-        self.keys = _distinct(np.concatenate((u * n + v, v * n + u)))
+        self._hold(n, _distinct(np.concatenate((u * n + v, v * n + u))))
+
+    @classmethod
+    def from_keys(cls, n: int, keys: np.ndarray) -> StaticGraph:
+        """The graph of ``keys``, unchecked: ``u*n + v`` and ``v*n + u`` of each edge, sorted."""
+        g = cls.__new__(cls)
+        g._hold(n, keys)
+        return g
+
+    def _hold(self, n: int, keys: np.ndarray) -> None:
+        self.n, self.keys = n, keys
         rows = self.keys // max(n, 1)
         self.indices = self.keys - rows * n
         self.indptr = np.zeros(n + 1, dtype=np.int64)
@@ -162,7 +171,8 @@ class TemporalEdgeList:
     def origin(self) -> int:
         """Earliest event timestamp."""
         if not len(self.events):
-            raise ValueError("edge list has no events")
+            read = self.dropped_self_loops  # every event read was a self-loop
+            raise ValueError(f"edge list has no events: {read} events read, {read} self-loops dropped")
         return int(self.events[0, 2])
 
     def __eq__(self, other: object) -> bool:

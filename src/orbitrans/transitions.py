@@ -8,14 +8,16 @@ over all consecutive snapshot pairs yields a transition-count matrix per
 network, which is then row-normalized and optionally discretized into a
 coarse Rare/Common/Frequent fingerprint.
 
-A set holding no changed pair, none of the symmetric difference D of the
-two edge sets, keeps its orbits. The full path enumerates every set
-connected in the source; the delta path only those holding a pair of D,
-and takes the rest from the source's per-orbit totals (edge-local
-counting after Schiller et al., "StreaM", AlCoB 2015). Each pair takes
-the cheaper (``_takes_delta_path``); both give the same counts. Along a
-series the delta path's tally also gives the target's totals, so only a
-chain's first pair takes them from a closed-form census.
+A pair's tally bins each enumerated k-set by its (source mask, target
+mask); no k-set's node row is built. A set holding no changed pair, none
+of the symmetric difference D of the two edge sets, keeps its orbits. The
+full path enumerates every set connected in the source; the delta path
+only those holding a pair of D, and takes the rest from the source's
+per-orbit totals (edge-local counting after Schiller et al., "StreaM",
+AlCoB 2015). Each pair takes the cheaper (``_takes_delta_path``); both
+give the same counts. Along a series the delta path's tally also gives
+the target's totals, so only a chain's first pair takes them from a
+closed-form census.
 """
 
 from __future__ import annotations
@@ -65,6 +67,7 @@ def enumerate_transitions(s_from: StaticGraph, s_to: StaticGraph, k: int, *,
     in the dissolved counters. ``totals``, if given, are ``s_from``'s
     per-orbit totals, which the delta path then takes instead of a census.
     """
+    orbit_count(k)  # rejects any other k
     if s_from.n != s_to.n:
         raise ValueError(f"snapshots disagree on node universe ({s_from.n} vs {s_to.n} nodes)")
     u, tags = _union(s_from, s_to)
@@ -74,16 +77,21 @@ def enumerate_transitions(s_from: StaticGraph, s_to: StaticGraph, k: int, *,
 
 
 def _union(s_from: StaticGraph, s_to: StaticGraph) -> tuple[StaticGraph, np.ndarray]:
-    """The union of two graphs on one node set, and its CSR entries' tags (``_pair_blocks``)."""
-    u = StaticGraph(s_from.n, np.concatenate((s_from.edge_array(), s_to.edge_array())))
-    in_from, in_to = (np.isin(u.keys, g.keys, assume_unique=True) for g in (s_from, s_to))
-    return u, in_from | in_to.astype(np.int64) << 1
+    """The union of two graphs on one node set, and its CSR entries' tags
+    (``_pair_blocks``): the two graphs' sorted keys merged, each tagged by
+    the graphs that hold it."""
+    keys = np.concatenate((s_from.keys, s_to.keys))
+    order = keys.argsort(kind="stable")  # merges the two sorted runs
+    keys, tags = keys[order], np.where(order < len(s_from.keys), 1, 2)
+    both = np.flatnonzero(keys[1:] == keys[:-1])  # a source key, then the same target key
+    tags[both] = 3
+    return StaticGraph.from_keys(s_from.n, np.delete(keys, both + 1)), np.delete(tags, both + 1)
 
 
 # per k, about where the two paths cost the same on pairs of growing
 # turnover, the delta pair given its source totals: k = 3 pairs crossed at
-# 0.42-0.45, k = 4 pairs at 0.30-0.44, and at about 0.23 on a dense
-# aggregate series (BENCH_17_carried_totals.json)
+# 0.37-0.44, k = 4 pairs at 0.29-0.41, and at about 0.26 on a dense
+# aggregate series (BENCH_23_count_only_tally.json)
 _DELTA_BELOW = {3: 0.4, 4: 0.3}
 
 
@@ -103,8 +111,8 @@ def _tally(u: StaticGraph, tags: np.ndarray, k: int, seeded: bool) -> OrbitTrans
     n_masks, m = len(slots), orbit_count(k)
     # one bin per (mask in the source, mask in the target) of the same k-set
     per_pair = np.zeros(n_masks * n_masks, dtype=np.int64)
-    for _sets, masks in _pair_blocks(u, tags, k, seeded):
-        per_pair += np.bincount(masks[:, 0] * n_masks + masks[:, 1], minlength=n_masks**2)
+    for _sets, (source, target) in _pair_blocks(u, tags, k, seeded, rows=False):
+        per_pair += np.bincount(source * n_masks + target, minlength=n_masks**2)
     # each filled bin's node-transitions, a disconnected mask's in row or column m
     bins = np.flatnonzero(per_pair)
     moves = np.zeros((m + 1, m + 1), dtype=np.int64)

@@ -457,6 +457,22 @@ class TestDeterminismAndFailure:
             for kind in ("fr.csv", "classes.csv", "gdd.json")
         )
 
+    def test_self_loops_only_network_fails_alone(self, tmp_path, capsys):
+        # with no origin set, the snapshot window starts at the first event,
+        # and this network keeps none: the error counts what was read
+        write_network(tmp_path, "loops", "a a 1\nb b 2\n")
+        write_network(tmp_path, "good", "a b 0\nb c 5\nc a 12\n")
+        manifest = write_manifest(
+            tmp_path,
+            "[settings]\nwidth = 10\ncount = 2\n\n[loops]\npath = loops.txt\n\n"
+            "[good]\npath = good.txt\n",
+        )
+        out = tmp_path / "out"
+        assert main(["stats", "--manifest", str(manifest), "--out", str(out)]) == 1
+        assert ("error: network 'loops': edge list has no events: 2 events read, "
+                "2 self-loops dropped\n") in capsys.readouterr().err
+        assert sorted(p.name for p in out.iterdir()) == ["good.stats.csv", "stats.csv"]
+
     def test_carried_totals_mismatch_fails_alone(self, tmp_path, monkeypatch, capsys):
         # every pair on the delta path, and alpha's first one loses a block of
         # changed sets: the check at the end of its chain fails alpha alone

@@ -1,4 +1,5 @@
 import tracemalloc
+from collections import Counter
 from itertools import combinations
 
 import numpy as np
@@ -100,8 +101,8 @@ def drop_first_seeded_block(patch):
     """Make ``_tally`` lose the first block of its first seeded enumeration."""
     dropped = []
 
-    def dropping(u, tags, k, seeded):
-        blocks = census._pair_blocks(u, tags, k, seeded)
+    def dropping(u, tags, k, seeded, rows):
+        blocks = census._pair_blocks(u, tags, k, seeded, rows)
         if seeded and not dropped:
             dropped.append(next(blocks))
         return blocks
@@ -146,6 +147,11 @@ class TestPairEnumeration:
     def test_mismatched_universe(self):
         with pytest.raises(ValueError, match="node universe"):
             enumerate_transitions(triangle(), path_graph(4), 3)
+
+    @pytest.mark.parametrize("k", [2, 5])
+    def test_rejects_other_sizes(self, k):
+        with pytest.raises(ValueError, match=f"^subgraph size must be 3 or 4, got {k}$"):
+            enumerate_transitions(triangle(), triangle(), k)
 
     def test_newly_born_groups_ignored(self):
         # nothing connected in the source: empty matrix even though the
@@ -349,14 +355,48 @@ class TestKernelRows:
             expected = {False: sorted(exhaustive_occurrences(a, k)), True: sorted(seeded)}
             for is_seeded, rows in expected.items():
                 got = []
-                for sets, masks in census._pair_blocks(u, tags, k, is_seeded):
-                    for row, (from_mask, to_mask) in zip(map(tuple, sets.tolist()), masks.tolist()):
+                for sets, (from_masks, to_masks) in census._pair_blocks(u, tags, k, is_seeded, rows=True):
+                    for row, from_mask, to_mask in zip(map(tuple, sets.tolist()), from_masks.tolist(),
+                                                       to_masks.tolist()):
                         assert from_mask == subset_mask(nbrs[0], row)
                         assert to_mask == subset_mask(nbrs[1], row)
                         got.append(row)
                 assert sorted(got) == rows
                 if not is_seeded:
                     assert all(row == tuple(sorted(set(row))) for row in got)
+
+    @pytest.mark.parametrize("block", [None, 2, 8])
+    @settings(max_examples=40, deadline=None)
+    @given(pair=snapshot_pairs(), k=st.sampled_from((3, 4)), seeded=st.booleans(), data=st.data())
+    def test_tally_bins_match_rows_and_oracle(self, block, pair, k, seeded, data):
+        # the tally reads only the last level's (source, target) masks: their
+        # bins are those of the rows the kernel yields, masked by the oracle,
+        # and those of every set the oracle finds, a seeded one ordered as
+        # its row is, its smallest changed pair first
+        perm = data.draw(st.permutations(range(pair[0].n)))
+        a, b = (relabeled(g, perm) for g in pair)
+        u, tags = _union(a, b)
+        nbrs = neighbour_sets(a), neighbour_sets(b)
+
+        def bins(sets):
+            return Counter((subset_mask(nbrs[0], row), subset_mask(nbrs[1], row)) for row in sets)
+
+        with pytest.MonkeyPatch.context() as patch:
+            if block:
+                patch.setattr(census, "_BLOCK_CANDIDATES", block)
+            tallied = Counter()
+            for sets, (from_masks, to_masks) in census._pair_blocks(u, tags, k, seeded, rows=False):
+                assert sets is None
+                tallied.update(zip(from_masks.tolist(), to_masks.tolist()))
+            yielded = Counter()
+            for sets, _masks in census._pair_blocks(u, tags, k, seeded, rows=True):
+                yielded.update(bins(map(tuple, sets.tolist())))
+        changed = set(a.edges()) ^ set(b.edges())
+        found = exhaustive_occurrences(u if seeded else a, k)
+        if seeded:
+            seeds = ((nodes, changed.intersection(combinations(nodes, 2))) for nodes in found)
+            found = [min(pairs) + tuple(sorted(set(nodes) - set(min(pairs)))) for nodes, pairs in seeds if pairs]
+        assert tallied == yielded == bins(found)
 
 
 class TestSeriesAccumulation:
