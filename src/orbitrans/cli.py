@@ -33,6 +33,9 @@ snapshots, so each network needs a ``width`` of at least 1 and a
 meta files record ``k`` and exactly the settings the run read.
 Manifest values take precedence over flags, so a manifest fully
 determines a run; flags fill in whatever the manifest leaves out.
+``compare --metric ota`` reads back the counts that ``transitions`` wrote
+into the same ``out`` wherever ``transitions.meta.json`` shows them
+current (``_stored_transitions``), and computes the others.
 All outputs are written atomically and deterministically: rerunning the
 same manifest reproduces every file byte for byte. After loading each
 network, one line on stderr reports the events read, the self-loops
@@ -152,16 +155,30 @@ class NetworkSpec:
             mode=self.policy, width=self.width, count=self.count, origin=self.origin
         )
 
-    def load_events(self) -> TemporalEdgeList:
+    def load_events(self, digest=None) -> TemporalEdgeList:
+        """The parsed input file; ``digest``, a ``hashlib`` object, if given,
+        takes in every byte the parser reads."""
         from .graph_core import EdgeListParseError, parse_edge_list
 
         try:
             with self.path.open("rb") as fh:
-                return parse_edge_list(fh, sep=self.sep)
+                return parse_edge_list(fh if digest is None else _Hashing(fh, digest), sep=self.sep)
         except OSError as e:
             raise CliError(f"cannot read {self.path}: {e}") from e
         except EdgeListParseError as e:
             raise CliError(f"{self.path}: {e}") from e
+
+
+class _Hashing:
+    """A binary file whose ``read`` feeds every block it returns to ``digest``."""
+
+    def __init__(self, fh, digest):
+        self._fh, self._digest = fh, digest
+
+    def read(self, size: int = -1) -> bytes:
+        block = self._fh.read(size)
+        self._digest.update(block)
+        return block
 
 
 @dataclass(frozen=True)
@@ -368,8 +385,11 @@ def _indented(obj, pad: str) -> str:
     return f"{text[0]}\n{inner}{text[1:-1]}\n{pad}{text[-1]}"
 
 
-def write_json(path: Path, obj) -> None:
-    write_atomic(path, _indented(obj, "") + "\n")
+def write_json(path: Path, obj) -> str:
+    """Write ``obj`` as indented JSON; returns the text written."""
+    text = _indented(obj, "") + "\n"
+    write_atomic(path, text)
+    return text
 
 
 def _file_stem(name: str) -> str:
@@ -382,17 +402,25 @@ def write_orbit_matrix_csv(path: Path, values) -> None:
     write_csv(path, header, ([a + 1, *row] for a, row in enumerate(values)))
 
 
-def write_meta(path: Path, run: RunConfig, args: argparse.Namespace, **extra) -> None:
+def write_meta(path: Path, run: RunConfig, args: argparse.Namespace, entries: dict | None = None,
+               **extra) -> None:
     """Record the tool version, ``extra``, ``k`` and each other setting the run read;
-    per network, its input and, where the run builds snapshots, its snapshot settings."""
+    per network, its input and, where the run builds snapshots, its snapshot settings.
+
+    ``entries``, if given, maps the networks to record (every network if
+    None) to the fields to add to each one's record.
+    """
     reads = _reads(args)
     meta = {"tool_version": __version__, **extra, "k": run.k}
     for key in reads:
         if key not in meta and key not in ("manifest", "out", *NETWORK_KEYS):
             meta[key] = getattr(run, key)
     net_keys = NETWORK_KEYS if "width" in reads else ("path", "sep")
-    meta["networks"] = {net.name: {key: getattr(net, key) for key in net_keys} | {"path": str(net.path)}
-                        for net in run.networks}
+    meta["networks"] = {
+        net.name: {key: getattr(net, key) for key in net_keys} | {"path": str(net.path)}
+        | (entries or {}).get(net.name, {})
+        for net in run.networks if entries is None or net.name in entries
+    }
     write_json(path, meta)
 
 
@@ -400,26 +428,37 @@ def write_meta(path: Path, run: RunConfig, args: argparse.Namespace, **extra) ->
 # per-network pipelines
 
 
-def _report_load(
-    net: NetworkSpec, events: TemporalEdgeList, series: SnapshotSeries | None = None
-) -> None:
-    """One stderr line: events read, self-loops dropped, events outside the window."""
+# the counts a network's stderr line reports, the last only where snapshots are built
+_LOAD_COUNTS = ("events_read", "self_loops_dropped", "events_outside_window")
+
+
+def _load_counts(events: TemporalEdgeList, series: SnapshotSeries | None = None) -> dict[str, int]:
+    """The ``_LOAD_COUNTS`` of ``events``, and of ``series`` if given."""
     dropped = events.dropped_self_loops
-    line = (
-        f"network {net.name!r}: {len(events.events) + dropped} events read, "
-        f"{dropped} self-loops dropped"
-    )
+    counts = {"events_read": len(events.events) + dropped, "self_loops_dropped": dropped}
     if series is not None:
-        line += f", {series.events_discarded} events outside the snapshot window"
+        counts["events_outside_window"] = series.events_discarded
+    return counts
+
+
+def _report_load(net: NetworkSpec, counts: dict[str, int]) -> None:
+    """One stderr line with the ``_load_counts`` of ``net``."""
+    line = (
+        f"network {net.name!r}: {counts['events_read']} events read, "
+        f"{counts['self_loops_dropped']} self-loops dropped"
+    )
+    if "events_outside_window" in counts:
+        line += f", {counts['events_outside_window']} events outside the snapshot window"
     print(line, file=sys.stderr)
 
 
-def _network_series(net: NetworkSpec) -> tuple[TemporalEdgeList, SnapshotSeries]:
+def _network_series(net: NetworkSpec, digest=None) -> tuple[TemporalEdgeList, SnapshotSeries]:
+    """The network's events and snapshot series; ``digest`` as ``load_events`` takes it."""
     from .graph_core import build_snapshots
 
-    events = net.load_events()
+    events = net.load_events(digest)
     series = build_snapshots(events, net.snapshot_policy())
-    _report_load(net, events, series)
+    _report_load(net, _load_counts(events, series))
     return events, series
 
 
@@ -428,7 +467,7 @@ def _network_final_graph(net: NetworkSpec) -> StaticGraph:
     from .graph_core import final_aggregate_graph
 
     events = net.load_events()
-    _report_load(net, events)
+    _report_load(net, _load_counts(events))
     return final_aggregate_graph(events)
 
 
@@ -446,12 +485,60 @@ def run_per_network(run: RunConfig, worker: Callable[[NetworkSpec], object]) -> 
     return results, errors
 
 
-def _network_transitions(run: RunConfig, net: NetworkSpec) -> OrbitTransitionMatrix:
-    """Orbit-transition counts summed over the network's snapshot series."""
-    from .transitions import accumulate_series
+TRANSITIONS_META = "transitions.meta.json"
 
-    _events, series = _network_series(net)
-    return accumulate_series(series, run.k)
+
+def _read_json_object(path: Path) -> dict:
+    """The JSON object in ``path``; empty where the file is missing, unreadable or holds no object."""
+    try:
+        obj = json.loads(path.read_bytes())
+    except (OSError, ValueError):
+        return {}
+    return obj if isinstance(obj, dict) else {}
+
+
+def _stored_transitions(run: RunConfig, net: NetworkSpec, meta: dict) -> OrbitTransitionMatrix | None:
+    """The counts ``transitions`` wrote for ``net``, where ``meta`` (its
+    meta file's object) shows them current; else None.
+
+    They are current where ``meta`` has this tool version and ``k`` and a
+    record of ``net`` with this run's input path, ``sep`` and snapshot
+    settings; the input file and ``<stem>.transitions.json`` still hash to
+    the record's digests; and the product's conservation total holds. The
+    network's stderr line is then printed from the record's load counts.
+    """
+    import hashlib
+
+    import numpy as np
+
+    from .transitions import OrbitTransitionMatrix
+
+    networks = meta.get("networks")
+    entry = networks.get(net.name) if isinstance(networks, dict) else None
+    if (not isinstance(entry, dict) or (meta.get("tool_version"), meta.get("k")) != (__version__, run.k)
+            or entry.get("path") != str(net.path)
+            or any(entry.get(key) != getattr(net, key) for key in NETWORK_KEYS if key != "path")
+            or not all(isinstance(entry.get(key), int) for key in _LOAD_COUNTS)):
+        return None
+    try:
+        if hashlib.sha256(net.path.read_bytes()).hexdigest() != entry.get("input_sha256"):
+            return None
+        data = (run.out / f"{_file_stem(net.name)}.transitions.json").read_bytes()
+    except OSError:
+        return None
+    if hashlib.sha256(data).hexdigest() != entry.get("product_sha256"):
+        return None
+    product = json.loads(data)
+    t = OrbitTransitionMatrix(
+        product["k"],
+        np.array(product["counts"], dtype=np.int64),
+        np.array(list(product["dissolved"].values()), dtype=np.int64),
+        product["pairs_processed"],
+    )
+    if t.total_node_transitions() != product["total_node_transitions"]:
+        return None
+    _report_load(net, entry)
+    return t
 
 
 def _network_motifs(run: RunConfig, net: NetworkSpec) -> tuple[dict, dict, np.ndarray]:
@@ -548,19 +635,23 @@ def cmd_census(args: argparse.Namespace) -> int:
 
 
 def cmd_transitions(args: argparse.Namespace) -> int:
-    from .transitions import discretize, row_normalize
+    import hashlib
+
+    from .transitions import accumulate_series, discretize, row_normalize
 
     run = load_run_config(args)
 
     def worker(net: NetworkSpec):
-        t = _network_transitions(run, net)
+        digest = hashlib.sha256()
+        events, series = _network_series(net, digest)
+        t = accumulate_series(series, run.k)
         normalized = row_normalize(t)
         fp = discretize(normalized)
         stem = _file_stem(net.name)
         write_orbit_matrix_csv(run.out / f"{stem}.transitions.csv", t.counts)
         write_orbit_matrix_csv(run.out / f"{stem}.transitions_normalized.csv", normalized)
         write_orbit_matrix_csv(run.out / f"{stem}.fingerprint.csv", fp)
-        write_json(
+        product = write_json(
             run.out / f"{stem}.transitions.json",
             {
                 "k": t.k,
@@ -572,8 +663,13 @@ def cmd_transitions(args: argparse.Namespace) -> int:
                 "total_node_transitions": t.total_node_transitions(),
             },
         )
+        # what compare --metric ota checks before it reads the counts back
+        return {"input_sha256": digest.hexdigest(), **_load_counts(events, series),
+                "product_sha256": hashlib.sha256(product.encode()).hexdigest()}
 
-    _results, errors = run_per_network(run, worker)
+    results, errors = run_per_network(run, worker)
+    if results:
+        write_meta(run.out / TRANSITIONS_META, run, args, results)
     return _report_errors(errors)
 
 
@@ -597,6 +693,7 @@ def cmd_motifs(args: argparse.Namespace) -> int:
 def cmd_compare(args: argparse.Namespace) -> int:
     from .census import compute_gdd, compute_orbit_frequencies
     from .metrics import gda_matrix, hierarchical_cluster, motif_distance_matrix, ota_matrix
+    from .transitions import accumulate_series
 
     metric = _read("metric", args)
     run = load_run_config(args)
@@ -605,6 +702,11 @@ def cmd_compare(args: argparse.Namespace) -> int:
     names = [net.name for net in run.networks]
 
     gda_ks = (run.k, 3) if run.gda_include_k3 else (run.k,)
+    stored = _read_json_object(run.out / TRANSITIONS_META) if metric == "ota" else {}
+
+    def ota_worker(net: NetworkSpec):
+        t = _stored_transitions(run, net, stored)
+        return accumulate_series(_network_series(net)[1], run.k) if t is None else t
 
     def gdd_worker(net: NetworkSpec):
         g = _network_final_graph(net)
@@ -615,7 +717,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
     # metric -> (per-network worker, matrix builder over the workers' results, its meta kind)
     worker, build, kind = {
-        "ota": (lambda net: _network_transitions(run, net),
+        "ota": (ota_worker,
                 partial(ota_matrix, ota_scaling=run.ota_scaling, rescale=run.relative_rescale), "OTA"),
         "gda": (gdd_worker, gda_matrix, "GDA"),
         "motif": (lambda net: _network_motifs(run, net)[2], motif_distance_matrix, "MotifDistance"),

@@ -1,12 +1,13 @@
 import csv
 import filecmp
+import hashlib
 import io
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import orbitrans
-from orbitrans import census, cli, transitions
+from orbitrans import census, cli, graph_core, transitions
 from orbitrans.cli import (
     CliError,
     build_parser,
@@ -294,6 +295,134 @@ class TestCompare:
             tmp_path, "[only]\npath = only.txt\nwidth = 5\ncount = 2\n"
         )
         assert main(["compare", "--manifest", str(manifest), "--out", str(tmp_path / "o")]) == 2
+
+
+def edit_file(path: Path, old: str, new: str) -> None:
+    text = path.read_text()
+    assert old in text
+    path.write_text(text.replace(old, new, 1))
+
+
+def edit_json(path: Path, edit: Callable[[dict], None], indent: int | None = None) -> None:
+    obj = json.loads(path.read_text())
+    edit(obj)
+    path.write_text(json.dumps(obj, indent=indent))
+
+
+def add_count(product: dict, to_total: bool) -> None:
+    """One more transition in the product's first non-zero cell, and in its
+    conservation total if ``to_total``."""
+    row = next(row for row in product["counts"] if any(row))
+    row[next(j for j, c in enumerate(row) if c)] += 1
+    product["total_node_transitions"] += to_total
+
+
+def fail_densify_in_transitions(manifest: Path, out: Path) -> None:
+    """Rerun transitions with densify's first file blocked: it gets no meta
+    entry, but its earlier transitions.json stays."""
+    blocked = out / "densify.transitions.csv"
+    blocked.unlink()
+    blocked.mkdir()
+    assert main(["transitions", "--manifest", str(manifest), "--out", str(out)]) == 1
+    blocked.rmdir()
+
+
+def redigest_densify_product(manifest: Path, out: Path) -> None:
+    """A count added to densify's product, its total kept and the meta file
+    given the edited product's digest: only the conservation check is left."""
+    product = out / "densify.transitions.json"
+    edit_json(product, lambda p: add_count(p, False), indent=2)
+    digest = hashlib.sha256(product.read_bytes()).hexdigest()
+    edit_json(out / "transitions.meta.json",
+              lambda m: m["networks"]["densify"].update(product_sha256=digest))
+
+
+def move_densify_input(manifest: Path, out: Path) -> None:
+    (manifest.parent / "moved.txt").write_bytes((manifest.parent / "densify.txt").read_bytes())
+    edit_file(manifest, "path = densify.txt", "path = moved.txt")
+
+
+# case -> (what it does to a finished transitions run, the networks compare must recompute)
+STALE_PRODUCTS = {
+    "input byte edited": (lambda m, out: edit_file(m.parent / "densify.txt", " 21", " 11"), 1),
+    "product count altered": (lambda m, out: edit_json(
+        out / "densify.transitions.json", lambda p: add_count(p, True), indent=2), 1),
+    "conservation total broken": (redigest_densify_product, 1),
+    "width changed": (lambda m, out: edit_file(m, "width = 10", "width = 11"), 2),
+    "count changed": (lambda m, out: edit_file(m, "count = 3", "count = 4"), 2),
+    "policy changed": (lambda m, out: edit_file(m, "policy = aggregate", "policy = active"), 1),
+    "origin changed": (lambda m, out: edit_file(m, "[settings]\n", "[settings]\norigin = 1\n"), 2),
+    "sep changed": (lambda m, out: edit_file(m, "[densify]\n", "[densify]\nsep = comma\n"), 1),
+    "k changed": (lambda m, out: edit_file(m, "[settings]\n", "[settings]\nk = 3\n"), 2),
+    "input moved": (move_densify_input, 1),
+    "another tool_version": (lambda m, out: edit_json(
+        out / "transitions.meta.json", lambda meta: meta.update(tool_version="0.0.0")), 2),
+    "meta missing": (lambda m, out: (out / "transitions.meta.json").unlink(), 2),
+    "meta not JSON": (lambda m, out: (out / "transitions.meta.json").write_text("{"), 2),
+    "meta not an object": (lambda m, out: (out / "transitions.meta.json").write_text("[]"), 2),
+    "meta networks not an object": (lambda m, out: edit_json(
+        out / "transitions.meta.json", lambda meta: meta.update(networks=[])), 2),
+    "meta entry not an object": (lambda m, out: edit_json(
+        out / "transitions.meta.json", lambda meta: meta["networks"].update(densify=[])), 1),
+    "load count missing": (lambda m, out: edit_json(
+        out / "transitions.meta.json", lambda meta: meta["networks"]["densify"].pop("events_read")), 1),
+    "network failed in transitions": (fail_densify_in_transitions, 1),
+    "product deleted": (lambda m, out: (out / "densify.transitions.json").unlink(), 1),
+}
+
+
+class TestProductReuse:
+    """compare --metric ota reads back the counts transitions wrote where
+    transitions.meta.json shows them current, and computes them otherwise."""
+
+    @pytest.fixture
+    def stored(self, tmp_path):
+        """A finished transitions run: (manifest, out). densify's lines parse
+        under either separator, to different graphs."""
+        write_network(tmp_path, "densify", "a ,b, 0\nb ,c, 1\nc ,d, 2\na ,c, 10\nb ,d, 12\na ,d, 21\n")
+        write_network(tmp_path, "churn", "p q 3\nq r 4\nr s 13\ns p 14\np r 22\nq s 24\n")
+        manifest = write_manifest(
+            tmp_path,
+            "[settings]\nwidth = 10\ncount = 3\n\n"
+            "[densify]\npath = densify.txt\npolicy = aggregate\n\n"
+            "[churn]\npath = churn.txt\npolicy = active\n",
+        )
+        out = tmp_path / "out"
+        assert main(["transitions", "--manifest", str(manifest), "--out", str(out)]) == 0
+        return manifest, out
+
+    @staticmethod
+    def compare(manifest: Path, out: Path, capsys) -> tuple[int, str, dict[str, bytes]]:
+        """The exit code, stderr and compare_ota.* files of compare --metric ota into ``out``."""
+        capsys.readouterr()
+        code = main(["compare", "--manifest", str(manifest), "--out", str(out)])
+        return code, capsys.readouterr().err, {p.name: p.read_bytes() for p in out.glob("compare_ota.*")}
+
+    def test_reuse_writes_what_a_fresh_run_writes(self, stored, tmp_path, monkeypatch, capsys):
+        manifest, out = stored
+        fresh = self.compare(manifest, tmp_path / "fresh", capsys)
+        assert fresh[0] == 0 and fresh[1].count("events read") == 2 and len(fresh[2]) == 3
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("compare recomputed a stored product")
+
+        monkeypatch.setattr(transitions, "accumulate_series", refuse)
+        monkeypatch.setattr(graph_core, "parse_edge_list", refuse)
+        assert self.compare(manifest, out, capsys) == fresh
+
+    @pytest.mark.parametrize("case", STALE_PRODUCTS)
+    def test_stale_product_recomputed(self, stored, tmp_path, monkeypatch, capsys, case):
+        manifest, out = stored
+        spoil, recomputed = STALE_PRODUCTS[case]
+        spoil(manifest, out)
+        calls = []
+        accumulate = transitions.accumulate_series
+        monkeypatch.setattr(transitions, "accumulate_series",
+                            lambda series, k: calls.append(k) or accumulate(series, k))
+        written = self.compare(manifest, out, capsys)
+        assert len(calls) == recomputed
+        assert written == self.compare(manifest, tmp_path / "fresh", capsys)
+        assert written[0] == 0
 
 
 @pytest.fixture
@@ -735,7 +864,7 @@ class TestUnwritableOut:
     @pytest.mark.parametrize("command, target", [
         ("compare", "compare_ota.csv"), ("compare", "compare_ota.tree.json"),
         ("compare", "compare_ota.meta.json"), ("motifs", "motifs.meta.json"), ("stats", "stats.csv"),
-        ("cluster", "cluster.tree.json"),
+        ("transitions", "transitions.meta.json"), ("cluster", "cluster.tree.json"),
     ])
     def test_directory_in_place_of_a_run_file_exits_2(self, toy_run, capsys, command, target):
         manifest, out = toy_run
@@ -1056,6 +1185,14 @@ class TestGoldenFiles:
             tree = GOLDEN / f"compare_{metric}.tree.json"
             assert (tmp_path / metric / "cluster.tree.json").read_bytes() == tree.read_bytes(), metric
 
+    def test_compare_ota_alone_matches_golden(self, tmp_path):
+        # run_all's compare reads back the counts transitions wrote; with no
+        # transitions product in --out, compare computes them and writes the same bytes
+        out = tmp_path / "out"
+        assert main(["compare", "--manifest", str(DATA / "manifest.ini"), "--out", str(out)]) == 0
+        for name in ("compare_ota.csv", "compare_ota.tree.json"):
+            assert (out / name).read_bytes() == (GOLDEN / name).read_bytes(), name
+
     def test_rewritten_input_keeps_golden_bytes(self, tmp_path):
         # alpha's lines reversed, with CRLF line ends and one more comment line:
         # neither file depends on node ids, so this runs sorting, comments and
@@ -1255,6 +1392,9 @@ class TestMetaFiles:
          {"metric", "kind", "linkage", "gdd_scaling", "gda_include_k3"}, set()),
         (["compare", "--metric", "motif"], "compare_motif",
          {"metric", "kind", "linkage", "seed", "replicates", "swaps_per_edge"}, set()),
+        (["transitions"], "transitions", set(), SNAPSHOT_KEYS | {
+            "input_sha256", "events_read", "self_loops_dropped", "events_outside_window",
+            "product_sha256"}),
     ])
     def test_keys(self, toy_run, argv, name, keys, network_keys):
         manifest, out = toy_run
