@@ -19,7 +19,6 @@ class GraphletClass:
     ``orbits[i]``.
     """
 
-    k: int
     name: str
     edge_count: int
     orbits: tuple[int, ...]
@@ -32,15 +31,15 @@ class GraphletClass:
 # against an isomorphism oracle).
 GRAPHLET_CLASSES: dict[int, tuple[GraphletClass, ...]] = {
     3: (
-        GraphletClass(3, "chain", 2, (1, 2), (1, 2)),
-        GraphletClass(3, "triangle", 3, (3,), (2,)),
+        GraphletClass("chain", 2, (1, 2), (1, 2)),
+        GraphletClass("triangle", 3, (3,), (2,)),
     ),
     4: (
-        GraphletClass(4, "star", 3, (1, 2), (1, 3)),
-        GraphletClass(4, "path", 3, (3, 4), (1, 2)),
-        GraphletClass(4, "cycle", 4, (5,), (2,)),
-        GraphletClass(4, "paw", 4, (6, 7, 8), (1, 3, 2)),
-        GraphletClass(4, "diamond", 5, (9, 10), (2, 3)),
-        GraphletClass(4, "clique", 6, (11,), (3,)),
+        GraphletClass("star", 3, (1, 2), (1, 3)),
+        GraphletClass("path", 3, (3, 4), (1, 2)),
+        GraphletClass("cycle", 4, (5,), (2,)),
+        GraphletClass("paw", 4, (6, 7, 8), (1, 3, 2)),
+        GraphletClass("diamond", 5, (9, 10), (2, 3)),
+        GraphletClass("clique", 6, (11,), (3,)),
     ),
 }

@@ -103,7 +103,7 @@ class Setting:
 
 
 SETTINGS = {
-    "manifest": Setting(help="run manifest (INI format)"),
+    "manifest": Setting(help="run manifest (INI format)", required=True),
     "out": Setting(default="out", scope="settings", help="output directory"),
     "policy": Setting(default="aggregate", choices=("active", "aggregate"), scope="network",
                       help="snapshot semantics"),
@@ -154,6 +154,10 @@ class NetworkSpec:
         return SnapshotPolicy(
             mode=self.policy, width=self.width, count=self.count, origin=self.origin
         )
+
+    def record(self, keys: Sequence[str] = NETWORK_KEYS) -> dict:
+        """What a meta file records of this network: its ``keys``, with ``path`` as a string."""
+        return {key: getattr(self, key) for key in keys} | {"path": str(self.path)}
 
     def load_events(self, digest=None) -> TemporalEdgeList:
         """The parsed input file; ``digest``, a ``hashlib`` object, if given,
@@ -233,7 +237,9 @@ def _read(key: str, args, section=None, context: str = "", fallback=None, at_lea
 
 
 def _check_keys(parser: configparser.ConfigParser, manifest_path: Path) -> None:
-    """Reject a key that its section does not define."""
+    """Reject a ``[DEFAULT]`` section, and a key that its section does not define."""
+    if parser.has_section("DEFAULT"):
+        raise CliError(f"manifest {manifest_path} [DEFAULT]: defaults belong in [settings]")
     for name in parser.sections():
         allowed = SETTINGS_KEYS if name == "settings" else NETWORK_KEYS
         for key in parser[name]:
@@ -257,7 +263,8 @@ def load_run_config(args: argparse.Namespace) -> RunConfig:
     """
     snapshots = "width" in _reads(args)
     manifest_path = Path(args.manifest)
-    parser = configparser.ConfigParser(interpolation=None)
+    # no header names "", so [DEFAULT] is a plain section, which _check_keys rejects
+    parser = configparser.ConfigParser(interpolation=None, default_section="")
     try:
         with open(manifest_path) as fh:
             parser.read_file(fh)
@@ -417,8 +424,7 @@ def write_meta(path: Path, run: RunConfig, args: argparse.Namespace, entries: di
             meta[key] = getattr(run, key)
     net_keys = NETWORK_KEYS if "width" in reads else ("path", "sep")
     meta["networks"] = {
-        net.name: {key: getattr(net, key) for key in net_keys} | {"path": str(net.path)}
-        | (entries or {}).get(net.name, {})
+        net.name: net.record(net_keys) | (entries or {}).get(net.name, {})
         for net in run.networks if entries is None or net.name in entries
     }
     write_json(path, meta)
@@ -516,17 +522,19 @@ def _stored_transitions(run: RunConfig, net: NetworkSpec, meta: dict) -> OrbitTr
     networks = meta.get("networks")
     entry = networks.get(net.name) if isinstance(networks, dict) else None
     if (not isinstance(entry, dict) or (meta.get("tool_version"), meta.get("k")) != (__version__, run.k)
-            or entry.get("path") != str(net.path)
-            or any(entry.get(key) != getattr(net, key) for key in NETWORK_KEYS if key != "path")
+            or any(entry.get(key) != value for key, value in net.record().items())
             or not all(isinstance(entry.get(key), int) for key in _LOAD_COUNTS)):
         return None
+    digest = hashlib.sha256()
     try:
-        if hashlib.sha256(net.path.read_bytes()).hexdigest() != entry.get("input_sha256"):
-            return None
         data = (run.out / f"{_file_stem(net.name)}.transitions.json").read_bytes()
+        with net.path.open("rb") as fh:
+            for _block in iter(partial(_Hashing(fh, digest).read, io.DEFAULT_BUFFER_SIZE), b""):
+                pass
     except OSError:
         return None
-    if hashlib.sha256(data).hexdigest() != entry.get("product_sha256"):
+    if (digest.hexdigest(), hashlib.sha256(data).hexdigest()) != (
+            entry.get("input_sha256"), entry.get("product_sha256")):
         return None
     product = json.loads(data)
     t = OrbitTransitionMatrix(
@@ -852,8 +860,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     error = args.subparser.error
     if unrecognized:
         error(f"unrecognized arguments: {' '.join(unrecognized)}")
-    if "manifest" in vars(args) and not args.manifest:
-        error(f"{args.command} requires --manifest")
     reads = _reads(args)
     for key in COMMANDS[args.command][1]:
         if key not in reads and getattr(args, key) is not None:

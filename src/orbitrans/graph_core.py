@@ -23,6 +23,7 @@ The layer works on integer arrays from end to end:
 
 from __future__ import annotations
 
+import io
 import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Literal
@@ -188,9 +189,9 @@ class TemporalEdgeList:
 # ---------------------------------------------------------------------------
 # parsing
 
-# Bytes of input tokenized at a time. A block is cut after its last line
-# break, so it holds whole lines, and the block, not the input, sets the
-# size of the tokenizer's temporaries.
+# Bytes of input tokenized at a time. A block is cut after its last line break, so it holds
+# whole lines, and the block, not the input, sets the size of the tokenizer's temporaries.
+# A text-mode file is read in characters, so its blocks can reach 4x the bound in bytes.
 _BLOCK_BYTES = 1 << 18
 
 # Bytes the vectorized tokenizer handles: printable ASCII, tab, CR, LF. A
@@ -199,34 +200,25 @@ _BLOCK_BYTES = 1 << 18
 _PLAIN = bytes(range(0x20, 0x7F)) + b"\t\n\r"
 
 
-def _byte_chunks(source: Iterable[str] | str | bytes) -> Iterator[bytes]:
-    """The source's text as UTF-8 byte chunks of any size."""
-    if isinstance(source, str):
-        yield source.encode("utf-8", "surrogatepass")
-    elif isinstance(source, (bytes, bytearray)):
-        yield bytes(source)
-    elif hasattr(source, "read"):
-        while chunk := source.read(_BLOCK_BYTES):
-            yield chunk.encode("utf-8", "surrogatepass") if isinstance(chunk, str) else chunk
-    else:  # an iterable of lines, joined first
-        text = "".join(line if line.endswith("\n") else line + "\n" for line in source)
-        yield text.encode("utf-8", "surrogatepass")
-
-
-def _line_blocks(chunks: Iterator[bytes]) -> Iterator[bytes]:
-    """Blocks of at most about ``_BLOCK_BYTES``, each ending at a line break.
+def _line_blocks(source: Iterable[str] | str | bytes) -> Iterator[bytes]:
+    """The source's UTF-8 text in blocks of about ``_BLOCK_BYTES`` that end at line breaks.
 
     A block grows past the bound only to finish a line longer than it; the
     last block may end without a line break.
     """
+    if not hasattr(source, "read"):
+        if not isinstance(source, (str, bytes, bytearray)):  # an iterable of lines
+            source = "".join(line if line.endswith("\n") else line + "\n" for line in source)
+        if isinstance(source, str):  # encoded whole: a StringIO would hold 4 bytes a character
+            source = source.encode("utf-8", "surrogatepass")
+        source = io.BytesIO(source)
     carry = b""
-    for chunk in chunks:
-        for lo in range(0, len(chunk), _BLOCK_BYTES):
-            data = carry + chunk[lo : lo + _BLOCK_BYTES]
-            cut = data.rfind(b"\n") + 1
-            if cut:
-                yield data[:cut]
-            carry = data[cut:]
+    while chunk := source.read(_BLOCK_BYTES):
+        data = carry + (chunk.encode("utf-8", "surrogatepass") if isinstance(chunk, str) else chunk)
+        cut = data.rfind(b"\n") + 1
+        if cut:
+            yield data[:cut]
+        carry = data[cut:]
     if carry:
         yield carry
 
@@ -486,7 +478,7 @@ def parse_edge_list(source: Iterable[str] | str | bytes, sep: str = "ws") -> Tem
     if sep not in ("ws", "comma"):
         raise ValueError(f"unknown separator {sep!r}")
     reader = _EventReader(sep)
-    for block in _line_blocks(_byte_chunks(source)):
+    for block in _line_blocks(source):
         reader.add_block(block)
     return reader.finish()
 
@@ -593,6 +585,8 @@ def final_aggregate_graph(edges: TemporalEdgeList) -> StaticGraph:
 def present_nodes(g: StaticGraph) -> int:
     """Number of non-isolated nodes (the observable size of a snapshot)."""
     return int(np.count_nonzero(np.diff(g.indptr)))
+
+
 def average_degree(g: StaticGraph) -> float:
     """Mean degree over non-isolated nodes; 0.0 for an edgeless graph."""
     if g.n == 0:

@@ -408,6 +408,9 @@ class TestProductReuse:
 
         monkeypatch.setattr(transitions, "accumulate_series", refuse)
         monkeypatch.setattr(graph_core, "parse_edge_list", refuse)
+        # the inputs are hashed in blocks, not read into memory whole
+        read_bytes = Path.read_bytes
+        monkeypatch.setattr(Path, "read_bytes", lambda p: refuse() if p.suffix == ".txt" else read_bytes(p))
         assert self.compare(manifest, out, capsys) == fresh
 
     @pytest.mark.parametrize("case", STALE_PRODUCTS)
@@ -1032,8 +1035,14 @@ class TestManifestValidation:
                 f"error: manifest {manifest} [settings]: k must be one of (3, 4), got '5'\n"
 
     def test_manifest_required(self, capsys):
-        with pytest.raises(SystemExit):
-            main(["stats"])
+        for command in ("stats", "compare"):
+            with pytest.raises(SystemExit) as exc:
+                main([command])
+            assert exc.value.code == 2
+            err = capsys.readouterr().err
+            assert err.startswith(f"usage: orbitrans {command} [-h] --manifest MANIFEST ")
+            assert err.endswith(
+                f"orbitrans {command}: error: the following arguments are required: --manifest\n")
 
 
 class TestRunReport:
@@ -1342,20 +1351,18 @@ class TestManifestKeys:
         for command in ("stats", "census", "transitions", "motifs", "compare"):
             assert main([command, "--manifest", str(manifest), "--out", str(out)]) == 0
 
-    def test_default_section_is_copied_into_every_section(self, tmp_path, capsys):
-        # configparser gives every section the keys of [DEFAULT]
+    def test_default_section_is_an_error(self, tmp_path, capsys):
+        # configparser would lend [DEFAULT]'s keys to every section, [settings] included,
+        # so its width would outrank [settings]' and its seed would land in [a]
         write_network(tmp_path, "n", "a b 1\nb c 12\n")
-        body = "[DEFAULT]\nwidth = 10\ncount = 2\n{extra}\n[settings]\n\n[n1]\npath = n.txt\n"
-        manifest = write_manifest(tmp_path, body.format(extra=""))
         out = tmp_path / "o"
-        assert main(["stats", "--manifest", str(manifest), "--out", str(out)]) == 0
-        assert len(read_rows(out / "n1.stats.csv")) == 1 + 2
-        capsys.readouterr()
-        # so a [settings]-only key there lands in every network section too
-        manifest = write_manifest(tmp_path, body.format(extra="seed = 3\n"))
-        assert main(["stats", "--manifest", str(manifest), "--out", str(out)]) == 2
-        assert capsys.readouterr().err == \
-            f"error: manifest {manifest} [n1]: 'seed' belongs in [settings]\n"
+        for default in ("width = 3\n", "seed = 3\n", ""):
+            manifest = write_manifest(
+                tmp_path, f"[DEFAULT]\n{default}\n[settings]\nwidth = 10\ncount = 2\n\n[a]\npath = n.txt\n")
+            assert main(["stats", "--manifest", str(manifest), "--out", str(out)]) == 2
+            assert capsys.readouterr().err == \
+                f"error: manifest {manifest} [DEFAULT]: defaults belong in [settings]\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("value, expected", [("off", False), ("Yes", True), (None, False)])
     def test_relative_rescale_setting_and_flag(self, toy_run, value, expected):

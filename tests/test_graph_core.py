@@ -343,6 +343,10 @@ class TestParseMatchesLoopOracle:
             assert _outcome(lambda: parse_edge_list(text, sep)) == expected
             source = io.BytesIO(text.encode("utf-8"))
             assert _outcome(lambda: parse_edge_list(source, sep)) == expected
+            # a text-mode file is read in characters; a list of lines is joined first
+            source = io.StringIO(text, newline="")
+            assert _outcome(lambda: parse_edge_list(source, sep)) == expected
+            assert _outcome(lambda: parse_edge_list(text.splitlines(), sep)) == expected
 
 
 class TestSnapshots:
