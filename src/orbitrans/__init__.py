@@ -25,10 +25,10 @@ _EXPORTS = {
                    "characteristic_path_length", "clustering_coefficient", "final_aggregate_graph",
                    "parse_edge_list"),
     "metrics": ("fingerprint_distance", "gda_matrix", "motif_distance_matrix", "ota_matrix",
-                "ota_pair", "relative_rescale"),
+                "ota_pair", "relative_rescale", "row_normalize"),
     "nullmodel": ("degree_preserving_randomize", "ensemble_frequencies", "randomized_replicates"),
     "transitions": ("OrbitTransitionMatrix", "accumulate_series", "discretize",
-                    "enumerate_transitions", "row_normalize"),
+                    "enumerate_transitions"),
     "tree": ("cut_clusters", "hierarchical_cluster"),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}

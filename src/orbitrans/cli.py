@@ -35,7 +35,8 @@ Manifest values take precedence over flags, so a manifest fully
 determines a run; flags fill in whatever the manifest leaves out.
 ``compare --metric ota`` reads back the counts that ``transitions`` wrote
 into the same ``out`` wherever ``transitions.meta.json`` shows them
-current (``_stored_transitions``), and computes the others.
+current (``_stored_transitions``) and computes the others; a run that
+computes none loads no numpy.
 All outputs are written atomically and deterministically: rerunning the
 same manifest reproduces every file byte for byte. After loading each
 network, one line on stderr reports the events read, the self-loops
@@ -63,16 +64,14 @@ from typing import TYPE_CHECKING, Callable, NoReturn, Sequence
 from . import __version__
 from .catalogue import GRAPHLET_CLASSES
 
-# numpy and the modules built on it (graph_core, census, transitions,
-# metrics, the null model) load in the commands that use them: `stats` and
-# `census` never compile transitions, metrics or the null model, and
-# `cluster` runs on the stdlib-only tree module with no numpy at all
+# numpy and the modules built on it (graph_core, census, transitions, the
+# null model) load only in the commands that use them, so `cluster`, and
+# `compare --metric ota` on stored counts, run with no numpy at all
 if TYPE_CHECKING:
     import numpy as np
 
     from .census import OrbitFrequencyMatrix
     from .graph_core import SnapshotPolicy, SnapshotSeries, StaticGraph, TemporalEdgeList
-    from .transitions import OrbitTransitionMatrix
 
 
 class CliError(Exception):
@@ -503,9 +502,9 @@ def _read_json_object(path: Path) -> dict:
     return obj if isinstance(obj, dict) else {}
 
 
-def _stored_transitions(run: RunConfig, net: NetworkSpec, meta: dict) -> OrbitTransitionMatrix | None:
-    """The counts ``transitions`` wrote for ``net``, where ``meta`` (its
-    meta file's object) shows them current; else None.
+def _stored_transitions(run: RunConfig, net: NetworkSpec, meta: dict) -> list[list[int]] | None:
+    """The transition counts ``transitions`` wrote for ``net``, a list of
+    rows, where ``meta`` (its meta file's object) shows them current; else None.
 
     They are current where ``meta`` has this tool version and ``k`` and a
     record of ``net`` with this run's input path, ``sep`` and snapshot
@@ -514,10 +513,6 @@ def _stored_transitions(run: RunConfig, net: NetworkSpec, meta: dict) -> OrbitTr
     network's stderr line is then printed from the record's load counts.
     """
     import hashlib
-
-    import numpy as np
-
-    from .transitions import OrbitTransitionMatrix
 
     networks = meta.get("networks")
     entry = networks.get(net.name) if isinstance(networks, dict) else None
@@ -537,16 +532,11 @@ def _stored_transitions(run: RunConfig, net: NetworkSpec, meta: dict) -> OrbitTr
             entry.get("input_sha256"), entry.get("product_sha256")):
         return None
     product = json.loads(data)
-    t = OrbitTransitionMatrix(
-        product["k"],
-        np.array(product["counts"], dtype=np.int64),
-        np.array(list(product["dissolved"].values()), dtype=np.int64),
-        product["pairs_processed"],
-    )
-    if t.total_node_transitions() != product["total_node_transitions"]:
+    counts = product["counts"]
+    if sum(map(sum, counts)) + sum(product["dissolved"].values()) != product["total_node_transitions"]:
         return None
     _report_load(net, entry)
-    return t
+    return counts
 
 
 def _network_motifs(run: RunConfig, net: NetworkSpec) -> tuple[dict, dict, np.ndarray]:
@@ -665,7 +655,7 @@ def cmd_transitions(args: argparse.Namespace) -> int:
                 "k": t.k,
                 "pairs_processed": t.pairs_processed,
                 "counts": t.counts.tolist(),
-                "normalized": normalized.tolist(),
+                "normalized": normalized,
                 "fingerprint": [list(row) for row in fp],
                 "dissolved": {str(a + 1): int(c) for a, c in enumerate(t.dissolved)},
                 "total_node_transitions": t.total_node_transitions(),
@@ -699,9 +689,7 @@ def cmd_motifs(args: argparse.Namespace) -> int:
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
-    from .census import compute_gdd, compute_orbit_frequencies
     from .metrics import gda_matrix, hierarchical_cluster, motif_distance_matrix, ota_matrix
-    from .transitions import accumulate_series
 
     metric = _read("metric", args)
     run = load_run_config(args)
@@ -712,11 +700,16 @@ def cmd_compare(args: argparse.Namespace) -> int:
     gda_ks = (run.k, 3) if run.gda_include_k3 else (run.k,)
     stored = _read_json_object(run.out / TRANSITIONS_META) if metric == "ota" else {}
 
-    def ota_worker(net: NetworkSpec):
-        t = _stored_transitions(run, net, stored)
-        return accumulate_series(_network_series(net)[1], run.k) if t is None else t
+    def ota_worker(net: NetworkSpec) -> list[list[int]]:
+        if (counts := _stored_transitions(run, net, stored)) is not None:
+            return counts
+        from .transitions import accumulate_series
+
+        return accumulate_series(_network_series(net)[1], run.k).counts.tolist()
 
     def gdd_worker(net: NetworkSpec):
+        from .census import compute_gdd, compute_orbit_frequencies
+
         g = _network_final_graph(net)
         return [
             compute_gdd(compute_orbit_frequencies(g, k), run.gdd_scaling)[1]

@@ -1,42 +1,44 @@
 """Pairwise network comparison metrics and hierarchical grouping.
 
-Three comparison routes ship here:
+Three comparison routes ship here: GDA, the agreement between
+graphlet-degree distributions (per-orbit scores averaged, in [0, 1]);
+OTA, the agreement between orbit-transition matrices rescaled cell by cell
+across the network set; and motif distance, the Euclidean distance between
+the graphlet classes' normalized over/under-representation scores versus a
+degree-preserving random ensemble.
 
-* GDA — agreement between graphlet-degree distributions, one score per
-  orbit averaged into a single value in [0, 1];
-* OTA — agreement between orbit-transition matrices, after per-cell
-  rescaling relative to the whole network set;
-* motif-fingerprint distance — Euclidean distance between normalized
-  over/under-representation scores of the graphlet classes versus a
-  degree-preserving random ensemble.
-
-Each all-pairs builder checks its input and fills the matrix through
+Each all-pairs builder fills its matrix, a list of N rows, through
 ``_all_pairs``, which scores every pair i <= j once and mirrors it, so the
 matrix is exactly symmetric and its diagonal is a network's score against
-itself. A matrix, agreement or distance, can be turned into a merge tree
-with the deterministic agglomerative clusterer of ``tree``
-(``hierarchical_cluster``, re-exported here), which tells the two apart
-by the diagonal: 0 for a distance, positive for an agreement.
+itself; ``tree.hierarchical_cluster`` (re-exported here) makes it a tree.
+
+OTA needs only the standard library (numpy loads in the motif functions
+alone), so ``compare --metric ota`` on stored counts runs without numpy.
+Its values are numpy's bit for bit: a count divides as ``float(c) /
+float(s)``, and ``ota_pair`` sums in numpy's pairwise order.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable, Literal, Mapping, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Literal, Mapping, Sequence
 
 from .catalogue import GRAPHLET_CLASSES
-from .transitions import OrbitTransitionMatrix, row_normalize
+from .tree import _pairwise_sum, _shape
 # the clusterer lives in the stdlib-only tree module; compare reaches it here
 from .tree import cut_clusters, hierarchical_cluster  # noqa: F401
 
+if TYPE_CHECKING:
+    import numpy as np
+
+    from .transitions import OrbitTransitionMatrix
+
+Matrix = list[list[float]]
 OtaScaling = Literal["normalized", "per_orbit"]
 
 
-def gda_orbit_scores(
-    gdd_a: Sequence[Mapping[int, float]], gdd_b: Sequence[Mapping[int, float]]
-) -> list[float]:
+def gda_orbit_scores(gdd_a: Sequence[Mapping[int, float]],
+                     gdd_b: Sequence[Mapping[int, float]]) -> list[float]:
     """Per-orbit agreement between two networks' normalized degree
     distributions, one mapping per orbit (``compute_gdd(...)[1]``).
 
@@ -56,11 +58,9 @@ def gda_orbit_scores(
     return scores
 
 
-def _all_pairs(
-    names: Sequence[str], items: Sequence, what: str,
-    score: Callable[[object, object], float], prepare: Callable[[list], list] = list,
-) -> np.ndarray:
-    """The (N, N) ``score`` over every pair of ``prepare(items)``, one item per name.
+def _all_pairs(names: Sequence[str], items: Sequence, what: str, score: Callable[[object, object], float],
+               prepare: Callable[[list], list] = list) -> Matrix:
+    """The N rows of ``score`` over every pair of ``prepare(items)``, one item per name.
 
     Each pair i <= j is scored once and mirrored; the diagonal is an
     item's score against itself.
@@ -71,14 +71,14 @@ def _all_pairs(
         raise ValueError("need at least 2 networks to compare")
     items = prepare(items)
     n = len(names)
-    values = np.empty((n, n))
+    values = [[0.0] * n for _ in range(n)]
     for i in range(n):
         for j in range(i, n):
-            values[i, j] = values[j, i] = score(items[i], items[j])
+            values[i][j] = values[j][i] = score(items[i], items[j])
     return values
 
 
-def gda_matrix(names: Sequence[str], gdds: Sequence[Sequence[Sequence[Mapping[int, float]]]]) -> np.ndarray:
+def gda_matrix(names: Sequence[str], gdds: Sequence[Sequence[Sequence[Mapping[int, float]]]]) -> Matrix:
     """All-pairs GDA over a network set.
 
     ``gdds[i]`` holds one or more normalized degree distributions for
@@ -93,22 +93,44 @@ def gda_matrix(names: Sequence[str], gdds: Sequence[Sequence[Sequence[Mapping[in
     return _all_pairs(names, gdds, "GDD bundle", pooled)
 
 
-def relative_rescale(matrices: Sequence[np.ndarray]) -> list[np.ndarray]:
-    """Rescale each cell to [0, 1] relative to its spread across the set.
+def row_normalize(t: OrbitTransitionMatrix | Sequence) -> Matrix:
+    """The row-stochastic rows of a transition matrix or of its (m, m) counts:
+    each row divided by its sum, rows of an unseen source orbit staying zero.
+    Dissolved counts live outside the matrix and do not enter the sum.
+    """
+    normalized = []
+    for row in getattr(t, "counts", t):
+        total = float(sum(row))
+        normalized.append([float(c) / total for c in row] if total > 0 else [0.0] * len(row))
+    return normalized
+
+
+def _common_shape(matrices: Sequence) -> tuple[int, ...]:
+    """The shape all of ``matrices`` have; a ValueError names the first that differs."""
+    shape = _shape(matrices[0])
+    for m in matrices[1:]:
+        if _shape(m) != shape:
+            raise ValueError(f"matrix shapes differ: {shape} vs {_shape(m)}")
+    return shape
+
+
+def relative_rescale(matrices: Sequence) -> list[Matrix]:
+    """Rescale each cell of the (m, m) matrices to [0, 1] relative to its spread across the set.
 
     Cells with no spread (identical in every network) map to 0 — they
     carry no discriminative signal.
     """
     if len(matrices) < 2:
         raise ValueError("need at least 2 networks to rescale")
-    stack = np.stack([np.asarray(m, dtype=np.float64) for m in matrices])
-    lo = stack.min(axis=0)
-    span = stack.max(axis=0) - lo
-    out = np.divide(stack - lo, span, out=np.zeros_like(stack), where=span > 0)
-    return [out[i] for i in range(len(matrices))]
+    width = _common_shape(matrices)[-1]
+    columns = []  # one per cell, across the set
+    for cell in zip(*([float(x) for row in m for x in row] for m in matrices)):
+        lo, span = min(cell), max(cell) - min(cell)
+        columns.append([(x - lo) / span for x in cell] if span > 0 else [0.0] * len(cell))
+    return [[list(flat[i:i + width]) for i in range(0, len(flat), width)] for flat in zip(*columns)]
 
 
-def ota_pair(m1: np.ndarray, m2: np.ndarray, ota_scaling: OtaScaling = "normalized") -> float:
+def ota_pair(m1, m2, ota_scaling: OtaScaling = "normalized") -> float:
     """Orbit-transition agreement between two (rescaled) matrices.
 
     The sum of 1 - |m1 - m2| over the |O| x |O| cells is divided by |O|^2
@@ -117,39 +139,30 @@ def ota_pair(m1: np.ndarray, m2: np.ndarray, ota_scaling: OtaScaling = "normaliz
     """
     if ota_scaling not in ("normalized", "per_orbit"):
         raise ValueError(f"unknown ota_scaling {ota_scaling!r}: expected 'normalized' or 'per_orbit'")
-    m1 = np.asarray(m1, dtype=np.float64)
-    m2 = np.asarray(m2, dtype=np.float64)
-    if m1.shape != m2.shape:
-        raise ValueError(f"matrix shapes differ: {m1.shape} vs {m2.shape}")
-    total = np.sum(1.0 - np.abs(m1 - m2))
-    n_orbits = m1.shape[0]
-    if ota_scaling == "per_orbit":
-        return float(total / n_orbits)
-    return float(total / n_orbits**2)
+    _common_shape((m1, m2))
+    cells = [1.0 - abs(float(a) - float(b)) for r1, r2 in zip(m1, m2) for a, b in zip(r1, r2)]
+    scale = len(m1) if ota_scaling == "per_orbit" else len(m1) ** 2
+    return _pairwise_sum(cells, 0, len(cells)) / scale
 
 
-def ota_matrix(
-    names: Sequence[str],
-    transition_matrices: Sequence[OrbitTransitionMatrix],
-    ota_scaling: OtaScaling = "normalized",
-    rescale: bool = True,
-) -> np.ndarray:
-    """All-pairs OTA: row-normalize, rescale each cell across the set if
-    ``rescale``, compare under ``ota_scaling`` (``ota_pair``)."""
+def ota_matrix(names: Sequence[str], transition_matrices: Sequence[OrbitTransitionMatrix | Sequence],
+               ota_scaling: OtaScaling = "normalized", rescale: bool = True) -> Matrix:
+    """All-pairs OTA over transition matrices or their counts: row-normalize,
+    rescale each cell across the set if ``rescale``, compare under
+    ``ota_scaling`` (``ota_pair``). Matrices of two shapes (k = 3 and
+    k = 4) are a ValueError naming both, rescaled or not."""
 
-    def prepare(ts: list[OrbitTransitionMatrix]) -> list[np.ndarray]:
+    def prepare(ts: list) -> list[Matrix]:
         normalized = [row_normalize(t) for t in ts]
+        _common_shape(normalized)
         return relative_rescale(normalized) if rescale else normalized
 
     return _all_pairs(names, transition_matrices, "transition matrix",
                       lambda a, b: ota_pair(a, b, ota_scaling), prepare)
 
 
-def motif_scores_from_counts(
-    real_counts: Sequence[int],
-    ensemble_means: Sequence[float],
-    k: int = 4,
-) -> np.ndarray:
+def motif_scores_from_counts(real_counts: Sequence[int], ensemble_means: Sequence[float],
+                             k: int = 4) -> np.ndarray:
     """The motif fingerprint: over/under-representation of each graphlet
     class versus an ensemble, a float64 array in canonical class order.
 
@@ -158,6 +171,8 @@ def motif_scores_from_counts(
     when both are zero; the vector is then scaled to unit Euclidean norm
     (skipped if every score is zero).
     """
+    import numpy as np
+
     classes = GRAPHLET_CLASSES[k]
     if len(real_counts) != len(classes) or len(ensemble_means) != len(classes):
         raise ValueError(f"expected {len(classes)} class entries for k={k}")
@@ -178,11 +193,13 @@ def fingerprint_distance(f1: np.ndarray, f2: np.ndarray) -> float:
     Each k has its own number of classes (2 for k=3, 6 for k=4), so two
     fingerprints of different shape cover different class sets.
     """
+    import numpy as np
+
     if np.shape(f1) != np.shape(f2):
         raise ValueError("fingerprints cover different class sets")
     return float(np.linalg.norm(np.subtract(f1, f2)))
 
 
-def motif_distance_matrix(names: Sequence[str], fingerprints: Sequence[np.ndarray]) -> np.ndarray:
+def motif_distance_matrix(names: Sequence[str], fingerprints: Sequence[np.ndarray]) -> Matrix:
     """All-pairs Euclidean distances between motif fingerprints."""
     return _all_pairs(names, fingerprints, "fingerprint", fingerprint_distance)

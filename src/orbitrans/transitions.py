@@ -28,6 +28,7 @@ import numpy as np
 
 from .census import GRAPHLET_CLASSES, _orbit_counts, _orbit_slots, _pair_blocks, orbit_count
 from .graph_core import SnapshotSeries, StaticGraph
+from .metrics import row_normalize  # noqa: F401  (one copy, for the products and OTA alike)
 
 FINGERPRINT_LABELS = ("Rare", "Common", "Frequent")
 
@@ -171,17 +172,6 @@ def _check_carried(carried: np.ndarray, found: np.ndarray, start: int, pair: int
         raise RuntimeError(
             f"snapshot pair {pair}->{pair + 1}: the orbit totals of snapshot {at}, carried "
             f"from snapshot {start}, disagree with {what} ({carried.tolist()} vs {found.tolist()})")
-
-
-def row_normalize(t: OrbitTransitionMatrix) -> np.ndarray:
-    """The (m, m) float64 row-stochastic matrix: each row divided by its sum,
-    rows of an unseen source orbit staying zero.
-
-    Dissolved counts do not enter the denominator — they live outside the
-    matrix.
-    """
-    sums = t.counts.sum(axis=1, keepdims=True)
-    return np.divide(t.counts, sums, out=np.zeros_like(t.counts, dtype=np.float64), where=sums > 0)
 
 
 def discretize(values: np.ndarray) -> tuple[tuple[str, ...], ...]:

@@ -13,8 +13,10 @@ comes from neighbour sets built from ``g.edges()`` (not the CSR
 lookups), null-model swaps draw each proposal with three scalar calls
 (not in chunks), and edge lists are parsed and binned one line and one
 event at a time in Python (not by numpy tokenizing and binning).
-Agreement formulas are re-implemented directly, and the merge tree by the
-package's earlier numpy clusterer (not the pure-Python one in tree.py).
+Agreement formulas are re-implemented directly, the merge tree by the
+package's earlier numpy clusterer (not the pure-Python one in tree.py),
+and OTA by the package's earlier numpy arithmetic (not the lists of
+metrics.py).
 """
 
 from __future__ import annotations
@@ -524,6 +526,67 @@ def numpy_hierarchical_cluster(names, values: np.ndarray, linkage: str = "averag
         clusters = [c for idx, c in enumerate(clusters) if idx not in (i, j)]
         clusters.append(a | b)
     return merges
+
+
+# the OTA reference: the package's earlier numpy path, not metrics.py's lists
+def numpy_row_normalize(t) -> np.ndarray:
+    """The (m, m) float64 row-stochastic matrix: each row divided by its sum,
+    rows of an unseen source orbit staying zero.
+
+    Dissolved counts do not enter the denominator — they live outside the
+    matrix.
+    """
+    sums = t.counts.sum(axis=1, keepdims=True)
+    return np.divide(t.counts, sums, out=np.zeros_like(t.counts, dtype=np.float64), where=sums > 0)
+
+
+def numpy_relative_rescale(matrices) -> list[np.ndarray]:
+    """Rescale each cell to [0, 1] relative to its spread across the set.
+
+    Cells with no spread (identical in every network) map to 0 — they
+    carry no discriminative signal.
+    """
+    if len(matrices) < 2:
+        raise ValueError("need at least 2 networks to rescale")
+    stack = np.stack([np.asarray(m, dtype=np.float64) for m in matrices])
+    lo = stack.min(axis=0)
+    span = stack.max(axis=0) - lo
+    out = np.divide(stack - lo, span, out=np.zeros_like(stack), where=span > 0)
+    return [out[i] for i in range(len(matrices))]
+
+
+def numpy_ota_pair(m1: np.ndarray, m2: np.ndarray, ota_scaling: str = "normalized") -> float:
+    """Orbit-transition agreement between two (rescaled) matrices.
+
+    The sum of 1 - |m1 - m2| over the |O| x |O| cells is divided by |O|^2
+    under ``"normalized"``, so identical matrices score 1, and by |O| under
+    ``"per_orbit"``, so identical 11x11 matrices score 11.
+    """
+    if ota_scaling not in ("normalized", "per_orbit"):
+        raise ValueError(f"unknown ota_scaling {ota_scaling!r}: expected 'normalized' or 'per_orbit'")
+    m1 = np.asarray(m1, dtype=np.float64)
+    m2 = np.asarray(m2, dtype=np.float64)
+    if m1.shape != m2.shape:
+        raise ValueError(f"matrix shapes differ: {m1.shape} vs {m2.shape}")
+    total = np.sum(1.0 - np.abs(m1 - m2))
+    n_orbits = m1.shape[0]
+    if ota_scaling == "per_orbit":
+        return float(total / n_orbits)
+    return float(total / n_orbits**2)
+
+
+def numpy_ota_matrix(names, transition_matrices, ota_scaling: str = "normalized",
+                     rescale: bool = True) -> np.ndarray:
+    """All-pairs OTA: row-normalize, rescale each cell across the set if
+    ``rescale``, compare under ``ota_scaling`` (``numpy_ota_pair``)."""
+    normalized = [numpy_row_normalize(t) for t in transition_matrices]
+    items = numpy_relative_rescale(normalized) if rescale else normalized
+    n = len(names)
+    values = np.empty((n, n))
+    for i in range(n):
+        for j in range(i, n):
+            values[i, j] = values[j, i] = numpy_ota_pair(items[i], items[j], ota_scaling)
+    return values
 
 
 # ---------------------------------------------------------------------------

@@ -243,7 +243,7 @@ def test_two_synthetic_families_are_grouped_apart():
             series = build_snapshots(tel, SnapshotPolicy("active", 10, 6, origin=0))
             names.append(f"rand{i}")
             mats.append(accumulate_series(series, 4))
-        v = ota_matrix(names, mats)
+        v = np.asarray(ota_matrix(names, mats))
         intra = np.mean(
             [v[i, j] for i in range(10) for j in range(10)
              if i != j and (i < 5) == (j < 5)]
@@ -294,6 +294,7 @@ def _timed_lattice_text(rng, closure: bool) -> str:
 def _within_and_cross(values: np.ndarray, half: int) -> tuple[float, float]:
     """Mean score of pairs in one category and of pairs across the two."""
     n = 2 * half
+    values = np.asarray(values)
     within = np.mean([values[i, j] for i in range(n) for j in range(n)
                       if i != j and (i < half) == (j < half)])
     return within, np.mean(values[:half, half:])
@@ -371,6 +372,7 @@ def _within_share(values: np.ndarray, half: int, agreement: bool) -> float:
     """Share of (within pair, cross pair) comparisons in which the within
     pair is more alike (higher agreement, or smaller distance); ties count half."""
     i, j = np.triu_indices(2 * half, 1)
+    values = np.asarray(values)
     score = values[i, j] if agreement else -values[i, j]
     same = (i < half) == (j < half)
     diff = score[same][:, None] - score[~same][None, :]

@@ -251,7 +251,7 @@ class TestCompare:
             tel = parse_edge_list((manifest.parent / f"{name}.txt").read_text())
             series = build_snapshots(tel, SnapshotPolicy(mode, width=10, count=3))
             mats.append(accumulate_series(series, 4))
-        assert values == pytest.approx(ota_matrix(["densify", "churn"], mats))
+        assert values == pytest.approx(np.asarray(ota_matrix(["densify", "churn"], mats)))
 
         tree = json.loads((out / "compare_ota.tree.json").read_text())
         assert len(tree) == 1
@@ -654,7 +654,7 @@ class TestManifestK:
             mats.append(accumulate_series(series, 3))
         names, got = read_similarity_csv(out / "compare_ota.csv")
         assert names == ("densify", "churn")
-        assert got == pytest.approx(ota_matrix(["densify", "churn"], mats))
+        assert got == pytest.approx(np.asarray(ota_matrix(["densify", "churn"], mats)))
         assert json.loads((out / "compare_ota.meta.json").read_text())["k"] == 3
 
         assert main(["motifs", "--manifest", str(manifest), "--out", str(out)]) == 0
@@ -693,7 +693,7 @@ class TestManifestK:
             [compute_gdd(compute_orbit_frequencies(final_aggregate_graph(parse_edge_list(t)), 3))[1]]
             for t in texts.values()
         ]
-        expected = gda_matrix(list(texts), gdds)
+        expected = np.asarray(gda_matrix(list(texts), gdds))
         assert expected[0, 1] < 1.0
         _names, got = read_similarity_csv(out / "compare_gda.csv")
         assert got == pytest.approx(expected)
@@ -1162,6 +1162,18 @@ class TestModuleLoading:
                                            "orbitrans.tree"]
         assert json.loads((tmp_path / "cluster.tree.json").read_text()) == hierarchical_cluster(
             *read_similarity_csv(matrix))
+
+    def test_compare_ota_on_stored_counts_runs_without_numpy(self, tmp_path):
+        manifest = ["--manifest", str(DATA / "manifest.ini")]
+        stored, fresh = tmp_path / "stored", tmp_path / "fresh"
+        assert main(["transitions", *manifest, "--out", str(stored)]) == 0
+        compare = ["compare", "--metric", "ota", *manifest]
+        assert self.loaded_after([*compare, "--out", str(stored)]) == [
+            "orbitrans", "orbitrans.catalogue", "orbitrans.cli", "orbitrans.metrics", "orbitrans.tree"]
+        # with no stored counts in its --out, compare computes them, with numpy
+        assert main([*compare, "--out", str(fresh)]) == 0
+        for name in ("compare_ota.csv", "compare_ota.tree.json", "compare_ota.meta.json"):
+            assert (stored / name).read_bytes() == (fresh / name).read_bytes(), name
 
 
 class TestGoldenFiles:

@@ -4,6 +4,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from orbitrans.census import (
     OrbitFrequencyMatrix,
@@ -26,7 +28,15 @@ from orbitrans.metrics import (
 )
 from orbitrans.transitions import OrbitTransitionMatrix, row_normalize
 from orbitrans.tree import _pairwise_sum
-from oracles import formula_gda, formula_ota, gnp_graph, numpy_hierarchical_cluster, scipy_merges
+from oracles import (
+    formula_gda,
+    formula_ota,
+    gnp_graph,
+    numpy_hierarchical_cluster,
+    numpy_ota_matrix,
+    numpy_row_normalize,
+    scipy_merges,
+)
 
 
 def random_fr(rng, n=20, m=11, high=6):
@@ -101,7 +111,7 @@ class TestGda:
             compute_gdd(OrbitFrequencyMatrix(k=3, counts=rng.integers(0, 5, size=(20, 3))))[1]
             for _ in range(3)
         ]
-        sim = gda_matrix(["a", "b", "c"], list(zip(g4, g3)))
+        sim = np.asarray(gda_matrix(["a", "b", "c"], list(zip(g4, g3))))
         assert sim.shape == (3, 3) and sim.dtype == np.float64
         assert np.allclose(sim, sim.T)
         assert np.allclose(np.diag(sim), 1.0)
@@ -113,11 +123,11 @@ class TestGda:
 class TestRelativeRescale:
     def test_three_values(self):
         mats = [np.full((2, 2), v) for v in (0.2, 0.6, 1.0)]
-        out = relative_rescale(mats)
+        out = [np.asarray(m) for m in relative_rescale(mats)]
         assert [m[0, 0] for m in out] == pytest.approx([0.0, 0.5, 1.0])
 
     def test_constant_cell_maps_to_zero(self):
-        out = relative_rescale([np.full((2, 2), 0.4), np.full((2, 2), 0.4)])
+        out = [np.asarray(m) for m in relative_rescale([np.full((2, 2), 0.4), np.full((2, 2), 0.4)])]
         assert all(np.all(m == 0.0) for m in out)
 
     def test_extremes_attained(self):
@@ -180,7 +190,7 @@ class TestOta:
         rng = np.random.default_rng(41)
         t1 = random_transition_matrix(rng)
         t2 = random_transition_matrix(rng)
-        sim = ota_matrix(["x", "x2", "y"], [t1, t1, t2])
+        sim = np.asarray(ota_matrix(["x", "x2", "y"], [t1, t1, t2]))
         row = sim[0]
         assert row[1] == max(row[j] for j in (1, 2))
         assert sim[0, 1] == pytest.approx(1.0)
@@ -188,15 +198,15 @@ class TestOta:
     def test_matrix_reorder_permutes(self):
         rng = np.random.default_rng(42)
         ts = [random_transition_matrix(rng) for _ in range(3)]
-        sim = ota_matrix(["a", "b", "c"], ts)
-        sim_rev = ota_matrix(["c", "b", "a"], ts[::-1])
+        sim = np.asarray(ota_matrix(["a", "b", "c"], ts))
+        sim_rev = np.asarray(ota_matrix(["c", "b", "a"], ts[::-1]))
         assert np.allclose(sim, sim_rev[::-1, ::-1])
 
     def test_matrix_equals_manual_pipeline(self):
         rng = np.random.default_rng(43)
         ts = [random_transition_matrix(rng) for _ in range(3)]
-        sim = ota_matrix(["a", "b", "c"], ts)
-        rescaled = relative_rescale([row_normalize(t) for t in ts])
+        sim = np.asarray(ota_matrix(["a", "b", "c"], ts))
+        rescaled = [np.asarray(m) for m in relative_rescale([row_normalize(t) for t in ts])]
         for i in range(3):
             for j in range(3):
                 assert sim[i, j] == pytest.approx(
@@ -206,9 +216,63 @@ class TestOta:
     def test_matrix_without_rescale(self):
         rng = np.random.default_rng(44)
         ts = [random_transition_matrix(rng) for _ in range(2)]
-        sim = ota_matrix(["a", "b"], ts, rescale=False)
-        raw = [row_normalize(t) for t in ts]
+        sim = np.asarray(ota_matrix(["a", "b"], ts, rescale=False))
+        raw = [np.asarray(row_normalize(t)) for t in ts]
         assert sim[0, 1] == pytest.approx(formula_ota(raw[0], raw[1]), abs=1e-12)
+
+
+@st.composite
+def count_sets(draw):
+    """2-9 networks' k = 3 or k = 4 transition counts up to 10**12, as lists of rows, some rows all zero."""
+    m = draw(st.sampled_from((3, 11)))
+    row = st.just([0] * m) | st.lists(st.integers(0, 10**12), min_size=m, max_size=m)
+    return draw(st.lists(st.lists(row, min_size=m, max_size=m), min_size=2, max_size=9))
+
+
+def as_transition_matrix(counts) -> OrbitTransitionMatrix:
+    m = len(counts)
+    return OrbitTransitionMatrix(k=3 if m == 3 else 4, counts=np.array(counts, dtype=np.int64),
+                                 dissolved=np.zeros(m, dtype=np.int64), pairs_processed=1)
+
+
+class TestListOta:
+    """The list OTA gives the earlier numpy OTA's values bit for bit."""
+
+    @staticmethod
+    def assert_same_as_numpy(counts, ota_scaling, rescale):
+        names = [f"n{i}" for i in range(len(counts))]
+        ts = [as_transition_matrix(c) for c in counts]
+        expected = numpy_ota_matrix(names, ts, ota_scaling, rescale).tolist()
+        # == on lists of floats: exact, not approx
+        assert [row_normalize(c) for c in counts] == [numpy_row_normalize(t).tolist() for t in ts]
+        assert ota_matrix(names, counts, ota_scaling, rescale) == expected
+        assert ota_matrix(names, ts, ota_scaling, rescale) == expected
+
+    @settings(max_examples=100, deadline=None)
+    @given(counts=count_sets(), ota_scaling=st.sampled_from(("normalized", "per_orbit")),
+           rescale=st.booleans())
+    def test_same_values_as_numpy(self, counts, ota_scaling, rescale):
+        self.assert_same_as_numpy(counts, ota_scaling, rescale)
+
+    @pytest.mark.parametrize("rescale", [True, False])
+    @pytest.mark.parametrize("ota_scaling", ["normalized", "per_orbit"])
+    def test_counts_above_two_to_the_53(self, ota_scaling, rescale):
+        # float(c) / float(s), as numpy divides, and not c / s, which rounds the exact quotient
+        rng = np.random.default_rng(49)
+        counts = [rng.integers(2**53, 2**58, size=(11, 11)).tolist() for _ in range(4)]
+        row = counts[0][0]
+        assert [c / sum(row) for c in row] != [float(c) / float(sum(row)) for c in row]
+        self.assert_same_as_numpy(counts, ota_scaling, rescale)
+
+    @pytest.mark.parametrize("rescale", [True, False])
+    def test_mixed_orbit_counts_are_one_error(self, rescale):
+        rng = np.random.default_rng(50)
+        ts = [random_transition_matrix(rng, m=3), random_transition_matrix(rng), random_transition_matrix(rng)]
+        message = re.escape("matrix shapes differ: (3, 3) vs (11, 11)")
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            ota_matrix(["a", "b", "c"], ts, rescale=rescale)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            relative_rescale([t.counts for t in ts])
 
 
 class TestMotifScores:
@@ -278,7 +342,7 @@ class TestFingerprintDistance:
             motif_scores_from_counts(list(rng.integers(0, 30, 6)), list(rng.random(6) * 30))
             for _ in range(3)
         ]
-        sim = motif_distance_matrix(["a", "b", "c"], fps)
+        sim = np.asarray(motif_distance_matrix(["a", "b", "c"], fps))
         assert sim.shape == (3, 3) and sim.dtype == np.float64
         assert np.allclose(np.diag(sim), 0.0)
         assert np.allclose(sim, sim.T)
@@ -318,7 +382,7 @@ class TestMatrixBuilders:
         # one network is rejected by the builder, not later by relative_rescale
         with pytest.raises(ValueError, match="at least 2 networks to compare"):
             build(["a"], items[:1], **options)
-        sim = build(["a", "b", "c", "d"], items, **options)
+        sim = np.asarray(build(["a", "b", "c", "d"], items, **options))
         # exact, as read_similarity_csv requires of the written matrix
         assert np.array_equal(sim, sim.T)
         assert np.all(np.diag(sim) == diagonal)

@@ -506,7 +506,7 @@ class TestNormalization:
         t = OrbitTransitionMatrix(
             k=4, counts=counts, dissolved=np.zeros(11, dtype=np.int64), pairs_processed=1
         )
-        nt = row_normalize(t)
+        nt = np.asarray(row_normalize(t))
         assert nt[0, :4] == pytest.approx([0.5, 0.25, 0.25, 0.0])
         assert nt[1:].sum() == 0.0
 
@@ -517,7 +517,7 @@ class TestNormalization:
             series = build_snapshots(
                 parse_edge_list(text), SnapshotPolicy("active", width=10, count=4, origin=0)
             )
-            nt = row_normalize(accumulate_series(series, 4))
+            nt = np.asarray(row_normalize(accumulate_series(series, 4)))
             sums = nt.sum(axis=1)
             for s in sums:
                 assert s == pytest.approx(0.0, abs=1e-12) or s == pytest.approx(
@@ -530,8 +530,8 @@ class TestNormalization:
         gone = StaticGraph(4, [(0, 1), (2, 3)])
         survived = enumerate_transitions(square, half, 4)
         dissolved = enumerate_transitions(square, gone, 4)
-        nt_s = row_normalize(survived)
-        nt_d = row_normalize(dissolved)
+        nt_s = np.asarray(row_normalize(survived))
+        nt_d = np.asarray(row_normalize(dissolved))
         assert nt_s[4].sum() == pytest.approx(1.0)
         # every group dissolved: the row stays zero instead of normalizing
         assert nt_d[4].sum() == 0.0
