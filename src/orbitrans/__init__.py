@@ -15,7 +15,7 @@ __version__ = "0.1.0"
 # Each public name under the module that defines it. A module loads on the
 # first use of one of its names, so a subcommand compiles and runs only the
 # modules it needs: `census` and `stats` never load transitions, metrics or
-# the null model, and `cluster` loads the clusterer alone, without numpy.
+# the null model, and `cluster` loads the comparison layer alone, without numpy.
 _EXPORTS = {
     "catalogue": ("GraphletClass",),
     "census": ("OrbitFrequencyMatrix", "build_classification_table", "compute_gdd",
@@ -24,12 +24,11 @@ _EXPORTS = {
                    "TemporalEdgeList", "average_degree", "build_snapshots",
                    "characteristic_path_length", "clustering_coefficient", "final_aggregate_graph",
                    "parse_edge_list"),
-    "metrics": ("fingerprint_distance", "gda_matrix", "motif_distance_matrix", "ota_matrix",
-                "ota_pair", "relative_rescale", "row_normalize"),
+    "metrics": ("cut_clusters", "fingerprint_distance", "gda_matrix", "hierarchical_cluster",
+                "motif_distance_matrix", "ota_matrix", "ota_pair", "relative_rescale", "row_normalize"),
     "nullmodel": ("degree_preserving_randomize", "ensemble_frequencies", "randomized_replicates"),
     "transitions": ("OrbitTransitionMatrix", "accumulate_series", "discretize",
                     "enumerate_transitions"),
-    "tree": ("cut_clusters", "hierarchical_cluster"),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 __all__ = sorted(_HOME)

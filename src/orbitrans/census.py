@@ -569,6 +569,8 @@ def compute_gdd(
             scaled = {d: c / d for d, c in positive.items()}
         else:
             scaled = {d: float(c) for d, c in positive.items()}
-        total = sum(scaled.values())
+        total = 0.0  # a left fold: builtin sum() of floats is compensated from Python 3.12 on
+        for s in scaled.values():
+            total += s
         normalized.append({d: s / total for d, s in scaled.items()})
     return raw, normalized

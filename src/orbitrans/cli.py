@@ -38,7 +38,8 @@ into the same ``out`` wherever ``transitions.meta.json`` shows them
 current (``_stored_transitions``) and computes the others; a run that
 computes none loads no numpy.
 All outputs are written atomically and deterministically: rerunning the
-same manifest reproduces every file byte for byte. After loading each
+same manifest reproduces every file byte for byte. Every text file, read
+or written, is UTF-8 whatever the locale. After loading each
 network, one line on stderr reports the events read, the self-loops
 dropped and (where snapshots are built) the events outside the snapshot
 window; it never enters an output file.
@@ -265,11 +266,11 @@ def load_run_config(args: argparse.Namespace) -> RunConfig:
     # no header names "", so [DEFAULT] is a plain section, which _check_keys rejects
     parser = configparser.ConfigParser(interpolation=None, default_section="")
     try:
-        with open(manifest_path) as fh:
+        with open(manifest_path, encoding="utf-8") as fh:
             parser.read_file(fh)
     except OSError as e:
         raise CliError(f"cannot read manifest {manifest_path}: {e}") from e
-    except configparser.Error as e:
+    except (configparser.Error, UnicodeDecodeError) as e:
         raise CliError(f"manifest {manifest_path}: {e}") from e
     _check_keys(parser, manifest_path)
 
@@ -337,7 +338,7 @@ def write_atomic(path: Path, data: str) -> None:
         path.parent.mkdir(parents=True, exist_ok=True)
         fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f"{path.name}.", suffix=".tmp")
         try:
-            with os.fdopen(fd, "w") as fh:
+            with os.fdopen(fd, "w", encoding="utf-8") as fh:
                 # mkstemp creates the file owner-only; give it the usual umask mode
                 umask = os.umask(0)
                 os.umask(umask)
@@ -745,8 +746,8 @@ def read_similarity_csv(path: Path) -> tuple[tuple[str, ...], list[list[float]]]
     ``hierarchical_cluster`` checks the values.
     """
     try:
-        text = path.read_text()
-    except OSError as e:
+        text = path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as e:
         raise CliError(f"cannot read matrix {path}: {e}") from e
     reader = csv.reader(io.StringIO(text))
     rows = []
@@ -778,7 +779,7 @@ def read_similarity_csv(path: Path) -> tuple[tuple[str, ...], list[list[float]]]
 
 
 def cmd_cluster(args: argparse.Namespace) -> int:
-    from .tree import hierarchical_cluster
+    from .metrics import hierarchical_cluster
 
     path = Path(args.matrix)
     try:

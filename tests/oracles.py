@@ -14,9 +14,8 @@ lookups), null-model swaps draw each proposal with three scalar calls
 (not in chunks), and edge lists are parsed and binned one line and one
 event at a time in Python (not by numpy tokenizing and binning).
 Agreement formulas are re-implemented directly, the merge tree by the
-package's earlier numpy clusterer (not the pure-Python one in tree.py),
-and OTA by the package's earlier numpy arithmetic (not the lists of
-metrics.py).
+package's earlier numpy clusterer and OTA by its earlier numpy
+arithmetic (not the lists of metrics.py).
 """
 
 from __future__ import annotations
@@ -455,7 +454,7 @@ def scipy_merges(dist: np.ndarray, names, method: str):
     return merges
 
 
-# the merge-tree reference: numpy np.ix_ blocks and reductions, not tree.py's lists
+# the merge-tree reference: numpy np.ix_ blocks and reductions, not metrics.py's lists
 def numpy_hierarchical_cluster(names, values: np.ndarray, linkage: str = "average") -> list[dict]:
     """Agglomerative merge sequence for the (N, N) matrix ``values`` over ``names``.
 

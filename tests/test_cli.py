@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import orbitrans
-from orbitrans import census, cli, graph_core, transitions
+from orbitrans import census, cli, graph_core, metrics, transitions
 from orbitrans.cli import (
     CliError,
     build_parser,
@@ -511,6 +511,25 @@ class TestCluster:
         assert main(["cluster", "--matrix", str(bad), "--out", str(tmp_path)]) == 2
         assert f"{bad}: row 'a' has 1 of 2 values" in capsys.readouterr().err
 
+    def test_clusters_through_metrics(self, tmp_path, monkeypatch):
+        # a wrapper installed on metrics.hierarchical_cluster, as the tracer's is, sees the step
+        calls = []
+        clusterer = metrics.hierarchical_cluster
+        monkeypatch.setattr(metrics, "hierarchical_cluster",
+                            lambda *args, **kwargs: calls.append(args) or clusterer(*args, **kwargs))
+        matrix = tmp_path / "m.csv"
+        matrix.write_text("network,a,b,c\na,1,0.5,0.2\nb,0.5,1,0.3\nc,0.2,0.3,1\n")
+        assert main(["cluster", "--matrix", str(matrix), "--out", str(tmp_path)]) == 0
+        assert calls == [(("a", "b", "c"), [[1.0, 0.5, 0.2], [0.5, 1.0, 0.3], [0.2, 0.3, 1.0]])]
+
+    def test_matrix_not_utf8_rejected(self, tmp_path, capsys):
+        bad = tmp_path / "m.csv"
+        bad.write_bytes(b"network,a,zo\xeb\na,1,0.5\nzo\xeb,0.5,1\n")
+        assert main(["cluster", "--matrix", str(bad), "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: cannot read matrix {bad}: 'utf-8' codec "
+                                                  "can't decode byte 0xeb")
+        assert not (tmp_path / "cluster.tree.json").exists()
+
     def test_repeated_network_name_rejected(self, tmp_path, capsys):
         # a tree would merge ["a"] with ["a"] and could not tell them apart
         bad = tmp_path / "m.csv"
@@ -943,6 +962,14 @@ class TestManifestValidation:
                        "both write files named n_x.*\n")
         assert not out.exists()
 
+    def test_manifest_not_utf8(self, tmp_path, capsys):
+        write_network(tmp_path, "n", "a b 1\n")
+        manifest = tmp_path / "manifest.ini"
+        manifest.write_bytes(b"[zo\xeb]\npath = n.txt\n")
+        assert main(["stats", "--manifest", str(manifest), "--out", "o"]) == 2
+        assert capsys.readouterr().err.startswith(f"error: manifest {manifest}: 'utf-8' codec "
+                                                  "can't decode byte 0xeb")
+
     def test_duplicate_sections(self, tmp_path):
         write_network(tmp_path, "n", "a b 1\n")
         manifest = write_manifest(tmp_path, "[x]\npath = n.txt\n\n[x]\npath = n.txt\n")
@@ -1073,13 +1100,14 @@ class TestRunReport:
         assert all("events read" not in f.read_text() for f in out.iterdir())
 
 
-def child(*argv: str, shell: Sequence[str] = ()) -> subprocess.CompletedProcess:
+def child(*argv: str, shell: Sequence[str] = (), env: dict[str, str] | None = None
+          ) -> subprocess.CompletedProcess:
     """A fresh interpreter run on ``argv`` (through the ``shell`` command
     prefix, if given) with this orbitrans importable, stdout and stderr
-    piped and ``PYTHONUNBUFFERED`` unset, so a stream reaches the pipe only
-    where the process flushes it."""
+    piped, ``PYTHONUNBUFFERED`` unset, so a stream reaches the pipe only
+    where the process flushes it, and ``env`` added to the environment."""
     src = str(Path(orbitrans.__file__).parents[1])
-    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"} | (env or {})
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     return subprocess.run([*shell, sys.executable, *argv], env=env, capture_output=True, text=True,
                           timeout=120)
@@ -1159,7 +1187,7 @@ class TestModuleLoading:
         matrix.write_text("network,a,b,c\na,1,0.5,0.2\nb,0.5,1,0.3\nc,0.2,0.3,1\n")
         argv = ["cluster", "--matrix", str(matrix), "--out", str(tmp_path)]
         assert self.loaded_after(argv) == ["orbitrans", "orbitrans.catalogue", "orbitrans.cli",
-                                           "orbitrans.tree"]
+                                           "orbitrans.metrics"]
         assert json.loads((tmp_path / "cluster.tree.json").read_text()) == hierarchical_cluster(
             *read_similarity_csv(matrix))
 
@@ -1169,11 +1197,42 @@ class TestModuleLoading:
         assert main(["transitions", *manifest, "--out", str(stored)]) == 0
         compare = ["compare", "--metric", "ota", *manifest]
         assert self.loaded_after([*compare, "--out", str(stored)]) == [
-            "orbitrans", "orbitrans.catalogue", "orbitrans.cli", "orbitrans.metrics", "orbitrans.tree"]
+            "orbitrans", "orbitrans.catalogue", "orbitrans.cli", "orbitrans.metrics"]
         # with no stored counts in its --out, compare computes them, with numpy
         assert main([*compare, "--out", str(fresh)]) == 0
         for name in ("compare_ota.csv", "compare_ota.tree.json", "compare_ota.meta.json"):
             assert (stored / name).read_bytes() == (fresh / name).read_bytes(), name
+
+
+class TestUtf8Files:
+    def test_ascii_locale_child_writes_what_main_writes(self, tmp_path):
+        # an ASCII locale, with neither locale coercion nor UTF-8 mode to mask it
+        ascii_locale = {"LC_ALL": "C", "PYTHONCOERCECLOCALE": "0"}
+        (tmp_path / "a.txt").write_bytes("Zoë Ana 0\nAna Björn 1\nBjörn Zoë 2\nAna Chloé 3\n".encode())
+        (tmp_path / "b.txt").write_bytes("Zoë Ana 0\nAna Björn 1\nBjörn Eli 2\nEli Zoë 3\n".encode())
+        sections = "[settings]\nwidth = 2\ncount = 2\n\n[{}]\npath = a.txt\n\n[{}]\npath = b.txt\n"
+        # a network's name is the stem of its census files, which an ASCII
+        # file-system encoding cannot hold, so census runs on ASCII names
+        labels, names = tmp_path / "labels.ini", tmp_path / "names.ini"
+        labels.write_bytes(sections.format("alpha", "beta").encode())
+        names.write_bytes(sections.format("zoë", "chloé").encode())
+        outs = {"main": tmp_path / "main", "child": tmp_path / "child"}
+        for how, out in outs.items():
+            for argv in (["census", "--manifest", str(labels)],
+                         ["compare", "--metric", "gda", "--manifest", str(names)],
+                         ["cluster", "--matrix", str(out / "compare_gda.csv")]):
+                argv += ["--out", str(out)]
+                if how == "main":
+                    assert main(argv) == 0
+                else:
+                    proc = child("-X", "utf8=0", "-m", "orbitrans", *argv, env=ascii_locale)
+                    assert proc.returncode == 0, proc.stderr
+        files = sorted(p.name for p in outs["main"].iterdir())
+        assert sorted(p.name for p in outs["child"].iterdir()) == files
+        for name in files:
+            assert (outs["child"] / name).read_bytes() == (outs["main"] / name).read_bytes(), name
+        assert "Björn".encode() in (outs["child"] / "alpha.final.fr.csv").read_bytes()
+        assert "network,zoë,chloé".encode() in (outs["child"] / "compare_gda.csv").read_bytes()
 
 
 class TestGoldenFiles:

@@ -1,5 +1,6 @@
 import json
 import math
+import numbers
 import re
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from orbitrans import census, metrics
 from orbitrans.census import (
     OrbitFrequencyMatrix,
     compute_gdd,
@@ -15,6 +17,7 @@ from orbitrans.census import (
 )
 from orbitrans.graph_core import StaticGraph
 from orbitrans.metrics import (
+    _pairwise_sum,
     cut_clusters,
     fingerprint_distance,
     gda_matrix,
@@ -27,7 +30,6 @@ from orbitrans.metrics import (
     relative_rescale,
 )
 from orbitrans.transitions import OrbitTransitionMatrix, row_normalize
-from orbitrans.tree import _pairwise_sum
 from oracles import (
     formula_gda,
     formula_ota,
@@ -118,6 +120,59 @@ class TestGda:
         # pooled mean over 11 + 3 orbit scores
         pooled = gda_orbit_scores(g4[0], g4[1]) + gda_orbit_scores(g3[0], g3[1])
         assert sim[0, 1] == pytest.approx(sum(pooled) / 14)
+
+
+def compensated_sum(items, start=0):
+    """Builtin ``sum()`` as Python 3.12 and later compute it: integers
+    exactly, floats with Neumaier's compensated summation."""
+    items = list(items)
+    if all(isinstance(x, numbers.Integral) for x in items):
+        total = start
+        for x in items:
+            total += x
+        return total
+    total, c = float(start), 0.0
+    for x in items:
+        x = float(x)
+        t = total + x
+        c += (total - t) + x if abs(total) >= abs(x) else (x - t) + total
+        total = t
+    return total + c if c and math.isfinite(c) else total
+
+
+def left_fold(items) -> float:
+    """Builtin ``sum()`` of floats as Python 3.10 and 3.11 compute it."""
+    total = 0.0
+    for x in items:
+        total += x
+    return total
+
+
+class TestSummationOrder:
+    """GDD and GDA values do not depend on the interpreter's float ``sum()``."""
+
+    def test_compute_gdd_and_gda_matrix_fold_left(self, monkeypatch):
+        frs = [compute_orbit_frequencies(gnp_graph(np.random.default_rng(seed), 30, 0.2), 4)
+               for seed in range(4)]
+        names = ["a", "b", "c", "d"]
+        # the expected values: each float sum a left fold in input order
+        raws = [compute_gdd(fr)[0] for fr in frs]
+        scaled = [[{d: c / d for d, c in dist.items() if d >= 1} for dist in raw] for raw in raws]
+        gdd_want = [[{d: s / left_fold(sc.values()) for d, s in sc.items()} for sc in net] for net in scaled]
+        scores = [[gda_orbit_scores(a, b) for b in gdd_want] for a in gdd_want]
+        gda_want = [[left_fold(s) / len(s) for s in row] for row in scores]
+        # the test shows something only where the two summations differ on its data
+        assert any(compensated_sum(sc.values()) != left_fold(sc.values()) for net in scaled for sc in net)
+        assert any(compensated_sum(s) != left_fold(s) for row in scores for s in row)
+
+        def run():
+            gdds = [compute_gdd(fr) for fr in frs]
+            return gdds, gda_matrix(names, [[normalized] for _, normalized in gdds])
+
+        unpatched = run()
+        monkeypatch.setattr(census, "sum", compensated_sum, raising=False)
+        monkeypatch.setattr(metrics, "sum", compensated_sum, raising=False)
+        assert run() == unpatched == (list(zip(raws, gdd_want)), gda_want)
 
 
 class TestRelativeRescale:
