@@ -34,9 +34,9 @@ meta files record ``k`` and exactly the settings the run read.
 Manifest values take precedence over flags, so a manifest fully
 determines a run; flags fill in whatever the manifest leaves out.
 ``compare --metric ota`` reads back the counts that ``transitions`` wrote
-into the same ``out`` wherever ``transitions.meta.json`` shows them
-current (``_stored_transitions``) and computes the others; a run that
-computes none loads no numpy.
+into the same ``out``, and ``--metric motif`` the class totals ``motifs``
+recorded, wherever that subcommand's meta file shows them current
+(``_stored_entry``), and computes the others; OTA computing none loads no numpy.
 All outputs are written atomically and deterministically: rerunning the
 same manifest reproduces every file byte for byte. Every text file, read
 or written, is UTF-8 whatever the locale. After loading each
@@ -331,9 +331,14 @@ def fmt(value) -> str:
 
 
 def write_atomic(path: Path, data: str) -> None:
-    """Write ``data`` to ``path`` through a temporary file beside it, so
-    ``path`` never holds part of it; any ``OSError`` is a ``CliError``
-    naming ``path``, and the temporary file is removed on any failure."""
+    """Write ``data`` to ``path`` through a temporary file beside it, so ``path``
+    never holds part of it; any ``OSError``, or a name the file-system encoding cannot
+    hold, is a ``CliError`` naming ``path``; the temporary file is removed on any failure."""
+    try:
+        os.fsencode(path)
+    except UnicodeEncodeError:
+        raise CliError(f"cannot write {path}: the file name cannot be encoded in the "
+                       f"file-system encoding ({sys.getfilesystemencoding()})") from None
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
         fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f"{path.name}.", suffix=".tmp")
@@ -409,20 +414,23 @@ def write_orbit_matrix_csv(path: Path, values) -> None:
     write_csv(path, header, ([a + 1, *row] for a, row in enumerate(values)))
 
 
+def _recorded(reads: Sequence[str]) -> tuple[tuple[str, ...], tuple[str, ...]]:
+    """The run settings, ``k`` first, and the network fields that a meta file records of a run that
+    ``reads`` these settings: its snapshot settings only where the run builds snapshots."""
+    return (("k", *(key for key in reads if key not in ("manifest", "out", "k", *NETWORK_KEYS))),
+            NETWORK_KEYS if "width" in reads else ("path", "sep"))
+
+
 def write_meta(path: Path, run: RunConfig, args: argparse.Namespace, entries: dict | None = None,
                **extra) -> None:
-    """Record the tool version, ``extra``, ``k`` and each other setting the run read;
-    per network, its input and, where the run builds snapshots, its snapshot settings.
+    """Record the tool version, ``extra`` and the run's ``_recorded`` settings and network fields.
 
     ``entries``, if given, maps the networks to record (every network if
     None) to the fields to add to each one's record.
     """
-    reads = _reads(args)
-    meta = {"tool_version": __version__, **extra, "k": run.k}
-    for key in reads:
-        if key not in meta and key not in ("manifest", "out", *NETWORK_KEYS):
-            meta[key] = getattr(run, key)
-    net_keys = NETWORK_KEYS if "width" in reads else ("path", "sep")
+    run_keys, net_keys = _recorded(_reads(args))
+    meta = {"tool_version": __version__, **extra}
+    meta.update((key, getattr(run, key)) for key in run_keys if key not in meta)
     meta["networks"] = {
         net.name: net.record(net_keys) | (entries or {}).get(net.name, {})
         for net in run.networks if entries is None or net.name in entries
@@ -468,13 +476,13 @@ def _network_series(net: NetworkSpec, digest=None) -> tuple[TemporalEdgeList, Sn
     return events, series
 
 
-def _network_final_graph(net: NetworkSpec) -> StaticGraph:
-    """The network's final aggregate graph, which uses every event."""
+def _network_final_graph(net: NetworkSpec, digest=None) -> tuple[TemporalEdgeList, StaticGraph]:
+    """The network's events and final graph, of every event; ``digest`` as ``load_events`` takes it."""
     from .graph_core import final_aggregate_graph
 
-    events = net.load_events()
+    events = net.load_events(digest)
     _report_load(net, _load_counts(events))
-    return final_aggregate_graph(events)
+    return events, final_aggregate_graph(events)
 
 
 def run_per_network(run: RunConfig, worker: Callable[[NetworkSpec], object]) -> tuple[dict, list[str]]:
@@ -491,9 +499,6 @@ def run_per_network(run: RunConfig, worker: Callable[[NetworkSpec], object]) -> 
     return results, errors
 
 
-TRANSITIONS_META = "transitions.meta.json"
-
-
 def _read_json_object(path: Path) -> dict:
     """The JSON object in ``path``; empty where the file is missing, unreadable or holds no object."""
     try:
@@ -503,34 +508,44 @@ def _read_json_object(path: Path) -> dict:
     return obj if isinstance(obj, dict) else {}
 
 
-def _stored_transitions(run: RunConfig, net: NetworkSpec, meta: dict) -> list[list[int]] | None:
-    """The transition counts ``transitions`` wrote for ``net``, a list of
-    rows, where ``meta`` (its meta file's object) shows them current; else None.
-
-    They are current where ``meta`` has this tool version and ``k`` and a
-    record of ``net`` with this run's input path, ``sep`` and snapshot
-    settings; the input file and ``<stem>.transitions.json`` still hash to
-    the record's digests; and the product's conservation total holds. The
-    network's stderr line is then printed from the record's load counts.
-    """
+def _stored_entry(run: RunConfig, net: NetworkSpec, meta: dict, command: str) -> dict | None:
+    """The record of ``net`` in ``meta``, the object of ``command``'s meta file, where
+    ``meta`` has this tool version and this run's ``_recorded`` settings of ``command``,
+    and the record this run's ``_recorded`` fields, int load counts and an
+    ``input_sha256`` the input file still hashes to; else None."""
     import hashlib
 
+    run_keys, net_keys = _recorded(COMMANDS[command][1])
     networks = meta.get("networks")
     entry = networks.get(net.name) if isinstance(networks, dict) else None
-    if (not isinstance(entry, dict) or (meta.get("tool_version"), meta.get("k")) != (__version__, run.k)
-            or any(entry.get(key) != value for key, value in net.record().items())
-            or not all(isinstance(entry.get(key), int) for key in _LOAD_COUNTS)):
+    counts = _LOAD_COUNTS if "width" in net_keys else _LOAD_COUNTS[:2]
+    if (not isinstance(entry, dict) or meta.get("tool_version") != __version__
+            or any(meta.get(key) != getattr(run, key) for key in run_keys)
+            or any(entry.get(key) != value for key, value in net.record(net_keys).items())
+            or not all(isinstance(entry.get(key), int) for key in counts)):
         return None
     digest = hashlib.sha256()
     try:
-        data = (run.out / f"{_file_stem(net.name)}.transitions.json").read_bytes()
         with net.path.open("rb") as fh:
             for _block in iter(partial(_Hashing(fh, digest).read, io.DEFAULT_BUFFER_SIZE), b""):
                 pass
-    except OSError:
+    except (OSError, UnicodeEncodeError):
         return None
-    if (digest.hexdigest(), hashlib.sha256(data).hexdigest()) != (
-            entry.get("input_sha256"), entry.get("product_sha256")):
+    return entry if digest.hexdigest() == entry.get("input_sha256") else None
+
+
+def _stored_transitions(run: RunConfig, net: NetworkSpec, meta: dict) -> list[list[int]] | None:
+    """The counts (rows) ``transitions`` wrote for ``net`` where ``_stored_entry`` returns its record,
+    ``<stem>.transitions.json`` (read first: a missing one costs no input read) hashes to its
+    ``product_sha256`` and its conservation total holds; else None. Prints the record's load line."""
+    import hashlib
+
+    try:
+        data = (run.out / f"{_file_stem(net.name)}.transitions.json").read_bytes()
+    except (OSError, UnicodeEncodeError):
+        return None
+    entry = _stored_entry(run, net, meta, "transitions")
+    if entry is None or hashlib.sha256(data).hexdigest() != entry.get("product_sha256"):
         return None
     product = json.loads(data)
     counts = product["counts"]
@@ -540,17 +555,39 @@ def _stored_transitions(run: RunConfig, net: NetworkSpec, meta: dict) -> list[li
     return counts
 
 
-def _network_motifs(run: RunConfig, net: NetworkSpec) -> tuple[dict, dict, np.ndarray]:
-    """Real class counts, ensemble means and motif fingerprint of the final graph."""
-    from .census import graphlet_class_frequencies
-    from .metrics import motif_scores_from_counts
-    from .nullmodel import ensemble_frequencies
+def _stored_motifs(run: RunConfig, net: NetworkSpec, meta: dict) -> dict | None:
+    """As ``_stored_transitions``, the record ``motifs`` wrote of ``net``, whose ``real`` and
+    ``ensemble_totals`` must each map the classes of ``k``, in order, to ints >= 0."""
+    entry = _stored_entry(run, net, meta, "motifs") or {}
+    if not all(isinstance(counts := entry.get(key), dict)
+               and list(counts) == [cls.name for cls in GRAPHLET_CLASSES[run.k]]
+               and all(type(c) is int and c >= 0 for c in counts.values())
+               for key in ("real", "ensemble_totals")):
+        return None
+    _report_load(net, entry)
+    return entry
 
-    g = _network_final_graph(net)
-    real = graphlet_class_frequencies(g, run.k)
-    means = ensemble_frequencies(g, run.k, run.replicates, run.swaps_per_edge, run.seed)
-    fp = motif_scores_from_counts(list(real.values()), [means[name] for name in real], run.k)
-    return real, means, fp
+
+def _network_motifs(run: RunConfig, net: NetworkSpec) -> dict:
+    """What ``motifs`` records of ``net``: input digest, load counts, real and ensemble class totals."""
+    import hashlib
+
+    from .census import graphlet_class_frequencies
+    from .nullmodel import _ensemble_totals
+
+    digest = hashlib.sha256()
+    events, g = _network_final_graph(net, digest)
+    return {"input_sha256": digest.hexdigest(), **_load_counts(events),
+            "real": graphlet_class_frequencies(g, run.k),
+            "ensemble_totals": _ensemble_totals(g, run.k, run.replicates, run.swaps_per_edge, run.seed)}
+
+
+def _motif_scores(run: RunConfig, entry: dict) -> tuple[list[float], np.ndarray]:
+    """A ``_network_motifs`` record's means, as ``ensemble_frequencies`` has them, and fingerprint."""
+    from .metrics import motif_scores_from_counts
+
+    means = [entry["ensemble_totals"][name] / run.replicates for name in entry["real"]]
+    return means, motif_scores_from_counts(list(entry["real"].values()), means, run.k)
 
 
 def _report_errors(errors: list[str]) -> int:
@@ -668,7 +705,7 @@ def cmd_transitions(args: argparse.Namespace) -> int:
 
     results, errors = run_per_network(run, worker)
     if results:
-        write_meta(run.out / TRANSITIONS_META, run, args, results)
+        write_meta(run.out / "transitions.meta.json", run, args, results)
     return _report_errors(errors)
 
 
@@ -676,17 +713,18 @@ def cmd_motifs(args: argparse.Namespace) -> int:
     run = load_run_config(args)
 
     def worker(net: NetworkSpec):
-        real, means, fp = _network_motifs(run, net)
-        write_csv(
-            run.out / f"{_file_stem(net.name)}.motifs.csv",
-            ("class", "real_count", "ensemble_mean", "delta"),
-            ([name, real[name], means[name], score] for name, score in zip(real, fp)),
-        )
+        entry = _network_motifs(run, net)
+        header = ("class", "real_count", "ensemble_mean", "delta")
+        rows = ([*item, *cells] for item, *cells in zip(entry["real"].items(), *_motif_scores(run, entry)))
+        write_csv(run.out / f"{_file_stem(net.name)}.motifs.csv", header, rows)
+        return entry  # what compare --metric motif reads back
 
-    # first, so an unwritable output directory fails the run before any network loads
-    write_meta(run.out / "motifs.meta.json", run, args)
-    _results, errors = run_per_network(run, worker)
-    return _report_errors(errors)
+    results, errors = run_per_network(run, worker)
+    code = _report_errors(errors)
+    # every network is recorded, and the per-network errors come before this file's
+    write_meta(run.out / "motifs.meta.json", run, args, {net.name: results.get(net.name, {})
+                                                         for net in run.networks})
+    return code
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
@@ -699,7 +737,8 @@ def cmd_compare(args: argparse.Namespace) -> int:
     names = [net.name for net in run.networks]
 
     gda_ks = (run.k, 3) if run.gda_include_k3 else (run.k,)
-    stored = _read_json_object(run.out / TRANSITIONS_META) if metric == "ota" else {}
+    product = {"ota": "transitions", "motif": "motifs"}.get(metric)  # the subcommand it reads back
+    stored = _read_json_object(run.out / f"{product}.meta.json") if product else {}
 
     def ota_worker(net: NetworkSpec) -> list[list[int]]:
         if (counts := _stored_transitions(run, net, stored)) is not None:
@@ -711,18 +750,17 @@ def cmd_compare(args: argparse.Namespace) -> int:
     def gdd_worker(net: NetworkSpec):
         from .census import compute_gdd, compute_orbit_frequencies
 
-        g = _network_final_graph(net)
-        return [
-            compute_gdd(compute_orbit_frequencies(g, k), run.gdd_scaling)[1]
-            for k in gda_ks
-        ]
+        _events, g = _network_final_graph(net)
+        return [compute_gdd(compute_orbit_frequencies(g, k), run.gdd_scaling)[1] for k in gda_ks]
 
     # metric -> (per-network worker, matrix builder over the workers' results, its meta kind)
     worker, build, kind = {
         "ota": (ota_worker,
                 partial(ota_matrix, ota_scaling=run.ota_scaling, rescale=run.relative_rescale), "OTA"),
         "gda": (gdd_worker, gda_matrix, "GDA"),
-        "motif": (lambda net: _network_motifs(run, net)[2], motif_distance_matrix, "MotifDistance"),
+        "motif": (lambda net: _motif_scores(run, _stored_motifs(run, net, stored)
+                                            or _network_motifs(run, net))[1],
+                  motif_distance_matrix, "MotifDistance"),
     }[metric]
     results, errors = run_per_network(run, worker)
     if errors:

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import orbitrans
-from orbitrans import census, cli, graph_core, metrics, transitions
+from orbitrans import census, cli, graph_core, metrics, nullmodel, transitions
 from orbitrans.cli import (
     CliError,
     build_parser,
@@ -428,6 +428,112 @@ class TestProductReuse:
         assert written[0] == 0
 
 
+def fail_densify_in_motifs(manifest: Path, out: Path) -> None:
+    """Rerun motifs with densify's file blocked: it is recorded without its
+    class counts, and its earlier motifs.csv is gone."""
+    blocked = out / "densify.motifs.csv"
+    blocked.unlink()
+    blocked.mkdir()
+    assert main(["motifs", "--manifest", str(manifest), "--out", str(out)]) == 1
+    blocked.rmdir()
+
+
+def edit_densify_record(edit: Callable[[dict], None]) -> Callable[[Path, Path], None]:
+    """A stale case that applies ``edit`` to densify's record in motifs.meta.json."""
+    return lambda m, out: edit_json(out / "motifs.meta.json", lambda meta: edit(meta["networks"]["densify"]))
+
+
+def rename_first_class(counts: dict) -> None:
+    name = next(iter(counts))
+    counts[f"{name}s"] = counts.pop(name)
+
+
+# case -> (what it does to a finished motifs run, the networks compare must recompute)
+STALE_MOTIFS = {
+    "another tool_version": (lambda m, out: edit_json(
+        out / "motifs.meta.json", lambda meta: meta.update(tool_version="0.0.0")), 2),
+    "k changed": (lambda m, out: edit_file(m, "[settings]\n", "[settings]\nk = 3\n"), 2),
+    "seed changed": (lambda m, out: edit_file(m, "seed = 5", "seed = 6"), 2),
+    "replicates changed": (lambda m, out: edit_file(m, "replicates = 3", "replicates = 2"), 2),
+    "swaps_per_edge changed": (lambda m, out: edit_file(m, "swaps_per_edge = 4", "swaps_per_edge = 5"), 2),
+    "input moved": (move_densify_input, 1),
+    "sep changed": (lambda m, out: edit_file(m, "[densify]\n", "[densify]\nsep = comma\n"), 1),
+    "input byte edited": (lambda m, out: edit_file(m.parent / "densify.txt", " 21", " 11"), 1),
+    "load count missing": (edit_densify_record(lambda r: r.pop("self_loops_dropped")), 1),
+    "input digest missing": (edit_densify_record(lambda r: r.pop("input_sha256")), 1),
+    "real class renamed": (edit_densify_record(lambda r: rename_first_class(r["real"])), 1),
+    "ensemble class renamed": (edit_densify_record(lambda r: rename_first_class(r["ensemble_totals"])), 1),
+    "real class missing": (edit_densify_record(lambda r: r["real"].popitem()), 1),
+    "ensemble total not an int": (edit_densify_record(
+        lambda r: r["ensemble_totals"].update(star=r["ensemble_totals"]["star"] + 0.5)), 1),
+    "real count a string": (edit_densify_record(lambda r: r["real"].update(path=str(r["real"]["path"]))), 1),
+    "real count a boolean": (edit_densify_record(lambda r: r["real"].update(clique=False)), 1),
+    "ensemble total negative": (edit_densify_record(lambda r: r["ensemble_totals"].update(cycle=-1)), 1),
+    "ensemble totals missing": (edit_densify_record(lambda r: r.pop("ensemble_totals")), 1),
+    "meta missing": (lambda m, out: (out / "motifs.meta.json").unlink(), 2),
+    "meta not JSON": (lambda m, out: (out / "motifs.meta.json").write_text("{"), 2),
+    "network failed in motifs": (fail_densify_in_motifs, 1),
+}
+
+
+class TestMotifReuse:
+    """compare --metric motif reads back the class counts and ensemble totals
+    motifs recorded where motifs.meta.json shows them current, and computes
+    them otherwise."""
+
+    @pytest.fixture
+    def stored(self, tmp_path):
+        """A finished motifs run: (manifest, out). densify's lines parse under
+        either separator, to different graphs."""
+        write_network(tmp_path, "densify", "a ,b, 0\nb ,c, 1\nc ,d, 2\na ,c, 10\nb ,d, 12\na ,d, 21\n")
+        write_network(tmp_path, "churn", "p q 3\nq r 4\nr s 13\ns p 14\np r 22\nt p 24\n")
+        manifest = write_manifest(
+            tmp_path,
+            "[settings]\nseed = 5\nreplicates = 3\nswaps_per_edge = 4\n\n"
+            "[densify]\npath = densify.txt\n\n[churn]\npath = churn.txt\n",
+        )
+        out = tmp_path / "out"
+        assert main(["motifs", "--manifest", str(manifest), "--out", str(out)]) == 0
+        return manifest, out
+
+    @staticmethod
+    def compare(manifest: Path, out: Path, capsys) -> tuple[int, str, dict[str, bytes]]:
+        """The exit code, stderr and compare_motif.* files of compare --metric motif into ``out``."""
+        capsys.readouterr()
+        code = main(["compare", "--metric", "motif", "--manifest", str(manifest), "--out", str(out)])
+        return code, capsys.readouterr().err, {p.name: p.read_bytes() for p in out.glob("compare_motif.*")}
+
+    def test_reuse_writes_what_a_fresh_run_writes(self, stored, tmp_path, monkeypatch, capsys):
+        manifest, out = stored
+        fresh = self.compare(manifest, tmp_path / "fresh", capsys)
+        assert fresh[0] == 0 and fresh[1].count("events read") == 2 and len(fresh[2]) == 3
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("compare recomputed a stored product")
+
+        for module, name in ((nullmodel, "ensemble_frequencies"), (nullmodel, "_ensemble_totals"),
+                             (census, "graphlet_class_frequencies"), (graph_core, "parse_edge_list")):
+            monkeypatch.setattr(module, name, refuse)
+        # the inputs are hashed in blocks, not read into memory whole
+        read_bytes = Path.read_bytes
+        monkeypatch.setattr(Path, "read_bytes", lambda p: refuse() if p.suffix == ".txt" else read_bytes(p))
+        assert self.compare(manifest, out, capsys) == fresh
+
+    @pytest.mark.parametrize("case", STALE_MOTIFS)
+    def test_stale_product_recomputed(self, stored, tmp_path, monkeypatch, capsys, case):
+        manifest, out = stored
+        spoil, recomputed = STALE_MOTIFS[case]
+        spoil(manifest, out)
+        calls = []
+        totals = nullmodel._ensemble_totals
+        monkeypatch.setattr(nullmodel, "_ensemble_totals",
+                            lambda g, *settings: calls.append(g) or totals(g, *settings))
+        written = self.compare(manifest, out, capsys)
+        assert len(calls) == recomputed
+        assert written == self.compare(manifest, tmp_path / "fresh", capsys)
+        assert written[0] == 0
+
+
 @pytest.fixture
 def three_networks(tmp_path):
     """Two "closure" lattices and a "random" one, whose three pairwise scores
@@ -749,6 +855,16 @@ class TestWriteAtomic:
         monkeypatch.setattr("orbitrans.cli.os.replace", refuse)
         with pytest.raises(CliError, match="cannot write .*x.csv: replace refused"):
             write_atomic(tmp_path / "x.csv", "a,b\n")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_unencodable_file_name_named(self, tmp_path):
+        # no file-system encoding holds a lone high surrogate, surrogateescape included
+        target = tmp_path / "zo\ud800.csv"
+        message = (f"cannot write {target}: the file name cannot be encoded in the "
+                   f"file-system encoding ({sys.getfilesystemencoding()})")
+        with pytest.raises(CliError) as raised:
+            write_atomic(target, "a,b\n")
+        assert str(raised.value) == message
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.skipif(not Path("/proc/self/fd").is_dir(), reason="needs /proc/self/fd")
@@ -1191,6 +1307,18 @@ class TestModuleLoading:
         assert json.loads((tmp_path / "cluster.tree.json").read_text()) == hierarchical_cluster(
             *read_similarity_csv(matrix))
 
+    def test_compare_motif_on_stored_counts_loads_only_metrics(self, tmp_path):
+        manifest = ["--manifest", str(DATA / "manifest.ini")]
+        stored, fresh = tmp_path / "stored", tmp_path / "fresh"
+        assert main(["motifs", *manifest, "--out", str(stored)]) == 0
+        compare = ["compare", "--metric", "motif", *manifest]
+        # numpy for the fingerprint's norm, but no parser, census or null model
+        assert self.loaded_after([*compare, "--out", str(stored)]) == [
+            "numpy", "orbitrans", "orbitrans.catalogue", "orbitrans.cli", "orbitrans.metrics"]
+        assert main([*compare, "--out", str(fresh)]) == 0
+        for name in ("compare_motif.csv", "compare_motif.tree.json", "compare_motif.meta.json"):
+            assert (stored / name).read_bytes() == (fresh / name).read_bytes(), name
+
     def test_compare_ota_on_stored_counts_runs_without_numpy(self, tmp_path):
         manifest = ["--manifest", str(DATA / "manifest.ini")]
         stored, fresh = tmp_path / "stored", tmp_path / "fresh"
@@ -1235,6 +1363,46 @@ class TestUtf8Files:
         assert "network,zoë,chloé".encode() in (outs["child"] / "compare_gda.csv").read_bytes()
 
 
+    @pytest.fixture
+    def ascii_names(self, tmp_path):
+        """An ASCII-locale environment, and a manifest whose network names it cannot encode."""
+        (tmp_path / "a.txt").write_bytes(b"Zo Ana 0\nAna Bo 1\nBo Zo 2\nAna Cy 3\n")
+        (tmp_path / "b.txt").write_bytes(b"Zo Ana 0\nAna Bo 1\nBo Eli 2\nEli Zo 3\n")
+        names = tmp_path / "names.ini"
+        names.write_bytes("[settings]\nwidth = 2\ncount = 2\nreplicates = 3\n\n"
+                          "[zoë]\npath = a.txt\n\n[chloé]\npath = b.txt\n".encode())
+        return {"LC_ALL": "C", "PYTHONCOERCECLOCALE": "0"}, names
+
+    def test_ascii_locale_reuse_writes_what_a_fresh_run_writes(self, ascii_names, tmp_path):
+        # the products are written under UTF-8; the ASCII child cannot name the
+        # OTA product files, so it recomputes those networks, and reads the motif
+        # records, which live in motifs.meta.json
+        env, names = ascii_names
+        stored, fresh = tmp_path / "stored", tmp_path / "fresh"
+        for command in ("transitions", "motifs"):
+            assert main([command, "--manifest", str(names), "--out", str(stored)]) == 0
+        for metric in ("ota", "motif"):
+            runs = [child("-X", "utf8=0", "-m", "orbitrans", "compare", "--metric", metric,
+                          "--manifest", str(names), "--out", str(out), env=env) for out in (stored, fresh)]
+            assert [proc.returncode for proc in runs] == [0, 0], runs[0].stderr
+            assert runs[0].stderr == runs[1].stderr
+            assert runs[0].stderr.count("events read") == 2
+            for suffix in ("csv", "tree.json", "meta.json"):
+                name = f"compare_{metric}.{suffix}"
+                assert (stored / name).read_bytes() == (fresh / name).read_bytes(), name
+
+    def test_unencodable_network_file_named(self, ascii_names, tmp_path):
+        env, names = ascii_names
+        out = tmp_path / "out"
+        proc = child("-X", "utf8=0", "-m", "orbitrans", "census", "--manifest", str(names),
+                     "--out", str(out), env=env)
+        assert proc.returncode == 1
+        for name in (r"zo\xeb", r"chlo\xe9"):
+            assert (f"error: network '{name}': cannot write {out}/{name}.snap0.fr.csv: the file name "
+                    f"cannot be encoded in the file-system encoding (ascii)\n") in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+
 class TestGoldenFiles:
     """Byte-exact fixtures produced by this tool and cross-checked below."""
 
@@ -1271,6 +1439,15 @@ class TestGoldenFiles:
         out = tmp_path / "out"
         assert main(["compare", "--manifest", str(DATA / "manifest.ini"), "--out", str(out)]) == 0
         for name in ("compare_ota.csv", "compare_ota.tree.json"):
+            assert (out / name).read_bytes() == (GOLDEN / name).read_bytes(), name
+
+    def test_compare_motif_alone_matches_golden(self, tmp_path):
+        # run_all's compare reads back the records motifs wrote; with no
+        # motifs.meta.json in --out, compare computes them and writes the same bytes
+        out = tmp_path / "out"
+        assert main(["compare", "--metric", "motif", "--manifest", str(DATA / "manifest.ini"),
+                     "--out", str(out)]) == 0
+        for name in ("compare_motif.csv", "compare_motif.tree.json"):
             assert (out / name).read_bytes() == (GOLDEN / name).read_bytes(), name
 
     def test_rewritten_input_keeps_golden_bytes(self, tmp_path):
@@ -1463,7 +1640,8 @@ class TestMetaFiles:
     """A meta file records k and exactly the settings its run read."""
 
     @pytest.mark.parametrize("argv, name, keys, network_keys", [
-        (["motifs"], "motifs", {"seed", "replicates", "swaps_per_edge"}, set()),
+        (["motifs"], "motifs", {"seed", "replicates", "swaps_per_edge"}, {
+            "input_sha256", "events_read", "self_loops_dropped", "real", "ensemble_totals"}),
         (["compare", "--metric", "ota"], "compare_ota",
          {"metric", "kind", "linkage", "ota_scaling", "relative_rescale"}, SNAPSHOT_KEYS),
         (["compare", "--metric", "gda"], "compare_gda",
