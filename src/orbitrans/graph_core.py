@@ -12,7 +12,11 @@ The layer works on integer arrays from end to end:
 - ``parse_edge_list`` reads its input in blocks of ``_BLOCK_BYTES`` cut
   at line breaks and tokenizes each block with numpy, so its memory
   beyond the final ``(N, 3)`` int64 event array is bounded by the block
-  size, not by the size of the text;
+  size, not by the size of the text. It reads a block eight bytes at a
+  time through a big-endian uint64 view, one gather per 8 bytes of the
+  longest field: a label of up to 8 bytes is one word, and a block's
+  labels are grouped by one sort; timestamps are read eight digits per
+  word. So the passes over a block do not grow with its fields' length;
 - that array is sorted by time, so ``build_snapshots`` cuts it into one
   slice per snapshot and sorts only each slice's undirected edge keys
   ``min(u,v)*n + max(u,v)``, with no loop over events;
@@ -64,13 +68,23 @@ def _distinct(values: np.ndarray) -> np.ndarray:
 
 
 def _group(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(distinct rows, ascending; index of each row among them) of a 2-D int64 array."""
-    order = np.argsort(rows[:, 0]) if rows.shape[1] == 1 else np.lexsort(rows.T[::-1])
-    ranked = rows[order]
-    fresh = _firsts(ranked)
-    inverse = np.empty(len(rows), dtype=np.int64)
-    inverse[order] = np.cumsum(fresh, dtype=np.int64) - 1
-    return ranked[fresh], inverse
+    """(distinct rows, ascending; index of each row among them) of a 2-D int64 array.
+
+    One column of non-negative values with room for the row positions below them is grouped
+    by one sort of ``value << b | position``, other rows by ``lexsort``."""
+    count = len(rows)
+    bits = max(count - 1, 0).bit_length()
+    if rows.shape[1] == 1 and count and rows.min() >= 0 and rows.max() >> (63 - bits) == 0:
+        packed = np.sort(rows[:, 0] << bits | np.arange(count))
+        order, ranked = packed & ((1 << bits) - 1), (packed >> bits)[:, None]
+    else:
+        order = np.lexsort(rows.T[::-1])
+        ranked = rows[order]
+    heads = np.flatnonzero(_firsts(ranked))
+    inverse = np.empty(count, dtype=np.int64)
+    # a cumsum of the bool mask would cast it to int64 first: slower than repeat
+    inverse[order] = np.repeat(np.arange(len(heads)), np.diff(heads, append=count))
+    return ranked[heads], inverse
 
 
 class StaticGraph:
@@ -223,90 +237,109 @@ def _line_blocks(source: Iterable[str] | str | bytes) -> Iterator[bytes]:
         yield carry
 
 
-def _strip(ws: np.ndarray, start: np.ndarray, end: np.ndarray) -> None:
-    """Move each ``[start, end)`` span inward past whitespace, in place."""
-    live = np.flatnonzero(start < end)
-    while live.size:
-        live = live[start[live] < end[live]]
-        live = live[ws[start[live]]]
-        start[live] += 1
-    live = np.flatnonzero(start < end)
-    while live.size:
-        live = live[start[live] < end[live]]
-        live = live[ws[end[live] - 1]]
-        end[live] -= 1
+# Big-endian word constants (SWAR, "SIMD within a register"): the mask of a word's last r
+# bytes, '0' in every byte, the digit check's bytes, and per fold the (multiplier, shift,
+# mask) that joins adjacent 1-, 2- and 4-byte lanes of digits into their value.
+_LAST = np.array([(1 << 8 * r) - 1 for r in range(9)], dtype=np.uint64)
+_ZEROS = np.uint64(0x3030303030303030)
+_TENS = np.uint64(0x7676767676767676)  # 0x76 + a byte above 9 sets its high bit
+_HIGH_BITS = np.uint64(0x8080808080808080)
+_FOLDS = tuple(
+    (np.uint64(10**lane + (1 << 8 * lane)), np.uint64(8 * lane), np.uint64(mask))
+    for lane, mask in ((1, 0x00FF00FF00FF00FF), (2, 0x0000FFFF0000FFFF), (4, 0xFFFFFFFF))
+)
+
+
+def _words(block: bytes) -> np.ndarray:
+    """Read-only big-endian uint64 view of a block: entry i holds the 8 bytes before byte i,
+    zero before the block, so ``words[end] & _LAST[r]`` gathers every field's last r bytes."""
+    return np.ndarray(len(block) + 1, ">u8", bytes(8) + block, strides=(1,))
+
+
+def _word(words: np.ndarray, start: np.ndarray, end: np.ndarray, k: int) -> tuple:
+    """(each field's k-th 8 bytes from its end, right-aligned; the mask of those in the field)."""
+    inside = _LAST[np.clip(end - start - 8 * k, 0, 8)]
+    return words[np.maximum(end - 8 * k, start)] & inside, inside
 
 
 def _fields(buf: np.ndarray, sep: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(start, end, line) of the fields of a block's non-blank lines.
+    """(start, end, line break positions) of the fields of a block's non-blank lines.
 
-    Whitespace mode splits on runs of blanks; comma mode splits on commas
-    and strips each field, which may be empty. ``line`` is the 0-based
-    line within the block.
+    In a plain block the bytes up to 0x20 are exactly the blanks and line
+    breaks. Whitespace mode takes each run of the other bytes as a field;
+    comma mode splits on commas and strips each field, which may be
+    empty.
     """
     newline = buf == 0x0A
-    ws = (buf == 0x20) | (buf == 0x09) | (buf == 0x0D)
+    breaks = np.flatnonzero(newline)
     if sep == "ws":
-        gap = np.concatenate(([True], ws | newline, [True]))
-        opens, closes = gap[:-1] & ~gap[1:], ~gap[:-1] & gap[1:]
-        start, end = np.flatnonzero(opens), np.flatnonzero(closes)
-        # line breaks and field starts in position order: a field's line is
-        # the number of breaks before it
-        marks = np.flatnonzero(newline | opens[:-1])
-        is_break = newline[marks]
-        return start, end, np.cumsum(is_break)[~is_break]
+        gap = np.concatenate(([True], buf <= 0x20, [True]))
+        start, end = np.flatnonzero(gap[1:] != gap[:-1]).reshape(-1, 2).T
+        return start, end, breaks
     cuts = np.flatnonzero(newline | (buf == 0x2C))
     start = np.concatenate(([0], cuts + 1))
     end = np.concatenate((cuts, [len(buf)]))
     line = np.concatenate(([0], np.cumsum(newline[cuts])))
-    _strip(ws, start, end)
+    # each span shrinks to its first and last byte above 0x20; commas are
+    # such bytes, but lie outside every span
+    solid = np.flatnonzero(np.append(buf > 0x20, True))
+    lo, hi = np.searchsorted(solid, start), np.searchsorted(solid, end)
+    full = lo < hi
+    start, end = np.where(full, solid[lo], end), np.where(full, solid[hi - 1] + 1, end)
     # a line without a comma whose one field is empty is blank
     alone = np.ones(len(line), dtype=bool)
     alone[1:] &= line[1:] != line[:-1]
     alone[:-1] &= line[:-1] != line[1:]
     keep = ~(alone & (start == end))
-    return start[keep], end[keep], line[keep]
+    return start[keep], end[keep], breaks
 
 
-def _ascii_ints(buf: np.ndarray, start: np.ndarray, end: np.ndarray) -> np.ndarray | None:
-    """Values of ``[+-]digits`` fields of at most 18 digits; None if any is not one."""
+def _ascii_ints(words: np.ndarray, start: np.ndarray, end: np.ndarray) -> np.ndarray | None:
+    """Values of ``[+-]digits`` fields of at most 18 digits; None if any is not one.
+
+    The digits are read eight to a ``_words`` word, from the last (after Lemire, "Number
+    Parsing at a Gigabyte per Second", 2021): '0' is subtracted from each byte, which must
+    leave 0 to 9 with no borrow, and three multiply-adds join the bytes into the value.
+    """
     if not len(start):
         return np.zeros(0, dtype=np.int64)
     if np.any(end <= start):
         return None
-    first = buf[start]
+    first = words[start + 1] & np.uint64(0xFF)
     digits_at = start + ((first == 0x2B) | (first == 0x2D))
     length = end - digits_at
     if length.min() < 1 or length.max() > 18:  # 18 digits always fit int64
         return None
-    value = np.zeros(len(start), dtype=np.int64)
-    for j in range(int(length.max())):
-        live = j < length
-        digit = buf[np.where(live, digits_at + j, 0)].astype(np.int64) - 0x30
-        if np.any(live & ((digit < 0) | (digit > 9))):
+    value = np.zeros(len(start), dtype=np.uint64)
+    for k in range(-(-int(length.max()) // 8)):
+        word, inside = _word(words, digits_at, end, k)
+        word -= _ZEROS & inside
+        if np.any((word | (word + _TENS)) & _HIGH_BITS):
             return None
-        value = np.where(live, value * 10 + digit, value)
+        for multiplier, lane, mask in _FOLDS:
+            word = ((word * multiplier) >> lane) & mask
+        value += word * np.uint64(10 ** (8 * k))
+    value = value.astype(np.int64)
     return np.where(first == 0x2D, -value, value)
 
 
-def _labels(buf: np.ndarray, start: np.ndarray, end: np.ndarray) -> tuple[np.ndarray, list[str]]:
+def _labels(words: np.ndarray, start: np.ndarray, end: np.ndarray) -> tuple[np.ndarray, list[str]]:
     """(index of each field's text in the list, the distinct field texts).
 
-    Each field's bytes are packed big-endian into as many int64 words as
-    the longest field needs, zero-padded: field bytes are ASCII and never
-    zero, so words are non-negative, equal rows mean equal texts, and a
-    row's bytes give its text back.
+    Column j of a field's row is its j-th 8 bytes from the end, read from
+    ``words`` (a ``_words`` view) with one gather per 8 bytes of the longest
+    field, so a field of up to 8 bytes is one right-aligned word. Field
+    bytes are ASCII and never zero, so the words are non-negative, equal
+    rows mean equal texts, and a row's bytes, last column first, less
+    their zeros give its text back.
     """
-    length = end - start
-    longest = int(length.max()) if len(length) else 0
-    packed = np.zeros((len(start), max(1, -(-longest // 8))), dtype=np.int64)
-    for j in range(longest):
-        live = j < length
-        byte = buf[np.where(live, start + j, 0)].astype(np.int64) * live
-        packed[:, j // 8] |= byte << (56 - 8 * (j % 8))
+    longest = int((end - start).max(initial=0))
+    packed = np.empty((len(start), max(1, -(-longest // 8))), dtype=np.int64)
+    for j in range(packed.shape[1]):
+        packed[:, j] = _word(words, start, end, j)[0]
     distinct, group = _group(packed)
-    raw, width = distinct.astype(">i8").tobytes(), 8 * distinct.shape[1]
-    names = [raw[i : i + width].rstrip(b"\0").decode("ascii") for i in range(0, len(raw), width)]
+    raw, width = distinct[:, ::-1].astype(">i8").tobytes(), 8 * distinct.shape[1]
+    names = [raw[i : i + width].replace(b"\0", b"").decode() for i in range(0, len(raw), width)]
     return group, names
 
 
@@ -345,36 +378,35 @@ class _EventReader:
         returns = block.count(b"\r")
         plain = not block.translate(None, _PLAIN)
         plain = plain and (not returns or returns == block.count(b"\r\n"))
-        if plain and self._add_plain(block):
-            self.lines += block.count(b"\n") + (not block.endswith(b"\n"))
-        else:
+        breaks = self._add_plain(block) if plain else None
+        if breaks is None:
             self._add_lines(block)
+        else:
+            self.lines += breaks + (not block.endswith(b"\n"))
 
-    def _add_plain(self, block: bytes) -> bool:
-        """Tokenize a block with numpy; False (adding nothing) if any line is off."""
+    def _add_plain(self, block: bytes) -> int | None:
+        """Tokenize a block with numpy: its line breaks, or None (adding nothing) if one is off."""
         buf = np.frombuffer(block, dtype=np.uint8)
-        start, end, line = _fields(buf, self.sep)
+        start, end, breaks = _fields(buf, self.sep)
         if b"#" in block:  # a comment line starts with one
+            line = np.searchsorted(breaks, start)
             first = np.concatenate(([True], line[1:] != line[:-1]))
             comment = first & (end > start) & (buf[np.minimum(start, len(buf) - 1)] == 0x23)
             keep = ~np.isin(line, line[comment])
-            start, end, line = start[keep], end[keep], line[keep]
-        # every remaining line holds exactly three fields
-        if len(line) % 3:
-            return False
-        head = line[0::3]
-        if not (np.array_equal(head, line[1::3]) and np.array_equal(head, line[2::3])
-                and np.all(head[1:] > head[:-1])):
-            return False
-        t = _ascii_ints(buf, start[2::3], end[2::3])
+            start, end = start[keep], end[keep]
+        # every line holds three fields or none
+        fields = np.diff(np.searchsorted(start, breaks, "right"), prepend=0, append=len(start))
+        if np.any((fields != 0) & (fields != 3)):
+            return None
+        words = _words(block)
+        t = _ascii_ints(words, start[2::3], end[2::3])
         if t is None:
-            return False
-        group, names = _labels(
-            buf, np.concatenate((start[0::3], start[1::3])), np.concatenate((end[0::3], end[1::3]))
-        )
+            return None
+        ends = np.concatenate((end[0::3], end[1::3]))
+        group, names = _labels(words, np.concatenate((start[0::3], start[1::3])), ends)
         ids = self._intern(names)[group]
         self._add(ids[: len(t)], ids[len(t) :], t)
-        return True
+        return len(breaks)
 
     def _add_lines(self, block: bytes) -> None:
         """Parse a block line by line, raising on the first malformed line."""

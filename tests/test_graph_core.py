@@ -1,3 +1,4 @@
+import contextlib
 import io
 import math
 import tracemalloc
@@ -265,7 +266,8 @@ class TestParse:
 
 
 WS_LABELS = (
-    "a", "b", "v7", "007", "x-y.z", "longer-than-8", "node_0000000001", "é", "日本", "naïve-node-label",
+    "a", "b", "v7", "007", "x-y.z", "exactly8", "nine-byte", "longer-than-8", "node_0000000001",
+    "é", "日本", "naïve-node-label",
 )
 BAD_TIMESTAMPS = ("1.5", "x", "1e3", "--1", "+-2", "0x10", "1_000", "", "３", "١٢")
 # comments, some shaped like data lines in one format or the other
@@ -347,6 +349,113 @@ class TestParseMatchesLoopOracle:
             source = io.StringIO(text, newline="")
             assert _outcome(lambda: parse_edge_list(source, sep)) == expected
             assert _outcome(lambda: parse_edge_list(text.splitlines(), sep)) == expected
+
+
+def _parses_as_oracle(text: str, block: int | None, sep: str = "ws", plain: bool = True):
+    """Parse ``text`` with ``_BLOCK_BYTES = block`` (None: the default) and
+    check it against the loop oracle; with ``plain``, no block may fall
+    back to the line path. Returns the outcome."""
+    expected = _outcome(lambda: loop_parse_edge_list(text, sep))
+    fallback = mock.patch.object(graph_core._EventReader, "_add_lines", side_effect=AssertionError)
+    with mock.patch.object(graph_core, "_BLOCK_BYTES", block or graph_core._BLOCK_BYTES):
+        with fallback if plain else contextlib.nullcontext():
+            assert _outcome(lambda: parse_edge_list(text, sep)) == expected
+    return expected
+
+
+class TestWordBoundaries:
+    # the tokenizer reads fields eight bytes to a word, from the end: fields
+    # one byte short of, on, and one byte past a word's end, in blocks of a
+    # few bytes (each cut at a line break) and of the default size
+
+    @pytest.mark.parametrize("block", [5, 23, None])
+    @pytest.mark.parametrize("size", [7, 8, 9, 16, 17])
+    @pytest.mark.parametrize("sep", ["ws", "comma"])
+    def test_label_lengths(self, block, size, sep):
+        base = "0123456789abcdefghij"[:size]
+        # labels that differ only in their first or last byte, and a short one
+        names = [base, base[:-1] + "Z", "Y" + base[1:], "s"]
+        pairs = [(a, b) for a in names for b in names]
+        gap = " " if sep == "ws" else ","
+        text = "".join(f"{a}{gap}{b}{gap}{t}\n" for t, (a, b) in enumerate(pairs))
+        labels, events, dropped = _parses_as_oracle(text, block, sep)
+        assert sorted(labels) == sorted(names) and dropped == len(names)
+
+    @pytest.mark.parametrize("block", [5, 23, None])
+    @pytest.mark.parametrize("digits", [8, 9, 16, 17, 18])
+    def test_timestamp_lengths(self, block, digits):
+        values = ["9" * digits, "1" + "0" * (digits - 1), "0" * (digits - 1) + "7",
+                  "123456789012345678"[:digits]]
+        # short timestamps beside long ones leave the long ones' extra words empty
+        stamps = [sign + v for v in values for sign in ("", "+", "-")] + ["5", "-3", "+04"]
+        text = "".join(f"a{i % 3} b {t}\n" for i, t in enumerate(stamps))
+        _, events, _ = _parses_as_oracle(text, block)
+        assert sorted(t for *_, t in events) == sorted(int(t) for t in stamps)
+
+    @pytest.mark.parametrize("block", [5, 23, None])
+    def test_nineteen_digit_timestamps_take_the_line_path(self, block):
+        # 19 digits may not fit int64, so the word reader declines them and the
+        # line path parses those that do fit
+        padded = "0" * 17 + "42"
+        stamps = ["1234567890123456789", "-9223372036854775808", padded, "+" + padded]
+        text = "".join(f"a b {t}\nb c 1\n" for t in stamps)
+        _, events, _ = _parses_as_oracle(text, block, plain=False)
+        assert sorted({t for *_, t in events}) == sorted({1, *map(int, stamps)})
+
+    @pytest.mark.parametrize("block", [5, 23, None])
+    @pytest.mark.parametrize(
+        "last", ["c d 12345678", "c d -123456789012345678", "c dddddddddddddddd 7", "c 1234567890"]
+    )
+    def test_last_field_ends_on_the_final_byte(self, block, last):
+        for sep in ("ws", "comma"):
+            text = "a b 1\n" + last
+            if sep == "comma":
+                text = text.replace(" ", ",")
+            # "c 1234567890" has two fields and must fail on its line
+            _parses_as_oracle(text, block, sep, plain=last.count(" ") == 2)
+
+    def test_ingest_shaped_blocks_never_fall_back_to_lines(self):
+        # integer labels and 6-digit times, about 1% of events late, over
+        # three or more blocks of the default size
+        rng = np.random.default_rng(29)
+        count = 60_000
+        u = rng.integers(0, 300, count)
+        v = (u + 1 + rng.integers(0, 299, count)) % 300
+        t = 100_000 + np.arange(count) // 5
+        late = rng.random(count) < 0.01
+        t[late] -= rng.integers(1, 5_000, int(late.sum()))
+        text = "".join(f"{a} {b} {c}\n" for a, b, c in zip(u.tolist(), v.tolist(), t.tolist()))
+        assert len(list(graph_core._line_blocks(text))) >= 3
+        labels, events, _ = _parses_as_oracle(text, None)
+        assert len(events) == count and len(labels) == 300
+
+    @pytest.mark.parametrize("size, packed", [(3, True), (8, False)])
+    def test_label_grouping_branches(self, size, packed):
+        # words of short labels leave room for their positions beside them and
+        # are grouped by one sort; 8-byte words do not, and take lexsort
+        rng = np.random.default_rng(size)
+        names = [f"{i:0{size}d}" for i in range(0, 10**size, 10**size // 500)][:500]
+        picks = rng.integers(0, len(names), (2000, 2))
+        text = "".join(f"{names[a]} {names[b]} {i}\n" for i, (a, b) in enumerate(picks.tolist()))
+        with mock.patch.object(np, "lexsort", wraps=np.lexsort) as lexsort:
+            _parses_as_oracle(text, None)
+        assert lexsort.called != packed
+
+    @pytest.mark.parametrize("rows", [
+        [[5], [3], [5], [0], [3]],
+        [[-1], [2], [-1]],
+        # four rows take 2 position bits: the largest value that fits, and the next
+        [[(1 << 61) - 1], [0], [(1 << 61) - 1], [1]],
+        [[1 << 61], [0], [1 << 61], [1]],
+        [[7]],
+        [[2, 1], [1, 9], [2, 1]],
+    ])
+    def test_group_matches_unique(self, rows):
+        rows = np.array(rows, dtype=np.int64)
+        distinct, inverse = graph_core._group(rows)
+        expected, expected_inverse = np.unique(rows, axis=0, return_inverse=True)
+        assert distinct.tolist() == expected.tolist()
+        assert inverse.tolist() == expected_inverse.reshape(-1).tolist()
 
 
 class TestSnapshots:
