@@ -33,10 +33,10 @@ snapshots, so each network needs a ``width`` of at least 1 and a
 meta files record ``k`` and exactly the settings the run read.
 Manifest values take precedence over flags, so a manifest fully
 determines a run; flags fill in whatever the manifest leaves out.
-``compare --metric ota`` reads back the counts that ``transitions`` wrote
-into the same ``out``, and ``--metric motif`` the class totals ``motifs``
-recorded, wherever that subcommand's meta file shows them current
-(``_stored_entry``), and computes the others; OTA computing none loads no numpy.
+``compare --metric ota`` and ``--metric motif`` read back the record of each
+network that ``transitions`` or ``motifs`` stored in its meta file in the
+same ``out`` wherever it is current (``_stored``), and compute the others
+through the same worker; OTA computing none loads no numpy.
 All outputs are written atomically and deterministically: rerunning the
 same manifest reproduces every file byte for byte. Every text file, read
 or written, is UTF-8 whatever the locale. After loading each
@@ -52,6 +52,7 @@ import configparser
 import csv
 import io
 import json
+import math
 import numbers
 import os
 import sys
@@ -73,6 +74,7 @@ if TYPE_CHECKING:
 
     from .census import OrbitFrequencyMatrix
     from .graph_core import SnapshotPolicy, SnapshotSeries, StaticGraph, TemporalEdgeList
+    from .transitions import OrbitTransitionMatrix
 
 
 class CliError(Exception):
@@ -397,11 +399,9 @@ def _indented(obj, pad: str) -> str:
     return f"{text[0]}\n{inner}{text[1:-1]}\n{pad}{text[-1]}"
 
 
-def write_json(path: Path, obj) -> str:
-    """Write ``obj`` as indented JSON; returns the text written."""
-    text = _indented(obj, "") + "\n"
-    write_atomic(path, text)
-    return text
+def write_json(path: Path, obj) -> None:
+    """Write ``obj`` as indented JSON."""
+    write_atomic(path, _indented(obj, "") + "\n")
 
 
 def _file_stem(name: str) -> str:
@@ -508,21 +508,46 @@ def _read_json_object(path: Path) -> dict:
     return obj if isinstance(obj, dict) else {}
 
 
-def _stored_entry(run: RunConfig, net: NetworkSpec, meta: dict, command: str) -> dict | None:
-    """The record of ``net`` in ``meta``, the object of ``command``'s meta file, where
-    ``meta`` has this tool version and this run's ``_recorded`` settings of ``command``,
-    and the record this run's ``_recorded`` fields, int load counts and an
-    ``input_sha256`` the input file still hashes to; else None."""
+def _count(value, kind: type = int) -> bool:
+    """Whether ``value`` is of type ``kind`` exactly (a bool is no int), finite and >= 0."""
+    return type(value) is kind and 0 <= value < math.inf
+
+
+def _count_rows(rows, k: int) -> bool:
+    """Whether ``rows`` are m lists of m ``_count`` ints, m the number of orbits of ``k``."""
+    m = sum(len(cls.orbits) for cls in GRAPHLET_CLASSES[k])
+    return isinstance(rows, list) and len(rows) == m and all(
+        isinstance(row, list) and len(row) == m and all(map(_count, row)) for row in rows)
+
+
+def _class_map(counts, k: int, kind: type) -> bool:
+    """Whether ``counts`` maps the classes of ``k``, in order, to ``_count`` values of ``kind``."""
+    return (isinstance(counts, dict) and list(counts) == [cls.name for cls in GRAPHLET_CLASSES[k]]
+            and all(_count(c, kind) for c in counts.values()))
+
+
+# subcommand -> {each key of the record it stores of a network that holds numbers: whether a value fits k}
+_RECORD_CHECKS = {
+    "transitions": {**dict.fromkeys(_LOAD_COUNTS, lambda n, k: _count(n)), "counts": _count_rows},
+    "motifs": {**dict.fromkeys(_LOAD_COUNTS[:2], lambda n, k: _count(n)),
+               "real": partial(_class_map, kind=int), "ensemble_means": partial(_class_map, kind=float)},
+}
+
+
+def _stored(run: RunConfig, net: NetworkSpec, meta: dict, command: str) -> dict | None:
+    """The record of ``net`` in ``meta``, the object of ``command``'s meta file, where ``meta``
+    has this tool version and this run's ``_recorded`` settings of ``command``, and the record
+    this run's ``_recorded`` fields, values that pass ``_RECORD_CHECKS[command]`` and an
+    ``input_sha256`` the input file still hashes to; else None. Prints the record's load line."""
     import hashlib
 
     run_keys, net_keys = _recorded(COMMANDS[command][1])
     networks = meta.get("networks")
     entry = networks.get(net.name) if isinstance(networks, dict) else None
-    counts = _LOAD_COUNTS if "width" in net_keys else _LOAD_COUNTS[:2]
     if (not isinstance(entry, dict) or meta.get("tool_version") != __version__
             or any(meta.get(key) != getattr(run, key) for key in run_keys)
             or any(entry.get(key) != value for key, value in net.record(net_keys).items())
-            or not all(isinstance(entry.get(key), int) for key in counts)):
+            or not all(fits(entry.get(key), run.k) for key, fits in _RECORD_CHECKS[command].items())):
         return None
     digest = hashlib.sha256()
     try:
@@ -531,63 +556,45 @@ def _stored_entry(run: RunConfig, net: NetworkSpec, meta: dict, command: str) ->
                 pass
     except (OSError, UnicodeEncodeError):
         return None
-    return entry if digest.hexdigest() == entry.get("input_sha256") else None
-
-
-def _stored_transitions(run: RunConfig, net: NetworkSpec, meta: dict) -> list[list[int]] | None:
-    """The counts (rows) ``transitions`` wrote for ``net`` where ``_stored_entry`` returns its record,
-    ``<stem>.transitions.json`` (read first: a missing one costs no input read) hashes to its
-    ``product_sha256`` and its conservation total holds; else None. Prints the record's load line."""
-    import hashlib
-
-    try:
-        data = (run.out / f"{_file_stem(net.name)}.transitions.json").read_bytes()
-    except (OSError, UnicodeEncodeError):
-        return None
-    entry = _stored_entry(run, net, meta, "transitions")
-    if entry is None or hashlib.sha256(data).hexdigest() != entry.get("product_sha256"):
-        return None
-    product = json.loads(data)
-    counts = product["counts"]
-    if sum(map(sum, counts)) + sum(product["dissolved"].values()) != product["total_node_transitions"]:
-        return None
-    _report_load(net, entry)
-    return counts
-
-
-def _stored_motifs(run: RunConfig, net: NetworkSpec, meta: dict) -> dict | None:
-    """As ``_stored_transitions``, the record ``motifs`` wrote of ``net``, whose ``real`` and
-    ``ensemble_totals`` must each map the classes of ``k``, in order, to ints >= 0."""
-    entry = _stored_entry(run, net, meta, "motifs") or {}
-    if not all(isinstance(counts := entry.get(key), dict)
-               and list(counts) == [cls.name for cls in GRAPHLET_CLASSES[run.k]]
-               and all(type(c) is int and c >= 0 for c in counts.values())
-               for key in ("real", "ensemble_totals")):
+    if digest.hexdigest() != entry.get("input_sha256"):
         return None
     _report_load(net, entry)
     return entry
 
 
+def _network_transitions(run: RunConfig, net: NetworkSpec) -> tuple[dict, OrbitTransitionMatrix]:
+    """What ``transitions`` records of ``net`` (input digest, load counts and the transition
+    counts as rows of ints), and the transition matrix it comes from."""
+    import hashlib
+
+    from .transitions import accumulate_series
+
+    digest = hashlib.sha256()
+    events, series = _network_series(net, digest)
+    t = accumulate_series(series, run.k)
+    return {"input_sha256": digest.hexdigest(), **_load_counts(events, series),
+            "counts": t.counts.tolist()}, t
+
+
 def _network_motifs(run: RunConfig, net: NetworkSpec) -> dict:
-    """What ``motifs`` records of ``net``: input digest, load counts, real and ensemble class totals."""
+    """What ``motifs`` records of ``net``: input digest, load counts, real class counts and ensemble means."""
     import hashlib
 
     from .census import graphlet_class_frequencies
-    from .nullmodel import _ensemble_totals
+    from .nullmodel import ensemble_frequencies
 
     digest = hashlib.sha256()
     events, g = _network_final_graph(net, digest)
     return {"input_sha256": digest.hexdigest(), **_load_counts(events),
             "real": graphlet_class_frequencies(g, run.k),
-            "ensemble_totals": _ensemble_totals(g, run.k, run.replicates, run.swaps_per_edge, run.seed)}
+            "ensemble_means": ensemble_frequencies(g, run.k, run.replicates, run.swaps_per_edge, run.seed)}
 
 
-def _motif_scores(run: RunConfig, entry: dict) -> tuple[list[float], np.ndarray]:
-    """A ``_network_motifs`` record's means, as ``ensemble_frequencies`` has them, and fingerprint."""
+def _motif_scores(run: RunConfig, entry: dict) -> np.ndarray:
+    """The motif fingerprint of a ``_network_motifs`` record."""
     from .metrics import motif_scores_from_counts
 
-    means = [entry["ensemble_totals"][name] / run.replicates for name in entry["real"]]
-    return means, motif_scores_from_counts(list(entry["real"].values()), means, run.k)
+    return motif_scores_from_counts([*entry["real"].values()], [*entry["ensemble_means"].values()], run.k)
 
 
 def _report_errors(errors: list[str]) -> int:
@@ -671,37 +678,31 @@ def cmd_census(args: argparse.Namespace) -> int:
 
 
 def cmd_transitions(args: argparse.Namespace) -> int:
-    import hashlib
-
-    from .transitions import accumulate_series, discretize, row_normalize
+    from .transitions import discretize, row_normalize
 
     run = load_run_config(args)
 
     def worker(net: NetworkSpec):
-        digest = hashlib.sha256()
-        events, series = _network_series(net, digest)
-        t = accumulate_series(series, run.k)
+        record, t = _network_transitions(run, net)
         normalized = row_normalize(t)
         fp = discretize(normalized)
         stem = _file_stem(net.name)
         write_orbit_matrix_csv(run.out / f"{stem}.transitions.csv", t.counts)
         write_orbit_matrix_csv(run.out / f"{stem}.transitions_normalized.csv", normalized)
         write_orbit_matrix_csv(run.out / f"{stem}.fingerprint.csv", fp)
-        product = write_json(
+        write_json(
             run.out / f"{stem}.transitions.json",
             {
                 "k": t.k,
                 "pairs_processed": t.pairs_processed,
-                "counts": t.counts.tolist(),
+                "counts": record["counts"],
                 "normalized": normalized,
                 "fingerprint": [list(row) for row in fp],
                 "dissolved": {str(a + 1): int(c) for a, c in enumerate(t.dissolved)},
                 "total_node_transitions": t.total_node_transitions(),
             },
         )
-        # what compare --metric ota checks before it reads the counts back
-        return {"input_sha256": digest.hexdigest(), **_load_counts(events, series),
-                "product_sha256": hashlib.sha256(product.encode()).hexdigest()}
+        return record  # what compare --metric ota reads back
 
     results, errors = run_per_network(run, worker)
     if results:
@@ -715,7 +716,8 @@ def cmd_motifs(args: argparse.Namespace) -> int:
     def worker(net: NetworkSpec):
         entry = _network_motifs(run, net)
         header = ("class", "real_count", "ensemble_mean", "delta")
-        rows = ([*item, *cells] for item, *cells in zip(entry["real"].items(), *_motif_scores(run, entry)))
+        rows = ([*item, mean, score] for item, mean, score in zip(
+            entry["real"].items(), entry["ensemble_means"].values(), _motif_scores(run, entry)))
         write_csv(run.out / f"{_file_stem(net.name)}.motifs.csv", header, rows)
         return entry  # what compare --metric motif reads back
 
@@ -740,13 +742,6 @@ def cmd_compare(args: argparse.Namespace) -> int:
     product = {"ota": "transitions", "motif": "motifs"}.get(metric)  # the subcommand it reads back
     stored = _read_json_object(run.out / f"{product}.meta.json") if product else {}
 
-    def ota_worker(net: NetworkSpec) -> list[list[int]]:
-        if (counts := _stored_transitions(run, net, stored)) is not None:
-            return counts
-        from .transitions import accumulate_series
-
-        return accumulate_series(_network_series(net)[1], run.k).counts.tolist()
-
     def gdd_worker(net: NetworkSpec):
         from .census import compute_gdd, compute_orbit_frequencies
 
@@ -755,11 +750,12 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
     # metric -> (per-network worker, matrix builder over the workers' results, its meta kind)
     worker, build, kind = {
-        "ota": (ota_worker,
+        "ota": (lambda net: (_stored(run, net, stored, product)
+                             or _network_transitions(run, net)[0])["counts"],
                 partial(ota_matrix, ota_scaling=run.ota_scaling, rescale=run.relative_rescale), "OTA"),
         "gda": (gdd_worker, gda_matrix, "GDA"),
-        "motif": (lambda net: _motif_scores(run, _stored_motifs(run, net, stored)
-                                            or _network_motifs(run, net))[1],
+        "motif": (lambda net: _motif_scores(run, _stored(run, net, stored, product)
+                                            or _network_motifs(run, net)),
                   motif_distance_matrix, "MotifDistance"),
     }[metric]
     results, errors = run_per_network(run, worker)

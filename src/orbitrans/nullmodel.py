@@ -98,18 +98,11 @@ def randomized_replicates(
             for r in range(replicates))
 
 
-def _ensemble_totals(g: StaticGraph, k: int, replicates: int, swaps_per_edge: int,
-                     seed: int) -> dict[str, int]:
-    """Class counts summed over ``randomized_replicates``: ints, which ``ensemble_frequencies`` divides."""
-    totals: Counter[str] = Counter()
-    for replica in randomized_replicates(g, replicates, swaps_per_edge, seed):
-        totals.update(graphlet_class_frequencies(replica, k))
-    return totals
-
-
 def ensemble_frequencies(
     g: StaticGraph, k: int = 4, replicates: int = 100, swaps_per_edge: int = 10, seed: int = 0
 ) -> dict[str, float]:
     """Mean graphlet-class counts over ``randomized_replicates``, canonical order."""
-    totals = _ensemble_totals(g, k, replicates, swaps_per_edge, seed)
+    totals: Counter[str] = Counter()
+    for replica in randomized_replicates(g, replicates, swaps_per_edge, seed):
+        totals.update(graphlet_class_frequencies(replica, k))
     return {name: total / replicates for name, total in totals.items()}

@@ -1,8 +1,8 @@
 import csv
 import filecmp
-import hashlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -309,14 +309,6 @@ def edit_json(path: Path, edit: Callable[[dict], None], indent: int | None = Non
     path.write_text(json.dumps(obj, indent=indent))
 
 
-def add_count(product: dict, to_total: bool) -> None:
-    """One more transition in the product's first non-zero cell, and in its
-    conservation total if ``to_total``."""
-    row = next(row for row in product["counts"] if any(row))
-    row[next(j for j, c in enumerate(row) if c)] += 1
-    product["total_node_transitions"] += to_total
-
-
 def fail_densify_in_transitions(manifest: Path, out: Path) -> None:
     """Rerun transitions with densify's first file blocked: it gets no meta
     entry, but its earlier transitions.json stays."""
@@ -327,14 +319,15 @@ def fail_densify_in_transitions(manifest: Path, out: Path) -> None:
     blocked.rmdir()
 
 
-def redigest_densify_product(manifest: Path, out: Path) -> None:
-    """A count added to densify's product, its total kept and the meta file
-    given the edited product's digest: only the conservation check is left."""
-    product = out / "densify.transitions.json"
-    edit_json(product, lambda p: add_count(p, False), indent=2)
-    digest = hashlib.sha256(product.read_bytes()).hexdigest()
-    edit_json(out / "transitions.meta.json",
-              lambda m: m["networks"]["densify"].update(product_sha256=digest))
+def edit_densify_record(command: str, edit: Callable[[dict], None]) -> Callable[[Path, Path], None]:
+    """A stale case that applies ``edit`` to densify's record in ``command``'s meta file."""
+    return lambda m, out: edit_json(out / f"{command}.meta.json",
+                                    lambda meta: edit(meta["networks"]["densify"]))
+
+
+def set_first_count(value) -> Callable[[dict], None]:
+    """An edit that puts ``value`` in the first cell of the ``counts`` of a transitions record or product."""
+    return lambda record: record["counts"][0].__setitem__(0, value)
 
 
 def move_densify_input(manifest: Path, out: Path) -> None:
@@ -345,9 +338,6 @@ def move_densify_input(manifest: Path, out: Path) -> None:
 # case -> (what it does to a finished transitions run, the networks compare must recompute)
 STALE_PRODUCTS = {
     "input byte edited": (lambda m, out: edit_file(m.parent / "densify.txt", " 21", " 11"), 1),
-    "product count altered": (lambda m, out: edit_json(
-        out / "densify.transitions.json", lambda p: add_count(p, True), indent=2), 1),
-    "conservation total broken": (redigest_densify_product, 1),
     "width changed": (lambda m, out: edit_file(m, "width = 10", "width = 11"), 2),
     "count changed": (lambda m, out: edit_file(m, "count = 3", "count = 4"), 2),
     "policy changed": (lambda m, out: edit_file(m, "policy = aggregate", "policy = active"), 1),
@@ -364,10 +354,18 @@ STALE_PRODUCTS = {
         out / "transitions.meta.json", lambda meta: meta.update(networks=[])), 2),
     "meta entry not an object": (lambda m, out: edit_json(
         out / "transitions.meta.json", lambda meta: meta["networks"].update(densify=[])), 1),
-    "load count missing": (lambda m, out: edit_json(
-        out / "transitions.meta.json", lambda meta: meta["networks"]["densify"].pop("events_read")), 1),
+    "load count missing": (edit_densify_record("transitions", lambda r: r.pop("events_read")), 1),
+    "load count a boolean": (edit_densify_record("transitions", lambda r: r.update(events_read=True)), 1),
+    "load count negative": (edit_densify_record(
+        "transitions", lambda r: r.update(events_outside_window=-1)), 1),
+    "counts missing": (edit_densify_record("transitions", lambda r: r.pop("counts")), 1),
+    "counts of k = 3 under k = 4": (edit_densify_record(
+        "transitions", lambda r: r.update(counts=[row[:3] for row in r["counts"][:3]])), 1),
+    "counts with a row missing": (edit_densify_record("transitions", lambda r: r["counts"].pop()), 1),
+    "count negative": (edit_densify_record("transitions", set_first_count(-1)), 1),
+    "count a boolean": (edit_densify_record("transitions", set_first_count(True)), 1),
+    "count a float": (edit_densify_record("transitions", set_first_count(0.0)), 1),
     "network failed in transitions": (fail_densify_in_transitions, 1),
-    "product deleted": (lambda m, out: (out / "densify.transitions.json").unlink(), 1),
 }
 
 
@@ -427,6 +425,23 @@ class TestProductReuse:
         assert written == self.compare(manifest, tmp_path / "fresh", capsys)
         assert written[0] == 0
 
+    @pytest.mark.parametrize("spoil", ["edited", "deleted"])
+    def test_product_files_are_not_read(self, stored, monkeypatch, capsys, spoil):
+        # compare reads the counts from transitions.meta.json, never from <name>.transitions.json
+        manifest, out = stored
+        before = self.compare(manifest, out, capsys)
+        for product in out.glob("*.transitions.json"):
+            if spoil == "edited":
+                edit_json(product, set_first_count(10**6), indent=2)
+            else:
+                product.unlink()
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("compare recomputed a stored product")
+
+        monkeypatch.setattr(transitions, "accumulate_series", refuse)
+        assert self.compare(manifest, out, capsys) == before
+
 
 def fail_densify_in_motifs(manifest: Path, out: Path) -> None:
     """Rerun motifs with densify's file blocked: it is recorded without its
@@ -436,11 +451,6 @@ def fail_densify_in_motifs(manifest: Path, out: Path) -> None:
     blocked.mkdir()
     assert main(["motifs", "--manifest", str(manifest), "--out", str(out)]) == 1
     blocked.rmdir()
-
-
-def edit_densify_record(edit: Callable[[dict], None]) -> Callable[[Path, Path], None]:
-    """A stale case that applies ``edit`` to densify's record in motifs.meta.json."""
-    return lambda m, out: edit_json(out / "motifs.meta.json", lambda meta: edit(meta["networks"]["densify"]))
 
 
 def rename_first_class(counts: dict) -> None:
@@ -459,17 +469,24 @@ STALE_MOTIFS = {
     "input moved": (move_densify_input, 1),
     "sep changed": (lambda m, out: edit_file(m, "[densify]\n", "[densify]\nsep = comma\n"), 1),
     "input byte edited": (lambda m, out: edit_file(m.parent / "densify.txt", " 21", " 11"), 1),
-    "load count missing": (edit_densify_record(lambda r: r.pop("self_loops_dropped")), 1),
-    "input digest missing": (edit_densify_record(lambda r: r.pop("input_sha256")), 1),
-    "real class renamed": (edit_densify_record(lambda r: rename_first_class(r["real"])), 1),
-    "ensemble class renamed": (edit_densify_record(lambda r: rename_first_class(r["ensemble_totals"])), 1),
-    "real class missing": (edit_densify_record(lambda r: r["real"].popitem()), 1),
-    "ensemble total not an int": (edit_densify_record(
-        lambda r: r["ensemble_totals"].update(star=r["ensemble_totals"]["star"] + 0.5)), 1),
-    "real count a string": (edit_densify_record(lambda r: r["real"].update(path=str(r["real"]["path"]))), 1),
-    "real count a boolean": (edit_densify_record(lambda r: r["real"].update(clique=False)), 1),
-    "ensemble total negative": (edit_densify_record(lambda r: r["ensemble_totals"].update(cycle=-1)), 1),
-    "ensemble totals missing": (edit_densify_record(lambda r: r.pop("ensemble_totals")), 1),
+    "load count missing": (edit_densify_record("motifs", lambda r: r.pop("self_loops_dropped")), 1),
+    "load count a boolean": (edit_densify_record("motifs", lambda r: r.update(events_read=True)), 1),
+    "load count negative": (edit_densify_record("motifs", lambda r: r.update(self_loops_dropped=-1)), 1),
+    "input digest missing": (edit_densify_record("motifs", lambda r: r.pop("input_sha256")), 1),
+    "real class renamed": (edit_densify_record("motifs", lambda r: rename_first_class(r["real"])), 1),
+    "ensemble class renamed": (edit_densify_record(
+        "motifs", lambda r: rename_first_class(r["ensemble_means"])), 1),
+    "real class missing": (edit_densify_record("motifs", lambda r: r["real"].popitem()), 1),
+    "ensemble mean an int": (edit_densify_record(
+        "motifs", lambda r: r["ensemble_means"].update(star=round(r["ensemble_means"]["star"]))), 1),
+    "real count a string": (edit_densify_record(
+        "motifs", lambda r: r["real"].update(path=str(r["real"]["path"]))), 1),
+    "real count a boolean": (edit_densify_record("motifs", lambda r: r["real"].update(clique=False)), 1),
+    "ensemble mean negative": (edit_densify_record(
+        "motifs", lambda r: r["ensemble_means"].update(cycle=-1.0)), 1),
+    "ensemble mean Infinity": (edit_densify_record(
+        "motifs", lambda r: r["ensemble_means"].update(path=math.inf)), 1),
+    "ensemble means missing": (edit_densify_record("motifs", lambda r: r.pop("ensemble_means")), 1),
     "meta missing": (lambda m, out: (out / "motifs.meta.json").unlink(), 2),
     "meta not JSON": (lambda m, out: (out / "motifs.meta.json").write_text("{"), 2),
     "network failed in motifs": (fail_densify_in_motifs, 1),
@@ -477,7 +494,7 @@ STALE_MOTIFS = {
 
 
 class TestMotifReuse:
-    """compare --metric motif reads back the class counts and ensemble totals
+    """compare --metric motif reads back the class counts and ensemble means
     motifs recorded where motifs.meta.json shows them current, and computes
     them otherwise."""
 
@@ -511,8 +528,8 @@ class TestMotifReuse:
         def refuse(*args, **kwargs):
             raise AssertionError("compare recomputed a stored product")
 
-        for module, name in ((nullmodel, "ensemble_frequencies"), (nullmodel, "_ensemble_totals"),
-                             (census, "graphlet_class_frequencies"), (graph_core, "parse_edge_list")):
+        for module, name in ((nullmodel, "ensemble_frequencies"), (census, "graphlet_class_frequencies"),
+                             (graph_core, "parse_edge_list")):
             monkeypatch.setattr(module, name, refuse)
         # the inputs are hashed in blocks, not read into memory whole
         read_bytes = Path.read_bytes
@@ -525,13 +542,37 @@ class TestMotifReuse:
         spoil, recomputed = STALE_MOTIFS[case]
         spoil(manifest, out)
         calls = []
-        totals = nullmodel._ensemble_totals
-        monkeypatch.setattr(nullmodel, "_ensemble_totals",
-                            lambda g, *settings: calls.append(g) or totals(g, *settings))
+        frequencies = nullmodel.ensemble_frequencies
+        monkeypatch.setattr(nullmodel, "ensemble_frequencies",
+                            lambda g, *settings: calls.append(g) or frequencies(g, *settings))
         written = self.compare(manifest, out, capsys)
         assert len(calls) == recomputed
         assert written == self.compare(manifest, tmp_path / "fresh", capsys)
         assert written[0] == 0
+
+    def test_ensemble_frequencies_runs_once_per_computed_network(self, stored, tmp_path, monkeypatch,
+                                                                  capsys):
+        # the CLI's null model goes through the public function that perfbench's tracer times
+        manifest, out = stored
+        calls = []
+        frequencies = nullmodel.ensemble_frequencies
+        monkeypatch.setattr(nullmodel, "ensemble_frequencies",
+                            lambda g, *settings: calls.append(g) or frequencies(g, *settings))
+        assert main(["motifs", "--manifest", str(manifest), "--out", str(tmp_path / "again")]) == 0
+        assert len(calls) == 2
+        assert self.compare(manifest, out, capsys)[0] == 0
+        assert len(calls) == 2
+        assert self.compare(manifest, tmp_path / "fresh", capsys)[0] == 0
+        assert len(calls) == 4
+
+    @settings(max_examples=300, deadline=None)
+    @given(total=st.integers(0, 2**64), replicates=st.integers(1, 10**6))
+    def test_stored_mean_reads_back_exactly(self, tmp_path_factory, total, replicates):
+        # a mean as ensemble_frequencies divides it, through the meta file's writer and reader
+        path = tmp_path_factory.getbasetemp() / "mean.meta.json"
+        write_json(path, {"networks": {"n": {"ensemble_means": {"star": total / replicates}}}})
+        mean = cli._read_json_object(path)["networks"]["n"]["ensemble_means"]["star"]
+        assert type(mean) is float and mean.hex() == (total / replicates).hex()
 
 
 @pytest.fixture
@@ -1374,9 +1415,8 @@ class TestUtf8Files:
         return {"LC_ALL": "C", "PYTHONCOERCECLOCALE": "0"}, names
 
     def test_ascii_locale_reuse_writes_what_a_fresh_run_writes(self, ascii_names, tmp_path):
-        # the products are written under UTF-8; the ASCII child cannot name the
-        # OTA product files, so it recomputes those networks, and reads the motif
-        # records, which live in motifs.meta.json
+        # the products are written under UTF-8; the ASCII child reads the stored
+        # records, which live in the meta files, whose names it can encode
         env, names = ascii_names
         stored, fresh = tmp_path / "stored", tmp_path / "fresh"
         for command in ("transitions", "motifs"):
@@ -1641,7 +1681,7 @@ class TestMetaFiles:
 
     @pytest.mark.parametrize("argv, name, keys, network_keys", [
         (["motifs"], "motifs", {"seed", "replicates", "swaps_per_edge"}, {
-            "input_sha256", "events_read", "self_loops_dropped", "real", "ensemble_totals"}),
+            "input_sha256", "events_read", "self_loops_dropped", "real", "ensemble_means"}),
         (["compare", "--metric", "ota"], "compare_ota",
          {"metric", "kind", "linkage", "ota_scaling", "relative_rescale"}, SNAPSHOT_KEYS),
         (["compare", "--metric", "gda"], "compare_gda",
@@ -1649,8 +1689,7 @@ class TestMetaFiles:
         (["compare", "--metric", "motif"], "compare_motif",
          {"metric", "kind", "linkage", "seed", "replicates", "swaps_per_edge"}, set()),
         (["transitions"], "transitions", set(), SNAPSHOT_KEYS | {
-            "input_sha256", "events_read", "self_loops_dropped", "events_outside_window",
-            "product_sha256"}),
+            "input_sha256", "events_read", "self_loops_dropped", "events_outside_window", "counts"}),
     ])
     def test_keys(self, toy_run, argv, name, keys, network_keys):
         manifest, out = toy_run
