@@ -309,6 +309,13 @@ def edit_json(path: Path, edit: Callable[[dict], None], indent: int | None = Non
     path.write_text(json.dumps(obj, indent=indent))
 
 
+def add_count(product: dict, to_total: bool) -> None:
+    """One more transition in the product's first cell, and in its
+    conservation total if ``to_total``."""
+    product["counts"][0][0] += 1
+    product["total_node_transitions"] += to_total
+
+
 def fail_densify_in_transitions(manifest: Path, out: Path) -> None:
     """Rerun transitions with densify's first file blocked: it gets no meta
     entry, but its earlier transitions.json stays."""
@@ -326,7 +333,7 @@ def edit_densify_record(command: str, edit: Callable[[dict], None]) -> Callable[
 
 
 def set_first_count(value) -> Callable[[dict], None]:
-    """An edit that puts ``value`` in the first cell of the ``counts`` of a transitions record or product."""
+    """An edit that puts ``value`` in the first cell of the ``counts`` of a transitions record."""
     return lambda record: record["counts"][0].__setitem__(0, value)
 
 
@@ -366,6 +373,13 @@ STALE_PRODUCTS = {
     "count a boolean": (edit_densify_record("transitions", set_first_count(True)), 1),
     "count a float": (edit_densify_record("transitions", set_first_count(0.0)), 1),
     "network failed in transitions": (fail_densify_in_transitions, 1),
+}
+
+# case -> what it does to each <name>.transitions.json of a finished transitions run
+PRODUCT_FILE_SPOILS = {
+    "count altered": lambda product: edit_json(product, lambda p: add_count(p, True), indent=2),
+    "conservation total broken": lambda product: edit_json(product, lambda p: add_count(p, False), indent=2),
+    "deleted": Path.unlink,
 }
 
 
@@ -425,16 +439,15 @@ class TestProductReuse:
         assert written == self.compare(manifest, tmp_path / "fresh", capsys)
         assert written[0] == 0
 
-    @pytest.mark.parametrize("spoil", ["edited", "deleted"])
+    @pytest.mark.parametrize("spoil", PRODUCT_FILE_SPOILS)
     def test_product_files_are_not_read(self, stored, monkeypatch, capsys, spoil):
         # compare reads the counts from transitions.meta.json, never from <name>.transitions.json
         manifest, out = stored
         before = self.compare(manifest, out, capsys)
-        for product in out.glob("*.transitions.json"):
-            if spoil == "edited":
-                edit_json(product, set_first_count(10**6), indent=2)
-            else:
-                product.unlink()
+        products = [*out.glob("*.transitions.json")]
+        assert len(products) == 2
+        for product in products:
+            PRODUCT_FILE_SPOILS[spoil](product)
 
         def refuse(*args, **kwargs):
             raise AssertionError("compare recomputed a stored product")
