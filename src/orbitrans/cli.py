@@ -36,7 +36,12 @@ determines a run; flags fill in whatever the manifest leaves out.
 ``compare --metric ota`` and ``--metric motif`` read back the record of each
 network that ``transitions`` or ``motifs`` stored in its meta file in the
 same ``out`` wherever it is current (``_stored``), and compute the others
-through the same worker; OTA computing none loads no numpy.
+through the same worker; OTA computing none loads no numpy. ``stats``,
+``census`` and ``transitions`` (and OTA, for a network it computes) read
+each network's snapshot series back in the same way from
+``snapshots.meta.json``, checked against the tool version and the network
+fields alone, not ``k``; the three write it where they parsed any input.
+Deleting a meta file, or a fresh ``out``, forces the work again.
 All outputs are written atomically and deterministically: rerunning the
 same manifest reproduces every file byte for byte. Every text file, read
 or written, is UTF-8 whatever the locale. After loading each
@@ -54,12 +59,13 @@ import io
 import json
 import math
 import numbers
+import operator
 import os
 import sys
 import tempfile
 from dataclasses import dataclass, fields
 from functools import partial
-from itertools import chain
+from itertools import chain, repeat, starmap
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, NoReturn, Sequence
 
@@ -466,16 +472,6 @@ def _report_load(net: NetworkSpec, counts: dict[str, int]) -> None:
     print(line, file=sys.stderr)
 
 
-def _network_series(net: NetworkSpec, digest=None) -> tuple[TemporalEdgeList, SnapshotSeries]:
-    """The network's events and snapshot series; ``digest`` as ``load_events`` takes it."""
-    from .graph_core import build_snapshots
-
-    events = net.load_events(digest)
-    series = build_snapshots(events, net.snapshot_policy())
-    _report_load(net, _load_counts(events, series))
-    return events, series
-
-
 def _network_final_graph(net: NetworkSpec, digest=None) -> tuple[TemporalEdgeList, StaticGraph]:
     """The network's events and final graph, of every event; ``digest`` as ``load_events`` takes it."""
     from .graph_core import final_aggregate_graph
@@ -526,33 +522,50 @@ def _class_map(counts, k: int, kind: type) -> bool:
             and all(_count(c, kind) for c in counts.values()))
 
 
-# subcommand -> {each key of the record it stores of a network that holds numbers: whether a value fits k}
+def _key_bins(bins, k: int, entry: dict) -> bool:
+    """Whether ``bins`` are the entry's ``count`` + 1 lists of strictly ascending int keys
+    ``u*n + v`` with u < v, n the number of its labels."""
+    n = len(entry["labels"])
+    return isinstance(bins, list) and len(bins) == entry["count"] + 1 and all(
+        isinstance(keys, list) and {int}.issuperset(map(type, keys)) and (
+            not keys or 0 <= keys[0] <= keys[-1] < n * n) and all(map(operator.lt, keys, keys[1:]))
+        and all(starmap(operator.lt, map(divmod, keys, repeat(n)))) for keys in bins)
+
+
+# product -> {each record key but the network fields: whether a value fits k and the record so far}
 _RECORD_CHECKS = {
-    "transitions": {**dict.fromkeys(_LOAD_COUNTS, lambda n, k: _count(n)), "counts": _count_rows},
-    "motifs": {**dict.fromkeys(_LOAD_COUNTS[:2], lambda n, k: _count(n)),
-               "real": partial(_class_map, kind=int), "ensemble_means": partial(_class_map, kind=float)},
+    "transitions": {**dict.fromkeys(_LOAD_COUNTS, lambda n, *_: _count(n)),
+                    "counts": lambda rows, k, _: _count_rows(rows, k)},
+    "motifs": {**dict.fromkeys(_LOAD_COUNTS[:2], lambda n, *_: _count(n)),
+               "real": lambda counts, k, _: _class_map(counts, k, int),
+               "ensemble_means": lambda counts, k, _: _class_map(counts, k, float)},
+    "snapshots": {**dict.fromkeys(_LOAD_COUNTS, lambda n, *_: _count(n)),
+                  "labels": lambda labels, *_: isinstance(labels, list) and {str}.issuperset(
+                      map(type, labels)) and len(set(labels)) == len(labels), "bins": _key_bins},
 }
 
 
-def _stored(run: RunConfig, net: NetworkSpec, meta: dict, command: str) -> dict | None:
-    """The record of ``net`` in ``meta``, the object of ``command``'s meta file, where ``meta``
-    has this tool version and this run's ``_recorded`` settings of ``command``, and the record
-    this run's ``_recorded`` fields, values that pass ``_RECORD_CHECKS[command]`` and an
-    ``input_sha256`` the input file still hashes to; else None. Prints the record's load line."""
+def _stored(run: RunConfig, net: NetworkSpec, meta: dict, product: str) -> dict | None:
+    """The record of ``net`` in ``meta``, the object of ``product``'s meta file, where ``meta``
+    has this tool version and this run's ``_recorded`` settings of ``product``, and the record
+    this run's ``_recorded`` fields, values that pass ``_RECORD_CHECKS[product]`` and an
+    ``input_sha256`` the input file still hashes to; else None. Prints the record's load line.
+    A ``"snapshots"`` record depends on every network field and no run setting, ``k`` included."""
     import hashlib
 
-    run_keys, net_keys = _recorded(COMMANDS[command][1])
+    run_keys, net_keys = ((), NETWORK_KEYS) if product == "snapshots" else _recorded(COMMANDS[product][1])
     networks = meta.get("networks")
     entry = networks.get(net.name) if isinstance(networks, dict) else None
     if (not isinstance(entry, dict) or meta.get("tool_version") != __version__
             or any(meta.get(key) != getattr(run, key) for key in run_keys)
             or any(entry.get(key) != value for key, value in net.record(net_keys).items())
-            or not all(fits(entry.get(key), run.k) for key, fits in _RECORD_CHECKS[command].items())):
+            or not all(fits(entry.get(key), run.k, entry) for key, fits in _RECORD_CHECKS[product].items())):
         return None
     digest = hashlib.sha256()
     try:
         with net.path.open("rb") as fh:
-            for _block in iter(partial(_Hashing(fh, digest).read, io.DEFAULT_BUFFER_SIZE), b""):
+            # in the parser's block size: the default buffer size takes more calls
+            for _block in iter(partial(_Hashing(fh, digest).read, 1 << 18), b""):
                 pass
     except (OSError, UnicodeEncodeError):
         return None
@@ -562,18 +575,60 @@ def _stored(run: RunConfig, net: NetworkSpec, meta: dict, command: str) -> dict 
     return entry
 
 
-def _network_transitions(run: RunConfig, net: NetworkSpec) -> tuple[dict, OrbitTransitionMatrix]:
+# what a series record holds besides the network fields
+_SERIES_KEYS = ("input_sha256", *_LOAD_COUNTS, "labels", "bins")
+
+
+class _SeriesFile:
+    """The ``snapshots.meta.json`` of a run's ``out``: each network's series record (input digest,
+    load counts, labels and the key bins of ``build_snapshots``), read back where ``_stored``
+    finds it current and computed from the input otherwise."""
+
+    def __init__(self, run: RunConfig):
+        self.run, self.path = run, run.out / "snapshots.meta.json"
+        self.meta: dict | None = None  # the stored file, read for the first network
+        self.records, self.computed = {}, False
+
+    def series(self, net: NetworkSpec) -> tuple[dict, SnapshotSeries]:
+        """The series record of ``net`` and its snapshot series; prints the network's load line."""
+        import hashlib
+
+        from .graph_core import build_snapshots, series_from_bins
+
+        if self.meta is None:
+            self.meta = _read_json_object(self.path)
+        record = _stored(self.run, net, self.meta, "snapshots")
+        if record is None:
+            digest = hashlib.sha256()
+            events = net.load_events(digest)
+            series = build_snapshots(events, net.snapshot_policy())
+            record = {"input_sha256": digest.hexdigest(), **_load_counts(events, series),
+                      "labels": list(events.labels), "bins": [keys.tolist() for keys in series.bins]}
+            _report_load(net, record)
+            self.computed = True
+        else:
+            series = series_from_bins(len(record["labels"]), record["bins"], net.policy,
+                                      record["events_outside_window"])
+        self.records[net.name] = record
+        return record, series
+
+    def write(self) -> None:
+        """Store each record's ``_SERIES_KEYS`` and this run's network fields, where it computed any."""
+        if self.computed:
+            write_json(self.path, {"tool_version": __version__, "networks": {
+                net.name: net.record() | {key: self.records[net.name][key] for key in _SERIES_KEYS}
+                for net in self.run.networks if net.name in self.records}})
+
+
+def _network_transitions(run: RunConfig, net: NetworkSpec,
+                         snapshots: _SeriesFile) -> tuple[dict, OrbitTransitionMatrix]:
     """What ``transitions`` records of ``net`` (input digest, load counts and the transition
     counts as rows of ints), and the transition matrix it comes from."""
-    import hashlib
-
     from .transitions import accumulate_series
 
-    digest = hashlib.sha256()
-    events, series = _network_series(net, digest)
+    record, series = snapshots.series(net)
     t = accumulate_series(series, run.k)
-    return {"input_sha256": digest.hexdigest(), **_load_counts(events, series),
-            "counts": t.counts.tolist()}, t
+    return {key: record[key] for key in ("input_sha256", *_LOAD_COUNTS)} | {"counts": t.counts.tolist()}, t
 
 
 def _network_motifs(run: RunConfig, net: NetworkSpec) -> dict:
@@ -611,10 +666,10 @@ def cmd_stats(args: argparse.Namespace) -> int:
     from .graph_core import STATS_HEADER, snapshot_stats
 
     run = load_run_config(args)
+    snapshots = _SeriesFile(run)
 
     def worker(net: NetworkSpec):
-        _events, series = _network_series(net)
-        rows = snapshot_stats(series)
+        rows = snapshot_stats(snapshots.series(net)[1])
         write_csv(run.out / f"{_file_stem(net.name)}.stats.csv", STATS_HEADER, rows)
         return rows
 
@@ -624,6 +679,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
     ]
     if results:
         write_csv(run.out / "stats.csv", ("network", *STATS_HEADER), combined)
+        snapshots.write()
     return _report_errors(errors)
 
 
@@ -658,22 +714,24 @@ def _census_bundle(run: RunConfig, stem: str, tag: str, fr: OrbitFrequencyMatrix
 
 def cmd_census(args: argparse.Namespace) -> int:
     from .census import compute_orbit_frequencies
-    from .graph_core import final_aggregate_graph
 
     run = load_run_config(args)
+    snapshots = _SeriesFile(run)
 
     def worker(net: NetworkSpec):
-        events, series = _network_series(net)
+        record, series = snapshots.series(net)
         stem = _file_stem(net.name)
         for i, snap in enumerate(series.snapshots):
             fr = compute_orbit_frequencies(snap, run.k)
-            _census_bundle(run, stem, f"snap{i}", fr, events.labels)
+            _census_bundle(run, stem, f"snap{i}", fr, record["labels"])
         # an aggregate series with no event past its window ends on the final graph
-        if (final := final_aggregate_graph(events)) != series[-1]:
+        if (final := series.final_graph()) != series[-1]:
             fr = compute_orbit_frequencies(final, run.k)
-        _census_bundle(run, stem, "final", fr, events.labels)
+        _census_bundle(run, stem, "final", fr, record["labels"])
 
-    _results, errors = run_per_network(run, worker)
+    results, errors = run_per_network(run, worker)
+    if results:
+        snapshots.write()
     return _report_errors(errors)
 
 
@@ -681,9 +739,10 @@ def cmd_transitions(args: argparse.Namespace) -> int:
     from .transitions import discretize, row_normalize
 
     run = load_run_config(args)
+    snapshots = _SeriesFile(run)
 
     def worker(net: NetworkSpec):
-        record, t = _network_transitions(run, net)
+        record, t = _network_transitions(run, net, snapshots)
         normalized = row_normalize(t)
         fp = discretize(normalized)
         stem = _file_stem(net.name)
@@ -707,6 +766,7 @@ def cmd_transitions(args: argparse.Namespace) -> int:
     results, errors = run_per_network(run, worker)
     if results:
         write_meta(run.out / "transitions.meta.json", run, args, results)
+        snapshots.write()
     return _report_errors(errors)
 
 
@@ -741,6 +801,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
     gda_ks = (run.k, 3) if run.gda_include_k3 else (run.k,)
     product = {"ota": "transitions", "motif": "motifs"}.get(metric)  # the subcommand it reads back
     stored = _read_json_object(run.out / f"{product}.meta.json") if product else {}
+    snapshots = _SeriesFile(run)  # read only where a network's transitions are not stored
 
     def gdd_worker(net: NetworkSpec):
         from .census import compute_gdd, compute_orbit_frequencies
@@ -751,7 +812,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
     # metric -> (per-network worker, matrix builder over the workers' results, its meta kind)
     worker, build, kind = {
         "ota": (lambda net: (_stored(run, net, stored, product)
-                             or _network_transitions(run, net)[0])["counts"],
+                             or _network_transitions(run, net, snapshots)[0])["counts"],
                 partial(ota_matrix, ota_scaling=run.ota_scaling, rescale=run.relative_rescale), "OTA"),
         "gda": (gdd_worker, gda_matrix, "GDA"),
         "motif": (lambda net: _motif_scores(run, _stored(run, net, stored, product)

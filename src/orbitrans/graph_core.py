@@ -19,7 +19,8 @@ The layer works on integer arrays from end to end:
   word. So the passes over a block do not grow with its fields' length;
 - that array is sorted by time, so ``build_snapshots`` cuts it into one
   slice per snapshot and sorts only each slice's undirected edge keys
-  ``min(u,v)*n + max(u,v)``, with no loop over events;
+  ``min(u,v)*n + max(u,v)``, with no loop over events. It bins those keys
+  first, so ``series_from_bins`` rebuilds a stored series without events;
 - a ``StaticGraph`` is a set of sorted CSR arrays and nothing else;
 - ``characteristic_path_length`` is a bit-parallel breadth-first search
   over those arrays; ``clustering_coefficient`` reads the 3-node census.
@@ -30,7 +31,7 @@ from __future__ import annotations
 import io
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Literal
+from typing import Iterable, Iterator, Literal, Sequence
 
 import numpy as np
 
@@ -208,10 +209,11 @@ class TemporalEdgeList:
 # A text-mode file is read in characters, so its blocks can reach 4x the bound in bytes.
 _BLOCK_BYTES = 1 << 18
 
-# Bytes the vectorized tokenizer handles: printable ASCII, tab, CR, LF. A
-# block holding any other byte (a non-ASCII label, a control character that
-# str.splitlines() treats as a line break) is parsed line by line.
-_PLAIN = bytes(range(0x20, 0x7F)) + b"\t\n\r"
+# Bytes the vectorized tokenizer handles: printable ASCII, tab, LF, and CR
+# before LF. A block holding any other byte (a non-ASCII label, a control
+# character that str.splitlines() treats as a line break, a lone CR) is
+# parsed line by line; only a block with a CR counts its CRLFs.
+_PLAIN = bytes(range(0x20, 0x7F)) + b"\t\n"
 
 
 def _line_blocks(source: Iterable[str] | str | bytes) -> Iterator[bytes]:
@@ -375,9 +377,8 @@ class _EventReader:
         self.t.append(t[keep])
 
     def add_block(self, block: bytes) -> None:
-        returns = block.count(b"\r")
-        plain = not block.translate(None, _PLAIN)
-        plain = plain and (not returns or returns == block.count(b"\r\n"))
+        rest = block.translate(None, _PLAIN)
+        plain = not rest or rest.count(b"\r") == len(rest) == block.count(b"\r\n")
         breaks = self._add_plain(block) if plain else None
         if breaks is None:
             self._add_lines(block)
@@ -548,17 +549,22 @@ class SnapshotSeries:
 
     Every snapshot has the same node count; a node absent from a snapshot
     simply has no incident edges there. ``events_discarded`` counts events
-    that fell outside every snapshot interval.
+    that fell outside every snapshot interval; ``bins`` are those of ``build_snapshots``.
     """
 
     snapshots: tuple[StaticGraph, ...]
     events_discarded: int = 0
+    bins: tuple[np.ndarray, ...] = ()
 
     def __len__(self) -> int:
         return len(self.snapshots)
 
     def __getitem__(self, i: int) -> StaticGraph:
         return self.snapshots[i]
+
+    def final_graph(self) -> StaticGraph:
+        """The graph of every key in ``bins``: each node pair that ever shared an event."""
+        return _key_graph(self.snapshots[0].n, _distinct(np.concatenate(self.bins)))
 
 
 def _edge_keys(events: np.ndarray, n: int) -> np.ndarray:
@@ -569,6 +575,12 @@ def _edge_keys(events: np.ndarray, n: int) -> np.ndarray:
 
 def _key_graph(n: int, keys: np.ndarray) -> StaticGraph:
     return StaticGraph(n, np.column_stack((keys // n, keys % n)))
+
+
+def _new(held: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """The ``keys`` not in the sorted array ``held``; ``np.isin`` would import ``numpy.ma``."""
+    at = np.searchsorted(held, keys)
+    return keys[np.append(held, -1)[at] != keys]
 
 
 def build_snapshots(edges: TemporalEdgeList, policy: SnapshotPolicy) -> SnapshotSeries:
@@ -583,6 +595,10 @@ def build_snapshots(edges: TemporalEdgeList, policy: SnapshotPolicy) -> Snapshot
     Snapshot i's events are the slice ``[cuts[i], cuts[i+1])`` of the
     time-sorted events. The bounds are exact Python integers, and those
     outside the int64 range are counted rather than compared with ``t``.
+    The keys are binned first: bin i < count holds snapshot i's distinct
+    keys under ``active``, and the keys first seen in snapshot i under
+    ``aggregate``; bin ``count`` holds the keys seen only outside the
+    window, so the bins together hold every key of the events.
     """
     origin = policy.origin if policy.origin is not None else edges.origin
     count, n, t = policy.count, edges.n, edges.events[:, 2]
@@ -593,16 +609,29 @@ def build_snapshots(edges: TemporalEdgeList, policy: SnapshotPolicy) -> Snapshot
     cuts += [len(t)] * (count + 1 - len(cuts))
     if policy.mode == "aggregate":
         cuts[0] = 0
-    held, graphs = np.zeros(0, dtype=np.int64), []
+    held, bins = np.zeros(0, dtype=np.int64), []
     for a, b in zip(cuts, cuts[1:]):
-        keys = _edge_keys(edges.events[a:b], n)
-        if policy.mode == "active":
-            held = _distinct(keys)
-        else:  # the previous snapshot's edges carry forward
-            held = _distinct(np.concatenate((held, keys)))
-        graphs.append(_key_graph(n, held))
+        keys = _distinct(_edge_keys(edges.events[a:b], n))
+        if policy.mode == "aggregate":
+            keys = _new(held, keys)
+            held = np.sort(np.concatenate((held, keys)), kind="stable")  # merges two sorted runs
+        bins.append(keys)
+    outside = [_edge_keys(edges.events[a:b], n) for a, b in ((0, cuts[0]), (cuts[-1], len(t)))]
+    bins.append(_new(_distinct(np.concatenate(bins)), _distinct(np.concatenate(outside))))
     discarded = len(t) - (cuts[-1] - cuts[0])
-    return SnapshotSeries(snapshots=tuple(graphs), events_discarded=discarded)
+    return series_from_bins(n, bins, policy.mode, discarded)
+
+
+def series_from_bins(n: int, bins: Sequence[Sequence[int]], mode: PolicyMode,
+                     events_discarded: int = 0) -> SnapshotSeries:
+    """The series of ``build_snapshots``' ``count + 1`` key bins (arrays or lists) under ``mode``."""
+    bins = tuple(np.asarray(keys, dtype=np.int64) for keys in bins)
+    held, graphs = np.zeros(0, dtype=np.int64), []
+    for keys in bins[:-1]:
+        # an aggregate bin holds only the keys new to its snapshot
+        held = keys if mode == "active" else np.sort(np.concatenate((held, keys)), kind="stable")
+        graphs.append(_key_graph(n, held))
+    return SnapshotSeries(tuple(graphs), events_discarded, bins)
 
 
 def final_aggregate_graph(edges: TemporalEdgeList) -> StaticGraph:

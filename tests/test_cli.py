@@ -1,6 +1,8 @@
 import csv
 import filecmp
+import hashlib
 import io
+import itertools
 import json
 import math
 import os
@@ -588,6 +590,156 @@ class TestMotifReuse:
         assert type(mean) is float and mean.hex() == (total / replicates).hex()
 
 
+def set_densify_bin(i: int, keys: list) -> Callable[[dict], None]:
+    """An edit that sets bin ``i`` of a series record to ``keys``. densify's bins are
+    [[1, 15, 29], [3, 17], [5], []]: keys u*6 + v of its six labels."""
+    return lambda record: record["bins"].__setitem__(i, keys)
+
+
+# case -> (what it does to a finished stats run, the networks census must parse again)
+STALE_SERIES = {
+    "input byte edited": (lambda m, out: edit_file(m.parent / "densify.txt", " 21", " 11"), 1),
+    "input moved": (move_densify_input, 1),
+    "policy changed": (lambda m, out: edit_file(m, "policy = aggregate", "policy = active"), 1),
+    "width changed": (lambda m, out: edit_file(m, "width = 10", "width = 11"), 2),
+    "count changed": (lambda m, out: edit_file(m, "count = 3", "count = 4"), 2),
+    "origin changed": (lambda m, out: edit_file(m, "[settings]\n", "[settings]\norigin = 1\n"), 2),
+    "sep changed": (lambda m, out: edit_file(m, "[densify]\n", "[densify]\nsep = comma\n"), 1),
+    "k changed": (lambda m, out: edit_file(m, "[settings]\n", "[settings]\nk = 3\n"), 0),
+    "another tool_version": (lambda m, out: edit_json(
+        out / "snapshots.meta.json", lambda meta: meta.update(tool_version="0.0.0")), 2),
+    "meta missing": (lambda m, out: (out / "snapshots.meta.json").unlink(), 2),
+    "meta not JSON": (lambda m, out: (out / "snapshots.meta.json").write_text("{"), 2),
+    "meta not an object": (lambda m, out: (out / "snapshots.meta.json").write_text("[]"), 2),
+    "input digest missing": (edit_densify_record("snapshots", lambda r: r.pop("input_sha256")), 1),
+    "events read missing": (edit_densify_record("snapshots", lambda r: r.pop("events_read")), 1),
+    "self-loops dropped a boolean": (edit_densify_record(
+        "snapshots", lambda r: r.update(self_loops_dropped=False)), 1),
+    "events outside negative": (edit_densify_record(
+        "snapshots", lambda r: r.update(events_outside_window=-1)), 1),
+    "labels missing": (edit_densify_record("snapshots", lambda r: r.pop("labels")), 1),
+    "label not a string": (edit_densify_record("snapshots", lambda r: r["labels"].__setitem__(0, 0)), 1),
+    "label repeated": (edit_densify_record("snapshots", lambda r: r["labels"].__setitem__(0, "b")), 1),
+    "bins missing": (edit_densify_record("snapshots", lambda r: r.pop("bins")), 1),
+    "bin missing": (edit_densify_record("snapshots", lambda r: r["bins"].pop()), 1),
+    "bin added": (edit_densify_record("snapshots", lambda r: r["bins"].append([])), 1),
+    "bin not a list": (edit_densify_record("snapshots", set_densify_bin(3, {})), 1),
+    "bin unsorted": (edit_densify_record("snapshots", set_densify_bin(0, [15, 1, 29])), 1),
+    "key repeated": (edit_densify_record("snapshots", set_densify_bin(0, [1, 15, 15, 29])), 1),
+    "key negative": (edit_densify_record("snapshots", set_densify_bin(0, [-3, 1, 15, 29])), 1),
+    "key past n squared": (edit_densify_record("snapshots", set_densify_bin(3, [37])), 1),
+    "key with u > v": (edit_densify_record("snapshots", set_densify_bin(3, [6])), 1),
+    "key with u = v": (edit_densify_record("snapshots", set_densify_bin(3, [7])), 1),
+    "key a boolean": (edit_densify_record("snapshots", set_densify_bin(3, [True])), 1),
+    "key a float": (edit_densify_record("snapshots", set_densify_bin(2, [5.0])), 1),
+}
+
+
+class TestSeriesReuse:
+    """stats, census, transitions and compare --metric ota read each network's snapshot
+    series back from snapshots.meta.json where it is current, and parse the input otherwise."""
+
+    @pytest.fixture
+    def stored(self, tmp_path):
+        """A finished stats run: (manifest, out). densify's lines parse under either
+        separator, to different graphs."""
+        write_network(tmp_path, "densify", "a ,b, 0\nb ,c, 1\nc ,d, 2\na ,c, 10\nb ,d, 12\na ,d, 21\n")
+        write_network(tmp_path, "churn", "p q 3\nq r 4\nr s 13\ns p 14\np r 22\nq s 24\nq p 40\nq t 41\n")
+        manifest = write_manifest(
+            tmp_path,
+            "[settings]\nwidth = 10\ncount = 3\n\n"
+            "[densify]\npath = densify.txt\npolicy = aggregate\n\n"
+            "[churn]\npath = churn.txt\npolicy = active\n",
+        )
+        out = tmp_path / "out"
+        assert main(["stats", "--manifest", str(manifest), "--out", str(out)]) == 0
+        return manifest, out
+
+    @staticmethod
+    def run(argv: list[str], manifest: Path, out: Path, capsys) -> tuple[int, str, dict[str, bytes]]:
+        """The exit code, stderr and files other than the stats files of ``argv`` run into ``out``."""
+        capsys.readouterr()
+        code = main([*argv, "--manifest", str(manifest), "--out", str(out)])
+        return code, capsys.readouterr().err, {
+            p.name: p.read_bytes() for p in out.iterdir() if not p.name.endswith("stats.csv")}
+
+    def test_record(self, stored):
+        manifest, out = stored
+        meta = json.loads((out / "snapshots.meta.json").read_text())
+        assert list(meta) == ["tool_version", "networks"]
+        assert meta["networks"]["densify"] == {
+            "path": str(manifest.parent / "densify.txt"), "policy": "aggregate", "width": 10, "count": 3,
+            "origin": None, "sep": "ws",
+            "input_sha256": hashlib.sha256((manifest.parent / "densify.txt").read_bytes()).hexdigest(),
+            "events_read": 6, "self_loops_dropped": 0, "events_outside_window": 0,
+            "labels": ["a", ",b,", "b", ",c,", "c", ",d,"], "bins": [[1, 15, 29], [3, 17], [5], []]}
+        # churn's last two events fall past the window; the last bin holds the pair q-t,
+        # 1*5 + 4, but not p-q, which a snapshot holds
+        churn = meta["networks"]["churn"]
+        assert churn["events_outside_window"] == 2 and churn["bins"][-1] == [9]
+
+    def test_rewrite_stores_a_record_read_back_as_a_fresh_run_does(self, stored, capsys):
+        # densify's record is read back with a count equal to the manifest's but a float, and
+        # a key of its own; census parses churn again, so it rewrites the file
+        manifest, out = stored
+        fresh = (out / "snapshots.meta.json").read_bytes()
+        edit_json(out / "snapshots.meta.json", lambda meta: (
+            meta["networks"]["densify"].update(count=3.0, note="not stored"), meta["networks"].pop("churn")))
+        code, _err, files = self.run(["census"], manifest, out, capsys)
+        assert code == 0 and files["snapshots.meta.json"] == fresh
+
+    @pytest.mark.parametrize("argv", [["stats"], ["census"], ["transitions"], ["census", "--k", "3"],
+                                      ["compare"]], ids=["stats", "census", "transitions", "census-k3",
+                                                         "compare"])
+    def test_reuse_writes_what_a_fresh_run_writes(self, stored, tmp_path, monkeypatch, capsys, argv):
+        manifest, out = stored
+        before = (out / "snapshots.meta.json").read_bytes()
+        fresh = self.run(argv, manifest, tmp_path / "fresh", capsys)
+        assert fresh[0] == 0 and fresh[1].count("events outside the snapshot window") == 2
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the series was built again")
+
+        monkeypatch.setattr(graph_core, "parse_edge_list", refuse)
+        monkeypatch.setattr(graph_core, "build_snapshots", refuse)
+        written = self.run(argv, manifest, out, capsys)
+        # compare never writes the series file; the others write the bytes stats wrote
+        fresh[2].setdefault("snapshots.meta.json", before)
+        assert written == fresh
+
+    @pytest.mark.parametrize("case", STALE_SERIES)
+    def test_stale_series_parsed_again(self, stored, tmp_path, monkeypatch, capsys, case):
+        manifest, out = stored
+        spoil, parsed = STALE_SERIES[case]
+        spoil(manifest, out)
+        calls = []
+        parse = graph_core.parse_edge_list
+        monkeypatch.setattr(graph_core, "parse_edge_list", lambda *a, **kw: calls.append(a) or parse(*a, **kw))
+        written = self.run(["census"], manifest, out, capsys)
+        assert len(calls) == parsed
+        assert written == self.run(["census"], manifest, tmp_path / "fresh", capsys)
+        assert written[0] == 0
+
+    def test_non_ascii_and_surrogate_labels_round_trip(self, tmp_path, capsys):
+        # a lone surrogate parses (surrogatepass) but no UTF-8 file can hold it, so
+        # census fails on it alike whether it parsed or read the series back
+        write_network(tmp_path, "accent", "zo\u00eb \u00e5sa 0\n\u00e5sa b 5\nb zo\u00eb 12\n")
+        (tmp_path / "lone.txt").write_bytes(b"a \xed\xa0\x80 0\n\xed\xa0\x80 b 5\n")
+        manifest = write_manifest(tmp_path, "[settings]\nwidth = 10\ncount = 2\nk = 3\n\n"
+                                            "[accent]\npath = accent.txt\n\n[lone]\npath = lone.txt\n")
+        out, fresh = tmp_path / "out", tmp_path / "fresh"
+        assert main(["stats", "--manifest", str(manifest), "--out", str(out)]) == 0
+        labels = {name: [*parse_edge_list((tmp_path / f"{name}.txt").read_bytes()).labels]
+                  for name in ("accent", "lone")}
+        meta = json.loads((out / "snapshots.meta.json").read_text())
+        assert {name: meta["networks"][name]["labels"] for name in labels} == labels
+        assert labels["lone"][1] == "\ud800"
+        reused = self.run(["census"], manifest, out, capsys)
+        assert reused == self.run(["census"], manifest, fresh, capsys)
+        assert reused[0] == 1 and "error: network 'lone': 'utf-8' codec can't encode" in reused[1]
+        assert "zo\u00eb" in reused[2]["accent.final.fr.csv"].decode()
+
+
 @pytest.fixture
 def three_networks(tmp_path):
     """Two "closure" lattices and a "random" one, whose three pairwise scores
@@ -763,10 +915,13 @@ class TestDeterminismAndFailure:
         out = tmp_path / "out"
         assert main(["census", "--manifest", str(manifest), "--out", str(out)]) == 1
         assert "error: network 'star': a node of degree 3 " in capsys.readouterr().err
-        assert sorted(p.name for p in out.iterdir()) == sorted(
-            f"path.{tag}.{kind}" for tag in ("snap0", "snap1", "final")
-            for kind in ("fr.csv", "classes.csv", "gdd.json")
-        )
+        # star's series was built before its census failed, so both are stored
+        assert sorted(p.name for p in out.iterdir()) == sorted([
+            *(f"path.{tag}.{kind}" for tag in ("snap0", "snap1", "final")
+              for kind in ("fr.csv", "classes.csv", "gdd.json")),
+            "snapshots.meta.json",
+        ])
+        assert list(json.loads((out / "snapshots.meta.json").read_text())["networks"]) == ["star", "path"]
 
     def test_self_loops_only_network_fails_alone(self, tmp_path, capsys):
         # with no origin set, the snapshot window starts at the first event,
@@ -782,7 +937,8 @@ class TestDeterminismAndFailure:
         assert main(["stats", "--manifest", str(manifest), "--out", str(out)]) == 1
         assert ("error: network 'loops': edge list has no events: 2 events read, "
                 "2 self-loops dropped\n") in capsys.readouterr().err
-        assert sorted(p.name for p in out.iterdir()) == ["good.stats.csv", "stats.csv"]
+        assert sorted(p.name for p in out.iterdir()) == ["good.stats.csv", "snapshots.meta.json", "stats.csv"]
+        assert list(json.loads((out / "snapshots.meta.json").read_text())["networks"]) == ["good"]
 
     def test_carried_totals_mismatch_fails_alone(self, tmp_path, monkeypatch, capsys):
         # every pair on the delta path, and alpha's first one loses a block of
@@ -1057,6 +1213,8 @@ class TestUnwritableOut:
         ("compare", "compare_ota.csv"), ("compare", "compare_ota.tree.json"),
         ("compare", "compare_ota.meta.json"), ("motifs", "motifs.meta.json"), ("stats", "stats.csv"),
         ("transitions", "transitions.meta.json"), ("cluster", "cluster.tree.json"),
+        ("stats", "snapshots.meta.json"), ("census", "snapshots.meta.json"),
+        ("transitions", "snapshots.meta.json"),
     ])
     def test_directory_in_place_of_a_run_file_exits_2(self, toy_run, capsys, command, target):
         manifest, out = toy_run
@@ -1336,11 +1494,12 @@ class TestProcessEntryPoint:
 class TestModuleLoading:
     @staticmethod
     def loaded_after(*argvs: list[str]) -> list[str]:
-        """The orbitrans modules, and numpy if loaded, once a fresh interpreter
+        """The orbitrans modules, and numpy and numpy.ma if loaded, once a fresh interpreter
         (one no other test has loaded a module in) has run each of ``argvs``."""
         code = "import sys\nfrom orbitrans.cli import main\n"
         code += "".join(f"assert main({argv!r}) == 0\n" for argv in argvs)
-        code += "print(' '.join(sorted(m for m in sys.modules if m.startswith('orbitrans') or m == 'numpy')))\n"
+        code += ("print(' '.join(sorted(m for m in sys.modules"
+                 " if m.startswith('orbitrans') or m in ('numpy', 'numpy.ma'))))\n")
         proc = child("-c", code)
         assert proc.returncode == 0, proc.stderr
         return proc.stdout.split()
@@ -1351,6 +1510,14 @@ class TestModuleLoading:
         assert self.loaded_after(["stats", *args], ["census", *args]) == [
             "numpy", "orbitrans", "orbitrans.catalogue", "orbitrans.census", "orbitrans.cli",
             "orbitrans.graph_core"]
+
+    def test_series_commands_in_one_out_load_no_numpy_ma(self, tmp_path):
+        # np.unique, np.isin and np.setdiff1d would load numpy.ma, 10-30 ms per child:
+        # neither binning the series nor reading it back calls them
+        args = ["--manifest", str(DATA / "manifest.ini"), "--out", str(tmp_path)]
+        assert self.loaded_after(["stats", *args], ["census", *args], ["transitions", *args]) == [
+            "numpy", "orbitrans", "orbitrans.catalogue", "orbitrans.census", "orbitrans.cli",
+            "orbitrans.graph_core", "orbitrans.metrics", "orbitrans.transitions"]
 
     def test_cluster_runs_without_numpy(self, tmp_path):
         matrix = tmp_path / "compare_ota.csv"
@@ -1485,6 +1652,25 @@ class TestGoldenFiles:
                          "--out", str(tmp_path / metric)]) == 0
             tree = GOLDEN / f"compare_{metric}.tree.json"
             assert (tmp_path / metric / "cluster.tree.json").read_bytes() == tree.read_bytes(), metric
+
+    @pytest.mark.parametrize("order", list(itertools.permutations(("stats", "census", "transitions"))),
+                             ids="-".join)
+    def test_every_order_of_the_series_commands_matches_golden(self, tmp_path, capsys, order):
+        # the first command parses and stores the series, the other two read it back
+        out, manifest = tmp_path / "out", str(DATA / "manifest.ini")
+        errs = []
+        for command in order:
+            assert main([command, "--manifest", manifest, "--out", str(out)]) == 0
+            errs.append(capsys.readouterr().err)
+        assert errs == [errs[0]] * 3 and errs[0].count("events outside the snapshot window") == 2
+        written = {p.name for p in out.iterdir()} - {"snapshots.meta.json", "transitions.meta.json"}
+        assert written == {p.name for p in GOLDEN.iterdir()
+                           if not p.name.startswith("compare_") and not p.name.endswith(".motifs.csv")}
+        for name in written:
+            assert (out / name).read_bytes() == (GOLDEN / name).read_bytes(), name
+        assert main(["transitions", "--manifest", manifest, "--out", str(tmp_path / "alone")]) == 0
+        stored = (tmp_path / "alone" / "snapshots.meta.json").read_bytes()
+        assert (out / "snapshots.meta.json").read_bytes() == stored
 
     def test_compare_ota_alone_matches_golden(self, tmp_path):
         # run_all's compare reads back the counts transitions wrote; with no

@@ -23,6 +23,7 @@ from orbitrans.graph_core import (
     clustering_coefficient,
     final_aggregate_graph,
     parse_edge_list,
+    series_from_bins,
     snapshot_stats,
 )
 from oracles import (
@@ -195,6 +196,18 @@ class TestParse:
             for sep, text in texts:
                 assert len(parse_edge_list(text, sep).events) == 2
         assert parse_edge_list(texts[2][1]).labels == ("a#1", "b", "b#")
+
+    @pytest.mark.parametrize("block", [None, 9])
+    def test_only_a_block_with_a_lone_cr_or_another_byte_goes_line_by_line(self, block):
+        # one translate leaves a block's CRs and other bytes; only a block with a CR counts its CRLFs
+        lf = "".join(f"n{i} n{i + 3} {i}\n" for i in range(40))
+        for text in (lf, lf.replace("\n", "\r\n"), lf[:60] + lf[60:].replace("\n", "\r\n")):
+            _parses_as_oracle(text, block)  # plain: _add_lines raises
+        for text in ("a b 1\rc d 2\n", "a b 1\r\nc d 2\r\r\n", "a b 1\r\nc\u00e9 d 2\r\n", "a\x0bb c 1\n"):
+            _parses_as_oracle(text, block, plain=False)
+            with mock.patch.object(graph_core._EventReader, "_add_lines", side_effect=AssertionError):
+                with pytest.raises(AssertionError):
+                    parse_edge_list(text)
 
     @pytest.mark.parametrize("late", [False, True])
     def test_label_order_across_first_appearance_passes(self, late):
@@ -540,6 +553,16 @@ class TestSnapshots:
         assert series.events_discarded == discarded
         assert [set(g.edges()) for g in series.snapshots] == snaps
         assert all(g.n == tel.n for g in series.snapshots)
+        # the bins: each snapshot's pairs (active) or the pairs new to it (aggregate), then the
+        # pairs seen only outside the window; rebuilt from them as lists, the series is the same
+        pairs = [{divmod(key, tel.n) for key in keys.tolist()} for keys in series.bins]
+        every = {(min(u, v), max(u, v)) for u, v, _t in tel.events.tolist()}
+        earlier = [set(), *snaps[:-1]] if policy.mode == "aggregate" else [set()] * len(snaps)
+        assert pairs == [snap - before for snap, before in zip(snaps, earlier)] + [every - set().union(*snaps)]
+        assert all(np.all(np.diff(keys) > 0) for keys in series.bins)
+        again = series_from_bins(tel.n, [keys.tolist() for keys in series.bins], policy.mode, discarded)
+        assert [set(g.edges()) for g in again.snapshots] == snaps and again.events_discarded == discarded
+        assert series.final_graph() == final_aggregate_graph(tel)
 
     @pytest.mark.parametrize("mode", POLICY_MODES)
     def test_bucket_arithmetic_at_int64_limits(self, mode):
