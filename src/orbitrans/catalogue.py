@@ -2,8 +2,10 @@
 
 ``GRAPHLET_CLASSES`` states the catalogue once; ``census`` derives the
 orbit counts and the mask-to-orbit table from it, and the CLI its ``k``
-choices. The module needs only the standard library, so a command that
-reads the catalogue loads no numpy.
+choices. The two functions on an orbit census's degree distributions
+that a stored census needs, the class counts and the normalized GDD,
+are here too. The module needs only the standard library, so a command
+that reads the catalogue, or a stored census, loads no numpy.
 """
 
 from __future__ import annotations
@@ -43,3 +45,25 @@ GRAPHLET_CLASSES: dict[int, tuple[GraphletClass, ...]] = {
         GraphletClass("clique", 6, (11,), (3,)),
     ),
 }
+
+
+def _gdd_class_counts(gdd, k: int) -> dict[str, int]:
+    """Each class's count, canonical order, from a census's ``(d, nodes)`` pairs per orbit: a class's
+    occurrences put k nodes each into its orbits, whose sums of d x nodes add up to k times it."""
+    totals = [sum(d * nodes for d, nodes in pairs) for pairs in gdd]
+    return {cls.name: sum(totals[j - 1] for j in cls.orbits) // k for cls in GRAPHLET_CLASSES[k]}
+
+
+def _normalized_gdd(raw, scaling: str) -> list[dict[int, float]]:
+    """``compute_gdd``'s normalized distributions of its ``raw`` ones (a mapping per orbit)."""
+    if scaling not in ("inverse_k", "plain"):
+        raise ValueError(f"unknown scaling {scaling!r}")
+    normalized = []
+    for dist in raw:
+        positive = {d: c for d, c in dist.items() if d >= 1}  # empty for an untouched orbit
+        scaled = {d: c / d if scaling == "inverse_k" else float(c) for d, c in positive.items()}
+        total = 0.0  # a left fold: builtin sum() of floats is compensated from Python 3.12 on
+        for s in scaled.values():
+            total += s
+        normalized.append({d: s / total for d, s in scaled.items()})
+    return normalized

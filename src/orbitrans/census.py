@@ -36,7 +36,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .catalogue import GRAPHLET_CLASSES
+from .catalogue import GRAPHLET_CLASSES, _normalized_gdd
 from .graph_core import StaticGraph, _group
 
 
@@ -556,21 +556,8 @@ def compute_gdd(
     its degree value t before normalizing, damping the weight of
     low-degree nodes; ``plain`` normalizes the counts directly.
     """
-    if scaling not in ("inverse_k", "plain"):
-        raise ValueError(f"unknown scaling {scaling!r}")
     raw: list[dict[int, int]] = []
-    normalized: list[dict[int, float]] = []
     for col in range(fr.counts.shape[1]):
         values, counts = np.unique(fr.counts[:, col], return_counts=True)
-        dist = dict(zip(values.tolist(), counts.tolist()))
-        raw.append(dist)
-        positive = {d: c for d, c in dist.items() if d >= 1}  # empty for an untouched orbit
-        if scaling == "inverse_k":
-            scaled = {d: c / d for d, c in positive.items()}
-        else:
-            scaled = {d: float(c) for d, c in positive.items()}
-        total = 0.0  # a left fold: builtin sum() of floats is compensated from Python 3.12 on
-        for s in scaled.values():
-            total += s
-        normalized.append({d: s / total for d, s in scaled.items()})
-    return raw, normalized
+        raw.append(dict(zip(values.tolist(), counts.tolist())))
+    return raw, _normalized_gdd(raw, scaling)

@@ -33,10 +33,13 @@ snapshots, so each network needs a ``width`` of at least 1 and a
 meta files record ``k`` and exactly the settings the run read.
 Manifest values take precedence over flags, so a manifest fully
 determines a run; flags fill in whatever the manifest leaves out.
-``compare --metric ota`` and ``--metric motif`` read back the record of each
-network that ``transitions`` or ``motifs`` stored in its meta file in the
-same ``out`` wherever it is current (``_stored``), and compute the others
-through the same worker; OTA computing none loads no numpy. ``stats``,
+``compare --metric ota`` reads back the record of each network that
+``transitions`` stored in its meta file in the same ``out`` wherever it is
+current (``_stored``); ``--metric motif`` and ``--metric gda`` read the one
+``motifs`` stored, whose ``gdd``, the final graph's orbit census, gives the
+class counts and GDA's distributions (``--gda-include-k3`` reads none). Each
+computes the others through the same worker; OTA and GDA computing none
+load no numpy. ``stats``,
 ``census`` and ``transitions`` (and OTA, for a network it computes) read
 each network's snapshot series back in the same way from
 ``snapshots.meta.json``, checked against the tool version and the network
@@ -70,11 +73,11 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Callable, NoReturn, Sequence
 
 from . import __version__
-from .catalogue import GRAPHLET_CLASSES
+from .catalogue import GRAPHLET_CLASSES, _gdd_class_counts, _normalized_gdd
 
 # numpy and the modules built on it (graph_core, census, transitions, the
 # null model) load only in the commands that use them, so `cluster`, and
-# `compare --metric ota` on stored counts, run with no numpy at all
+# `compare --metric ota` or `gda` on stored records, run with no numpy at all
 if TYPE_CHECKING:
     import numpy as np
 
@@ -522,6 +525,17 @@ def _class_map(counts, k: int, kind: type) -> bool:
             and all(_count(c, kind) for c in counts.values()))
 
 
+def _census_gdd(gdd, k: int, _entry: dict) -> bool:
+    """Whether ``gdd`` is m lists, m the number of orbits of ``k``, of ``[d, nodes]`` pairs of
+    ``_count`` ints, d strictly ascending and nodes >= 1, every list's nodes summing to one total."""
+    m = sum(len(cls.orbits) for cls in GRAPHLET_CLASSES[k])
+    return isinstance(gdd, list) and len(gdd) == m and all(
+        isinstance(pairs, list) and all(isinstance(p, list) and len(p) == 2 and all(map(_count, p))
+                                        and p[1] >= 1 for p in pairs)
+        and all(a[0] < b[0] for a, b in zip(pairs, pairs[1:])) for pairs in gdd
+    ) and len({sum(nodes for _d, nodes in pairs) for pairs in gdd}) == 1
+
+
 def _key_bins(bins, k: int, entry: dict) -> bool:
     """Whether ``bins`` are the entry's ``count`` + 1 lists of strictly ascending int keys
     ``u*n + v`` with u < v, n the number of its labels."""
@@ -537,7 +551,7 @@ _RECORD_CHECKS = {
     "transitions": {**dict.fromkeys(_LOAD_COUNTS, lambda n, *_: _count(n)),
                     "counts": lambda rows, k, _: _count_rows(rows, k)},
     "motifs": {**dict.fromkeys(_LOAD_COUNTS[:2], lambda n, *_: _count(n)),
-               "real": lambda counts, k, _: _class_map(counts, k, int),
+               "gdd": _census_gdd,
                "ensemble_means": lambda counts, k, _: _class_map(counts, k, float)},
     "snapshots": {**dict.fromkeys(_LOAD_COUNTS, lambda n, *_: _count(n)),
                   "labels": lambda labels, *_: isinstance(labels, list) and {str}.issuperset(
@@ -632,16 +646,19 @@ def _network_transitions(run: RunConfig, net: NetworkSpec,
 
 
 def _network_motifs(run: RunConfig, net: NetworkSpec) -> dict:
-    """What ``motifs`` records of ``net``: input digest, load counts, real class counts and ensemble means."""
+    """What ``motifs`` records of ``net``: input digest, load counts, the final graph's orbit
+    census as ``compute_gdd``'s raw distributions (ascending ``[d, nodes]`` pairs per orbit),
+    and the ensemble means."""
     import hashlib
 
-    from .census import graphlet_class_frequencies
+    from .census import compute_gdd, compute_orbit_frequencies
     from .nullmodel import ensemble_frequencies
 
     digest = hashlib.sha256()
     events, g = _network_final_graph(net, digest)
+    raw = compute_gdd(compute_orbit_frequencies(g, run.k))[0]
     return {"input_sha256": digest.hexdigest(), **_load_counts(events),
-            "real": graphlet_class_frequencies(g, run.k),
+            "gdd": [[*map(list, dist.items())] for dist in raw],
             "ensemble_means": ensemble_frequencies(g, run.k, run.replicates, run.swaps_per_edge, run.seed)}
 
 
@@ -649,7 +666,8 @@ def _motif_scores(run: RunConfig, entry: dict) -> np.ndarray:
     """The motif fingerprint of a ``_network_motifs`` record."""
     from .metrics import motif_scores_from_counts
 
-    return motif_scores_from_counts([*entry["real"].values()], [*entry["ensemble_means"].values()], run.k)
+    real = _gdd_class_counts(entry["gdd"], run.k)
+    return motif_scores_from_counts([*real.values()], [*entry["ensemble_means"].values()], run.k)
 
 
 def _report_errors(errors: list[str]) -> int:
@@ -776,8 +794,8 @@ def cmd_motifs(args: argparse.Namespace) -> int:
     def worker(net: NetworkSpec):
         entry = _network_motifs(run, net)
         header = ("class", "real_count", "ensemble_mean", "delta")
-        rows = ([*item, mean, score] for item, mean, score in zip(
-            entry["real"].items(), entry["ensemble_means"].values(), _motif_scores(run, entry)))
+        rows = ([*item, mean, score] for item, mean, score in zip(_gdd_class_counts(
+            entry["gdd"], run.k).items(), entry["ensemble_means"].values(), _motif_scores(run, entry)))
         write_csv(run.out / f"{_file_stem(net.name)}.motifs.csv", header, rows)
         return entry  # what compare --metric motif reads back
 
@@ -799,11 +817,14 @@ def cmd_compare(args: argparse.Namespace) -> int:
     names = [net.name for net in run.networks]
 
     gda_ks = (run.k, 3) if run.gda_include_k3 else (run.k,)
-    product = {"ota": "transitions", "motif": "motifs"}.get(metric)  # the subcommand it reads back
+    # the subcommand it reads back; a motifs record holds the census of k alone, not of k = 3
+    product = None if run.gda_include_k3 else {"ota": "transitions"}.get(metric, "motifs")
     stored = _read_json_object(run.out / f"{product}.meta.json") if product else {}
     snapshots = _SeriesFile(run)  # read only where a network's transitions are not stored
 
     def gdd_worker(net: NetworkSpec):
+        if entry := _stored(run, net, stored, "motifs"):
+            return [_normalized_gdd(map(dict, entry["gdd"]), run.gdd_scaling)]
         from .census import compute_gdd, compute_orbit_frequencies
 
         _events, g = _network_final_graph(net)

@@ -624,13 +624,14 @@ def build_snapshots(edges: TemporalEdgeList, policy: SnapshotPolicy) -> Snapshot
 
 def series_from_bins(n: int, bins: Sequence[Sequence[int]], mode: PolicyMode,
                      events_discarded: int = 0) -> SnapshotSeries:
-    """The series of ``build_snapshots``' ``count + 1`` key bins (arrays or lists) under ``mode``."""
+    """The series of ``build_snapshots``' ``count + 1`` key bins (arrays or lists) under ``mode``,
+    built unchecked: a bin must hold ascending keys ``u*n + v`` with u < v < n, as the CLI checks."""
     bins = tuple(np.asarray(keys, dtype=np.int64) for keys in bins)
     held, graphs = np.zeros(0, dtype=np.int64), []
     for keys in bins[:-1]:
         # an aggregate bin holds only the keys new to its snapshot
         held = keys if mode == "active" else np.sort(np.concatenate((held, keys)), kind="stable")
-        graphs.append(_key_graph(n, held))
+        graphs.append(StaticGraph.from_keys(n, np.sort(np.concatenate((held, held % n * n + held // n)))))
     return SnapshotSeries(tuple(graphs), events_discarded, bins)
 
 

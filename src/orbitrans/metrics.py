@@ -16,7 +16,7 @@ replays them into a partition.
 
 Everything but the motif functions needs only the standard library (numpy
 loads inside those two alone), so ``cluster``, and ``compare --metric
-ota`` on stored counts, run without numpy. Their values are numpy's bit
+ota`` or ``gda`` on stored records, run without numpy. Their values are numpy's bit
 for bit: a count divides as ``float(c) / float(s)``, and ``ota_pair`` and
 an average-linkage distance sum in numpy's pairwise order
 (``_pairwise_sum``), as ``np.sum`` and ``dist[np.ix_(a, b)].mean()`` do.

@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import orbitrans
-from orbitrans import census, cli, graph_core, metrics, nullmodel, transitions
+from orbitrans import catalogue, census, cli, graph_core, metrics, nullmodel, transitions
 from orbitrans.cli import (
     CliError,
     build_parser,
@@ -473,6 +473,13 @@ def rename_first_class(counts: dict) -> None:
     counts[f"{name}s"] = counts.pop(name)
 
 
+def set_densify_orbit(j: int, pairs: list) -> Callable[[Path, Path], None]:
+    """A stale case that sets orbit ``j`` + 1 of densify's stored census to ``pairs``. Its
+    census is [[[1, 6]], [[0, 4], [1, 2]], [[0, 2], [2, 2], [3, 2]], ...], six nodes in each
+    orbit: each case below breaks one property the check reads and keeps the others."""
+    return edit_densify_record("motifs", lambda record: record["gdd"].__setitem__(j, pairs))
+
+
 # case -> (what it does to a finished motifs run, the networks compare must recompute)
 STALE_MOTIFS = {
     "another tool_version": (lambda m, out: edit_json(
@@ -488,15 +495,21 @@ STALE_MOTIFS = {
     "load count a boolean": (edit_densify_record("motifs", lambda r: r.update(events_read=True)), 1),
     "load count negative": (edit_densify_record("motifs", lambda r: r.update(self_loops_dropped=-1)), 1),
     "input digest missing": (edit_densify_record("motifs", lambda r: r.pop("input_sha256")), 1),
-    "real class renamed": (edit_densify_record("motifs", lambda r: rename_first_class(r["real"])), 1),
+    "gdd of k = 3 under k = 4": (edit_densify_record("motifs", lambda r: r.update(gdd=r["gdd"][:3])), 1),
     "ensemble class renamed": (edit_densify_record(
         "motifs", lambda r: rename_first_class(r["ensemble_means"])), 1),
-    "real class missing": (edit_densify_record("motifs", lambda r: r["real"].popitem()), 1),
+    "gdd orbit missing": (edit_densify_record("motifs", lambda r: r["gdd"].pop()), 1),
     "ensemble mean an int": (edit_densify_record(
         "motifs", lambda r: r["ensemble_means"].update(star=round(r["ensemble_means"]["star"]))), 1),
-    "real count a string": (edit_densify_record(
-        "motifs", lambda r: r["real"].update(path=str(r["real"]["path"]))), 1),
-    "real count a boolean": (edit_densify_record("motifs", lambda r: r["real"].update(clique=False)), 1),
+    "gdd count a float": (set_densify_orbit(0, [[1, 6.0]]), 1),
+    "gdd count a boolean": (set_densify_orbit(1, [[0, 4], [True, 2]]), 1),
+    "gdd missing": (edit_densify_record("motifs", lambda r: r.pop("gdd")), 1),
+    "gdd count negative": (set_densify_orbit(1, [[-1, 4], [1, 2]]), 1),
+    "gdd nodes zero": (set_densify_orbit(1, [[0, 4], [1, 2], [5, 0]]), 1),
+    "gdd degrees out of order": (set_densify_orbit(2, [[0, 2], [3, 2], [2, 2]]), 1),
+    "gdd degree repeated": (set_densify_orbit(2, [[0, 2], [2, 2], [2, 2]]), 1),
+    "gdd pair of three": (set_densify_orbit(0, [[1, 6, 0]]), 1),
+    "gdd totals unequal": (set_densify_orbit(0, [[1, 7]]), 1),
     "ensemble mean negative": (edit_densify_record(
         "motifs", lambda r: r["ensemble_means"].update(cycle=-1.0)), 1),
     "ensemble mean Infinity": (edit_densify_record(
@@ -509,9 +522,9 @@ STALE_MOTIFS = {
 
 
 class TestMotifReuse:
-    """compare --metric motif reads back the class counts and ensemble means
-    motifs recorded where motifs.meta.json shows them current, and computes
-    them otherwise."""
+    """compare --metric motif reads back the orbit census and ensemble means, and compare
+    --metric gda the census, that motifs recorded where motifs.meta.json shows them current,
+    and computes them otherwise."""
 
     @pytest.fixture
     def stored(self, tmp_path):
@@ -529,11 +542,19 @@ class TestMotifReuse:
         return manifest, out
 
     @staticmethod
-    def compare(manifest: Path, out: Path, capsys) -> tuple[int, str, dict[str, bytes]]:
-        """The exit code, stderr and compare_motif.* files of compare --metric motif into ``out``."""
+    def compare(manifest: Path, out: Path, capsys, metric: str = "motif",
+                flags: Sequence[str] = ()) -> tuple[int, str, dict[str, bytes]]:
+        """The exit code, stderr and compare_<metric>.* files of compare --metric ``metric`` into ``out``."""
         capsys.readouterr()
-        code = main(["compare", "--metric", "motif", "--manifest", str(manifest), "--out", str(out)])
-        return code, capsys.readouterr().err, {p.name: p.read_bytes() for p in out.glob("compare_motif.*")}
+        code = main(["compare", "--metric", metric, *flags, "--manifest", str(manifest), "--out", str(out)])
+        return code, capsys.readouterr().err, {p.name: p.read_bytes() for p in out.glob(f"compare_{metric}.*")}
+
+    @staticmethod
+    def count_censuses(monkeypatch) -> list[int]:
+        """The k of each call of census.compute_orbit_frequencies from here on."""
+        calls, frequencies = [], census.compute_orbit_frequencies
+        monkeypatch.setattr(census, "compute_orbit_frequencies", lambda g, k: calls.append(k) or frequencies(g, k))
+        return calls
 
     def test_reuse_writes_what_a_fresh_run_writes(self, stored, tmp_path, monkeypatch, capsys):
         manifest, out = stored
@@ -551,6 +572,30 @@ class TestMotifReuse:
         monkeypatch.setattr(Path, "read_bytes", lambda p: refuse() if p.suffix == ".txt" else read_bytes(p))
         assert self.compare(manifest, out, capsys) == fresh
 
+    @pytest.mark.parametrize("scaling", ["inverse_k", "plain"])
+    def test_gda_reuse_writes_what_a_fresh_run_writes(self, stored, tmp_path, monkeypatch, capsys, scaling):
+        manifest, out = stored
+        flags = ["--gdd-scaling", scaling]
+        fresh = self.compare(manifest, tmp_path / "fresh", capsys, "gda", flags)
+        assert fresh[0] == 0 and fresh[1].count("events read") == 2 and len(fresh[2]) == 3
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("compare recomputed a stored census")
+
+        for module, name in ((census, "compute_orbit_frequencies"), (census, "compute_gdd"),
+                             (graph_core, "parse_edge_list")):
+            monkeypatch.setattr(module, name, refuse)
+        assert self.compare(manifest, out, capsys, "gda", flags) == fresh
+
+    def test_gda_with_k3_computes_every_network(self, stored, tmp_path, monkeypatch, capsys):
+        # the stored census is of k = 4 alone, so none is read and every network is computed
+        manifest, out = stored
+        calls = self.count_censuses(monkeypatch)
+        written = self.compare(manifest, out, capsys, "gda", ["--gda-include-k3"])
+        assert calls == [4, 3, 4, 3]
+        assert written == self.compare(manifest, tmp_path / "fresh", capsys, "gda", ["--gda-include-k3"])
+        assert written[0] == 0 and len(calls) == 8
+
     @pytest.mark.parametrize("case", STALE_MOTIFS)
     def test_stale_product_recomputed(self, stored, tmp_path, monkeypatch, capsys, case):
         manifest, out = stored
@@ -564,6 +609,41 @@ class TestMotifReuse:
         assert len(calls) == recomputed
         assert written == self.compare(manifest, tmp_path / "fresh", capsys)
         assert written[0] == 0
+
+    @pytest.mark.parametrize("case", STALE_MOTIFS)
+    def test_stale_census_recomputed_by_gda(self, stored, tmp_path, monkeypatch, capsys, case):
+        # GDA reads a motifs record under the motif distance's rule, so it computes the same networks
+        manifest, out = stored
+        spoil, recomputed = STALE_MOTIFS[case]
+        spoil(manifest, out)
+        calls = self.count_censuses(monkeypatch)
+        written = self.compare(manifest, out, capsys, "gda")
+        assert len(calls) == recomputed
+        assert written == self.compare(manifest, tmp_path / "fresh", capsys, "gda")
+        assert written[0] == 0
+
+    @settings(max_examples=60, deadline=None)
+    # the null model needs two distinct edges
+    @given(edges=st.lists(st.tuples(st.integers(0, 9), st.integers(0, 9)).filter(lambda e: e[0] != e[1]),
+                          min_size=2, max_size=30, unique_by=frozenset),
+           k=st.sampled_from([3, 4]))
+    def test_stored_census_derives_the_library_values(self, tmp_path_factory, edges, k):
+        # the class counts and normalized GDDs of a stored record equal the library's, bit for bit
+        where = tmp_path_factory.mktemp("census")
+        text = "".join(f"{u} {v} {t}\n" for t, (u, v) in enumerate(edges))
+        (where / "g.txt").write_text(text)
+        manifest = write_manifest(where, "[settings]\nreplicates = 1\nswaps_per_edge = 1\n\n[g]\npath = g.txt\n")
+        assert main(["motifs", "--k", str(k), "--manifest", str(manifest), "--out", str(where)]) == 0
+        record = cli._read_json_object(where / "motifs.meta.json")["networks"]["g"]
+        assert cli._census_gdd(record["gdd"], k, record)
+        g = final_aggregate_graph(parse_edge_list(text))
+        assert catalogue._gdd_class_counts(record["gdd"], k) == graphlet_class_frequencies(g, k)
+        fr = compute_orbit_frequencies(g, k)
+        for scaling in ("inverse_k", "plain"):
+            got = catalogue._normalized_gdd(map(dict, record["gdd"]), scaling)
+            want = compute_gdd(fr, scaling)[1]
+            assert [[(d, p.hex()) for d, p in dist.items()] for dist in got] == [
+                [(d, p.hex()) for d, p in dist.items()] for dist in want]
 
     def test_ensemble_frequencies_runs_once_per_computed_network(self, stored, tmp_path, monkeypatch,
                                                                   capsys):
@@ -1540,6 +1620,18 @@ class TestModuleLoading:
         for name in ("compare_motif.csv", "compare_motif.tree.json", "compare_motif.meta.json"):
             assert (stored / name).read_bytes() == (fresh / name).read_bytes(), name
 
+    def test_compare_gda_on_stored_census_loads_only_metrics(self, tmp_path):
+        manifest = ["--manifest", str(DATA / "manifest.ini")]
+        stored, fresh = tmp_path / "stored", tmp_path / "fresh"
+        assert main(["motifs", *manifest, "--out", str(stored)]) == 0
+        compare = ["compare", "--metric", "gda", *manifest]
+        # the stored census is normalized in pure Python: no numpy, parser or census
+        assert self.loaded_after([*compare, "--out", str(stored)]) == [
+            "orbitrans", "orbitrans.catalogue", "orbitrans.cli", "orbitrans.metrics"]
+        assert main([*compare, "--out", str(fresh)]) == 0
+        for name in ("compare_gda.csv", "compare_gda.tree.json", "compare_gda.meta.json"):
+            assert (stored / name).read_bytes() == (fresh / name).read_bytes(), name
+
     def test_compare_ota_on_stored_counts_runs_without_numpy(self, tmp_path):
         manifest = ["--manifest", str(DATA / "manifest.ini")]
         stored, fresh = tmp_path / "stored", tmp_path / "fresh"
@@ -1687,6 +1779,14 @@ class TestGoldenFiles:
         assert main(["compare", "--metric", "motif", "--manifest", str(DATA / "manifest.ini"),
                      "--out", str(out)]) == 0
         for name in ("compare_motif.csv", "compare_motif.tree.json"):
+            assert (out / name).read_bytes() == (GOLDEN / name).read_bytes(), name
+
+    def test_compare_gda_alone_matches_golden(self, tmp_path):
+        # run_all's GDA reads back the census motifs stored; here it computes it
+        out = tmp_path / "out"
+        assert main(["compare", "--metric", "gda", "--manifest", str(DATA / "manifest.ini"),
+                     "--out", str(out)]) == 0
+        for name in ("compare_gda.csv", "compare_gda.tree.json"):
             assert (out / name).read_bytes() == (GOLDEN / name).read_bytes(), name
 
     def test_rewritten_input_keeps_golden_bytes(self, tmp_path):
@@ -1880,7 +1980,7 @@ class TestMetaFiles:
 
     @pytest.mark.parametrize("argv, name, keys, network_keys", [
         (["motifs"], "motifs", {"seed", "replicates", "swaps_per_edge"}, {
-            "input_sha256", "events_read", "self_loops_dropped", "real", "ensemble_means"}),
+            "input_sha256", "events_read", "self_loops_dropped", "gdd", "ensemble_means"}),
         (["compare", "--metric", "ota"], "compare_ota",
          {"metric", "kind", "linkage", "ota_scaling", "relative_rescale"}, SNAPSHOT_KEYS),
         (["compare", "--metric", "gda"], "compare_gda",

@@ -564,6 +564,27 @@ class TestSnapshots:
         assert [set(g.edges()) for g in again.snapshots] == snaps and again.events_discarded == discarded
         assert series.final_graph() == final_aggregate_graph(tel)
 
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_graphs_from_bins_match_the_checked_constructor(self, data):
+        # series_from_bins builds each graph unchecked, from keys the bins are trusted to hold
+        n, count = data.draw(st.integers(1, 9)), data.draw(st.integers(2, 5))
+        mode = data.draw(st.sampled_from(POLICY_MODES))
+        keys = [u * n + v for u in range(n) for v in range(u + 1, n)]
+        if mode == "active":
+            bins = [sorted(data.draw(st.sets(st.sampled_from(keys)))) if keys else []
+                    for _ in range(count + 1)]
+        else:  # each key new to at most one bin
+            at = data.draw(st.lists(st.integers(-1, count), min_size=len(keys), max_size=len(keys)))
+            bins = [[key for key, i in zip(keys, at) if i == j] for j in range(count + 1)]
+        held = set()
+        for keys_i, g in zip(bins, series_from_bins(n, bins, mode).snapshots):
+            held = set(keys_i) if mode == "active" else held | set(keys_i)
+            want = StaticGraph(n, [divmod(key, n) for key in sorted(held)])
+            assert (g.n, g.edge_count) == (want.n, want.edge_count)
+            for name in ("indptr", "indices", "keys"):
+                assert np.array_equal(getattr(g, name), getattr(want, name)), name
+
     @pytest.mark.parametrize("mode", POLICY_MODES)
     def test_bucket_arithmetic_at_int64_limits(self, mode):
         lo, hi = -(2**63), 2**63 - 1
