@@ -1,11 +1,11 @@
 """The graphlet catalogue: every connected shape on 3 or 4 nodes and its orbits.
 
 ``GRAPHLET_CLASSES`` states the catalogue once; ``census`` derives the
-orbit counts and the mask-to-orbit table from it, and the CLI its ``k``
-choices. The two functions on an orbit census's degree distributions
-that a stored census needs, the class counts and the normalized GDD,
-are here too. The module needs only the standard library, so a command
-that reads the catalogue, or a stored census, loads no numpy.
+mask-to-orbit table from it, and the CLI its ``k`` choices. The counts
+derived from it here (the orbits of each k, and the class counts of a
+census's per-orbit totals) and the normalized GDD that a stored census
+needs are shared by both. The module needs only the standard library, so
+a command that reads the catalogue, or a stored census, loads no numpy.
 """
 
 from __future__ import annotations
@@ -47,11 +47,21 @@ GRAPHLET_CLASSES: dict[int, tuple[GraphletClass, ...]] = {
 }
 
 
-def _gdd_class_counts(gdd, k: int) -> dict[str, int]:
-    """Each class's count, canonical order, from a census's ``(d, nodes)`` pairs per orbit: a class's
-    occurrences put k nodes each into its orbits, whose sums of d x nodes add up to k times it."""
-    totals = [sum(d * nodes for d, nodes in pairs) for pairs in gdd]
+def orbit_count(k: int) -> int:
+    if k not in GRAPHLET_CLASSES:
+        raise ValueError(f"subgraph size must be 3 or 4, got {k}")
+    return sum(len(cls.orbits) for cls in GRAPHLET_CLASSES[k])
+
+
+def _class_totals(totals, k: int) -> dict[str, int]:
+    """Each class's count, canonical order, from a census's total per orbit: a class's
+    occurrences put k nodes each into its orbits, whose totals add up to k times it."""
     return {cls.name: sum(totals[j - 1] for j in cls.orbits) // k for cls in GRAPHLET_CLASSES[k]}
+
+
+def _gdd_class_counts(gdd, k: int) -> dict[str, int]:
+    """``_class_totals`` of a census's ``(d, nodes)`` pairs per orbit, a total the sum of d x nodes."""
+    return _class_totals([sum(d * nodes for d, nodes in pairs) for pairs in gdd], k)
 
 
 def _normalized_gdd(raw, scaling: str) -> list[dict[int, float]]:

@@ -36,19 +36,13 @@ from typing import Iterator
 
 import numpy as np
 
-from .catalogue import GRAPHLET_CLASSES, _normalized_gdd
+from .catalogue import GRAPHLET_CLASSES, _class_totals, _normalized_gdd, orbit_count
 from .graph_core import StaticGraph, _group
 
 
 # Node-pair positions of a j-node set, one bit each, in this fixed order:
 # for each class size, and for the smaller sets the enumeration grows.
 PAIR_POSITIONS = {j: tuple(combinations(range(j), 2)) for j in range(2, max(GRAPHLET_CLASSES) + 1)}
-
-
-def orbit_count(k: int) -> int:
-    if k not in GRAPHLET_CLASSES:
-        raise ValueError(f"subgraph size must be 3 or 4, got {k}")
-    return sum(len(cls.orbits) for cls in GRAPHLET_CLASSES[k])
 
 
 def _mask_edges(mask: int, k: int) -> list[tuple[int, int]]:
@@ -524,9 +518,7 @@ def class_counts(fr: OrbitFrequencyMatrix) -> dict[str, int]:
     """
     high = (fr.counts >> 32).sum(axis=0).tolist()
     low = (fr.counts & 0xFFFFFFFF).sum(axis=0).tolist()
-    totals = [(h << 32) + lo for h, lo in zip(high, low)]
-    return {cls.name: sum(totals[j - 1] for j in cls.orbits) // fr.k
-            for cls in GRAPHLET_CLASSES[fr.k]}
+    return _class_totals([(h << 32) + lo for h, lo in zip(high, low)], fr.k)
 
 
 def graphlet_class_frequencies(g: StaticGraph, k: int) -> dict[str, int]:

@@ -16,41 +16,35 @@ network plus an optional ``[settings]`` section for shared knobs::
     path = data/calls.txt
     policy = active
 
-A network section takes ``path`` (required), ``policy``, ``width``,
-``count``, ``origin`` and ``sep``; ``[settings]`` takes all of these but
-``path`` as every network's default, plus ``k`` (3 or 4), ``seed``,
-``replicates``, ``swaps_per_edge``, ``ota_scaling``, ``relative_rescale``,
-``gdd_scaling``, ``linkage`` and ``out`` (``SETTINGS`` gives each one's
-type, choices and default). Any other key is a configuration error (exit
-2) naming its section, raised before any network loads. One manifest
-serves every subcommand, so ``[settings]`` keys a subcommand does not read
-are accepted, and checked. ``COMMANDS`` (and ``METRIC_FLAGS`` for each
-``compare --metric``) lists the settings each run reads. A subcommand
-registers only those flags and ``compare`` rejects one its ``--metric``
-does not read (usage errors, exit 2); a run that reads ``width`` builds
-snapshots, so each network needs a ``width`` of at least 1 and a
-``count`` of at least 2; ``--gda-include-k3`` needs ``k`` = 4; and the
-meta files record ``k`` and exactly the settings the run read.
-Manifest values take precedence over flags, so a manifest fully
+A network section takes ``path`` (required), ``policy``, ``width``, ``count``,
+``origin`` and ``sep``; ``[settings]`` takes all of these but ``path`` as
+every network's default, plus ``k`` (3 or 4), ``seed``, ``replicates``,
+``swaps_per_edge``, ``ota_scaling``, ``relative_rescale``, ``gdd_scaling``,
+``linkage`` and ``out`` (``SETTINGS`` gives each one's type, choices and
+default). Any other key is a configuration error (exit 2) naming its section,
+raised before any network loads. One manifest serves every subcommand, so
+``[settings]`` keys a subcommand does not read are accepted, and checked.
+``COMMANDS`` (and ``METRIC_FLAGS`` for each ``compare --metric``) lists the
+settings each run reads. A subcommand registers only those flags and
+``compare`` rejects one its ``--metric`` does not read (usage errors, exit 2);
+a run that reads ``width`` builds snapshots, so each network needs a ``width``
+of at least 1 and a ``count`` of at least 2; ``--gda-include-k3`` needs ``k``
+4; and ``compare``'s meta file records ``k`` and exactly the settings the run
+read. Manifest values take precedence over flags, so a manifest fully
 determines a run; flags fill in whatever the manifest leaves out.
-``compare --metric ota`` reads back the record of each network that
-``transitions`` stored in its meta file in the same ``out`` wherever it is
-current (``_stored``); ``--metric motif`` and ``--metric gda`` read the one
-``motifs`` stored, whose ``gdd``, the final graph's orbit census, gives the
-class counts and GDA's distributions (``--gda-include-k3`` reads none). Each
-computes the others through the same worker; OTA and GDA computing none
-load no numpy. ``stats``,
-``census`` and ``transitions`` (and OTA, for a network it computes) read
-each network's snapshot series back in the same way from
-``snapshots.meta.json``, checked against the tool version and the network
-fields alone, not ``k``; the three write it where they parsed any input.
-Deleting a meta file, or a fresh ``out``, forces the work again.
-All outputs are written atomically and deterministically: rerunning the
-same manifest reproduces every file byte for byte. Every text file, read
-or written, is UTF-8 whatever the locale. After loading each
-network, one line on stderr reports the events read, the self-loops
-dropped and (where snapshots are built) the events outside the snapshot
-window; it never enters an output file.
+
+Each product's meta file in ``out`` stores what the commands computed of each
+network (``_Store``): the snapshot series (``stats``, ``census``,
+``transitions``), the transition counts (``transitions``), and the final
+graph's orbit census and ensemble means (``motifs``). A stored value is read
+back instead of computed wherever this tool version, the input bytes, and the
+settings and network fields it depends on (``_RECORD_KEYS``) are unchanged;
+deleting the file, or a fresh ``out``, forces the work again. All outputs are
+written atomically and deterministically: rerunning the same manifest
+reproduces every file byte for byte. Every text file, read or written, is
+UTF-8 whatever the locale. After loading each network, one line on stderr
+reports the events read, the self-loops dropped and (where snapshots are
+built) the events outside the snapshot window; it never enters an output file.
 """
 
 from __future__ import annotations
@@ -73,7 +67,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Callable, NoReturn, Sequence
 
 from . import __version__
-from .catalogue import GRAPHLET_CLASSES, _gdd_class_counts, _normalized_gdd
+from .catalogue import GRAPHLET_CLASSES, _gdd_class_counts, _normalized_gdd, orbit_count
 
 # numpy and the modules built on it (graph_core, census, transitions, the
 # null model) load only in the commands that use them, so `cluster`, and
@@ -430,20 +424,12 @@ def _recorded(reads: Sequence[str]) -> tuple[tuple[str, ...], tuple[str, ...]]:
             NETWORK_KEYS if "width" in reads else ("path", "sep"))
 
 
-def write_meta(path: Path, run: RunConfig, args: argparse.Namespace, entries: dict | None = None,
-               **extra) -> None:
-    """Record the tool version, ``extra`` and the run's ``_recorded`` settings and network fields.
-
-    ``entries``, if given, maps the networks to record (every network if
-    None) to the fields to add to each one's record.
-    """
+def write_meta(path: Path, run: RunConfig, args: argparse.Namespace, **extra) -> None:
+    """Record the tool version, ``extra``, the run's ``_recorded`` settings, and each network's fields."""
     run_keys, net_keys = _recorded(_reads(args))
     meta = {"tool_version": __version__, **extra}
     meta.update((key, getattr(run, key)) for key in run_keys if key not in meta)
-    meta["networks"] = {
-        net.name: net.record(net_keys) | (entries or {}).get(net.name, {})
-        for net in run.networks if entries is None or net.name in entries
-    }
+    meta["networks"] = {net.name: net.record(net_keys) for net in run.networks}
     write_json(path, meta)
 
 
@@ -512,23 +498,23 @@ def _count(value, kind: type = int) -> bool:
     return type(value) is kind and 0 <= value < math.inf
 
 
-def _count_rows(rows, k: int) -> bool:
+def _count_rows(rows, k: int, _entry: dict) -> bool:
     """Whether ``rows`` are m lists of m ``_count`` ints, m the number of orbits of ``k``."""
-    m = sum(len(cls.orbits) for cls in GRAPHLET_CLASSES[k])
+    m = orbit_count(k)
     return isinstance(rows, list) and len(rows) == m and all(
         isinstance(row, list) and len(row) == m and all(map(_count, row)) for row in rows)
 
 
-def _class_map(counts, k: int, kind: type) -> bool:
-    """Whether ``counts`` maps the classes of ``k``, in order, to ``_count`` values of ``kind``."""
-    return (isinstance(counts, dict) and list(counts) == [cls.name for cls in GRAPHLET_CLASSES[k]]
-            and all(_count(c, kind) for c in counts.values()))
+def _class_means(means, k: int, _entry: dict) -> bool:
+    """Whether ``means`` maps the classes of ``k``, in order, to ``_count`` floats."""
+    return (isinstance(means, dict) and list(means) == [cls.name for cls in GRAPHLET_CLASSES[k]]
+            and all(_count(mean, float) for mean in means.values()))
 
 
 def _census_gdd(gdd, k: int, _entry: dict) -> bool:
     """Whether ``gdd`` is m lists, m the number of orbits of ``k``, of ``[d, nodes]`` pairs of
     ``_count`` ints, d strictly ascending and nodes >= 1, every list's nodes summing to one total."""
-    m = sum(len(cls.orbits) for cls in GRAPHLET_CLASSES[k])
+    m = orbit_count(k)
     return isinstance(gdd, list) and len(gdd) == m and all(
         isinstance(pairs, list) and all(isinstance(p, list) and len(p) == 2 and all(map(_count, p))
                                         and p[1] >= 1 for p in pairs)
@@ -546,101 +532,117 @@ def _key_bins(bins, k: int, entry: dict) -> bool:
         and all(starmap(operator.lt, map(divmod, keys, repeat(n)))) for keys in bins)
 
 
-# product -> {each record key but the network fields: whether a value fits k and the record so far}
-_RECORD_CHECKS = {
-    "transitions": {**dict.fromkeys(_LOAD_COUNTS, lambda n, *_: _count(n)),
-                    "counts": lambda rows, k, _: _count_rows(rows, k)},
-    "motifs": {**dict.fromkeys(_LOAD_COUNTS[:2], lambda n, *_: _count(n)),
-               "gdd": _census_gdd,
-               "ensemble_means": lambda counts, k, _: _class_map(counts, k, float)},
-    "snapshots": {**dict.fromkeys(_LOAD_COUNTS, lambda n, *_: _count(n)),
-                  "labels": lambda labels, *_: isinstance(labels, list) and {str}.issuperset(
-                      map(type, labels)) and len(set(labels)) == len(labels), "bins": _key_bins},
+_SNAPSHOT_FIELDS = ("policy", "width", "count", "origin")
+
+# record key -> (the run settings and network fields its value depends on besides the input
+# path, sep and bytes; whether a value fits k and the record so far)
+_RECORD_KEYS = {
+    **dict.fromkeys(_LOAD_COUNTS[:2], ((), lambda n, *_: _count(n))),
+    "events_outside_window": (_SNAPSHOT_FIELDS, lambda n, *_: _count(n)),
+    "labels": ((), lambda labels, *_: isinstance(labels, list) and {str}.issuperset(
+        map(type, labels)) and len(set(labels)) == len(labels)),
+    "bins": (_SNAPSHOT_FIELDS, _key_bins),
+    "counts": (("k", *_SNAPSHOT_FIELDS), _count_rows),
+    "gdd": (("k",), _census_gdd),
+    "ensemble_means": (("k", "seed", "replicates", "swaps_per_edge"), _class_means),
+}
+
+# product -> the record keys after input_sha256, in check order (bins reads the labels)
+_PRODUCTS = {
+    "snapshots": (*_LOAD_COUNTS, "labels", "bins"),
+    "transitions": (*_LOAD_COUNTS, "counts"),
+    "motifs": (*_LOAD_COUNTS[:2], "gdd", "ensemble_means"),
 }
 
 
-def _stored(run: RunConfig, net: NetworkSpec, meta: dict, product: str) -> dict | None:
-    """The record of ``net`` in ``meta``, the object of ``product``'s meta file, where ``meta``
-    has this tool version and this run's ``_recorded`` settings of ``product``, and the record
-    this run's ``_recorded`` fields, values that pass ``_RECORD_CHECKS[product]`` and an
-    ``input_sha256`` the input file still hashes to; else None. Prints the record's load line.
-    A ``"snapshots"`` record depends on every network field and no run setting, ``k`` included."""
-    import hashlib
-
-    run_keys, net_keys = ((), NETWORK_KEYS) if product == "snapshots" else _recorded(COMMANDS[product][1])
-    networks = meta.get("networks")
-    entry = networks.get(net.name) if isinstance(networks, dict) else None
-    if (not isinstance(entry, dict) or meta.get("tool_version") != __version__
-            or any(meta.get(key) != getattr(run, key) for key in run_keys)
-            or any(entry.get(key) != value for key, value in net.record(net_keys).items())
-            or not all(fits(entry.get(key), run.k, entry) for key, fits in _RECORD_CHECKS[product].items())):
-        return None
-    digest = hashlib.sha256()
-    try:
-        with net.path.open("rb") as fh:
-            # in the parser's block size: the default buffer size takes more calls
-            for _block in iter(partial(_Hashing(fh, digest).read, 1 << 18), b""):
-                pass
-    except (OSError, UnicodeEncodeError):
-        return None
-    if digest.hexdigest() != entry.get("input_sha256"):
-        return None
-    _report_load(net, entry)
-    return entry
+def _depends(keys: Sequence[str]) -> tuple[list[str], list[str]]:
+    """The run settings, and the network fields with ``path`` and ``sep``, that ``keys`` depend on."""
+    deps = {dep for key in keys for dep in _RECORD_KEYS[key][0]} | {"path", "sep"}
+    return [key for key in SETTINGS if key in deps and key not in NETWORK_KEYS], [
+        key for key in NETWORK_KEYS if key in deps]
 
 
-# what a series record holds besides the network fields
-_SERIES_KEYS = ("input_sha256", *_LOAD_COUNTS, "labels", "bins")
+class _Store:
+    """The records of ``<out>/<product>.meta.json``: per network, the input digest and the
+    product's values, under the tool version and the settings and network fields they depend on."""
 
-
-class _SeriesFile:
-    """The ``snapshots.meta.json`` of a run's ``out``: each network's series record (input digest,
-    load counts, labels and the key bins of ``build_snapshots``), read back where ``_stored``
-    finds it current and computed from the input otherwise."""
-
-    def __init__(self, run: RunConfig):
-        self.run, self.path = run, run.out / "snapshots.meta.json"
-        self.meta: dict | None = None  # the stored file, read for the first network
+    def __init__(self, run: RunConfig, product: str):
+        self.run, self.keys, self.path = run, _PRODUCTS[product], run.out / f"{product}.meta.json"
+        self.meta: dict | None = None  # the stored file, read at the first get
         self.records, self.computed = {}, False
 
-    def series(self, net: NetworkSpec) -> tuple[dict, SnapshotSeries]:
-        """The series record of ``net`` and its snapshot series; prints the network's load line."""
+    def get(self, net: NetworkSpec, keys: Sequence[str] | None = None) -> dict | None:
+        """The stored record of ``net`` where each of ``keys`` (the product's if None) passes its check,
+        all they depend on is this run's and its input still hashes the same; prints its load line."""
         import hashlib
-
-        from .graph_core import build_snapshots, series_from_bins
 
         if self.meta is None:
             self.meta = _read_json_object(self.path)
-        record = _stored(self.run, net, self.meta, "snapshots")
-        if record is None:
-            digest = hashlib.sha256()
-            events = net.load_events(digest)
-            series = build_snapshots(events, net.snapshot_policy())
-            record = {"input_sha256": digest.hexdigest(), **_load_counts(events, series),
-                      "labels": list(events.labels), "bins": [keys.tolist() for keys in series.bins]}
-            _report_load(net, record)
-            self.computed = True
-        else:
-            series = series_from_bins(len(record["labels"]), record["bins"], net.policy,
-                                      record["events_outside_window"])
-        self.records[net.name] = record
-        return record, series
+        keys = self.keys if keys is None else keys
+        run_keys, net_keys = _depends(keys)
+        networks = self.meta.get("networks")
+        entry = networks.get(net.name) if isinstance(networks, dict) else None
+        if (not isinstance(entry, dict) or self.meta.get("tool_version") != __version__
+                or any(self.meta.get(key) != getattr(self.run, key) for key in run_keys)
+                or any(entry.get(key) != value for key, value in net.record(net_keys).items())
+                or not all(_RECORD_KEYS[key][1](entry.get(key), self.run.k, entry) for key in keys)):
+            return None
+        digest = hashlib.sha256()
+        try:
+            with net.path.open("rb") as fh:
+                # in the parser's block size: the default buffer size takes more calls
+                for _block in iter(partial(_Hashing(fh, digest).read, 1 << 18), b""):
+                    pass
+        except (OSError, UnicodeEncodeError):
+            return None
+        if digest.hexdigest() != entry.get("input_sha256"):
+            return None
+        _report_load(net, entry)
+        self.records[net.name] = entry
+        return entry
+
+    def add(self, net: NetworkSpec, record: dict) -> None:
+        """Keep ``record``, which this run computed, for ``write``."""
+        self.records[net.name], self.computed = record, True
 
     def write(self) -> None:
-        """Store each record's ``_SERIES_KEYS`` and this run's network fields, where it computed any."""
+        """Store each record kept, under what the product's keys depend on, where this run computed any."""
         if self.computed:
-            write_json(self.path, {"tool_version": __version__, "networks": {
-                net.name: net.record() | {key: self.records[net.name][key] for key in _SERIES_KEYS}
-                for net in self.run.networks if net.name in self.records}})
+            run_keys, net_keys = _depends(self.keys)
+            keys, records = ("input_sha256", *self.keys), self.records
+            meta = {"tool_version": __version__} | {key: getattr(self.run, key) for key in run_keys}
+            meta["networks"] = {net.name: net.record(net_keys) | {key: records[net.name][key] for key in keys}
+                                for net in self.run.networks if net.name in records}
+            write_json(self.path, meta)
+
+
+def _series(store: _Store, net: NetworkSpec) -> tuple[dict, SnapshotSeries]:
+    """The series record of ``net`` (input digest, load counts, labels and ``build_snapshots``'
+    key bins) and its series, read back from ``store`` or built; prints the network's load line."""
+    import hashlib
+
+    from .graph_core import build_snapshots, series_from_bins
+
+    if record := store.get(net):
+        return record, series_from_bins(len(record["labels"]), record["bins"], net.policy,
+                                        record["events_outside_window"])
+    digest = hashlib.sha256()
+    events = net.load_events(digest)
+    series = build_snapshots(events, net.snapshot_policy())
+    record = {"input_sha256": digest.hexdigest(), **_load_counts(events, series),
+              "labels": list(events.labels), "bins": [keys.tolist() for keys in series.bins]}
+    _report_load(net, record)
+    store.add(net, record)
+    return record, series
 
 
 def _network_transitions(run: RunConfig, net: NetworkSpec,
-                         snapshots: _SeriesFile) -> tuple[dict, OrbitTransitionMatrix]:
+                         snapshots: _Store) -> tuple[dict, OrbitTransitionMatrix]:
     """What ``transitions`` records of ``net`` (input digest, load counts and the transition
     counts as rows of ints), and the transition matrix it comes from."""
     from .transitions import accumulate_series
 
-    record, series = snapshots.series(net)
+    record, series = _series(snapshots, net)
     t = accumulate_series(series, run.k)
     return {key: record[key] for key in ("input_sha256", *_LOAD_COUNTS)} | {"counts": t.counts.tolist()}, t
 
@@ -684,10 +686,10 @@ def cmd_stats(args: argparse.Namespace) -> int:
     from .graph_core import STATS_HEADER, snapshot_stats
 
     run = load_run_config(args)
-    snapshots = _SeriesFile(run)
+    snapshots = _Store(run, "snapshots")
 
     def worker(net: NetworkSpec):
-        rows = snapshot_stats(snapshots.series(net)[1])
+        rows = snapshot_stats(_series(snapshots, net)[1])
         write_csv(run.out / f"{_file_stem(net.name)}.stats.csv", STATS_HEADER, rows)
         return rows
 
@@ -734,10 +736,10 @@ def cmd_census(args: argparse.Namespace) -> int:
     from .census import compute_orbit_frequencies
 
     run = load_run_config(args)
-    snapshots = _SeriesFile(run)
+    snapshots = _Store(run, "snapshots")
 
     def worker(net: NetworkSpec):
-        record, series = snapshots.series(net)
+        record, series = _series(snapshots, net)
         stem = _file_stem(net.name)
         for i, snap in enumerate(series.snapshots):
             fr = compute_orbit_frequencies(snap, run.k)
@@ -757,7 +759,7 @@ def cmd_transitions(args: argparse.Namespace) -> int:
     from .transitions import discretize, row_normalize
 
     run = load_run_config(args)
-    snapshots = _SeriesFile(run)
+    store, snapshots = _Store(run, "transitions"), _Store(run, "snapshots")
 
     def worker(net: NetworkSpec):
         record, t = _network_transitions(run, net, snapshots)
@@ -779,17 +781,18 @@ def cmd_transitions(args: argparse.Namespace) -> int:
                 "total_node_transitions": t.total_node_transitions(),
             },
         )
-        return record  # what compare --metric ota reads back
+        store.add(net, record)  # what compare --metric ota reads back
 
     results, errors = run_per_network(run, worker)
     if results:
-        write_meta(run.out / "transitions.meta.json", run, args, results)
+        store.write()
         snapshots.write()
     return _report_errors(errors)
 
 
 def cmd_motifs(args: argparse.Namespace) -> int:
     run = load_run_config(args)
+    store = _Store(run, "motifs")
 
     def worker(net: NetworkSpec):
         entry = _network_motifs(run, net)
@@ -797,13 +800,10 @@ def cmd_motifs(args: argparse.Namespace) -> int:
         rows = ([*item, mean, score] for item, mean, score in zip(_gdd_class_counts(
             entry["gdd"], run.k).items(), entry["ensemble_means"].values(), _motif_scores(run, entry)))
         write_csv(run.out / f"{_file_stem(net.name)}.motifs.csv", header, rows)
-        return entry  # what compare --metric motif reads back
+        store.add(net, entry)  # what compare --metric motif and gda read back
 
-    results, errors = run_per_network(run, worker)
-    code = _report_errors(errors)
-    # every network is recorded, and the per-network errors come before this file's
-    write_meta(run.out / "motifs.meta.json", run, args, {net.name: results.get(net.name, {})
-                                                         for net in run.networks})
+    code = _report_errors(run_per_network(run, worker)[1])
+    store.write()  # the per-network errors come before this file's
     return code
 
 
@@ -817,13 +817,12 @@ def cmd_compare(args: argparse.Namespace) -> int:
     names = [net.name for net in run.networks]
 
     gda_ks = (run.k, 3) if run.gda_include_k3 else (run.k,)
-    # the subcommand it reads back; a motifs record holds the census of k alone, not of k = 3
-    product = None if run.gda_include_k3 else {"ota": "transitions"}.get(metric, "motifs")
-    stored = _read_json_object(run.out / f"{product}.meta.json") if product else {}
-    snapshots = _SeriesFile(run)  # read only where a network's transitions are not stored
+    store = _Store(run, "transitions" if metric == "ota" else "motifs")
+    snapshots = _Store(run, "snapshots")  # read only where a network's transitions are not stored
 
     def gdd_worker(net: NetworkSpec):
-        if entry := _stored(run, net, stored, "motifs"):
+        # a motifs record holds the census of k alone, not of k = 3
+        if not run.gda_include_k3 and (entry := store.get(net, (*_LOAD_COUNTS[:2], "gdd"))):
             return [_normalized_gdd(map(dict, entry["gdd"]), run.gdd_scaling)]
         from .census import compute_gdd, compute_orbit_frequencies
 
@@ -832,12 +831,10 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
     # metric -> (per-network worker, matrix builder over the workers' results, its meta kind)
     worker, build, kind = {
-        "ota": (lambda net: (_stored(run, net, stored, product)
-                             or _network_transitions(run, net, snapshots)[0])["counts"],
+        "ota": (lambda net: (store.get(net) or _network_transitions(run, net, snapshots)[0])["counts"],
                 partial(ota_matrix, ota_scaling=run.ota_scaling, rescale=run.relative_rescale), "OTA"),
         "gda": (gdd_worker, gda_matrix, "GDA"),
-        "motif": (lambda net: _motif_scores(run, _stored(run, net, stored, product)
-                                            or _network_motifs(run, net)),
+        "motif": (lambda net: _motif_scores(run, store.get(net) or _network_motifs(run, net)),
                   motif_distance_matrix, "MotifDistance"),
     }[metric]
     results, errors = run_per_network(run, worker)

@@ -459,8 +459,8 @@ class TestProductReuse:
 
 
 def fail_densify_in_motifs(manifest: Path, out: Path) -> None:
-    """Rerun motifs with densify's file blocked: it is recorded without its
-    class counts, and its earlier motifs.csv is gone."""
+    """Rerun motifs with densify's file blocked: it gets no record, and its
+    earlier motifs.csv is gone."""
     blocked = out / "densify.motifs.csv"
     blocked.unlink()
     blocked.mkdir()
@@ -519,6 +519,15 @@ STALE_MOTIFS = {
     "meta not JSON": (lambda m, out: (out / "motifs.meta.json").write_text("{"), 2),
     "network failed in motifs": (fail_densify_in_motifs, 1),
 }
+
+# the cases in which compare --metric gda reuses the census and the motif distance computes: the
+# census depends on k, but neither on the null model's settings nor on the ensemble means
+GDA_REUSES = ("seed changed", "replicates changed", "swaps_per_edge changed", "ensemble class renamed",
+              "ensemble mean an int", "ensemble mean negative", "ensemble mean Infinity",
+              "ensemble means missing")
+# case -> (what it does to a finished motifs run, the networks compare --metric gda must recompute)
+STALE_CENSUS = {case: (spoil, 0 if case in GDA_REUSES else recomputed)
+                for case, (spoil, recomputed) in STALE_MOTIFS.items()}
 
 
 class TestMotifReuse:
@@ -610,11 +619,11 @@ class TestMotifReuse:
         assert written == self.compare(manifest, tmp_path / "fresh", capsys)
         assert written[0] == 0
 
-    @pytest.mark.parametrize("case", STALE_MOTIFS)
+    @pytest.mark.parametrize("case", STALE_CENSUS)
     def test_stale_census_recomputed_by_gda(self, stored, tmp_path, monkeypatch, capsys, case):
-        # GDA reads a motifs record under the motif distance's rule, so it computes the same networks
+        # GDA reads a motifs record's load counts and census alone
         manifest, out = stored
-        spoil, recomputed = STALE_MOTIFS[case]
+        spoil, recomputed = STALE_CENSUS[case]
         spoil(manifest, out)
         calls = self.count_censuses(monkeypatch)
         written = self.compare(manifest, out, capsys, "gda")
@@ -820,6 +829,108 @@ class TestSeriesReuse:
         assert "zo\u00eb" in reused[2]["accent.final.fr.csv"].decode()
 
 
+# reader -> the settings and network fields, besides the input path and sep, that what it reads
+# depends on: a stored series, transition counts, census and ensemble means, and census alone
+READER_DEPENDS = {
+    "series": {"policy", "width", "count", "origin"},
+    "ota": {"k", "policy", "width", "count", "origin"},
+    "motif": {"k", "seed", "replicates", "swaps_per_edge"},
+    "gda": {"k"},
+}
+# reader -> (its argv, the module and function that computes what it would read)
+READERS = {
+    "gda": (["compare", "--metric", "gda"], census, "compute_orbit_frequencies"),
+    "motif": (["compare", "--metric", "motif"], nullmodel, "ensemble_frequencies"),
+    "ota": (["compare", "--metric", "ota"], transitions, "accumulate_series"),
+    "series": (["stats"], graph_core, "parse_edge_list"),  # last: it rewrites the series file
+}
+# setting or network field -> (a manifest edit that changes it, another value to store for it)
+CHANGES = {
+    "k": (lambda m: edit_file(m, "[settings]\n", "[settings]\nk = 3\n"), 3),
+    "seed": (lambda m: edit_file(m, "seed = 5", "seed = 6"), 6),
+    "replicates": (lambda m: edit_file(m, "replicates = 3", "replicates = 2"), 2),
+    "swaps_per_edge": (lambda m: edit_file(m, "swaps_per_edge = 4", "swaps_per_edge = 5"), 5),
+    "policy": (lambda m: edit_file(m, "policy = aggregate", "policy = active"), "active"),
+    "width": (lambda m: edit_file(m, "width = 10", "width = 11"), 11),
+    "count": (lambda m: edit_file(m, "count = 3", "count = 4"), 4),
+    "origin": (lambda m: edit_file(m, "[settings]\n", "[settings]\norigin = 1\n"), 1),
+    "sep": (lambda m: edit_file(m, "[densify]\n", "[densify]\nsep = comma\n"), "comma"),
+    "path": (lambda m: move_densify_input(m, None), "moved.txt"),
+}
+# the manifest edits that reach densify alone; the others reach both networks. In the stored
+# files, a network field is edited in densify's records and a run setting at the top
+DENSIFY_ONLY = {"policy", "sep", "path"}
+
+
+class TestStoreRule:
+    """Each reader of a stored record recomputes a network exactly where a setting or network
+    field that what it reads depends on has changed, and each file records exactly those."""
+
+    @pytest.fixture
+    def stored(self, tmp_path):
+        """Finished stats, transitions and motifs runs into one out: (manifest, out)."""
+        write_network(tmp_path, "densify", "a ,b, 0\nb ,c, 1\nc ,d, 2\na ,c, 10\nb ,d, 12\na ,d, 21\n")
+        write_network(tmp_path, "churn", "p q 3\nq r 4\nr s 13\ns p 14\np r 22\nq s 24\nt p 25\n")
+        manifest = write_manifest(
+            tmp_path,
+            "[settings]\nwidth = 10\ncount = 3\nseed = 5\nreplicates = 3\nswaps_per_edge = 4\n\n"
+            "[densify]\npath = densify.txt\npolicy = aggregate\n\n[churn]\npath = churn.txt\npolicy = active\n",
+        )
+        out = tmp_path / "out"
+        for command in ("stats", "transitions", "motifs"):
+            assert main([command, "--manifest", str(manifest), "--out", str(out)]) == 0
+        return manifest, out
+
+    @staticmethod
+    def run(argv: list[str], manifest: Path, out: Path, capsys) -> tuple[int, str, dict[str, bytes]]:
+        """The exit code, stderr and own files (compare_<metric>.* or stats) of ``argv`` into ``out``."""
+        capsys.readouterr()
+        code = main([*argv, "--manifest", str(manifest), "--out", str(out)])
+        own = f"compare_{argv[-1]}." if argv[0] == "compare" else "stats.csv"
+        return code, capsys.readouterr().err, {p.name: p.read_bytes() for p in out.iterdir() if own in p.name}
+
+    @pytest.mark.parametrize("where", ["manifest", "stored files"])
+    @pytest.mark.parametrize("change", CHANGES)
+    def test_reader_recomputes_where_what_it_reads_depends_on_the_change(
+            self, stored, tmp_path, monkeypatch, capsys, change, where):
+        manifest, out = stored
+        edit, value = CHANGES[change]
+        if where == "manifest":
+            edit(manifest)
+        else:
+            for meta_file in out.glob("*.meta.json"):
+                edit_json(meta_file, lambda meta: (meta["networks"]["densify"] if change in cli.NETWORK_KEYS
+                                                   else meta).update({change: value}))
+        calls = []
+        for _argv, module, name in READERS.values():
+            original = getattr(module, name)
+            monkeypatch.setattr(module, name,
+                                lambda *a, _f=original, _n=name, **kw: calls.append(_n) or _f(*a, **kw))
+        recomputed, expected = {}, {}
+        for reader, (argv, _module, name) in READERS.items():
+            fresh = self.run(argv, manifest, tmp_path / f"fresh_{reader}", capsys)
+            calls.clear()
+            written = self.run(argv, manifest, out, capsys)
+            assert written == fresh and written[0] == 0, reader
+            recomputed[reader] = calls.count(name)
+            reaches = 1 if change in (DENSIFY_ONLY if where == "manifest" else cli.NETWORK_KEYS) else 2
+            expected[reader] = reaches if change in READER_DEPENDS[reader] | {"path", "sep"} else 0
+        # a changed k recomputes the census but not the series; a changed seed the means, not the census
+        assert recomputed == expected
+
+    def test_each_file_records_what_its_keys_depend_on(self, stored):
+        _manifest, out = stored
+        for product, reader in (("snapshots", "series"), ("transitions", "ota"), ("motifs", "motif")):
+            keys = cli._PRODUCTS[product]
+            depends = {dep for key in keys for dep in cli._RECORD_KEYS[key][0]}
+            assert depends == READER_DEPENDS[reader]
+            meta = json.loads((out / f"{product}.meta.json").read_text())
+            assert set(meta) == {"tool_version", "networks"} | depends - set(cli.NETWORK_KEYS), product
+            assert list(meta["networks"]) == ["densify", "churn"]
+            for record in meta["networks"].values():
+                assert set(record) == {"path", "sep", "input_sha256", *keys} | depends & set(cli.NETWORK_KEYS)
+
+
 @pytest.fixture
 def three_networks(tmp_path):
     """Two "closure" lattices and a "random" one, whose three pairwise scores
@@ -979,8 +1090,9 @@ class TestDeterminismAndFailure:
         assert main(["motifs", "--manifest", str(manifest), "--out", str(out)]) == 1
         assert (out / "good.motifs.csv").exists()
         assert not (out / "bad.motifs.csv").exists()
+        # like the other product files, it lists only the networks it holds a record of
         meta = json.loads((out / "motifs.meta.json").read_text())
-        assert set(meta["networks"]) == {"good", "bad"}
+        assert set(meta["networks"]) == {"good"}
 
     def test_census_overflow_fails_alone(self, tmp_path, monkeypatch, capsys):
         # the degree guard's OverflowError is a per-network failure, not a crash
@@ -1272,7 +1384,7 @@ class TestUnwritableOut:
         (manifest.parent / "afile").write_text("")
         return manifest, manifest.parent / "afile" / "sub"
 
-    @pytest.mark.parametrize("argv", [["compare"], ["compare", "--metric", "gda"], ["motifs"]])
+    @pytest.mark.parametrize("argv", [["compare"], ["compare", "--metric", "gda"]])
     def test_run_level_writers_exit_2(self, blocked, capsys, argv):
         manifest, out = blocked
         assert main([*argv, "--manifest", str(manifest), "--out", str(out)]) == 2
@@ -1308,7 +1420,7 @@ class TestUnwritableOut:
         assert f"error: cannot write {out / target}: Is a directory\n" in err
         assert "Traceback" not in err
 
-    @pytest.mark.parametrize("command", ["stats", "census", "transitions"])
+    @pytest.mark.parametrize("command", ["stats", "census", "transitions", "motifs"])
     def test_per_network_writers_exit_1(self, blocked, capsys, command):
         manifest, out = blocked
         assert main([command, "--manifest", str(manifest), "--out", str(out)]) == 1
