@@ -61,7 +61,7 @@ import os
 import sys
 import tempfile
 from dataclasses import dataclass, fields
-from functools import partial
+from functools import cache, partial
 from itertools import chain, repeat, starmap
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, NoReturn, Sequence
@@ -71,10 +71,8 @@ from .catalogue import GRAPHLET_CLASSES, _gdd_class_counts, _normalized_gdd, orb
 
 # numpy and the modules built on it (graph_core, census, transitions, the
 # null model) load only in the commands that use them, so `cluster`, and
-# `compare --metric ota` or `gda` on stored records, run with no numpy at all
+# `compare --metric ota`, `gda` or `motif` on stored records, run with no numpy at all
 if TYPE_CHECKING:
-    import numpy as np
-
     from .census import OrbitFrequencyMatrix
     from .graph_core import SnapshotPolicy, SnapshotSeries, StaticGraph, TemporalEdgeList
     from .transitions import OrbitTransitionMatrix
@@ -379,6 +377,12 @@ def write_csv(path: Path, header: Sequence[str], rows) -> None:
 _JSON_SCALARS = frozenset((str, int, float, bool, type(None)))
 
 
+@cache
+def _encode_at(inner: str) -> Callable[[object], str]:
+    """The C encoder with the separators of an indented layout at ``inner``, built once."""
+    return json.JSONEncoder(separators=(",\n" + inner, ": ")).encode
+
+
 def _indented(obj, pad: str) -> str:
     """``json.dumps(obj, indent=2)`` for a value at indent ``pad``.
 
@@ -392,7 +396,7 @@ def _indented(obj, pad: str) -> str:
     inner = pad + "  "
     values = obj.values() if isinstance(obj, dict) else obj
     if _JSON_SCALARS.issuperset(map(type, values)):
-        text = json.dumps(obj, separators=(",\n" + inner, ": "))
+        text = _encode_at(inner)(obj)
     elif isinstance(obj, dict):
         # json.dumps renders and escapes each key: {key: 0} gives '{"key": 0}'
         text = "{%s}" % (",\n" + inner).join(
@@ -470,10 +474,11 @@ def _network_final_graph(net: NetworkSpec, digest=None) -> tuple[TemporalEdgeLis
     return events, final_aggregate_graph(events)
 
 
-def run_per_network(run: RunConfig, worker: Callable[[NetworkSpec], object]) -> tuple[dict, list[str]]:
+def run_per_network(run: RunConfig, worker: Callable[[NetworkSpec], object]) -> tuple[dict, int]:
     """Apply ``worker`` to each network in turn, isolating per-network failures.
 
-    Returns (results by network name, error messages).
+    Prints the failures once every network has run, so before any run-level
+    file is written, and returns (results by network name, exit code).
     """
     results, errors = {}, []
     for net in run.networks:
@@ -481,7 +486,9 @@ def run_per_network(run: RunConfig, worker: Callable[[NetworkSpec], object]) -> 
             results[net.name] = worker(net)
         except (CliError, ValueError, OSError, OverflowError, RuntimeError) as e:
             errors.append(f"network {net.name!r}: {e}")
-    return results, errors
+    for msg in errors:
+        print(f"error: {msg}", file=sys.stderr)
+    return results, 1 if errors else 0
 
 
 def _read_json_object(path: Path) -> dict:
@@ -664,18 +671,12 @@ def _network_motifs(run: RunConfig, net: NetworkSpec) -> dict:
             "ensemble_means": ensemble_frequencies(g, run.k, run.replicates, run.swaps_per_edge, run.seed)}
 
 
-def _motif_scores(run: RunConfig, entry: dict) -> np.ndarray:
+def _motif_scores(run: RunConfig, entry: dict) -> list[float]:
     """The motif fingerprint of a ``_network_motifs`` record."""
     from .metrics import motif_scores_from_counts
 
     real = _gdd_class_counts(entry["gdd"], run.k)
     return motif_scores_from_counts([*real.values()], [*entry["ensemble_means"].values()], run.k)
-
-
-def _report_errors(errors: list[str]) -> int:
-    for msg in errors:
-        print(f"error: {msg}", file=sys.stderr)
-    return 1 if errors else 0
 
 
 # ---------------------------------------------------------------------------
@@ -693,14 +694,14 @@ def cmd_stats(args: argparse.Namespace) -> int:
         write_csv(run.out / f"{_file_stem(net.name)}.stats.csv", STATS_HEADER, rows)
         return rows
 
-    results, errors = run_per_network(run, worker)
+    results, code = run_per_network(run, worker)
     combined = [
         [net.name, *row] for net in run.networks if net.name in results for row in results[net.name]
     ]
     if results:
         write_csv(run.out / "stats.csv", ("network", *STATS_HEADER), combined)
         snapshots.write()
-    return _report_errors(errors)
+    return code
 
 
 def _census_bundle(run: RunConfig, stem: str, tag: str, fr: OrbitFrequencyMatrix, labels) -> None:
@@ -749,10 +750,10 @@ def cmd_census(args: argparse.Namespace) -> int:
             fr = compute_orbit_frequencies(final, run.k)
         _census_bundle(run, stem, "final", fr, record["labels"])
 
-    results, errors = run_per_network(run, worker)
+    results, code = run_per_network(run, worker)
     if results:
         snapshots.write()
-    return _report_errors(errors)
+    return code
 
 
 def cmd_transitions(args: argparse.Namespace) -> int:
@@ -783,11 +784,11 @@ def cmd_transitions(args: argparse.Namespace) -> int:
         )
         store.add(net, record)  # what compare --metric ota reads back
 
-    results, errors = run_per_network(run, worker)
+    results, code = run_per_network(run, worker)
     if results:
         store.write()
         snapshots.write()
-    return _report_errors(errors)
+    return code
 
 
 def cmd_motifs(args: argparse.Namespace) -> int:
@@ -802,8 +803,8 @@ def cmd_motifs(args: argparse.Namespace) -> int:
         write_csv(run.out / f"{_file_stem(net.name)}.motifs.csv", header, rows)
         store.add(net, entry)  # what compare --metric motif and gda read back
 
-    code = _report_errors(run_per_network(run, worker)[1])
-    store.write()  # the per-network errors come before this file's
+    code = run_per_network(run, worker)[1]
+    store.write()
     return code
 
 
@@ -837,10 +838,10 @@ def cmd_compare(args: argparse.Namespace) -> int:
         "motif": (lambda net: _motif_scores(run, store.get(net) or _network_motifs(run, net)),
                   motif_distance_matrix, "MotifDistance"),
     }[metric]
-    results, errors = run_per_network(run, worker)
-    if errors:
+    results, code = run_per_network(run, worker)
+    if code:
         # a pairwise comparison cannot proceed with missing networks
-        return _report_errors(errors)
+        return code
 
     values = build(names, [results[name] for name in names])
     tree = hierarchical_cluster(names, values, linkage=run.linkage)

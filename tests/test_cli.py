@@ -1420,6 +1420,28 @@ class TestUnwritableOut:
         assert f"error: cannot write {out / target}: Is a directory\n" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("command, target", [
+        ("stats", "stats.csv"), ("census", "snapshots.meta.json"),
+        ("transitions", "transitions.meta.json"), ("motifs", "motifs.meta.json"),
+    ])
+    def test_network_errors_printed_before_a_run_file_error(self, tmp_path, capsys, command, target):
+        # a failed run-level write still exits 2, but only after every network's error
+        write_network(tmp_path, "good", "a b 0\nb c 5\nc a 12\n")
+        (tmp_path / "bad.txt").write_text("x y notatime\n")
+        manifest = write_manifest(
+            tmp_path,
+            "[settings]\nwidth = 10\ncount = 2\nreplicates = 2\n\n"
+            "[good]\npath = good.txt\n\n[bad]\npath = bad.txt\n",
+        )
+        out = tmp_path / "out"
+        (out / target).mkdir(parents=True)
+        assert main([command, "--manifest", str(manifest), "--out", str(out)]) == 2
+        errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error: ")]
+        assert len(errors) == 2, errors
+        assert errors[0].startswith("error: network 'bad': ")
+        assert errors[0].endswith("line 1: timestamp 'notatime' is not an integer")
+        assert errors[1] == f"error: cannot write {out / target}: Is a directory"
+
     @pytest.mark.parametrize("command", ["stats", "census", "transitions", "motifs"])
     def test_per_network_writers_exit_1(self, blocked, capsys, command):
         manifest, out = blocked
@@ -1725,9 +1747,9 @@ class TestModuleLoading:
         stored, fresh = tmp_path / "stored", tmp_path / "fresh"
         assert main(["motifs", *manifest, "--out", str(stored)]) == 0
         compare = ["compare", "--metric", "motif", *manifest]
-        # numpy for the fingerprint's norm, but no parser, census or null model
+        # the fingerprint's norm is pure Python: no numpy, parser, census or null model
         assert self.loaded_after([*compare, "--out", str(stored)]) == [
-            "numpy", "orbitrans", "orbitrans.catalogue", "orbitrans.cli", "orbitrans.metrics"]
+            "orbitrans", "orbitrans.catalogue", "orbitrans.cli", "orbitrans.metrics"]
         assert main([*compare, "--out", str(fresh)]) == 0
         for name in ("compare_motif.csv", "compare_motif.tree.json", "compare_motif.meta.json"):
             assert (stored / name).read_bytes() == (fresh / name).read_bytes(), name

@@ -2,6 +2,8 @@ import json
 import math
 import numbers
 import re
+import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -332,7 +334,7 @@ class TestListOta:
 
 class TestMotifScores:
     def test_all_match_ensemble(self):
-        fp = motif_scores_from_counts([3, 3, 0, 1, 0, 2], [3.0, 3.0, 0.0, 1.0, 0.0, 2.0])
+        fp = np.asarray(motif_scores_from_counts([3, 3, 0, 1, 0, 2], [3.0, 3.0, 0.0, 1.0, 0.0, 2.0]))
         assert np.all(fp == 0.0)
 
     def test_absent_from_ensemble_scores_one(self):
@@ -380,8 +382,8 @@ class TestFingerprintDistance:
 
     def test_matches_direct_formula(self):
         rng = np.random.default_rng(46)
-        a = motif_scores_from_counts(list(rng.integers(0, 30, 6)), list(rng.random(6) * 30))
-        b = motif_scores_from_counts(list(rng.integers(0, 30, 6)), list(rng.random(6) * 30))
+        a = np.asarray(motif_scores_from_counts(list(rng.integers(0, 30, 6)), list(rng.random(6) * 30)))
+        b = np.asarray(motif_scores_from_counts(list(rng.integers(0, 30, 6)), list(rng.random(6) * 30)))
         direct = math.sqrt(float(np.sum((a - b) ** 2)))
         assert fingerprint_distance(a, b) == pytest.approx(direct, abs=1e-12)
 
@@ -401,6 +403,148 @@ class TestFingerprintDistance:
         assert sim.shape == (3, 3) and sim.dtype == np.float64
         assert np.allclose(np.diag(sim), 0.0)
         assert np.allclose(sim, sim.T)
+
+
+def plain_fold(values) -> float:
+    """The sum of squares folded left with ``x * x`` and ``+`` each rounded."""
+    total = 0.0
+    for x in values:
+        total += x * x
+    return total
+
+
+# a sum at least half the last place (2 ** 970) past the largest float rounds to inf
+OVERFLOW = Fraction(sys.float_info.max) + Fraction(2) ** 970
+
+
+def fused_fold(values) -> float:
+    """The sum of squares folded left with ``x * x + total`` rounded once, as a fused
+    multiply-add gives it: exact in fractions for finite steps, IEEE for the rest."""
+    total = 0.0
+    for x in values:
+        if math.isfinite(x) and math.isfinite(total):
+            exact = Fraction(x) ** 2 + Fraction(total)
+            total = float(exact) if exact < OVERFLOW else math.inf
+        else:
+            total = x * x + total
+    return total
+
+
+def same(a: float, b: float) -> bool:
+    """Whether two floats are the same value, the sign of zero included; any NaN is one value."""
+    return a.hex() == b.hex()
+
+
+def norm_batch(seed: int = 3401, count: int = 20_000) -> list[list[float]]:
+    """Fixed edge cases, then ``count`` seeded vectors of 2 and 6 entries at one scale each:
+    ordinary squares, subnormal squares, squares near or past the largest float, and ordinary
+    vectors with zeros, -0.0, infinities or NaNs in place of some entries."""
+    special = [0.0, -0.0, math.inf, -math.inf, math.nan]
+    vectors = [[0.0, 0.0], [-0.0, -0.0], [-0.0] * 6, [5e-324, -5e-324], [1e-160, 1e-160],
+               [math.inf, math.nan], [math.nan, math.inf], [-math.inf, 0.0], [1e200, 1e200],
+               [1.3e154, 1.3e154], [1e308, 1.0, 0.0, 0.0, 0.0, 0.0]]
+    rng = np.random.default_rng(seed)
+    for i in range(count):
+        n = (2, 6)[i // 10 % 2]
+        kind = i % 10
+        low, high = (-560, -500) if kind in (6, 7) else (505, 515) if kind == 8 else (-30, 30)
+        v = (rng.standard_normal(n) * 2.0 ** int(rng.integers(low, high))).tolist()
+        if kind == 9:
+            for at in rng.choice(n, size=int(rng.integers(1, 3)), replace=False):
+                v[at] = special[int(rng.integers(len(special)))]
+        vectors.append(v)
+    return vectors
+
+
+NORM_BATCH = norm_batch()
+# the batch's first vector on which the two folds differ
+DISCRIMINATING = next(v for v in NORM_BATCH if not same(plain_fold(v), fused_fold(v)))
+
+
+def require_fused_dot():
+    """Skip where this numpy's ``np.dot`` gives the plain fold on ``DISCRIMINATING``: its BLAS
+    then folds unfused, and ``np.linalg.norm`` is not the fold ``_norm`` computes."""
+    dot = float(np.dot(DISCRIMINATING, DISCRIMINATING))
+    if same(dot, plain_fold(DISCRIMINATING)):
+        pytest.skip(f"numpy {np.__version__}'s np.dot folds {DISCRIMINATING!r} unfused "
+                    f"({dot.hex()}), so np.linalg.norm is not the fused fold here")
+
+
+def numpy_norm(values) -> float:
+    with np.errstate(over="ignore", invalid="ignore"):
+        return float(np.linalg.norm(np.array(values, dtype=np.float64)))
+
+
+class TestNorm:
+    """``metrics._norm`` is ``np.linalg.norm`` bit for bit on fewer than 16 entries."""
+
+    def test_batch_tells_the_folds_apart(self):
+        differ = [v for v in NORM_BATCH if not same(plain_fold(v), fused_fold(v))]
+        assert len(NORM_BATCH) > 20_000 and differ
+        assert all(same(metrics._norm(v), math.sqrt(fused_fold(v))) for v in differ)
+
+    def test_equals_numpy_on_the_batch(self):
+        require_fused_dot()
+        results = [(metrics._norm(v), numpy_norm(v)) for v in NORM_BATCH]
+        assert [(v, got, want) for v, (got, want) in zip(NORM_BATCH, results) if not same(got, want)] == []
+        # the batch reaches zero, a subnormal total, nan, and inf from an overflow and from an inf
+        norms = [got for got, _ in results]
+        assert 0.0 in norms and any(map(math.isnan, norms))
+        assert any(0.0 < fused_fold(v) < sys.float_info.min for v in NORM_BATCH)
+        assert {all(map(math.isfinite, v)) for v, got in zip(NORM_BATCH, norms) if got == math.inf} == {True, False}
+
+    @given(st.lists(st.floats(), max_size=15))
+    @settings(max_examples=300, deadline=None)
+    def test_equals_numpy(self, values):
+        require_fused_dot()
+        assert same(metrics._norm(values), numpy_norm(values))
+        assert same(metrics._norm(values), math.sqrt(fused_fold(values)))
+
+
+# every public function of metrics, called without numpy; prints each result as JSON
+NO_NUMPY_CALLS = """
+import inspect, json
+from orbitrans import metrics as m
+
+gdd = [{1: 0.5, 2: 0.5}, {}, {3: 1.0}]
+other = [{1: 0.25, 2: 0.75}, {1: 1.0}, {}]
+counts = [[[1, 2, 0], [0, 0, 0], [3, 1, 1]], [[0, 1, 0], [1, 1, 1], [2, 0, 0]],
+          [[5, 0, 0], [0, 2, 0], [0, 0, 1]]]
+fps = [m.motif_scores_from_counts(real, means, 3)
+       for real, means in (([4, 1], [2.5, 1.5]), ([0, 3], [1.0, 0.5]), ([2, 2], [2.0, 0.0]))]
+distances = m.motif_distance_matrix(["a", "b", "c"], fps)
+merges = m.hierarchical_cluster(["a", "b", "c"], distances)
+results = {
+    "gda_orbit_scores": m.gda_orbit_scores(gdd, other),
+    "gda_matrix": m.gda_matrix(["a", "b"], [[gdd], [other]]),
+    "row_normalize": m.row_normalize(counts[0]),
+    "relative_rescale": m.relative_rescale([m.row_normalize(c) for c in counts]),
+    "ota_pair": m.ota_pair(m.row_normalize(counts[0]), m.row_normalize(counts[1]), "per_orbit"),
+    "ota_matrix": m.ota_matrix(["a", "b", "c"], counts),
+    "motif_scores_from_counts": fps,
+    "fingerprint_distance": m.fingerprint_distance(fps[0], fps[1]),
+    "motif_distance_matrix": distances,
+    "hierarchical_cluster": merges,
+    "cut_clusters": m.cut_clusters(["a", "b", "c"], merges, 2),
+}
+public = sorted(name for name, value in vars(m).items()
+                if inspect.isfunction(value) and value.__module__ == m.__name__ and not name.startswith("_"))
+"""
+
+
+def test_every_public_function_runs_without_numpy():
+    from test_cli import child
+
+    code = ("import sys\nsys.modules['numpy'] = None\n" + NO_NUMPY_CALLS
+            + "print(json.dumps([results, public]))\n")
+    proc = child("-c", code)
+    assert proc.returncode == 0, proc.stderr
+    results, public = json.loads(proc.stdout)
+    assert public == sorted(results)
+    # the same values where numpy is loaded
+    namespace: dict = {}
+    exec(NO_NUMPY_CALLS, namespace)
+    assert json.loads(json.dumps(namespace["results"])) == results
 
 
 def _gda_inputs(rng, n):
