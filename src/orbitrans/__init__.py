@@ -15,7 +15,8 @@ __version__ = "0.1.0"
 # Each public name under the module that defines it. A module loads on the
 # first use of one of its names, so a subcommand compiles and runs only the
 # modules it needs: `census` and `stats` never load transitions, metrics or
-# the null model, and `cluster` loads the comparison layer alone, without numpy.
+# the null model, and `cluster` loads the comparison layer alone, with neither
+# numpy nor the standard library's `inspect` (no module here defines a `@dataclass`).
 _EXPORTS = {
     "catalogue": ("GraphletClass",),
     "census": ("OrbitFrequencyMatrix", "build_classification_table", "compute_gdd",

@@ -10,11 +10,10 @@ a command that reads the catalogue, or a stored census, loads no numpy.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 
-@dataclass(frozen=True)
-class GraphletClass:
+class GraphletClass(NamedTuple):
     """One connected k-node shape, with the orbits its nodes can occupy.
 
     ``degrees[i]`` is the degree, within the shape, of a node in orbit

@@ -29,7 +29,6 @@ k-set, so only ``connected_subgraphs`` builds the k-sets' node rows.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, product
 from typing import Iterator
@@ -279,12 +278,13 @@ def connected_subgraphs(g: StaticGraph, k: int) -> Iterator[tuple[tuple[int, ...
         yield from zip(map(tuple, sets.tolist()), masks.tolist())
 
 
-@dataclass(frozen=True)
 class OrbitFrequencyMatrix:
     """Per-node orbit appearance counts: row v, column j-1 = orbit j."""
 
-    k: int
-    counts: np.ndarray  # shape (n, m), int64
+    __slots__ = ("k", "counts")
+
+    def __init__(self, k: int, counts: np.ndarray):
+        self.k, self.counts = k, counts  # counts: shape (n, m), int64
 
 
 @lru_cache(maxsize=None)

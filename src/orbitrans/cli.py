@@ -60,11 +60,10 @@ import operator
 import os
 import sys
 import tempfile
-from dataclasses import dataclass, fields
 from functools import cache, partial
 from itertools import chain, repeat, starmap
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, NoReturn, Sequence
+from typing import TYPE_CHECKING, Callable, NamedTuple, NoReturn, Sequence
 
 from . import __version__
 from .catalogue import GRAPHLET_CLASSES, _gdd_class_counts, _normalized_gdd, orbit_count
@@ -86,8 +85,7 @@ class CliError(Exception):
 # manifest handling
 
 
-@dataclass(frozen=True)
-class Setting:
+class Setting(NamedTuple):
     """One run setting: its type, choices, default and minimum, and where
     a manifest may set it.
 
@@ -139,8 +137,7 @@ def _flag(key: str) -> str:
     return f"--{'no-' if SETTINGS[key].default is True else ''}{key.replace('_', '-')}"
 
 
-@dataclass(frozen=True)
-class NetworkSpec:
+class NetworkSpec(NamedTuple):
     """One network's input file and snapshot configuration."""
 
     name: str
@@ -188,8 +185,7 @@ class _Hashing:
         return block
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(NamedTuple):
     """Everything a subcommand needs: the networks and each run-level
     setting, under its ``SETTINGS`` name."""
 
@@ -308,7 +304,7 @@ def load_run_config(args: argparse.Namespace) -> RunConfig:
     if not networks:
         raise CliError(f"manifest {manifest_path} defines no networks")
 
-    values = {f.name: _read(f.name, args, settings, ctx) for f in fields(RunConfig)[1:]}
+    values = {key: _read(key, args, settings, ctx) for key in RunConfig._fields[1:]}
     if values["gda_include_k3"] and values["k"] != 4:
         where = f"{ctx}: k = {values['k']}" if settings and "k" in settings else f"--k {values['k']}"
         raise CliError(f"--gda-include-k3 pools 3-node orbits into a k = 4 run, "

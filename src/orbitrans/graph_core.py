@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import io
 import math
-from dataclasses import dataclass
 from typing import Iterable, Iterator, Literal, Sequence
 
 import numpy as np
@@ -156,7 +155,6 @@ class StaticGraph:
         return f"StaticGraph(n={self.n}, edges={self.edge_count})"
 
 
-@dataclass(frozen=True, eq=False)
 class TemporalEdgeList:
     """Timestamped undirected edge events, sorted by time.
 
@@ -167,13 +165,11 @@ class TemporalEdgeList:
     dropped at parse time and only counted.
     """
 
-    labels: tuple[str, ...]
-    events: np.ndarray
-    dropped_self_loops: int = 0
+    __slots__ = ("labels", "events", "dropped_self_loops")
 
-    def __post_init__(self) -> None:
+    def __init__(self, labels: tuple[str, ...], events: np.ndarray, dropped_self_loops: int = 0):
+        self.labels, self.events, self.dropped_self_loops = labels, events, dropped_self_loops
         # build_snapshots slices the events by time, trusting this order
-        events = self.events
         if getattr(events, "dtype", None) != np.int64 or np.shape(events)[1:] != (3,):
             raise ValueError("events must be an (N, 3) int64 array")
         if np.any(events[1:, 2] < events[:-1, 2]):
@@ -520,7 +516,6 @@ def parse_edge_list(source: Iterable[str] | str | bytes, sep: str = "ws") -> Tem
 # snapshots
 
 
-@dataclass(frozen=True)
 class SnapshotPolicy:
     """How to bin events into snapshots.
 
@@ -529,12 +524,10 @@ class SnapshotPolicy:
     the earliest event timestamp when left as None.
     """
 
-    mode: PolicyMode
-    width: int
-    count: int
-    origin: int | None = None
+    __slots__ = ("mode", "width", "count", "origin")
 
-    def __post_init__(self) -> None:
+    def __init__(self, mode: PolicyMode, width: int, count: int, origin: int | None = None):
+        self.mode, self.width, self.count, self.origin = mode, width, count, origin
         if self.mode not in POLICY_MODES:
             raise ValueError(f"mode must be one of {POLICY_MODES}, got {self.mode!r}")
         if self.width <= 0:
@@ -543,7 +536,6 @@ class SnapshotPolicy:
             raise ValueError("need at least 2 snapshots for transitions")
 
 
-@dataclass(frozen=True)
 class SnapshotSeries:
     """Ordered static snapshots over one shared node universe.
 
@@ -552,9 +544,11 @@ class SnapshotSeries:
     that fell outside every snapshot interval; ``bins`` are those of ``build_snapshots``.
     """
 
-    snapshots: tuple[StaticGraph, ...]
-    events_discarded: int = 0
-    bins: tuple[np.ndarray, ...] = ()
+    __slots__ = ("snapshots", "events_discarded", "bins")
+
+    def __init__(self, snapshots: tuple[StaticGraph, ...], events_discarded: int = 0,
+                 bins: tuple[np.ndarray, ...] = ()):
+        self.snapshots, self.events_discarded, self.bins = snapshots, events_discarded, bins
 
     def __len__(self) -> int:
         return len(self.snapshots)

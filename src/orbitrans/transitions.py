@@ -22,8 +22,6 @@ closed-form census.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .census import GRAPHLET_CLASSES, _orbit_counts, _orbit_slots, _pair_blocks, orbit_count
@@ -36,7 +34,6 @@ _LOW = 1.0 / 3.0
 _HIGH = 2.0 / 3.0
 
 
-@dataclass(frozen=True)
 class OrbitTransitionMatrix:
     """Accumulated orbit-transition counts.
 
@@ -49,11 +46,13 @@ class OrbitTransitionMatrix:
     it on the delta path only, else it is None.
     """
 
-    k: int
-    counts: np.ndarray  # (m, m) int64
-    dissolved: np.ndarray  # (m,) int64
-    pairs_processed: int
-    formed: np.ndarray | None = None  # (m,) int64
+    __slots__ = ("k", "counts", "dissolved", "pairs_processed", "formed")
+
+    def __init__(self, k: int, counts: np.ndarray, dissolved: np.ndarray, pairs_processed: int,
+                 formed: np.ndarray | None = None):
+        # counts: (m, m) int64; dissolved and formed: (m,) int64
+        self.k, self.counts, self.dissolved = k, counts, dissolved
+        self.pairs_processed, self.formed = pairs_processed, formed
 
     def total_node_transitions(self) -> int:
         return int(self.counts.sum() + self.dissolved.sum())

@@ -1708,12 +1708,14 @@ class TestProcessEntryPoint:
 class TestModuleLoading:
     @staticmethod
     def loaded_after(*argvs: list[str]) -> list[str]:
-        """The orbitrans modules, and numpy and numpy.ma if loaded, once a fresh interpreter
-        (one no other test has loaded a module in) has run each of ``argvs``."""
+        """The orbitrans modules, and numpy, numpy.ma, dataclasses and inspect if loaded,
+        once a fresh interpreter (one no other test has loaded a module in) has run each
+        of ``argvs``. dataclasses loads inspect, and with it ast, dis and tokenize: about
+        9 ms of start-up that a child without numpy (which loads inspect) need not pay."""
         code = "import sys\nfrom orbitrans.cli import main\n"
         code += "".join(f"assert main({argv!r}) == 0\n" for argv in argvs)
-        code += ("print(' '.join(sorted(m for m in sys.modules"
-                 " if m.startswith('orbitrans') or m in ('numpy', 'numpy.ma'))))\n")
+        code += ("print(' '.join(sorted(m for m in sys.modules if m.startswith('orbitrans')"
+                 " or m in ('numpy', 'numpy.ma', 'dataclasses', 'inspect'))))\n")
         proc = child("-c", code)
         assert proc.returncode == 0, proc.stderr
         return proc.stdout.split()
@@ -1722,16 +1724,16 @@ class TestModuleLoading:
         # stats reads the 3-node census for the clustering coefficient
         args = ["--manifest", str(DATA / "manifest.ini"), "--out", str(tmp_path)]
         assert self.loaded_after(["stats", *args], ["census", *args]) == [
-            "numpy", "orbitrans", "orbitrans.catalogue", "orbitrans.census", "orbitrans.cli",
-            "orbitrans.graph_core"]
+            "inspect", "numpy", "orbitrans", "orbitrans.catalogue", "orbitrans.census",
+            "orbitrans.cli", "orbitrans.graph_core"]
 
     def test_series_commands_in_one_out_load_no_numpy_ma(self, tmp_path):
         # np.unique, np.isin and np.setdiff1d would load numpy.ma, 10-30 ms per child:
         # neither binning the series nor reading it back calls them
         args = ["--manifest", str(DATA / "manifest.ini"), "--out", str(tmp_path)]
         assert self.loaded_after(["stats", *args], ["census", *args], ["transitions", *args]) == [
-            "numpy", "orbitrans", "orbitrans.catalogue", "orbitrans.census", "orbitrans.cli",
-            "orbitrans.graph_core", "orbitrans.metrics", "orbitrans.transitions"]
+            "inspect", "numpy", "orbitrans", "orbitrans.catalogue", "orbitrans.census",
+            "orbitrans.cli", "orbitrans.graph_core", "orbitrans.metrics", "orbitrans.transitions"]
 
     def test_cluster_runs_without_numpy(self, tmp_path):
         matrix = tmp_path / "compare_ota.csv"

@@ -51,8 +51,9 @@ def test_readme_numpy_free_commands_run_without_numpy(tmp_path):
         else:
             assert argv[0] == "compare", f"no stored records prepared for {command!r}"
             argv += manifest
-        code = ("import sys\nsys.modules['numpy'] = None\nfrom orbitrans.cli import main\n"
+        code = ("import sys\nsys.modules.update(numpy=None, dataclasses=None, inspect=None)\n"
+                "from orbitrans.cli import main\n"
                 f"sys.exit(main({[*argv, '--out', str(tmp_path / 'stored')]!r}))\n")
-        # a command that needed numpy would fail on its import, not exit 0
+        # a command that needed one of them would fail on its import, not exit 0
         proc = child("-c", code)
         assert proc.returncode == 0, (command, proc.stderr)
