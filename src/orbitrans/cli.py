@@ -36,10 +36,12 @@ determines a run; flags fill in whatever the manifest leaves out.
 Each product's meta file in ``out`` stores what the commands computed of each
 network (``_Store``): the snapshot series (``stats``, ``census``,
 ``transitions``), the transition counts (``transitions``), and the final
-graph's orbit census and ensemble means (``motifs``). A stored value is read
-back instead of computed wherever this tool version, the input bytes, and the
-settings and network fields it depends on (``_RECORD_KEYS``) are unchanged;
-deleting the file, or a fresh ``out``, forces the work again. All outputs are
+graph's orbit census and ensemble means (``motifs``), each value with its
+digest: the SHA-256 of the value, this tool version, the input's digest, path
+and sep, and the settings and network fields the value depends on
+(``_RECORD_KEYS``). A stored value is read back instead of computed wherever
+its digest is this run's and the input still hashes the same; deleting the
+file, or a fresh ``out``, forces the work again. All outputs are
 written atomically and deterministically: rerunning the same manifest
 reproduces every file byte for byte. Every text file, read or written, is
 UTF-8 whatever the locale. After loading each network, one line on stderr
@@ -54,19 +56,17 @@ import configparser
 import csv
 import io
 import json
-import math
 import numbers
-import operator
 import os
 import sys
 import tempfile
 from functools import cache, partial
-from itertools import chain, repeat, starmap
+from itertools import chain
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, NamedTuple, NoReturn, Sequence
 
 from . import __version__
-from .catalogue import GRAPHLET_CLASSES, _gdd_class_counts, _normalized_gdd, orbit_count
+from .catalogue import GRAPHLET_CLASSES, _gdd_class_counts, _normalized_gdd
 
 # numpy and the modules built on it (graph_core, census, transitions, the
 # null model) load only in the commands that use them, so `cluster`, and
@@ -488,69 +488,28 @@ def run_per_network(run: RunConfig, worker: Callable[[NetworkSpec], object]) -> 
 
 
 def _read_json_object(path: Path) -> dict:
-    """The JSON object in ``path``; empty where the file is missing, unreadable or holds no object."""
+    """The JSON object in ``path``; empty where the file is missing, unreadable, nested too
+    deeply to parse or holds no object."""
     try:
         obj = json.loads(path.read_bytes())
-    except (OSError, ValueError):
+    except (OSError, ValueError, RecursionError):
         return {}
     return obj if isinstance(obj, dict) else {}
 
 
-def _count(value, kind: type = int) -> bool:
-    """Whether ``value`` is of type ``kind`` exactly (a bool is no int), finite and >= 0."""
-    return type(value) is kind and 0 <= value < math.inf
-
-
-def _count_rows(rows, k: int, _entry: dict) -> bool:
-    """Whether ``rows`` are m lists of m ``_count`` ints, m the number of orbits of ``k``."""
-    m = orbit_count(k)
-    return isinstance(rows, list) and len(rows) == m and all(
-        isinstance(row, list) and len(row) == m and all(map(_count, row)) for row in rows)
-
-
-def _class_means(means, k: int, _entry: dict) -> bool:
-    """Whether ``means`` maps the classes of ``k``, in order, to ``_count`` floats."""
-    return (isinstance(means, dict) and list(means) == [cls.name for cls in GRAPHLET_CLASSES[k]]
-            and all(_count(mean, float) for mean in means.values()))
-
-
-def _census_gdd(gdd, k: int, _entry: dict) -> bool:
-    """Whether ``gdd`` is m lists, m the number of orbits of ``k``, of ``[d, nodes]`` pairs of
-    ``_count`` ints, d strictly ascending and nodes >= 1, every list's nodes summing to one total."""
-    m = orbit_count(k)
-    return isinstance(gdd, list) and len(gdd) == m and all(
-        isinstance(pairs, list) and all(isinstance(p, list) and len(p) == 2 and all(map(_count, p))
-                                        and p[1] >= 1 for p in pairs)
-        and all(a[0] < b[0] for a, b in zip(pairs, pairs[1:])) for pairs in gdd
-    ) and len({sum(nodes for _d, nodes in pairs) for pairs in gdd}) == 1
-
-
-def _key_bins(bins, k: int, entry: dict) -> bool:
-    """Whether ``bins`` are the entry's ``count`` + 1 lists of strictly ascending int keys
-    ``u*n + v`` with u < v, n the number of its labels."""
-    n = len(entry["labels"])
-    return isinstance(bins, list) and len(bins) == entry["count"] + 1 and all(
-        isinstance(keys, list) and {int}.issuperset(map(type, keys)) and (
-            not keys or 0 <= keys[0] <= keys[-1] < n * n) and all(map(operator.lt, keys, keys[1:]))
-        and all(starmap(operator.lt, map(divmod, keys, repeat(n)))) for keys in bins)
-
-
 _SNAPSHOT_FIELDS = ("policy", "width", "count", "origin")
 
-# record key -> (the run settings and network fields its value depends on besides the input
-# path, sep and bytes; whether a value fits k and the record so far)
+# record key -> the run settings and network fields its value depends on besides the input
+# path, sep and bytes
 _RECORD_KEYS = {
-    **dict.fromkeys(_LOAD_COUNTS[:2], ((), lambda n, *_: _count(n))),
-    "events_outside_window": (_SNAPSHOT_FIELDS, lambda n, *_: _count(n)),
-    "labels": ((), lambda labels, *_: isinstance(labels, list) and {str}.issuperset(
-        map(type, labels)) and len(set(labels)) == len(labels)),
-    "bins": (_SNAPSHOT_FIELDS, _key_bins),
-    "counts": (("k", *_SNAPSHOT_FIELDS), _count_rows),
-    "gdd": (("k",), _census_gdd),
-    "ensemble_means": (("k", "seed", "replicates", "swaps_per_edge"), _class_means),
+    **dict.fromkeys((*_LOAD_COUNTS[:2], "labels"), ()),
+    **dict.fromkeys(("events_outside_window", "bins"), _SNAPSHOT_FIELDS),
+    "counts": ("k", *_SNAPSHOT_FIELDS),
+    "gdd": ("k",),
+    "ensemble_means": ("k", "seed", "replicates", "swaps_per_edge"),
 }
 
-# product -> the record keys after input_sha256, in check order (bins reads the labels)
+# product -> the record keys after input_sha256
 _PRODUCTS = {
     "snapshots": (*_LOAD_COUNTS, "labels", "bins"),
     "transitions": (*_LOAD_COUNTS, "counts"),
@@ -560,35 +519,43 @@ _PRODUCTS = {
 
 def _depends(keys: Sequence[str]) -> tuple[list[str], list[str]]:
     """The run settings, and the network fields with ``path`` and ``sep``, that ``keys`` depend on."""
-    deps = {dep for key in keys for dep in _RECORD_KEYS[key][0]} | {"path", "sep"}
+    deps = {dep for key in keys for dep in _RECORD_KEYS[key]} | {"path", "sep"}
     return [key for key in SETTINGS if key in deps and key not in NETWORK_KEYS], [
         key for key in NETWORK_KEYS if key in deps]
 
 
 class _Store:
-    """The records of ``<out>/<product>.meta.json``: per network, the input digest and the
-    product's values, under the tool version and the settings and network fields they depend on."""
+    """The records of ``<out>/<product>.meta.json``: per network, the input digest, the
+    product's values and each value's ``digest``, under the tool version and the settings
+    and network fields they depend on, which the file records for the reader."""
 
     def __init__(self, run: RunConfig, product: str):
         self.run, self.keys, self.path = run, _PRODUCTS[product], run.out / f"{product}.meta.json"
         self.meta: dict | None = None  # the stored file, read at the first get
         self.records, self.computed = {}, False
 
+    def digest(self, net: NetworkSpec, record: dict, key: str) -> str:
+        """The SHA-256 of ``record``'s ``key`` value, bound to this tool version, the record's
+        input digest, ``net``'s path and sep, and this run's values of what it depends on."""
+        import hashlib
+
+        deps = (getattr(net if dep in NETWORK_KEYS else self.run, dep) for dep in _RECORD_KEYS[key])
+        text = json.dumps([__version__, record.get("input_sha256"), str(net.path), net.sep, key,
+                           record.get(key), *deps], separators=(",", ":"))
+        return hashlib.sha256(text.encode()).hexdigest()
+
     def get(self, net: NetworkSpec, keys: Sequence[str] | None = None) -> dict | None:
-        """The stored record of ``net`` where each of ``keys`` (the product's if None) passes its check,
-        all they depend on is this run's and its input still hashes the same; prints its load line."""
+        """The stored record of ``net`` where each of ``keys`` (the product's if None) has this
+        run's ``digest`` and its input still hashes the same; prints its load line."""
         import hashlib
 
         if self.meta is None:
             self.meta = _read_json_object(self.path)
-        keys = self.keys if keys is None else keys
-        run_keys, net_keys = _depends(keys)
         networks = self.meta.get("networks")
         entry = networks.get(net.name) if isinstance(networks, dict) else None
-        if (not isinstance(entry, dict) or self.meta.get("tool_version") != __version__
-                or any(self.meta.get(key) != getattr(self.run, key) for key in run_keys)
-                or any(entry.get(key) != value for key, value in net.record(net_keys).items())
-                or not all(_RECORD_KEYS[key][1](entry.get(key), self.run.k, entry) for key in keys)):
+        digests = entry.get("digests") if isinstance(entry, dict) else None
+        if not isinstance(digests, dict) or any(
+                digests.get(key) != self.digest(net, entry, key) for key in keys or self.keys):
             return None
         digest = hashlib.sha256()
         try:
@@ -600,7 +567,8 @@ class _Store:
             return None
         if digest.hexdigest() != entry.get("input_sha256"):
             return None
-        _report_load(net, entry)
+        # the product's own load counts: a key added to a record must not reach the line
+        _report_load(net, {key: entry[key] for key in _LOAD_COUNTS if key in self.keys})
         self.records[net.name] = entry
         return entry
 
@@ -609,13 +577,16 @@ class _Store:
         self.records[net.name], self.computed = record, True
 
     def write(self) -> None:
-        """Store each record kept, under what the product's keys depend on, where this run computed any."""
+        """Store each record kept, with its values' digests, under what the product's keys
+        depend on, where this run computed any."""
         if self.computed:
             run_keys, net_keys = _depends(self.keys)
-            keys, records = ("input_sha256", *self.keys), self.records
+            keys = ("input_sha256", *self.keys)
             meta = {"tool_version": __version__} | {key: getattr(self.run, key) for key in run_keys}
-            meta["networks"] = {net.name: net.record(net_keys) | {key: records[net.name][key] for key in keys}
-                                for net in self.run.networks if net.name in records}
+            meta["networks"] = {
+                net.name: net.record(net_keys) | {key: record[key] for key in keys}
+                | {"digests": {key: self.digest(net, record, key) for key in self.keys}}
+                for net in self.run.networks if (record := self.records.get(net.name))}
             write_json(self.path, meta)
 
 

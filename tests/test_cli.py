@@ -6,6 +6,8 @@ import itertools
 import json
 import math
 import os
+import random
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -339,6 +341,11 @@ def set_first_count(value) -> Callable[[dict], None]:
     return lambda record: record["counts"][0].__setitem__(0, value)
 
 
+def another_version(manifest: Path, out: Path) -> None:
+    """Run as another tool version; each test that takes this spoil restores ``cli.__version__``."""
+    cli.__version__ += ".dev1"
+
+
 def move_densify_input(manifest: Path, out: Path) -> None:
     (manifest.parent / "moved.txt").write_bytes((manifest.parent / "densify.txt").read_bytes())
     edit_file(manifest, "path = densify.txt", "path = moved.txt")
@@ -354,11 +361,11 @@ STALE_PRODUCTS = {
     "sep changed": (lambda m, out: edit_file(m, "[densify]\n", "[densify]\nsep = comma\n"), 1),
     "k changed": (lambda m, out: edit_file(m, "[settings]\n", "[settings]\nk = 3\n"), 2),
     "input moved": (move_densify_input, 1),
-    "another tool_version": (lambda m, out: edit_json(
-        out / "transitions.meta.json", lambda meta: meta.update(tool_version="0.0.0")), 2),
+    "another tool_version": (another_version, 2),
     "meta missing": (lambda m, out: (out / "transitions.meta.json").unlink(), 2),
     "meta not JSON": (lambda m, out: (out / "transitions.meta.json").write_text("{"), 2),
     "meta not an object": (lambda m, out: (out / "transitions.meta.json").write_text("[]"), 2),
+    "meta nested too deep": (lambda m, out: (out / "transitions.meta.json").write_text("[" * 200_000), 2),
     "meta networks not an object": (lambda m, out: edit_json(
         out / "transitions.meta.json", lambda meta: meta.update(networks=[])), 2),
     "meta entry not an object": (lambda m, out: edit_json(
@@ -374,6 +381,8 @@ STALE_PRODUCTS = {
     "count negative": (edit_densify_record("transitions", set_first_count(-1)), 1),
     "count a boolean": (edit_densify_record("transitions", set_first_count(True)), 1),
     "count a float": (edit_densify_record("transitions", set_first_count(0.0)), 1),
+    "count moved within its row": (edit_densify_record(
+        "transitions", lambda r: _moved_count(random.Random(0), r)), 1),
     "network failed in transitions": (fail_densify_in_transitions, 1),
 }
 
@@ -431,6 +440,7 @@ class TestProductReuse:
     def test_stale_product_recomputed(self, stored, tmp_path, monkeypatch, capsys, case):
         manifest, out = stored
         spoil, recomputed = STALE_PRODUCTS[case]
+        monkeypatch.setattr(cli, "__version__", cli.__version__)
         spoil(manifest, out)
         calls = []
         accumulate = transitions.accumulate_series
@@ -476,14 +486,13 @@ def rename_first_class(counts: dict) -> None:
 def set_densify_orbit(j: int, pairs: list) -> Callable[[Path, Path], None]:
     """A stale case that sets orbit ``j`` + 1 of densify's stored census to ``pairs``. Its
     census is [[[1, 6]], [[0, 4], [1, 2]], [[0, 2], [2, 2], [3, 2]], ...], six nodes in each
-    orbit: each case below breaks one property the check reads and keeps the others."""
+    orbit: each case below breaks one property of a census and keeps the others."""
     return edit_densify_record("motifs", lambda record: record["gdd"].__setitem__(j, pairs))
 
 
 # case -> (what it does to a finished motifs run, the networks compare must recompute)
 STALE_MOTIFS = {
-    "another tool_version": (lambda m, out: edit_json(
-        out / "motifs.meta.json", lambda meta: meta.update(tool_version="0.0.0")), 2),
+    "another tool_version": (another_version, 2),
     "k changed": (lambda m, out: edit_file(m, "[settings]\n", "[settings]\nk = 3\n"), 2),
     "seed changed": (lambda m, out: edit_file(m, "seed = 5", "seed = 6"), 2),
     "replicates changed": (lambda m, out: edit_file(m, "replicates = 3", "replicates = 2"), 2),
@@ -515,8 +524,12 @@ STALE_MOTIFS = {
     "ensemble mean Infinity": (edit_densify_record(
         "motifs", lambda r: r["ensemble_means"].update(path=math.inf)), 1),
     "ensemble means missing": (edit_densify_record("motifs", lambda r: r.pop("ensemble_means")), 1),
+    # _motif_scores reads the means by position
+    "ensemble means reordered": (edit_densify_record("motifs", lambda r: r.update(
+        ensemble_means=dict(reversed(r["ensemble_means"].items())))), 1),
     "meta missing": (lambda m, out: (out / "motifs.meta.json").unlink(), 2),
     "meta not JSON": (lambda m, out: (out / "motifs.meta.json").write_text("{"), 2),
+    "meta nested too deep": (lambda m, out: (out / "motifs.meta.json").write_text("[" * 200_000), 2),
     "network failed in motifs": (fail_densify_in_motifs, 1),
 }
 
@@ -524,7 +537,7 @@ STALE_MOTIFS = {
 # census depends on k, but neither on the null model's settings nor on the ensemble means
 GDA_REUSES = ("seed changed", "replicates changed", "swaps_per_edge changed", "ensemble class renamed",
               "ensemble mean an int", "ensemble mean negative", "ensemble mean Infinity",
-              "ensemble means missing")
+              "ensemble means missing", "ensemble means reordered")
 # case -> (what it does to a finished motifs run, the networks compare --metric gda must recompute)
 STALE_CENSUS = {case: (spoil, 0 if case in GDA_REUSES else recomputed)
                 for case, (spoil, recomputed) in STALE_MOTIFS.items()}
@@ -609,6 +622,7 @@ class TestMotifReuse:
     def test_stale_product_recomputed(self, stored, tmp_path, monkeypatch, capsys, case):
         manifest, out = stored
         spoil, recomputed = STALE_MOTIFS[case]
+        monkeypatch.setattr(cli, "__version__", cli.__version__)
         spoil(manifest, out)
         calls = []
         frequencies = nullmodel.ensemble_frequencies
@@ -624,6 +638,7 @@ class TestMotifReuse:
         # GDA reads a motifs record's load counts and census alone
         manifest, out = stored
         spoil, recomputed = STALE_CENSUS[case]
+        monkeypatch.setattr(cli, "__version__", cli.__version__)
         spoil(manifest, out)
         calls = self.count_censuses(monkeypatch)
         written = self.compare(manifest, out, capsys, "gda")
@@ -644,7 +659,6 @@ class TestMotifReuse:
         manifest = write_manifest(where, "[settings]\nreplicates = 1\nswaps_per_edge = 1\n\n[g]\npath = g.txt\n")
         assert main(["motifs", "--k", str(k), "--manifest", str(manifest), "--out", str(where)]) == 0
         record = cli._read_json_object(where / "motifs.meta.json")["networks"]["g"]
-        assert cli._census_gdd(record["gdd"], k, record)
         g = final_aggregate_graph(parse_edge_list(text))
         assert catalogue._gdd_class_counts(record["gdd"], k) == graphlet_class_frequencies(g, k)
         fr = compute_orbit_frequencies(g, k)
@@ -679,10 +693,27 @@ class TestMotifReuse:
         assert type(mean) is float and mean.hex() == (total / replicates).hex()
 
 
+def value_digest(input_sha256: str, path: str, sep: str, key: str, value, *depends) -> str:
+    """The digest a product file stores of one value: the SHA-256 of the compact JSON list of
+    the tool version, the input's digest, path and sep, the key, the value and what it depends on."""
+    text = json.dumps([orbitrans.__version__, input_sha256, path, sep, key, value, *depends],
+                      separators=(",", ":"))
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
 def set_densify_bin(i: int, keys: list) -> Callable[[dict], None]:
     """An edit that sets bin ``i`` of a series record to ``keys``. densify's bins are
     [[1, 15, 29], [3, 17], [5], []]: keys u*6 + v of its six labels."""
     return lambda record: record["bins"].__setitem__(i, keys)
+
+
+def set_width_everywhere(width: int) -> Callable[[Path, Path], None]:
+    """A stale case that sets the manifest's width, and each stored series record's, to ``width``."""
+    def spoil(manifest: Path, out: Path) -> None:
+        edit_file(manifest, "width = 10", f"width = {width}")
+        edit_json(out / "snapshots.meta.json",
+                  lambda meta: [record.update(width=width) for record in meta["networks"].values()])
+    return spoil
 
 
 # case -> (what it does to a finished stats run, the networks census must parse again)
@@ -695,11 +726,11 @@ STALE_SERIES = {
     "origin changed": (lambda m, out: edit_file(m, "[settings]\n", "[settings]\norigin = 1\n"), 2),
     "sep changed": (lambda m, out: edit_file(m, "[densify]\n", "[densify]\nsep = comma\n"), 1),
     "k changed": (lambda m, out: edit_file(m, "[settings]\n", "[settings]\nk = 3\n"), 0),
-    "another tool_version": (lambda m, out: edit_json(
-        out / "snapshots.meta.json", lambda meta: meta.update(tool_version="0.0.0")), 2),
+    "another tool_version": (another_version, 2),
     "meta missing": (lambda m, out: (out / "snapshots.meta.json").unlink(), 2),
     "meta not JSON": (lambda m, out: (out / "snapshots.meta.json").write_text("{"), 2),
     "meta not an object": (lambda m, out: (out / "snapshots.meta.json").write_text("[]"), 2),
+    "meta nested too deep": (lambda m, out: (out / "snapshots.meta.json").write_text("[" * 200_000), 2),
     "input digest missing": (edit_densify_record("snapshots", lambda r: r.pop("input_sha256")), 1),
     "events read missing": (edit_densify_record("snapshots", lambda r: r.pop("events_read")), 1),
     "self-loops dropped a boolean": (edit_densify_record(
@@ -709,6 +740,7 @@ STALE_SERIES = {
     "labels missing": (edit_densify_record("snapshots", lambda r: r.pop("labels")), 1),
     "label not a string": (edit_densify_record("snapshots", lambda r: r["labels"].__setitem__(0, 0)), 1),
     "label repeated": (edit_densify_record("snapshots", lambda r: r["labels"].__setitem__(0, "b")), 1),
+    "label renamed": (edit_densify_record("snapshots", lambda r: r["labels"].__setitem__(0, "zz")), 1),
     "bins missing": (edit_densify_record("snapshots", lambda r: r.pop("bins")), 1),
     "bin missing": (edit_densify_record("snapshots", lambda r: r["bins"].pop()), 1),
     "bin added": (edit_densify_record("snapshots", lambda r: r["bins"].append([])), 1),
@@ -721,6 +753,9 @@ STALE_SERIES = {
     "key with u = v": (edit_densify_record("snapshots", set_densify_bin(3, [7])), 1),
     "key a boolean": (edit_densify_record("snapshots", set_densify_bin(3, [True])), 1),
     "key a float": (edit_densify_record("snapshots", set_densify_bin(2, [5.0])), 1),
+    # 29 is the pair (4, 5), 23 the pair (3, 5)
+    "key moved within order and range": (edit_densify_record("snapshots", set_densify_bin(0, [1, 15, 23])), 1),
+    "width changed in the manifest and the records": (set_width_everywhere(5), 2),
 }
 
 
@@ -756,12 +791,18 @@ class TestSeriesReuse:
         manifest, out = stored
         meta = json.loads((out / "snapshots.meta.json").read_text())
         assert list(meta) == ["tool_version", "networks"]
-        assert meta["networks"]["densify"] == {
-            "path": str(manifest.parent / "densify.txt"), "policy": "aggregate", "width": 10, "count": 3,
-            "origin": None, "sep": "ws",
+        path = str(manifest.parent / "densify.txt")
+        values = {
             "input_sha256": hashlib.sha256((manifest.parent / "densify.txt").read_bytes()).hexdigest(),
             "events_read": 6, "self_loops_dropped": 0, "events_outside_window": 0,
             "labels": ["a", ",b,", "b", ",c,", "c", ",d,"], "bins": [[1, 15, 29], [3, 17], [5], []]}
+        # each value's digest binds it to the version, the input and its policy, width, count and origin
+        depends = {"events_outside_window": ("aggregate", 10, 3, None), "bins": ("aggregate", 10, 3, None)}
+        digests = {key: value_digest(values["input_sha256"], path, "ws", key, value, *depends.get(key, ()))
+                   for key, value in values.items() if key != "input_sha256"}
+        assert meta["networks"]["densify"] == {
+            "path": path, "policy": "aggregate", "width": 10, "count": 3, "origin": None, "sep": "ws",
+            **values, "digests": digests}
         # churn's last two events fall past the window; the last bin holds the pair q-t,
         # 1*5 + 4, but not p-q, which a snapshot holds
         churn = meta["networks"]["churn"]
@@ -800,6 +841,7 @@ class TestSeriesReuse:
     def test_stale_series_parsed_again(self, stored, tmp_path, monkeypatch, capsys, case):
         manifest, out = stored
         spoil, parsed = STALE_SERIES[case]
+        monkeypatch.setattr(cli, "__version__", cli.__version__)
         spoil(manifest, out)
         calls = []
         parse = graph_core.parse_edge_list
@@ -864,7 +906,8 @@ DENSIFY_ONLY = {"policy", "sep", "path"}
 
 class TestStoreRule:
     """Each reader of a stored record recomputes a network exactly where a setting or network
-    field that what it reads depends on has changed, and each file records exactly those."""
+    field that what it reads depends on has changed, and each file records exactly those. What a
+    file records of them describes its values for the reader: the values' digests hold them."""
 
     @pytest.fixture
     def stored(self, tmp_path):
@@ -913,22 +956,209 @@ class TestStoreRule:
             written = self.run(argv, manifest, out, capsys)
             assert written == fresh and written[0] == 0, reader
             recomputed[reader] = calls.count(name)
-            reaches = 1 if change in (DENSIFY_ONLY if where == "manifest" else cli.NETWORK_KEYS) else 2
-            expected[reader] = reaches if change in READER_DEPENDS[reader] | {"path", "sep"} else 0
-        # a changed k recomputes the census but not the series; a changed seed the means, not the census
+            reaches = 1 if change in DENSIFY_ONLY else 2
+            depends = where == "manifest" and change in READER_DEPENDS[reader] | {"path", "sep"}
+            expected[reader] = reaches if depends else 0
+        # a changed k recomputes the census but not the series; a changed seed the means, not the
+        # census; an edit of what a file records of them alone recomputes nothing
         assert recomputed == expected
 
     def test_each_file_records_what_its_keys_depend_on(self, stored):
         _manifest, out = stored
         for product, reader in (("snapshots", "series"), ("transitions", "ota"), ("motifs", "motif")):
             keys = cli._PRODUCTS[product]
-            depends = {dep for key in keys for dep in cli._RECORD_KEYS[key][0]}
+            depends = {dep for key in keys for dep in cli._RECORD_KEYS[key]}
             assert depends == READER_DEPENDS[reader]
             meta = json.loads((out / f"{product}.meta.json").read_text())
             assert set(meta) == {"tool_version", "networks"} | depends - set(cli.NETWORK_KEYS), product
             assert list(meta["networks"]) == ["densify", "churn"]
             for record in meta["networks"].values():
-                assert set(record) == {"path", "sep", "input_sha256", *keys} | depends & set(cli.NETWORK_KEYS)
+                assert set(record) == {"path", "sep", "input_sha256", *keys, "digests"} | depends & set(
+                    cli.NETWORK_KEYS)
+                assert list(record["digests"]) == list(keys)
+
+
+# the commands that store or read records, and the files in which they store them
+WALK_COMMANDS = (["stats"], ["census"], ["transitions"], ["motifs"], ["compare"],
+                 ["compare", "--metric", "gda"], ["compare", "--metric", "motif"])
+PRODUCT_FILES = ("snapshots.meta.json", "transitions.meta.json", "motifs.meta.json")
+# setting -> the values a walk sets it to
+WALK_SETTINGS = {"width": (5, 10, 11), "count": (3, 4), "k": (3, 4), "seed": (5, 6), "replicates": (2, 3)}
+# the bytes a one-byte edit of a meta file writes
+EDIT_BYTES = b'0123456789abez"[]{},:.- '
+
+
+def _stamp(path: Path) -> tuple[int, int] | None:
+    """What tells a file that a run replaced apart from the one it left: its inode and mtime."""
+    try:
+        st = path.stat()
+    except FileNotFoundError:
+        return None
+    return st.st_ino, st.st_mtime_ns
+
+
+def _moved_key(rng: random.Random, record: dict) -> bool:
+    """Move a key of a non-empty bin of a series record to another pair u < v of its labels that
+    the bin lacks, keeping the bin ascending."""
+    n, bins = len(record["labels"]), [keys for keys in record["bins"] if keys]
+    if not bins:
+        return False
+    keys = rng.choice(bins)
+    free = [u * n + v for u in range(n) for v in range(u + 1, n) if u * n + v not in keys]
+    if not free:
+        return False
+    keys[rng.randrange(len(keys))] = rng.choice(free)
+    keys.sort()
+    return True
+
+
+def _moved_count(rng: random.Random, record: dict) -> bool:
+    """Move one transition between two cells of a row of a transitions record."""
+    rows = [row for row in record["counts"] if any(row)]
+    if not rows:
+        return False
+    row = rng.choice(rows)
+    j = rng.choice([j for j, count in enumerate(row) if count])
+    row[j] -= 1
+    row[(j + rng.randrange(1, len(row))) % len(row)] += 1
+    return True
+
+
+def _raised_degree(rng: random.Random, record: dict) -> bool:
+    """Raise the largest degree of an orbit of a motifs record's census, keeping its nodes."""
+    rng.choice(record["gdd"])[-1][0] += 1
+    return True
+
+
+# in-shape edit -> (the product file it edits, the key it reads, what it does to one record)
+IN_SHAPE_EDITS = {
+    "label renamed": ("snapshots", "labels", lambda rng, r: r["labels"].__setitem__(0, "zz") or True),
+    "key moved": ("snapshots", "bins", _moved_key),
+    "digest deleted": ("snapshots", "digests", lambda rng, r: bool(r["digests"].pop("bins", None))),
+    "count moved": ("transitions", "counts", _moved_count),
+    "degree raised": ("motifs", "gdd", _raised_degree),
+    "means reordered": ("motifs", "ensemble_means", lambda rng, r: r.update(
+        ensemble_means=dict(reversed(r["ensemble_means"].items()))) or True),
+    "mean changed": ("motifs", "ensemble_means", lambda rng, r: r["ensemble_means"].update(
+        star=r["ensemble_means"]["star"] + 1.0) or True),
+    # a motifs record holds no events_outside_window, so no reader may print one
+    "load count added": ("motifs", "events_read", lambda rng, r: r.update(events_outside_window=3) or True),
+}
+
+
+class StoreWalk:
+    """A seeded walk of commands, setting changes, input appends and edits and deletions in a
+    shared out; each run is checked against a run of the same command into an empty out."""
+
+    def __init__(self, tmp_path: Path, capsys, seed: int):
+        self.rng, self.tmp, self.capsys = random.Random(seed), tmp_path, capsys
+        self.out, self.log = tmp_path / "out", [f"walk {seed}"]
+        self.settings = {"width": 10, "count": 3, "k": 4, "seed": 5, "replicates": 2, "swaps_per_edge": 2}
+        self.policies = {"densify": "aggregate", "churn": "active"}
+        write_network(tmp_path, "densify", "a b 0\nb c 1\nc d 2\na c 10\nb d 12\na d 21\n")
+        write_network(tmp_path, "churn", "p q 3\nq r 4\nr s 13\ns p 14\np r 22\nq s 24\nq t 41\n")
+        self.write_manifest()
+
+    def write_manifest(self) -> None:
+        lines = ["[settings]", *(f"{key} = {value}" for key, value in self.settings.items())]
+        for name, policy in self.policies.items():
+            lines += ["", f"[{name}]", f"path = {name}.txt", f"policy = {policy}"]
+        self.manifest = write_manifest(self.tmp, "\n".join(lines) + "\n")
+
+    def edit_meta(self, product: str, key: str, edit: Callable[[random.Random, dict], bool]) -> bool:
+        """Apply ``edit`` to a record that holds ``key`` in ``product``'s file, if any; whether it did."""
+        path = self.out / f"{product}.meta.json"
+        meta = cli._read_json_object(path)
+        networks = meta.get("networks")
+        records = [r for r in networks.values() if isinstance(r, dict) and key in r] if isinstance(
+            networks, dict) else []
+        try:
+            if not (records and edit(self.rng, self.rng.choice(records))):
+                return False
+        except (TypeError, KeyError, IndexError, AttributeError, ValueError):
+            return False  # a value an earlier one-byte edit has broken
+        path.write_text(json.dumps(meta, indent=2))
+        return True
+
+    def change(self) -> str:
+        """One random change to the manifest, the inputs or the shared out; what it was."""
+        rng, kind = self.rng, self.rng.choice(
+            ("setting", "policy", "append", "byte", "in shape", "width everywhere", "delete"))
+        if kind == "setting":
+            key = rng.choice(list(WALK_SETTINGS))
+            self.settings[key] = rng.choice(WALK_SETTINGS[key])
+            self.write_manifest()
+            return f"{key} = {self.settings[key]}"
+        if kind == "policy":
+            name = rng.choice(list(self.policies))
+            self.policies[name] = {"active": "aggregate", "aggregate": "active"}[self.policies[name]]
+            self.write_manifest()
+            return f"{name} policy {self.policies[name]}"
+        if kind == "append":
+            name = rng.choice(list(self.policies))
+            u, v = rng.sample(["a", "b", "p", "q", "x", "y"], 2)
+            with open(self.tmp / f"{name}.txt", "a") as fh:
+                fh.write(f"{u} {v} {rng.randrange(45)}\n")
+            return f"{name} += {u} {v}"
+        if kind == "byte":
+            paths = [self.out / name for name in PRODUCT_FILES if (self.out / name).exists()]
+            if not paths:
+                return "no meta file to edit"
+            path = rng.choice(paths)
+            data = bytearray(path.read_bytes())
+            at = rng.randrange(len(data))
+            data[at] = rng.choice(EDIT_BYTES)
+            path.write_bytes(bytes(data))
+            return f"{path.name}[{at}] = {chr(data[at])!r}"
+        if kind == "in shape":
+            name = rng.choice(list(IN_SHAPE_EDITS))
+            return name if self.edit_meta(*IN_SHAPE_EDITS[name]) else f"no record for {name}"
+        if kind == "width everywhere":
+            # the manifest's width and each stored record's together
+            width = rng.choice([w for w in WALK_SETTINGS["width"] if w != self.settings["width"]])
+            self.settings["width"] = width
+            self.write_manifest()
+            for product in ("snapshots", "transitions"):
+                self.edit_meta(product, "width", lambda _rng, r: r.update(width=width) or True)
+            return f"width = {width} everywhere"
+        files = sorted(self.out.iterdir()) if self.out.exists() else []
+        if not files:
+            return "no file to delete"
+        path = rng.choice(files)
+        path.unlink()
+        return f"deleted {path.name}"
+
+    def run(self, argv: list[str], out: Path) -> tuple[int, str]:
+        self.capsys.readouterr()
+        code = main([*argv, "--manifest", str(self.manifest), "--out", str(out)])
+        return code, self.capsys.readouterr().err
+
+    def step(self, i: int) -> None:
+        if self.rng.random() < 0.6:
+            self.log.append(self.change())
+        argv = self.rng.choice(WALK_COMMANDS)
+        self.log.append(" ".join(argv))
+        before = {name: _stamp(self.out / name) for name in PRODUCT_FILES}
+        written = self.run(argv, self.out)
+        fresh_out = self.tmp / f"fresh{i}"
+        where = "\n".join(self.log)
+        assert written == self.run(argv, fresh_out), where
+        for path in fresh_out.iterdir():
+            # a run that computed no record leaves its product file as it found it
+            if path.name not in PRODUCT_FILES or _stamp(self.out / path.name) != before[path.name]:
+                assert (self.out / path.name).read_bytes() == path.read_bytes(), f"{where}\n{path.name}"
+        shutil.rmtree(fresh_out)
+
+
+class TestStoreWalk:
+    """Whatever ran before into an out, and whatever changed in its files, the manifest or the
+    inputs since, a run writes the exit code, stderr and files that a run into an empty out writes."""
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_walk(self, tmp_path, capsys, seed):
+        walk = StoreWalk(tmp_path, capsys, seed)
+        for i in range(40):
+            walk.step(i)
 
 
 @pytest.fixture
@@ -2116,7 +2346,7 @@ class TestMetaFiles:
 
     @pytest.mark.parametrize("argv, name, keys, network_keys", [
         (["motifs"], "motifs", {"seed", "replicates", "swaps_per_edge"}, {
-            "input_sha256", "events_read", "self_loops_dropped", "gdd", "ensemble_means"}),
+            "input_sha256", "events_read", "self_loops_dropped", "gdd", "ensemble_means", "digests"}),
         (["compare", "--metric", "ota"], "compare_ota",
          {"metric", "kind", "linkage", "ota_scaling", "relative_rescale"}, SNAPSHOT_KEYS),
         (["compare", "--metric", "gda"], "compare_gda",
@@ -2124,7 +2354,8 @@ class TestMetaFiles:
         (["compare", "--metric", "motif"], "compare_motif",
          {"metric", "kind", "linkage", "seed", "replicates", "swaps_per_edge"}, set()),
         (["transitions"], "transitions", set(), SNAPSHOT_KEYS | {
-            "input_sha256", "events_read", "self_loops_dropped", "events_outside_window", "counts"}),
+            "input_sha256", "events_read", "self_loops_dropped", "events_outside_window", "counts",
+            "digests"}),
     ])
     def test_keys(self, toy_run, argv, name, keys, network_keys):
         manifest, out = toy_run
