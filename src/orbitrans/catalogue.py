@@ -76,3 +76,15 @@ def _normalized_gdd(raw, scaling: str) -> list[dict[int, float]]:
             total += s
         normalized.append({d: s / total for d, s in scaled.items()})
     return normalized
+
+
+def row_normalize(t) -> list[list[float]]:
+    """The row-stochastic rows of a transition matrix or of its (m, m) counts:
+    each row divided by its sum, rows of an unseen source orbit staying zero.
+    Dissolved counts live outside the matrix and do not enter the sum.
+    """
+    normalized = []
+    for row in getattr(t, "counts", t):
+        total = float(sum(row))
+        normalized.append([float(c) / total for c in row] if total > 0 else [0.0] * len(row))
+    return normalized

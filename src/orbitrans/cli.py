@@ -29,9 +29,9 @@ settings each run reads. A subcommand registers only those flags and
 ``compare`` rejects one its ``--metric`` does not read (usage errors, exit 2);
 a run that reads ``width`` builds snapshots, so each network needs a ``width``
 of at least 1 and a ``count`` of at least 2; ``--gda-include-k3`` needs ``k``
-4; and ``compare``'s meta file records ``k`` and exactly the settings the run
-read. Manifest values take precedence over flags, so a manifest fully
-determines a run; flags fill in whatever the manifest leaves out.
+4; and a meta file records the run settings and network fields its content
+depends on (``write_meta``). Manifest values take precedence over flags, so a
+manifest fully determines a run; flags fill in whatever the manifest leaves out.
 
 Each product's meta file in ``out`` stores what the commands computed of each
 network (``_Store``): the snapshot series (``stats``, ``census``,
@@ -59,7 +59,6 @@ import json
 import numbers
 import os
 import sys
-import tempfile
 from functools import cache, partial
 from itertools import chain
 from pathlib import Path
@@ -154,10 +153,6 @@ class NetworkSpec(NamedTuple):
         return SnapshotPolicy(
             mode=self.policy, width=self.width, count=self.count, origin=self.origin
         )
-
-    def record(self, keys: Sequence[str] = NETWORK_KEYS) -> dict:
-        """What a meta file records of this network: its ``keys``, with ``path`` as a string."""
-        return {key: getattr(self, key) for key in keys} | {"path": str(self.path)}
 
     def load_events(self, digest=None) -> TemporalEdgeList:
         """The parsed input file; ``digest``, a ``hashlib`` object, if given,
@@ -340,13 +335,11 @@ def write_atomic(path: Path, data: str) -> None:
                        f"file-system encoding ({sys.getfilesystemencoding()})") from None
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f"{path.name}.", suffix=".tmp")
+        # O_EXCL neither reuses nor follows an existing name; the umask sets the mode
+        tmp = path.parent / f"{path.name}.{os.urandom(6).hex()}.tmp"
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
         try:
             with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                # mkstemp creates the file owner-only; give it the usual umask mode
-                umask = os.umask(0)
-                os.umask(umask)
-                os.chmod(tmp, 0o666 & ~umask)
                 fh.write(data)
             os.replace(tmp, path)
         except BaseException:
@@ -417,19 +410,15 @@ def write_orbit_matrix_csv(path: Path, values) -> None:
     write_csv(path, header, ([a + 1, *row] for a, row in enumerate(values)))
 
 
-def _recorded(reads: Sequence[str]) -> tuple[tuple[str, ...], tuple[str, ...]]:
-    """The run settings, ``k`` first, and the network fields that a meta file records of a run that
-    ``reads`` these settings: its snapshot settings only where the run builds snapshots."""
-    return (("k", *(key for key in reads if key not in ("manifest", "out", "k", *NETWORK_KEYS))),
-            NETWORK_KEYS if "width" in reads else ("path", "sep"))
-
-
-def write_meta(path: Path, run: RunConfig, args: argparse.Namespace, **extra) -> None:
-    """Record the tool version, ``extra``, the run's ``_recorded`` settings, and each network's fields."""
-    run_keys, net_keys = _recorded(_reads(args))
+def write_meta(path: Path, run: RunConfig, deps: Sequence[str], records: dict, **extra) -> None:
+    """Record the tool version, ``extra`` and the run settings among ``deps``, the settings and
+    network fields a file's content depends on; then, for each network in ``records``, its fields
+    among ``deps`` (``path`` and ``sep`` always) and its record."""
     meta = {"tool_version": __version__, **extra}
-    meta.update((key, getattr(run, key)) for key in run_keys if key not in meta)
-    meta["networks"] = {net.name: net.record(net_keys) for net in run.networks}
+    meta.update((key, getattr(run, key)) for key in deps if key in RunConfig._fields[2:])
+    meta["networks"] = {
+        net.name: {key: getattr(net, key) for key in NETWORK_KEYS if key in (*deps, "path", "sep")}
+        | {"path": str(net.path)} | records[net.name] for net in run.networks if net.name in records}
     write_json(path, meta)
 
 
@@ -517,11 +506,9 @@ _PRODUCTS = {
 }
 
 
-def _depends(keys: Sequence[str]) -> tuple[list[str], list[str]]:
-    """The run settings, and the network fields with ``path`` and ``sep``, that ``keys`` depend on."""
-    deps = {dep for key in keys for dep in _RECORD_KEYS[key]} | {"path", "sep"}
-    return [key for key in SETTINGS if key in deps and key not in NETWORK_KEYS], [
-        key for key in NETWORK_KEYS if key in deps]
+def _depends(keys: Sequence[str]) -> tuple[str, ...]:
+    """The run settings and network fields that ``keys`` depend on, in ``_RECORD_KEYS`` order."""
+    return tuple(dict.fromkeys(chain.from_iterable(_RECORD_KEYS[key] for key in keys)))
 
 
 class _Store:
@@ -580,14 +567,10 @@ class _Store:
         """Store each record kept, with its values' digests, under what the product's keys
         depend on, where this run computed any."""
         if self.computed:
-            run_keys, net_keys = _depends(self.keys)
-            keys = ("input_sha256", *self.keys)
-            meta = {"tool_version": __version__} | {key: getattr(self.run, key) for key in run_keys}
-            meta["networks"] = {
-                net.name: net.record(net_keys) | {key: record[key] for key in keys}
+            write_meta(self.path, self.run, _depends(self.keys), {
+                net.name: {key: record[key] for key in ("input_sha256", *self.keys)}
                 | {"digests": {key: self.digest(net, record, key) for key in self.keys}}
-                for net in self.run.networks if (record := self.records.get(net.name))}
-            write_json(self.path, meta)
+                for net in self.run.networks if (record := self.records.get(net.name))})
 
 
 def _series(store: _Store, net: NetworkSpec) -> tuple[dict, SnapshotSeries]:
@@ -790,20 +773,22 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
     def gdd_worker(net: NetworkSpec):
         # a motifs record holds the census of k alone, not of k = 3
-        if not run.gda_include_k3 and (entry := store.get(net, (*_LOAD_COUNTS[:2], "gdd"))):
+        if not run.gda_include_k3 and (entry := store.get(net, (*_LOAD_COUNTS[:2], *keys))):
             return [_normalized_gdd(map(dict, entry["gdd"]), run.gdd_scaling)]
         from .census import compute_gdd, compute_orbit_frequencies
 
         _events, g = _network_final_graph(net)
         return [compute_gdd(compute_orbit_frequencies(g, k), run.gdd_scaling)[1] for k in gda_ks]
 
-    # metric -> (per-network worker, matrix builder over the workers' results, its meta kind)
-    worker, build, kind = {
+    # metric -> (per-network worker, matrix builder over the workers' results, its meta kind,
+    # the record keys the worker reads)
+    worker, build, kind, keys = {
         "ota": (lambda net: (store.get(net) or _network_transitions(run, net, snapshots)[0])["counts"],
-                partial(ota_matrix, ota_scaling=run.ota_scaling, rescale=run.relative_rescale), "OTA"),
-        "gda": (gdd_worker, gda_matrix, "GDA"),
+                partial(ota_matrix, ota_scaling=run.ota_scaling, rescale=run.relative_rescale), "OTA",
+                ("counts",)),
+        "gda": (gdd_worker, gda_matrix, "GDA", ("gdd",)),
         "motif": (lambda net: _motif_scores(run, store.get(net) or _network_motifs(run, net)),
-                  motif_distance_matrix, "MotifDistance"),
+                  motif_distance_matrix, "MotifDistance", ("gdd", "ensemble_means")),
     }[metric]
     results, code = run_per_network(run, worker)
     if code:
@@ -816,7 +801,8 @@ def cmd_compare(args: argparse.Namespace) -> int:
     rows = ([name, *row] for name, row in zip(names, values))
     write_csv(run.out / f"compare_{metric}.csv", ["network", *names], rows)
     write_json(run.out / f"compare_{metric}.tree.json", tree)
-    write_meta(run.out / f"compare_{metric}.meta.json", run, args, metric=metric, kind=kind)
+    write_meta(run.out / f"compare_{metric}.meta.json", run, (*_reads(args), *_depends(keys)),
+               dict.fromkeys(names, {}), metric=metric, kind=kind)
     return 0
 
 

@@ -293,7 +293,7 @@ def _fields(buf: np.ndarray, sep: str) -> tuple[np.ndarray, np.ndarray, np.ndarr
 
 
 def _ascii_ints(words: np.ndarray, start: np.ndarray, end: np.ndarray) -> np.ndarray | None:
-    """Values of ``[+-]digits`` fields of at most 18 digits; None if any is not one.
+    """Values of ``[+-]digits`` fields of at most 19 digits in int64's range; None if any is not one.
 
     The digits are read eight to a ``_words`` word, from the last (after Lemire, "Number
     Parsing at a Gigabyte per Second", 2021): '0' is subtracted from each byte, which must
@@ -306,7 +306,7 @@ def _ascii_ints(words: np.ndarray, start: np.ndarray, end: np.ndarray) -> np.nda
     first = words[start + 1] & np.uint64(0xFF)
     digits_at = start + ((first == 0x2B) | (first == 0x2D))
     length = end - digits_at
-    if length.min() < 1 or length.max() > 18:  # 18 digits always fit int64
+    if length.min() < 1 or length.max() > 19:  # 19 digits always fit uint64
         return None
     value = np.zeros(len(start), dtype=np.uint64)
     for k in range(-(-int(length.max()) // 8)):
@@ -317,8 +317,9 @@ def _ascii_ints(words: np.ndarray, start: np.ndarray, end: np.ndarray) -> np.nda
         for multiplier, lane, mask in _FOLDS:
             word = ((word * multiplier) >> lane) & mask
         value += word * np.uint64(10 ** (8 * k))
-    value = value.astype(np.int64)
-    return np.where(first == 0x2D, -value, value)
+    if np.any(value > np.uint64(_INT64_MAX) + (first == 0x2D).astype(np.uint64)):  # past int64
+        return None
+    return np.where(first == 0x2D, -value, value).astype(np.int64)
 
 
 def _labels(words: np.ndarray, start: np.ndarray, end: np.ndarray) -> tuple[np.ndarray, list[str]]:

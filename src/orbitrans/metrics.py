@@ -30,7 +30,7 @@ from __future__ import annotations
 import math
 from typing import TYPE_CHECKING, Callable, Literal, Mapping, Sequence
 
-from .catalogue import GRAPHLET_CLASSES
+from .catalogue import GRAPHLET_CLASSES, row_normalize
 
 if TYPE_CHECKING:
     from .transitions import OrbitTransitionMatrix
@@ -151,18 +151,6 @@ def gda_matrix(names: Sequence[str], gdds: Sequence[Sequence[Sequence[Mapping[in
         return total / count
 
     return _all_pairs(names, gdds, "GDD bundle", pooled)
-
-
-def row_normalize(t: OrbitTransitionMatrix | Sequence) -> Matrix:
-    """The row-stochastic rows of a transition matrix or of its (m, m) counts:
-    each row divided by its sum, rows of an unseen source orbit staying zero.
-    Dissolved counts live outside the matrix and do not enter the sum.
-    """
-    normalized = []
-    for row in getattr(t, "counts", t):
-        total = float(sum(row))
-        normalized.append([float(c) / total for c in row] if total > 0 else [0.0] * len(row))
-    return normalized
 
 
 def _common_shape(matrices: Sequence) -> tuple[int, ...]:

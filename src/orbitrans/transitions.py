@@ -26,7 +26,7 @@ import numpy as np
 
 from .census import GRAPHLET_CLASSES, _orbit_counts, _orbit_slots, _pair_blocks, orbit_count
 from .graph_core import SnapshotSeries, StaticGraph
-from .metrics import row_normalize  # noqa: F401  (one copy, for the products and OTA alike)
+from .catalogue import row_normalize  # noqa: F401  (one copy, for the products and OTA alike)
 
 FINGERPRINT_LABELS = ("Rare", "Common", "Frequent")
 

@@ -334,6 +334,22 @@ def edge_list_texts(draw):
     return "".join(line + end for line, end in zip(lines, ends)), sep
 
 
+@st.composite
+def wide_timestamp_texts(draw):
+    """(text, sep): data lines whose timestamps lie near -2**63 or 2**63, or have 19 or 20
+    digits, some zero-padded past them, beside short ones."""
+    sep = draw(st.sampled_from(("ws", "comma")))
+    gap = " " if sep == "ws" else ","
+    magnitudes = (st.integers(2**63 - 3, 2**63 + 3) | st.integers(10**18, 10**20 - 1)
+                  | st.integers(0, 10**6))
+    lines = []
+    for i in range(draw(st.integers(1, 8))):
+        sign = draw(st.sampled_from(("", "+", "-")))
+        t = sign + "0" * draw(st.integers(0, 2)) + str(draw(magnitudes))
+        lines.append(f"n{i % 3}{gap}m{i % 5}{gap}{t}\n")
+    return "".join(lines), sep
+
+
 def _outcome(parse):
     """Parse result as (labels, event tuples, dropped), or the located error."""
     try:
@@ -362,6 +378,24 @@ class TestParseMatchesLoopOracle:
             source = io.StringIO(text, newline="")
             assert _outcome(lambda: parse_edge_list(source, sep)) == expected
             assert _outcome(lambda: parse_edge_list(text.splitlines(), sep)) == expected
+
+    @pytest.mark.parametrize("block", [None, 23])
+    @settings(max_examples=150, deadline=None)
+    @given(case=wide_timestamp_texts())
+    def test_timestamps_at_int64_bounds(self, block, case):
+        # the oracle takes any size: where a timestamp is past int64, the parser
+        # must name the first such line instead
+        text, sep = case
+        stamps = [line.replace(",", " ").split()[2] for line in text.splitlines()]
+        outside = [(i, t) for i, t in enumerate(stamps, 1) if not -(2**63) <= int(t) < 2**63]
+        with mock.patch.object(graph_core, "_BLOCK_BYTES", block or graph_core._BLOCK_BYTES):
+            outcome = _outcome(lambda: parse_edge_list(text, sep))
+        if outside:
+            line, t = outside[0]
+            message = f"line {line}: timestamp {t!r} does not fit in a signed 64-bit integer"
+            assert outcome == ("error", message, line)
+        else:
+            assert outcome == _outcome(lambda: loop_parse_edge_list(text, sep))
 
 
 def _parses_as_oracle(text: str, block: int | None, sep: str = "ws", plain: bool = True):
@@ -406,14 +440,30 @@ class TestWordBoundaries:
         assert sorted(t for *_, t in events) == sorted(int(t) for t in stamps)
 
     @pytest.mark.parametrize("block", [5, 23, None])
-    def test_nineteen_digit_timestamps_take_the_line_path(self, block):
-        # 19 digits may not fit int64, so the word reader declines them and the
-        # line path parses those that do fit
+    @pytest.mark.parametrize("sep", ["ws", "comma"])
+    def test_nineteen_digit_timestamps_in_int64_take_the_word_path(self, block, sep):
+        # a Unix time in nanoseconds has 19 digits; the word reader takes every
+        # 19-digit value int64 holds, and no block of them reaches the line path
         padded = "0" * 17 + "42"
-        stamps = ["1234567890123456789", "-9223372036854775808", padded, "+" + padded]
-        text = "".join(f"a b {t}\nb c 1\n" for t in stamps)
-        _, events, _ = _parses_as_oracle(text, block, plain=False)
+        stamps = ["1234567890123456789", "-9223372036854775808", "9223372036854775807",
+                  "+9223372036854775807", "-0000000000000000000", padded, "+" + padded]
+        gap = " " if sep == "ws" else ","
+        text = "".join(f"a{gap}b{gap}{t}\nb{gap}c{gap}1\n" for t in stamps)
+        _, events, _ = _parses_as_oracle(text, block, sep)
         assert sorted({t for *_, t in events}) == sorted({1, *map(int, stamps)})
+
+    @pytest.mark.parametrize("bad", ["9223372036854775808", "+9223372036854775808",
+                                     "-9223372036854775809", "9999999999999999999",
+                                     "-9999999999999999999", "10000000000000000000"])
+    def test_timestamps_past_int64_are_located_on_the_line_path(self, bad):
+        # the word reader declines a block with one; the line path names its line
+        text = f"a b 1\nb c {bad}\nc d 2\n"
+        with mock.patch.object(graph_core._EventReader, "_add_lines",
+                               autospec=True, side_effect=graph_core._EventReader._add_lines) as lines:
+            with pytest.raises(EdgeListParseError) as err:
+                parse_edge_list(text)
+        assert lines.call_count == 1
+        assert str(err.value) == f"line 2: timestamp {bad!r} does not fit in a signed 64-bit integer"
 
     @pytest.mark.parametrize("block", [5, 23, None])
     @pytest.mark.parametrize(

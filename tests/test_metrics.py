@@ -540,7 +540,8 @@ def test_every_public_function_runs_without_numpy():
     proc = child("-c", code)
     assert proc.returncode == 0, proc.stderr
     results, public = json.loads(proc.stdout)
-    assert public == sorted(results)
+    # row_normalize is catalogue's, bound in metrics for its callers
+    assert public == sorted(results.keys() - {"row_normalize"})
     # the same values where numpy is loaded
     namespace: dict = {}
     exec(NO_NUMPY_CALLS, namespace)
