@@ -1496,6 +1496,16 @@ class TestWriteAtomic:
         assert open_fds() == before
         assert list(tmp_path.iterdir()) == []
 
+    def test_taken_temp_name_is_neither_followed_nor_reused(self, tmp_path, monkeypatch):
+        # a link planted at the temporary file's name fails the write; its target stays
+        monkeypatch.setattr("orbitrans.cli.os.urandom", bytes)
+        victim = tmp_path / "victim.txt"
+        victim.write_text("keep")
+        (tmp_path / f"x.csv.{'00' * 6}.tmp").symlink_to(victim)
+        with pytest.raises(CliError, match="cannot write .*x.csv: File exists"):
+            write_atomic(tmp_path / "x.csv", "a,b\n")
+        assert victim.read_text() == "keep" and not (tmp_path / "x.csv").exists()
+
     @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)])
     def test_written_file_has_the_umask_mode(self, tmp_path, umask, mode):
         # as open() would create it: 0o666 less the umask, not owner-only
